@@ -1,8 +1,9 @@
-"""Batch driver: parse a connection spec, run the pipeline, emit a report.
+"""Command line: parse a connection spec, dispatch a subcommand, render the
+report.
 
-Pipeline: specialize -> curvature decomposition -> jet solve -> candidate
-reconstruction -> verification.  The report is deterministic JSON (schema 1)
-with exact rational strings wherever the computation stayed exact.
+The analysis itself lives in `pipeline`.  Reports are deterministic JSON
+(schema 1) with exact rational strings wherever the computation stayed
+exact.
 
 Exit codes: 0 METRIZABLE, 10 NOT_METRIZABLE_AT_ORDER, 11 INDEFINITE_ONLY,
 12 OBSTRUCTED_BY_BETA, 2 input errors.
@@ -14,29 +15,21 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (DegenerateSigma, NotEquivalent, NotPolynomial, ParseError,
-                     PoleError, ProjmetError)
-from .exactlinalg import nullspace, solve_linear_system, symmetric_signature
-from .exactseries import series_mul, series_to_coeff_dict
+from .errors import NotEquivalent, ParseError, ProjmetError
+# bound here so the benchmark tracer's self-check can find it under
+# `projmet.cli` (perfbench/selfcheck.py)
+from .exactlinalg import nullspace  # noqa: F401
 from .exprcore import Chart
-from .metricize import (candidate_from_metric, constant_curvature_check,
-                        equivalence_defect, geodesic_compare, is_levi_civita,
-                        metric_inverse, projective_equivalence,
-                        reconstruct_metric, sampled_constant_curvature,
-                        sampled_lc_residual)
-from .mobility import degree_of_mobility, residual
-from .projconn import (AffineConnection, beta_form, decompose_curvature,
-                       specialize)
-from .tensorfield import TensorField
-from .tractor import section_dim, sym_pairs
+from .metricize import geodesic_compare, projective_equivalence
+from .mobility import degree_of_mobility
+from .pipeline import (EXIT_INDEFINITE_ONLY, EXIT_NOT_METRIZABLE,  # noqa: F401
+                       EXIT_OBSTRUCTED, EXIT_OK, SCHEMA_VERSION,
+                       add_gauge_blocks, analyze_connection, fr_str,
+                       geodesic_seeds, specialize_or_obstructed)
+from .projconn import AffineConnection, beta_form, decompose_curvature
 
 __all__ = ["run_analysis", "main"]
 
-SCHEMA_VERSION = 1
-EXIT_OK = 0
-EXIT_NOT_METRIZABLE = 10
-EXIT_INDEFINITE_ONLY = 11
-EXIT_OBSTRUCTED = 12
 EXIT_INPUT = 2
 
 
@@ -119,509 +112,10 @@ def parse_spec(doc):
         "variables": list(names),
         "christoffel": {k: str(v) for k, v in sorted(
             (f"{c},{a},{b}", e) for (c, a, b), e in entries.items())},
-        "base_point": [_fr_str(v) for v in base_point],
+        "base_point": [fr_str(v) for v in base_point],
         "options": options,
     }
     return conn, base_point, options, echo
-
-
-def _fr_str(v):
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-# ---------------------------------------------------------------------------
-# deterministic sample points and seeds
-# ---------------------------------------------------------------------------
-
-def _sample_points(base_point, n, count):
-    # offsets at most 1/16 so series-truncated residuals stay far below the
-    # default tolerance at the default jet order
-    pts = []
-    for i in range(count):
-        pt = []
-        for j in range(n):
-            num = 1 + ((i + j) % 3)
-            den = 48 * (1 + ((i + 2 * j + 1) % 4))
-            sign = -1 if (i + j) % 2 else 1
-            pt.append(base_point[j] + Fraction(sign * num, den))
-        pts.append(pt)
-    return pts
-
-
-def _geodesic_seeds(base_point, n, count):
-    # short directions keep trajectories close to the base point and away
-    # from poles of rational candidates; the transverse defect is scale
-    # invariant, so nothing is lost
-    seeds = []
-    for i in range(count):
-        pt = [float(base_point[j]) + 0.03 * ((i + j) % 3 - 1) for j in range(n)]
-        vec = [0.25 if j == i % n else 0.0625 * ((i + j) % 2) for j in range(n)]
-        seeds.append((pt, vec))
-    return seeds
-
-
-# ---------------------------------------------------------------------------
-# candidate generation and verification
-# ---------------------------------------------------------------------------
-
-def _primitive_ray(vec):
-    """Scale to coprime integers; sign fixed by the sigma block (metrics from
-    positive multiples of one solution differ by a constant rescale only)."""
-    from math import gcd
-
-    fr = [Fraction(v) for v in vec]
-    den = 1
-    for v in fr:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _candidate_vectors(jets, n):
-    """Deterministic initial-value candidates inside the admissible space.
-
-    Basis vectors give the reporting baseline; reference candidates carry
-    sigma(p) = identity, first with zero velocity slot and scanned scalar
-    slot (the constant-curvature family when the structure is flat), then
-    with single offsets along the remaining freedom.
-    """
-    N = section_dim(n)
-    d = jets.dim
-    pairs = sym_pairs(n)
-    basis = jets.admissible_basis
-    cands = []
-    seen = set()
-
-    def push(vec):
-        if all(v == 0 for v in vec):
-            return
-        sig_mat = _sigma_matrix(vec, n)
-        pos, neg, zero = symmetric_signature(sig_mat)
-        if neg > pos:
-            vec = [-v for v in vec]
-        vec = _primitive_ray(vec)
-        key = tuple(vec)
-        if key not in seen:
-            seen.add(key)
-            cands.append(vec)
-
-    for col in basis:
-        push(list(col))
-
-    full_rows = [[basis[l][i] for l in range(d)] for i in range(N)]
-
-    def member(vec):
-        return solve_linear_system(full_rows, [Fraction(v) for v in vec]) is not None
-
-    # sigma(p) = identity, mu(p) = 0, rho(p) scanned
-    ident = [Fraction(1) if i == j else Fraction(0) for i, j in pairs]
-    for rho in (0, 1, -1, 2, -2):
-        vec = ident + [Fraction(0)] * n + [Fraction(rho)]
-        if member(vec):
-            push(vec)
-
-    # sigma(p) = identity with the solver's choice of the remaining slots,
-    # plus single-direction offsets
-    rows = [[basis[l][k] for l in range(d)] for k in range(len(pairs))]
-    part = solve_linear_system(rows, ident)
-    if part is not None:
-        kern = nullspace(rows, d)
-        offsets = [[Fraction(0)] * d]
-        for kv in kern[:4]:
-            for t in (1, -1):
-                offsets.append([t * v for v in kv])
-        for off in offsets:
-            coeffs = [c + o for c, o in zip(part, off)]
-            vec = [sum(coeffs[l] * basis[l][i] for l in range(d)) for i in range(N)]
-            push(vec)
-    return cands
-
-
-def _sigma_matrix(vec, n):
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for k, (i, j) in enumerate(sym_pairs(n)):
-        mat[i][j] = Fraction(vec[k])
-        mat[j][i] = Fraction(vec[k])
-    return mat
-
-
-def _combine_series(jets, vec):
-    """Series of the solution with the given initial values."""
-    d = jets.dim
-    coords = solve_linear_system(
-        [[jets.admissible_basis[l][i] for l in range(d)]
-         for i in range(len(vec))], [Fraction(v) for v in vec])
-    if coords is None:
-        raise ValueError("vector not in the admissible space")
-    out = {}
-    for l, c in enumerate(coords):
-        if c == 0:
-            continue
-        for mono, coeffs in jets.series[l].items():
-            scaled = [c * v for v in coeffs]
-            if mono in out:
-                out[mono] = [a + b for a, b in zip(out[mono], scaled)]
-            else:
-                out[mono] = scaled
-    return out
-
-
-def _series_tail_is_zero(series, max_order, tail=2):
-    for mono, coeffs in series.items():
-        if sum(mono) > max_order - tail and any(coeffs):
-            return False
-    return True
-
-
-def _scalar_tail_is_zero(ser, max_order, tail=2):
-    return not any(v and sum(m) > max_order - tail for m, v in ser.items())
-
-
-def _sigma_field_from_series(chart, series, base_point, cutoff):
-    """Sigma slot of a packed series as a polynomial TensorField, keeping
-    coefficients up to total order `cutoff`."""
-    n = chart.dim
-    pairs = sym_pairs(n)
-    comp = {}
-    for k, (i, j) in enumerate(pairs):
-        ser = {mono: coeffs[k] for mono, coeffs in series.items()
-               if coeffs[k] and sum(mono) <= cutoff}
-        comp[(i, j)] = chart.from_coeff_dict(series_to_coeff_dict(ser, base_point))
-    mat = []
-    for i in range(n):
-        for j in range(n):
-            mat.append(comp[(min(i, j), max(i, j))])
-    return TensorField(chart, ("u", "u"), mat)
-
-
-def _metric_series(series, n, max_order):
-    """det(sigma) * sigma as truncated series, from a packed solution series.
-
-    Coefficients through max_order are exact Taylor coefficients of the
-    reconstructed metric, so a vanishing tail certifies an exactly
-    polynomial metric even when sigma itself does not terminate.
-    """
-    from itertools import permutations as _perms
-
-    pairs = sym_pairs(n)
-    idx = {}
-    for k, (i, j) in enumerate(pairs):
-        idx[(i, j)] = k
-        idx[(j, i)] = k
-    comp = {}
-    for i in range(n):
-        for j in range(n):
-            k = idx[(i, j)]
-            comp[(i, j)] = {m: v[k] for m, v in series.items() if v[k]}
-    det = {}
-    for perm in _perms(range(n)):
-        term = None
-        for i in range(n):
-            f = comp[(i, perm[i])]
-            if not f:
-                term = {}
-                break
-            term = dict(f) if term is None else series_mul(term, f, max_order)
-        if not term:
-            continue
-        sign = _perm_sign_cli(perm)
-        for m, v in term.items():
-            w = det.get(m, Fraction(0)) + (v if sign > 0 else -v)
-            if w:
-                det[m] = w
-            elif m in det:
-                del det[m]
-    g_ser = {}
-    for i, j in pairs:
-        g_ser[(i, j)] = series_mul(det, comp[(i, j)], max_order)
-    return g_ser
-
-
-def _perm_sign_cli(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, ln = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _metric_field_from_series(chart, g_ser, base_point, cutoff, variance=("u", "u")):
-    n = chart.dim
-    comp = {}
-    for (i, j), ser in g_ser.items():
-        kept = {m: v for m, v in ser.items() if v and sum(m) <= cutoff}
-        comp[(i, j)] = chart.from_coeff_dict(series_to_coeff_dict(kept, base_point))
-    mat = []
-    for i in range(n):
-        for j in range(n):
-            mat.append(comp[(min(i, j), max(i, j))])
-    return TensorField(chart, variance, mat)
-
-
-def _lower_metric_series(g_ser, n, max_order):
-    """Inverse matrix of a symmetric series metric, as truncated series.
-
-    Adjugate over determinant; the determinant inverse exists because the
-    constant term of the candidate metric is nondegenerate.
-    """
-    from .exactseries import series_inverse
-
-    def minor_series(r, c):
-        rows = [i for i in range(n) if i != r]
-        cols = [j for j in range(n) if j != c]
-        acc = {}
-        for perm in _perms_cached(n - 1):
-            term = {(0,) * n: Fraction(1)}
-            dead = False
-            for k in range(n - 1):
-                i, j = rows[k], cols[perm[k]]
-                f = g_ser.get((min(i, j), max(i, j)))
-                if not f:
-                    dead = True
-                    break
-                term = series_mul(term, f, max_order)
-            if dead or not term:
-                continue
-            sign = _perm_sign_cli(perm)
-            for m, v in term.items():
-                w = acc.get(m, Fraction(0)) + (v if sign > 0 else -v)
-                if w:
-                    acc[m] = w
-                elif m in acc:
-                    del acc[m]
-        return acc
-
-    det = {}
-    for perm in _perms_cached(n):
-        term = {(0,) * n: Fraction(1)}
-        dead = False
-        for i in range(n):
-            f = g_ser.get((min(i, perm[i]), max(i, perm[i])))
-            if not f:
-                dead = True
-                break
-            term = series_mul(term, f, max_order)
-        if dead or not term:
-            continue
-        sign = _perm_sign_cli(perm)
-        for m, v in term.items():
-            w = det.get(m, Fraction(0)) + (v if sign > 0 else -v)
-            if w:
-                det[m] = w
-            elif m in det:
-                del det[m]
-    if not det.get((0,) * n):
-        return None
-    det_inv = series_inverse(det, n, max_order)
-    out = {}
-    for i in range(n):
-        for j in range(i, n):
-            cof = minor_series(j, i)
-            if (i + j) % 2:
-                cof = {m: -v for m, v in cof.items()}
-            out[(i, j)] = series_mul(cof, det_inv, max_order)
-    return out
-
-
-def _perms_cached(n):
-    from itertools import permutations
-    return list(permutations(range(n)))
-
-
-def analyze_connection(conn, base_point, options, echo=None):
-    """Full pipeline on a parsed connection; returns (report, exit_code)."""
-    chart = conn.chart
-    n = chart.dim
-    report = {"schema": SCHEMA_VERSION, "input": echo or {}, "warnings": []}
-    beta = beta_form(conn)
-    report["beta_nonzero"] = not beta.is_zero()
-    try:
-        special, upsilon, f_pot = specialize(conn)
-    except NotPolynomial as exc:
-        if report["beta_nonzero"]:
-            report["verdict"] = "OBSTRUCTED_BY_BETA"
-            report["warnings"].append(str(exc))
-            return report, EXIT_OBSTRUCTED
-        raise  # trace potential outside the supported class: an input error
-    report["special_gauge"] = {
-        "upsilon": [str(c) for c in upsilon.components],
-        "f": f_pot.describe(),
-    }
-    data = decompose_curvature(special)
-    jets = degree_of_mobility(special, base_point, options["max_order"], data)
-    report["mobility"] = {
-        "dimension": jets.dim,
-        "dims_by_order": jets.dims,
-        "stabilized": jets.stabilized,
-        "max_order": options["max_order"],
-        "base_point": [_fr_str(v) for v in jets.base_point],
-    }
-    if not jets.stabilized:
-        report["warnings"].append(
-            "jet dimension did not stabilize; the mobility value is an upper bound")
-
-    report["solutions"] = []
-    for vec in jets.admissible_basis:
-        pos, neg, zero = symmetric_signature(_sigma_matrix(vec, n))
-        report["solutions"].append({
-            "initial_value": [_fr_str(v) for v in vec],
-            "sigma_signature": [pos, neg, zero],
-        })
-
-    if jets.dim == 0:
-        report["metrics"] = []
-        report["verdict"] = f"NOT_METRIZABLE_AT_ORDER({options['max_order']})"
-        return report, EXIT_NOT_METRIZABLE
-
-    samples = _sample_points(jets.base_point, n, options["samples"])
-    seeds = _geodesic_seeds(jets.base_point, n, min(options["samples"], 4))
-    tol = options["tolerance"]
-    metrics = []
-    witnesses = []
-    for vec in _candidate_vectors(jets, n):
-        series = _combine_series(jets, vec)
-        max_order = options["max_order"]
-        try:
-            if _series_tail_is_zero(series, max_order):
-                # sigma itself is polynomial: plain reconstruction
-                exact = True
-                sigma = _sigma_field_from_series(chart, series, jets.base_point,
-                                                 max_order)
-                cand = reconstruct_metric(sigma, special, jets.base_point,
-                                          region_samples=samples,
-                                          exact_solution=True)
-            else:
-                g_ser = _metric_series(series, n, max_order)
-                sigma = _sigma_field_from_series(chart, series, jets.base_point,
-                                                 max_order - 2)
-                if all(_scalar_tail_is_zero(s, max_order) for s in g_ser.values()):
-                    # the reconstructed metric itself is polynomial
-                    exact = True
-                    g_up = _metric_field_from_series(chart, g_ser,
-                                                     jets.base_point, max_order)
-                    cand = candidate_from_metric(g_up, special, jets.base_point,
-                                                 region_samples=samples,
-                                                 sigma=sigma,
-                                                 exact_solution=True)
-                else:
-                    low_ser = _lower_metric_series(g_ser, n, max_order)
-                    if low_ser is not None and all(
-                            _scalar_tail_is_zero(s, max_order)
-                            for s in low_ser.values()):
-                        # the lower-index metric is polynomial (the usual
-                        # round-trip case); invert it exactly
-                        exact = True
-                        g_down = _metric_field_from_series(
-                            chart, low_ser, jets.base_point, max_order,
-                            variance=("d", "d"))
-                        g_up = metric_inverse(g_down)
-                        cand = candidate_from_metric(
-                            g_up, special, jets.base_point,
-                            region_samples=samples, sigma=sigma,
-                            exact_solution=True)
-                    else:
-                        exact = False
-                        cand = reconstruct_metric(sigma, special,
-                                                  jets.base_point,
-                                                  region_samples=samples,
-                                                  exact_solution=False)
-        except (DegenerateSigma, PoleError) as exc:
-            metrics.append({
-                "initial_value": [_fr_str(v) for v in vec],
-                "skipped": str(exc),
-            })
-            continue
-        entry = {
-            "initial_value": [_fr_str(v) for v in vec],
-            "exact": exact,
-            "signature": list(cand.signature),
-            "definite": cand.definite,
-            "warnings": cand.warnings,
-            "g_upper": [[str(cand.g_up.get(i, j)) for j in range(n)]
-                        for i in range(n)],
-            "f": cand.f.describe(),
-        }
-        verified = _verify_candidate(conn, special, data, cand, series, jets,
-                                     samples, tol, entry)
-        entry["verified"] = verified
-        if verified and cand.definite:
-            witnesses.append((entry, cand))
-        metrics.append(entry)
-    report["metrics"] = metrics
-
-    # one geodesic cross-check on the verdict witness
-    for entry, cand in witnesses:
-        try:
-            gd, _ = geodesic_compare(conn, cand.connection, seeds)
-        except ProjmetError as exc:
-            report["warnings"].append(f"geodesic cross-check unavailable: {exc}")
-            entry["geodesic_defect"] = None
-            report["verdict"] = "METRIZABLE"
-            return report, EXIT_OK
-        entry["geodesic_defect"] = gd
-        if gd <= max(tol, 1e-6):
-            report["verdict"] = "METRIZABLE"
-            return report, EXIT_OK
-        report["warnings"].append(
-            "witness failed the geodesic cross-check; trying the next one")
-    report["verdict"] = "INDEFINITE_ONLY"
-    if not any(m.get("verified") for m in metrics):
-        report["warnings"].append(
-            "no candidate passed verification; solutions exist but none were "
-            "confirmed as metrics")
-    return report, EXIT_INDEFINITE_ONLY
-
-
-def _verify_candidate(input_conn, special, data, cand, series, jets, samples,
-                      tol, entry):
-    res = residual(special, data, series, jets.base_point, samples)
-    entry["closure_residual"] = _fr_str(res) if res == 0 else float(res)
-    if cand.exact_solution:
-        # a structurally verified metric plus recovered 1-form is a complete
-        # metrizability witness regardless of the jet truncation
-        ok_lc, _ = is_levi_civita(cand.connection, cand.g_up)
-        entry["is_levi_civita"] = ok_lc
-        try:
-            ups = projective_equivalence(input_conn, cand.connection)
-            entry["equivalence_upsilon"] = [str(c) for c in ups.components]
-            ok_equiv = True
-        except NotEquivalent as exc:
-            entry["equivalence_error"] = str(exc)
-            ok_equiv = False
-        if not (ok_lc and ok_equiv):
-            return False
-        flag, kappa, dev = constant_curvature_check(
-            cand.g_down, samples, conn=cand.connection, g_up=cand.g_up)
-        entry["constant_curvature"] = flag
-        entry["kappa"] = _fr_str(kappa) if isinstance(kappa, Fraction) else kappa
-        return True
-    lc_defect = sampled_lc_residual(cand.connection, cand.g_up, samples)
-    ok_lc = lc_defect <= tol
-    entry["is_levi_civita"] = ok_lc
-    entry["levi_civita_defect"] = lc_defect
-    defect = equivalence_defect(input_conn, cand.connection, samples)
-    entry["equivalence_defect"] = defect
-    if not (ok_lc and defect <= tol and float(res) <= tol):
-        return False
-    flag, kappa, dev = sampled_constant_curvature(cand.connection, cand.g_up,
-                                                  samples)
-    entry["constant_curvature"] = bool(flag)
-    entry["kappa"] = kappa
-    return True
 
 
 def run_analysis(spec_path, options_override=None, report_path=None):
@@ -640,6 +134,15 @@ def render_report(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _write(report, report_path):
+    """Render once; write to `report_path` (if given), then to stdout."""
+    text = render_report(report)
+    if report_path:
+        with open(report_path, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -647,8 +150,8 @@ def render_report(report):
 def _cmd_analyze(args):
     override = {"max_order": args.max_order, "samples": args.samples,
                 "tolerance": args.tol}
-    report, code = run_analysis(args.spec, override, args.report)
-    sys.stdout.write(render_report(report))
+    report, code = run_analysis(args.spec, override)
+    _write(report, args.report)
     return code
 
 
@@ -657,32 +160,15 @@ def _cmd_mobility(args):
     if args.max_order is not None:
         options["max_order"] = args.max_order
     report = {"schema": SCHEMA_VERSION, "input": echo, "warnings": []}
-    try:
-        special, upsilon, f_pot = specialize(conn)
-    except NotPolynomial as exc:
-        if beta_form(conn).is_zero():
-            raise
-        report["verdict"] = "OBSTRUCTED_BY_BETA"
-        report["warnings"].append(str(exc))
-        sys.stdout.write(render_report(report))
+    gauge = specialize_or_obstructed(conn, report)
+    if gauge is None:
+        _write(report, args.report)
         return EXIT_OBSTRUCTED
+    special, upsilon, f_pot = gauge
     data = decompose_curvature(special)
     jets = degree_of_mobility(special, base_point, options["max_order"], data)
-    report["special_gauge"] = {
-        "upsilon": [str(c) for c in upsilon.components],
-        "f": f_pot.describe(),
-    }
-    report["mobility"] = {
-        "dimension": jets.dim,
-        "dims_by_order": jets.dims,
-        "stabilized": jets.stabilized,
-        "max_order": options["max_order"],
-        "base_point": [_fr_str(v) for v in jets.base_point],
-    }
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(render_report(report))
-    sys.stdout.write(render_report(report))
+    add_gauge_blocks(report, upsilon, f_pot, jets)
+    _write(report, args.report)
     return EXIT_OK
 
 
@@ -693,20 +179,13 @@ def _cmd_curvature(args):
     report = {"schema": SCHEMA_VERSION, "input": echo, "warnings": []}
     report["beta"] = [[str(beta.components[a][b]) for b in range(n)]
                       for a in range(n)]
-    try:
-        special, upsilon, f_pot = specialize(conn)
-    except NotPolynomial as exc:
-        if beta.is_zero():
-            raise
-        report["verdict"] = "OBSTRUCTED_BY_BETA"
-        report["warnings"].append(str(exc))
-        sys.stdout.write(render_report(report))
+    gauge = specialize_or_obstructed(conn, report, beta)
+    if gauge is None:
+        _write(report, args.report)
         return EXIT_OBSTRUCTED
+    special, upsilon, f_pot = gauge
     data = decompose_curvature(special)
-    report["special_gauge"] = {
-        "upsilon": [str(c) for c in upsilon.components],
-        "f": f_pot.describe(),
-    }
+    add_gauge_blocks(report, upsilon, f_pot)
     report["weyl"] = {
         f"{a + 1},{b + 1},{c + 1},{d + 1}": str(data.weyl.get(a, b, c, d))
         for a in range(n) for b in range(n) for c in range(n) for d in range(n)
@@ -717,10 +196,7 @@ def _cmd_curvature(args):
         f"{a + 1},{b + 1},{c + 1}": str(data.cotton_york.get(a, b, c))
         for a in range(n) for b in range(n) for c in range(n)
         if not data.cotton_york.get(a, b, c).is_zero()}
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(render_report(report))
-    sys.stdout.write(render_report(report))
+    _write(report, args.report)
     return EXIT_OK
 
 
@@ -739,13 +215,10 @@ def _cmd_compare(args):
     except NotEquivalent as exc:
         report["equivalent"] = False
         report["reason"] = str(exc)
-    seeds = _geodesic_seeds(base1, n, 4)
+    seeds = geodesic_seeds(base1, n, 4)
     defect, _ = geodesic_compare(conn1, conn2, seeds)
     report["geodesic_defect"] = defect
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(render_report(report))
-    sys.stdout.write(render_report(report))
+    _write(report, args.report)
     return EXIT_OK
 
 

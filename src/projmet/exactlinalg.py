@@ -4,11 +4,18 @@ Rank decisions for the jet solver must not depend on floating point, so
 elimination here is fraction-free (Bareiss) on integer-scaled rows, and
 signatures of symmetric matrices are read off the characteristic polynomial
 with Descartes' rule (exact for real-rooted polynomials).
+
+The Leibniz determinant and adjugate work over any commutative ring given
+by its operations: rational-function fields and truncated series alike.
 """
 
 from fractions import Fraction
+from itertools import permutations
+from math import gcd, lcm
 
 __all__ = [
+    "leibniz_det",
+    "adjugate",
     "fraction_free_rref",
     "rank",
     "nullspace",
@@ -22,19 +29,9 @@ def _to_integer_rows(rows):
     out = []
     for row in rows:
         fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            d = x.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        out.append([int(x * lcm) for x in fr])
+        den = lcm(*(x.denominator for x in fr))
+        out.append([int(x * den) for x in fr])
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def fraction_free_rref(rows):
@@ -71,9 +68,7 @@ def fraction_free_rref(rows):
             break
     # normalise each pivot row by its content to keep entries small
     for i in range(len(pivots)):
-        g = 0
-        for x in m[i]:
-            g = _gcd(g, x)
+        g = gcd(*m[i])
         if g > 1:
             m[i] = [x // g for x in m[i]]
         if m[i][pivots[i]] < 0:
@@ -182,3 +177,50 @@ def symmetric_signature(matrix):
               for i, c in enumerate(reduced)]
     neg = sign_changes(neg_cs)
     return pos, neg, zero
+
+
+def _perm_sign(perm):
+    """+1 or -1 by the parity of the number of inversions."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def leibniz_det(entry, n, zero, mul, add, neg):
+    """Leibniz determinant of the n x n matrix entry(i, j) over a ring.
+
+    `mul`, `add` and `neg` are the ring operations and `zero` its zero.
+    Zero entries and products are recognised by truthiness and their terms
+    skipped, so sparse matrices stay cheap.
+    """
+    total = zero
+    for perm in permutations(range(n)):
+        term = None
+        for i in range(n):
+            factor = entry(i, perm[i])
+            if not factor:
+                term = None
+                break
+            term = factor if term is None else mul(term, factor)
+            if not term:
+                break
+        if not term:
+            continue
+        total = add(total, term if _perm_sign(perm) > 0 else neg(term))
+    return total
+
+
+def adjugate(entry, n, zero, mul, add, neg):
+    """Adjugate of the n x n matrix entry(i, j) over a ring, as a function
+    (i, j) -> (-1)^(i+j) times the minor without row j and column i.
+
+    Entries are computed on demand, so a caller that needs part of the
+    adjugate (one triangle of a symmetric matrix) pays for that part only.
+    """
+    def adj(i, j):
+        rows = [r for r in range(n) if r != j]
+        cols = [c for c in range(n) if c != i]
+        minor = leibniz_det(lambda r, c: entry(rows[r], cols[c]), n - 1,
+                            zero, mul, add, neg)
+        return neg(minor) if (i + j) % 2 else minor
+
+    return adj

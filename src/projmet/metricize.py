@@ -13,13 +13,14 @@ comparison of unparameterised geodesics.
 """
 
 import csv
+import operator
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from .errors import (DegenerateMetric, DegenerateSigma, DimensionTooSmall,
                      NotEquivalent, PoleError, PoleOnPath, ShapeError,
                      StepUnderflow)
-from .exactlinalg import symmetric_signature
+from .exactlinalg import adjugate, leibniz_det, symmetric_signature
 from .exprcore import DifferentialForm, Potential, compile_numeric
 from .projconn import (AffineConnection, _schouten_and_weyl, full_curvature,
                        projective_change, ricci)
@@ -53,38 +54,8 @@ def det_field(t):
     """
     if t.rank != 2:
         raise ShapeError("determinant needs a rank-2 tensor")
-    chart = t.chart
-    n = chart.dim
-    total = chart.zero
-    for perm in permutations(range(n)):
-        term = chart.one
-        for i in range(n):
-            term = term * t.get(i, perm[i])
-            if term.is_zero():
-                break
-        if term.is_zero():
-            continue
-        if _perm_sign(perm) > 0:
-            total = total + term
-        else:
-            total = total - term
-    return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return leibniz_det(t.get, t.chart.dim, t.chart.zero, operator.mul,
+                       operator.add, operator.neg)
 
 
 def metric_inverse(t):
@@ -100,32 +71,12 @@ def metric_inverse(t):
     det = det_field(t)
     if det.is_zero():
         raise DegenerateMetric("component matrix is singular as a field")
-
-    def minor(r, c):
-        rows = [i for i in range(n) if i != r]
-        cols = [j for j in range(n) if j != c]
-        total = chart.zero
-        for perm in permutations(range(n - 1)):
-            term = chart.one
-            for k in range(n - 1):
-                term = term * t.get(rows[k], cols[perm[k]])
-                if term.is_zero():
-                    break
-            if term.is_zero():
-                continue
-            total = total + term if _perm_sign(perm) > 0 else total - term
-        return total
-
+    adj = adjugate(t.get, n, chart.zero, operator.mul, operator.add,
+                   operator.neg)
     flip = {"u": "d", "d": "u"}
     var = (flip[t.variance[0]], flip[t.variance[1]])
-    comps = []
-    for i in range(n):
-        for j in range(n):
-            cof = minor(j, i)
-            if (i + j) % 2:
-                cof = -cof
-            comps.append(cof / det)
-    return TensorField(chart, var, comps)
+    return TensorField(chart, var, [adj(i, j) / det for i in range(n)
+                                    for j in range(n)])
 
 
 class MetricCandidate:
@@ -169,53 +120,8 @@ def reconstruct_metric(sigma, conn, base_point=None, region_samples=(),
     which is the Levi-Civita connection of g whenever sigma solves the
     metrizability system for `conn`.
     """
-    chart = sigma.chart
-    n = chart.dim
-    if sigma.variance != ("u", "u") or not sigma.is_symmetric(0, 1):
-        raise ShapeError("sigma must be a symmetric (u,u) field")
-    base_point = [Fraction(0)] * n if base_point is None else \
-        [Fraction(p) for p in base_point]
-    det = det_field(sigma)
-    if det.is_zero():
-        raise DegenerateSigma("det(sigma) is identically zero")
-    try:
-        det_at_p = det.evaluate(base_point)
-    except PoleError as exc:
-        raise DegenerateSigma(f"det(sigma) undefined at base point: {exc}") from exc
-    if det_at_p == 0:
-        raise DegenerateSigma("det(sigma) vanishes at the base point")
-
-    f = Potential(chart, log_terms=[(det, Fraction(-1, 2))])
-    upsilon = f.grad()
-    changed = projective_change(conn, upsilon)
-    g_up = sigma.scale(det)
-    # series truncations skip the symbolic inverse; numeric checks invert
-    # pointwise instead
-    g_down = metric_inverse(g_up) if exact_solution else None
-
-    warnings = []
-    mat = [[sigma.get(i, j).evaluate(base_point) for j in range(n)] for i in range(n)]
-    pos, neg, zero = symmetric_signature(mat)
-    if zero:
-        raise DegenerateSigma("sigma has a zero eigenvalue at the base point")
-    definite = pos == n
-    if not definite:
-        warnings.append(f"sigma not positive definite at base point: "
-                        f"signature ({pos},{neg})")
-    for pt in region_samples:
-        pt = [Fraction(v) for v in pt]
-        try:
-            m = [[sigma.get(i, j).evaluate(pt) for j in range(n)] for i in range(n)]
-        except PoleError:
-            warnings.append(f"sigma has a pole at sample {tuple(pt)}")
-            continue
-        p2, n2, z2 = symmetric_signature(m)
-        if (p2, n2) != (pos, neg) or z2:
-            definite = False
-            warnings.append(f"signature changes at sample {tuple(pt)}")
-    return MetricCandidate(sigma, det, f, upsilon, changed, g_up, g_down,
-                           tuple(base_point), (pos, neg), definite, warnings,
-                           exact_solution)
+    return _candidate(sigma, True, conn, base_point, region_samples, sigma,
+                      exact_solution)
 
 
 def candidate_from_metric(g_up, conn, base_point=None, region_samples=(),
@@ -228,42 +134,58 @@ def candidate_from_metric(g_up, conn, base_point=None, region_samples=(),
     projective change onto the Levi-Civita connection has the rational
     gradient of f = -1/(2(n+1)) log det(g^{ab}).
     """
-    chart = g_up.chart
+    return _candidate(g_up, False, conn, base_point, region_samples, sigma,
+                      exact_solution)
+
+
+def _candidate(t, from_sigma, conn, base_point, region_samples, sigma,
+               exact_solution):
+    """Shared body of the two constructors: `t` is sigma^{ab} when
+    `from_sigma`, else the metric g^{ab}.  Nondegeneracy, the signature and
+    the log potential are all taken from `t`."""
+    det_name, noun = ("sigma", "sigma") if from_sigma else ("g", "metric")
+    chart = t.chart
     n = chart.dim
-    if g_up.variance != ("u", "u") or not g_up.is_symmetric(0, 1):
-        raise ShapeError("metric must be a symmetric (u,u) field")
+    if t.variance != ("u", "u") or not t.is_symmetric(0, 1):
+        raise ShapeError(f"{noun} must be a symmetric (u,u) field")
     base_point = [Fraction(0)] * n if base_point is None else \
         [Fraction(p) for p in base_point]
-    det = det_field(g_up)
+    det = det_field(t)
     if det.is_zero():
-        raise DegenerateSigma("det(g) is identically zero")
+        raise DegenerateSigma(f"det({det_name}) is identically zero")
     try:
         det_at_p = det.evaluate(base_point)
     except PoleError as exc:
-        raise DegenerateSigma(f"det(g) undefined at base point: {exc}") from exc
+        raise DegenerateSigma(
+            f"det({det_name}) undefined at base point: {exc}") from exc
     if det_at_p == 0:
-        raise DegenerateSigma("det(g) vanishes at the base point")
+        raise DegenerateSigma(f"det({det_name}) vanishes at the base point")
 
-    f = Potential(chart, log_terms=[(det, Fraction(-1, 2 * (n + 1)))])
+    log_coeff = Fraction(-1, 2) if from_sigma else Fraction(-1, 2 * (n + 1))
+    f = Potential(chart, log_terms=[(det, log_coeff)])
     upsilon = f.grad()
     changed = projective_change(conn, upsilon)
-    g_down = metric_inverse(g_up)
+    g_up = t.scale(det) if from_sigma else t
+    # series truncations skip the symbolic inverse; numeric checks invert
+    # pointwise instead
+    g_down = metric_inverse(g_up) if exact_solution or not from_sigma \
+        else None
 
     warnings = []
-    mat = [[g_up.get(i, j).evaluate(base_point) for j in range(n)] for i in range(n)]
+    mat = [[t.get(i, j).evaluate(base_point) for j in range(n)] for i in range(n)]
     pos, neg, zero = symmetric_signature(mat)
     if zero:
-        raise DegenerateSigma("metric has a zero eigenvalue at the base point")
+        raise DegenerateSigma(f"{noun} has a zero eigenvalue at the base point")
     definite = pos == n
     if not definite:
-        warnings.append(f"metric not positive definite at base point: "
+        warnings.append(f"{noun} not positive definite at base point: "
                         f"signature ({pos},{neg})")
     for pt in region_samples:
         pt = [Fraction(v) for v in pt]
         try:
-            m = [[g_up.get(i, j).evaluate(pt) for j in range(n)] for i in range(n)]
+            m = [[t.get(i, j).evaluate(pt) for j in range(n)] for i in range(n)]
         except PoleError:
-            warnings.append(f"metric has a pole at sample {tuple(pt)}")
+            warnings.append(f"{noun} has a pole at sample {tuple(pt)}")
             continue
         p2, n2, z2 = symmetric_signature(m)
         if (p2, n2) != (pos, neg) or z2:
@@ -439,6 +361,20 @@ def levi_civita(g_down):
     return AffineConnection(chart, gamma)
 
 
+def _trace_upsilon(c1, c2):
+    """Y_a = (Gamma2 - Gamma1)^b_ab / (n+1): the only 1-form whose pure-trace
+    difference delta_a^c Y_b + delta_b^c Y_a can match Gamma2 - Gamma1."""
+    chart = c1.chart
+    n = chart.dim
+    ups = []
+    for a in range(n):
+        s = chart.zero
+        for b in range(n):
+            s = s + c2.gamma[b][a][b] - c1.gamma[b][a][b]
+        ups.append(s / (n + 1))
+    return ups
+
+
 def projective_equivalence(c1, c2):
     """Recover the 1-form relating two projectively equivalent connections.
 
@@ -450,12 +386,7 @@ def projective_equivalence(c1, c2):
         raise ShapeError("connections live on different charts")
     chart = c1.chart
     n = chart.dim
-    ups = []
-    for a in range(n):
-        s = chart.zero
-        for b in range(n):
-            s = s + c2.gamma[b][a][b] - c1.gamma[b][a][b]
-        ups.append(s / (n + 1))
+    ups = _trace_upsilon(c1, c2)
     for c, a, b in product(range(n), repeat=3):
         want = chart.zero
         if c == a:
@@ -476,14 +407,8 @@ def equivalence_defect(c1, c2, samples):
     Zero exactly when the connections are projectively equivalent; used for
     series-truncated candidates where the structural test cannot pass.
     """
-    chart = c1.chart
-    n = chart.dim
-    ups = []
-    for a in range(n):
-        s = chart.zero
-        for b in range(n):
-            s = s + c2.gamma[b][a][b] - c1.gamma[b][a][b]
-        ups.append(s / (n + 1))
+    n = c1.chart.dim
+    ups = _trace_upsilon(c1, c2)
     worst = 0.0
     for pt in samples:
         pt = [Fraction(v) for v in pt]
@@ -726,20 +651,24 @@ def _geodesic_rhs(compiled, n, state):
     return v + [-a for a in acc]
 
 
+def _rk4_step(compiled, n, cur, h):
+    k1 = _geodesic_rhs(compiled, n, cur)
+    s2 = [a + h / 2 * b for a, b in zip(cur, k1)]
+    k2 = _geodesic_rhs(compiled, n, s2)
+    s3 = [a + h / 2 * b for a, b in zip(cur, k2)]
+    k3 = _geodesic_rhs(compiled, n, s3)
+    s4 = [a + h * b for a, b in zip(cur, k3)]
+    k4 = _geodesic_rhs(compiled, n, s4)
+    return [a + h / 6 * (p + 2 * q + 2 * r + s)
+            for a, p, q, r, s in zip(cur, k1, k2, k3, k4)]
+
+
 def _rk4_path(compiled, n, state, t_end, steps):
     h = t_end / steps
     cur = list(state)
     trace = [(0.0, cur[:n])]
     for k in range(steps):
-        k1 = _geodesic_rhs(compiled, n, cur)
-        s2 = [a + h / 2 * b for a, b in zip(cur, k1)]
-        k2 = _geodesic_rhs(compiled, n, s2)
-        s3 = [a + h / 2 * b for a, b in zip(cur, k2)]
-        k3 = _geodesic_rhs(compiled, n, s3)
-        s4 = [a + h * b for a, b in zip(cur, k3)]
-        k4 = _geodesic_rhs(compiled, n, s4)
-        cur = [a + h / 6 * (p + 2 * q + 2 * r + s)
-               for a, p, q, r, s in zip(cur, k1, k2, k3, k4)]
+        cur = _rk4_step(compiled, n, cur, h)
         trace.append(((k + 1) * h, cur[:n]))
     return cur, trace
 
@@ -800,15 +729,7 @@ def geodesic_compare(c1, c2, seeds, tol=1e-10, t_end=1.0, trace_samples=32):
                 trans = [d - proj * w for d, w in zip(diff, v)]
                 mag = max(abs(t) for t in trans) / v2
                 worst = max(worst, mag)
-            k1 = _geodesic_rhs(comp1, n, cur)
-            s2 = [a + h / 2 * b for a, b in zip(cur, k1)]
-            k2 = _geodesic_rhs(comp1, n, s2)
-            s3 = [a + h / 2 * b for a, b in zip(cur, k2)]
-            k3 = _geodesic_rhs(comp1, n, s3)
-            s4 = [a + h * b for a, b in zip(cur, k3)]
-            k4 = _geodesic_rhs(comp1, n, s4)
-            cur = [a + h / 6 * (p + 2 * q + 2 * r + s)
-                   for a, p, q, r, s in zip(cur, k1, k2, k3, k4)]
+            cur = _rk4_step(comp1, n, cur, h)
     return worst, traces
 
 

@@ -22,8 +22,6 @@ __all__ = [
     "contract",
     "partial_derivative",
     "covariant_derivative",
-    "symmetrize",
-    "antisymmetrize",
     "trace_free_part",
     "reweight",
 ]
@@ -244,66 +242,6 @@ def covariant_derivative(t, conn):
                         val = val - g * t.get(*jdx)
             out.append(val)
     return TensorField(chart, ("d",) + t.variance, out, t.weight, t.tag)
-
-
-def _perm_sum(t, positions, signed):
-    from itertools import permutations
-
-    n = t.chart.dim
-    k = len(positions)
-    factor = Fraction(1, _factorial(k))
-    comps = []
-    for idx in t.indices():
-        s = t.chart.zero
-        for perm in permutations(range(k)):
-            jdx = list(idx)
-            for slot, p in zip(positions, perm):
-                jdx[slot] = idx[positions[p]]
-            term = t.get(*jdx)
-            if signed and _parity(perm) < 0:
-                s = s - term
-            else:
-                s = s + term
-        comps.append(s * t.chart.const(factor))
-    return TensorField(t.chart, t.variance, comps, t.weight, t.tag)
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def _parity(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def symmetrize(t, positions):
-    variances = {t.variance[p] for p in positions}
-    if len(variances) != 1:
-        raise ShapeError("cannot symmetrize slots of mixed variance")
-    return _perm_sum(t, list(positions), signed=False)
-
-
-def antisymmetrize(t, positions):
-    variances = {t.variance[p] for p in positions}
-    if len(variances) != 1:
-        raise ShapeError("cannot antisymmetrize slots of mixed variance")
-    return _perm_sum(t, list(positions), signed=True)
 
 
 def trace_free_part(t):

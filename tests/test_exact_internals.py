@@ -1,17 +1,18 @@
 """The exact series and linear algebra underpinning the jet solver."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from projmet.exactlinalg import (char_poly, fraction_free_rref, nullspace,
-                                 rank, solve_linear_system,
-                                 symmetric_signature)
+from projmet.exactlinalg import (adjugate, char_poly, fraction_free_rref,
+                                 leibniz_det, nullspace, rank,
+                                 solve_linear_system, symmetric_signature)
 from projmet.exactseries import (monomials_of_order, poly_to_series,
-                                 rational_to_series, series_diff, series_eval,
-                                 series_inverse, series_mul,
-                                 series_to_coeff_dict)
+                                 rational_to_series, series_add, series_diff,
+                                 series_eval, series_inverse, series_mul,
+                                 series_scale, series_to_coeff_dict)
 from projmet import Chart, PoleAtBasePoint
 
 from conftest import rand_poly
@@ -124,3 +125,46 @@ def test_signature_random_vs_numpy(rng):
         assert pos == sum(1 for e in eig if e > 1e-9)
         assert neg == sum(1 for e in eig if e < -1e-9)
         assert zero == sum(1 for e in eig if abs(e) <= 1e-9)
+
+
+def test_leibniz_det_and_adjugate_agree_on_both_rings():
+    """The one determinant/adjugate, run over RationalExpr and over series
+    truncated at order 6, gives the Taylor series of the same matrices."""
+    chart = Chart(3)
+    rng = random.Random(11)
+    origin = [Fraction(0)] * 3
+    order = 6
+    while True:
+        upper = {(i, j): rand_poly(chart, rng, 2, 3) + (chart.const(i + 1)
+                                                        if i == j else 0)
+                 for i in range(3) for j in range(i, 3)}
+
+        def entry(i, j):
+            return upper[(min(i, j), max(i, j))]
+
+        det = leibniz_det(entry, 3, chart.zero, operator.mul, operator.add,
+                          operator.neg)
+        if det.evaluate(origin) != 0:
+            break
+    adj = adjugate(entry, 3, chart.zero, operator.mul, operator.add,
+                   operator.neg)
+    for i in range(3):
+        for j in range(3):
+            prod = sum((entry(i, k) * adj(k, j) for k in range(3)),
+                       chart.zero)
+            assert prod == (det if i == j else chart.zero)
+
+    ser = {ij: rational_to_series(e, origin, order) for ij, e in upper.items()}
+    ring = ({}, lambda a, b: series_mul(a, b, order), series_add,
+            lambda a: series_scale(a, -1))
+
+    def ser_entry(i, j):
+        return ser[(min(i, j), max(i, j))]
+
+    assert leibniz_det(ser_entry, 3, *ring) == \
+        rational_to_series(det, origin, order)
+    ser_adj = adjugate(ser_entry, 3, *ring)
+    for i in range(3):
+        for j in range(3):
+            assert ser_adj(i, j) == rational_to_series(adj(i, j), origin,
+                                                       order)
