@@ -10,11 +10,10 @@ and every solution is reconstructed into a candidate metric and verified.
 
 from .errors import *  # noqa: F401,F403
 from .exprcore import (Chart, DifferentialForm, Potential, RationalExpr,
-                       differentiate, evaluate, exterior_derivative,
-                       homotopy_potential, potential_of_closed_1form)
+                       exterior_derivative, homotopy_potential,
+                       potential_of_closed_1form)
 from .tensorfield import (TensorField, contract, covariant_derivative,
-                          kron_delta, outer, partial_derivative, reweight,
-                          trace_free_part)
+                          kron_delta, outer, reweight, trace_free_part)
 from .projconn import (AffineConnection, ProjectiveData, beta_form,
                        bianchi_contracted_check, decompose_curvature,
                        full_curvature, projective_change, ricci, specialize)

@@ -25,8 +25,6 @@ __all__ = [
     "RationalExpr",
     "DifferentialForm",
     "Potential",
-    "differentiate",
-    "evaluate",
     "exterior_derivative",
     "homotopy_potential",
     "potential_of_closed_1form",
@@ -263,30 +261,11 @@ class RationalExpr:
     def denom_terms(self):
         return [(tuple(exps), to_fraction(c)) for exps, c in self.frac.denom.terms()]
 
-    def total_degree(self):
-        """Total degree of the numerator (polynomial use only)."""
-        if not self.frac:
-            return 0
-        return self.frac.numer.degree()
-
-    def as_sympy(self):
-        return self.frac.numer.as_expr() / self.frac.denom.as_expr()
-
     def __str__(self):
         return str(self.frac).replace("**", "^")
 
     def __repr__(self):
         return f"RationalExpr({self})"
-
-
-def differentiate(e, k):
-    """Partial derivative of e with respect to x^k, 1-based."""
-    return e.diff(k)
-
-
-def evaluate(e, point):
-    """Exact rational value of e at point."""
-    return e.evaluate(point)
 
 
 def compile_numeric(expr):
@@ -536,9 +515,6 @@ class DifferentialForm:
 
     def d(self):
         return exterior_derivative(self)
-
-    def is_closed(self):
-        return self.d().is_zero()
 
     def __add__(self, other):
         if self.degree != other.degree or self.chart is not other.chart:

@@ -7,9 +7,9 @@ connection onto the Levi-Civita connection of g.  The log potential keeps
 the whole reconstruction inside the rational-function field.
 
 Also here: the Levi-Civita characterisation used as the acceptance check,
-projective equivalence as a recognition problem, the metric decomposition
-of the Riemann tensor, constant-curvature detection, and the numeric
-comparison of unparameterised geodesics.
+the sampled projective-equivalence defect, the metric decomposition of the
+Riemann tensor, constant-curvature detection, and the numeric comparison of
+unparameterised geodesics.
 """
 
 import csv
@@ -18,12 +18,14 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import (DegenerateMetric, DegenerateSigma, DimensionTooSmall,
-                     NotEquivalent, PoleError, PoleOnPath, ShapeError,
-                     StepUnderflow)
+                     PoleError, PoleOnPath, ShapeError, StepUnderflow)
 from .exactlinalg import adjugate, leibniz_det, symmetric_signature
 from .exprcore import DifferentialForm, Potential, compile_numeric
-from .projconn import (AffineConnection, _schouten_and_weyl, full_curvature,
-                       projective_change, ricci)
+# projective_equivalence lives in projconn, where specialize checks it; it
+# stays importable from here with the other verification checks
+from .projconn import (AffineConnection, _schouten_and_weyl, _trace_upsilon,
+                       full_curvature, projective_change,
+                       projective_equivalence, ricci)
 from .tensorfield import (TensorField, covariant_derivative, trace_free_part)
 
 __all__ = [
@@ -211,24 +213,18 @@ def _volume_residual(conn, g_up):
     return DifferentialForm(chart, 1, comps)
 
 
-def is_levi_civita(conn, g_up, tol=None, samples=()):
+def is_levi_civita(conn, g_up):
     """Is conn the metric connection of g^{ab}?
 
-    Checks that grad_a g^{bc} is pure trace and that the metric volume form
-    is parallel.  With tol=None both residuals must vanish structurally;
-    otherwise they are evaluated numerically at the sample points against
-    tol (no symbolic products, so large truncations stay cheap).
-    Returns (bool, residual info dict).
+    Checks structurally that grad_a g^{bc} is pure trace and that the metric
+    volume form is parallel.  Returns (bool, residual info dict).
     """
     if g_up.variance != ("u", "u"):
         raise ShapeError("metric must be given with upper indices")
-    if tol is None:
-        dg = covariant_derivative(g_up, conn)
-        tf = trace_free_part(dg)
-        vol = _volume_residual(conn, g_up)
-        return tf.is_zero() and vol.is_zero(), {"trace_free": tf, "volume": vol}
-    worst = sampled_lc_residual(conn, g_up, samples)
-    return worst <= tol, {"max_sampled": worst}
+    dg = covariant_derivative(g_up, conn)
+    tf = trace_free_part(dg)
+    vol = _volume_residual(conn, g_up)
+    return tf.is_zero() and vol.is_zero(), {"trace_free": tf, "volume": vol}
 
 
 def _eval_matrix(field, pt):
@@ -359,46 +355,6 @@ def levi_civita(g_down):
                 gamma[c][a][b] = val
                 gamma[c][b][a] = val
     return AffineConnection(chart, gamma)
-
-
-def _trace_upsilon(c1, c2):
-    """Y_a = (Gamma2 - Gamma1)^b_ab / (n+1): the only 1-form whose pure-trace
-    difference delta_a^c Y_b + delta_b^c Y_a can match Gamma2 - Gamma1."""
-    chart = c1.chart
-    n = chart.dim
-    ups = []
-    for a in range(n):
-        s = chart.zero
-        for b in range(n):
-            s = s + c2.gamma[b][a][b] - c1.gamma[b][a][b]
-        ups.append(s / (n + 1))
-    return ups
-
-
-def projective_equivalence(c1, c2):
-    """Recover the 1-form relating two projectively equivalent connections.
-
-    The difference D^c_ab must be delta_a^c Y_b + delta_b^c Y_a; the trace
-    determines Y and the full difference is verified structurally.  Raises
-    NotEquivalent (with the offending component) otherwise.
-    """
-    if c1.chart is not c2.chart:
-        raise ShapeError("connections live on different charts")
-    chart = c1.chart
-    n = chart.dim
-    ups = _trace_upsilon(c1, c2)
-    for c, a, b in product(range(n), repeat=3):
-        want = chart.zero
-        if c == a:
-            want = want + ups[b]
-        if c == b:
-            want = want + ups[a]
-        have = c2.gamma[c][a][b] - c1.gamma[c][a][b]
-        if have != want:
-            raise NotEquivalent(
-                f"difference is not pure trace at ^{c + 1}_({a + 1}{b + 1})",
-                component=(c + 1, a + 1, b + 1))
-    return DifferentialForm(chart, 1, ups)
 
 
 def equivalence_defect(c1, c2, samples):

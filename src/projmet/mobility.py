@@ -38,17 +38,20 @@ class JetSolution:
     series: per basis vector, {exponent tuple: packed coefficient vector}
     in shifted coordinates u = x - base_point.
     dims: admissible dimension after imposing consistency order by order.
+    matrices: the connection matrices A_a the recursion was solved with.
     """
 
     __slots__ = ("base_point", "order", "dims", "admissible_basis", "series",
-                 "stabilized", "dim")
+                 "matrices", "stabilized", "dim")
 
-    def __init__(self, base_point, order, dims, admissible_basis, series):
+    def __init__(self, base_point, order, dims, admissible_basis, series,
+                 matrices):
         self.base_point = tuple(Fraction(p) for p in base_point)
         self.order = order
         self.dims = list(dims)
         self.admissible_basis = admissible_basis
         self.series = series
+        self.matrices = matrices
         self.dim = len(admissible_basis)
         self.stabilized = len(dims) >= 2 and dims[-1] == dims[-2]
 
@@ -158,21 +161,21 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
     for j in range(d):
         ser = {mono: [mat[i][j] for i in range(N)] for mono, mat in coeff.items()}
         series.append(ser)
-    return JetSolution(point, max_order, dims, basis, series)
+    return JetSolution(point, max_order, dims, basis, series, mats)
 
 
-def residual(conn, data, series, base_point, sample_points):
+def residual(jets, series, sample_points):
     """Largest covariant-constancy defect of a truncated series solution.
 
-    Evaluates d_a s + A_a(x) s exactly at each rational sample point and
-    returns the maximum absolute slot value as a Fraction.  Exact
-    polynomial solutions give exactly zero.
+    `series` is packed like `jets.series` (shifted to `jets.base_point`).
+    Evaluates d_a s + A_a(x) s exactly at each rational sample point, with
+    the matrices of the jet solve, and returns the maximum absolute slot
+    value as a Fraction.  Exact polynomial solutions give exactly zero.
     """
-    chart = conn.chart
-    n = chart.dim
-    N = section_dim(n)
-    mats = connection_matrices(conn, data)
-    point = [Fraction(p) for p in base_point]
+    mats = jets.matrices
+    n = len(mats)
+    N = len(mats[0])
+    point = jets.base_point
     comp_series = [{} for _ in range(N)]
     for mono, vec in series.items():
         for i in range(N):

@@ -20,7 +20,7 @@ are the unique solution of those linear conventions.
 from fractions import Fraction
 from itertools import product
 
-from .errors import InternalError, NotSpecial, ShapeError
+from .errors import InternalError, NotEquivalent, NotSpecial, ShapeError
 from .exprcore import (DifferentialForm, Potential, RationalExpr,
                        homotopy_potential, potential_of_closed_1form)
 from .tensorfield import TensorField, covariant_derivative
@@ -31,6 +31,7 @@ __all__ = [
     "ricci",
     "beta_form",
     "projective_change",
+    "projective_equivalence",
     "specialize",
     "full_curvature",
     "decompose_curvature",
@@ -187,9 +188,12 @@ def ricci(conn):
 
 def beta_form(conn):
     """Antisymmetric Ricci obstruction beta_ab = -2 R_[ab]/(n+1), a closed 2-form."""
-    chart = conn.chart
+    return _beta_of_ricci(ricci(conn))
+
+
+def _beta_of_ricci(r):
+    chart = r.chart
     n = chart.dim
-    r = ricci(conn)
     frac = chart.const(Fraction(1, n + 1))
     comps = [[-frac * (r.get(a, b) - r.get(b, a)) for b in range(n)] for a in range(n)]
     beta = DifferentialForm(chart, 2, comps)
@@ -211,6 +215,46 @@ def projective_change(conn, upsilon):
     return AffineConnection(chart, g)
 
 
+def _trace_upsilon(c1, c2):
+    """Y_a = (Gamma2 - Gamma1)^b_ab / (n+1): the only 1-form whose pure-trace
+    difference delta_a^c Y_b + delta_b^c Y_a can match Gamma2 - Gamma1."""
+    chart = c1.chart
+    n = chart.dim
+    ups = []
+    for a in range(n):
+        s = chart.zero
+        for b in range(n):
+            s = s + c2.gamma[b][a][b] - c1.gamma[b][a][b]
+        ups.append(s / (n + 1))
+    return ups
+
+
+def projective_equivalence(c1, c2):
+    """Recover the 1-form relating two projectively equivalent connections.
+
+    The difference D^c_ab must be delta_a^c Y_b + delta_b^c Y_a; the trace
+    determines Y and the full difference is verified structurally.  Raises
+    NotEquivalent (with the offending component) otherwise.
+    """
+    if c1.chart is not c2.chart:
+        raise ShapeError("connections live on different charts")
+    chart = c1.chart
+    n = chart.dim
+    ups = _trace_upsilon(c1, c2)
+    for c, a, b in product(range(n), repeat=3):
+        want = chart.zero
+        if c == a:
+            want = want + ups[b]
+        if c == b:
+            want = want + ups[a]
+        have = c2.gamma[c][a][b] - c1.gamma[c][a][b]
+        if have != want:
+            raise NotEquivalent(
+                f"difference is not pure trace at ^{c + 1}_({a + 1}{b + 1})",
+                component=(c + 1, a + 1, b + 1))
+    return DifferentialForm(chart, 1, ups)
+
+
 def specialize(conn, beta_potential=None):
     """Projectively change into the volume-preserving gauge.
 
@@ -220,6 +264,12 @@ def specialize(conn, beta_potential=None):
     Christoffel trace t_a, which is then closed, by the exact change
     Y1 = -t/(n+1); its potential f = -h/(n+1), with dh = t, is recovered in
     closed form.  Returns (special connection, total Y, f as a Potential).
+
+    Every metric candidate is a projective change of the special
+    connection, so the 1-form relating it to `conn` is Y plus its own
+    gradient.  That makes this the one place where equivalence with the
+    input is checked: `projective_equivalence(conn, special)` must recover
+    exactly Y, or InternalError is raised.
     """
     chart = conn.chart
     n = chart.dim
@@ -238,17 +288,25 @@ def specialize(conn, beta_potential=None):
 
     trace = stage1.trace_form()
     if trace.is_zero():
-        total = ups0
-        return stage1, total, Potential.zero(chart)
-
-    h = potential_of_closed_1form(trace)
-    f = h.scale(Fraction(-1, n + 1))
-    ups1 = DifferentialForm(chart, 1, [
-        -c / (n + 1) for c in trace.components])
-    special = projective_change(stage1, ups1)
-    if not special.is_special():
-        raise InternalError("specialization failed to kill the Christoffel trace")
-    total = ups0 + ups1
+        special, total, f = stage1, ups0, Potential.zero(chart)
+    else:
+        h = potential_of_closed_1form(trace)
+        f = h.scale(Fraction(-1, n + 1))
+        ups1 = DifferentialForm(chart, 1, [
+            -c / (n + 1) for c in trace.components])
+        special = projective_change(stage1, ups1)
+        if not special.is_special():
+            raise InternalError(
+                "specialization failed to kill the Christoffel trace")
+        total = ups0 + ups1
+    try:
+        recovered = projective_equivalence(conn, special)
+    except NotEquivalent as exc:
+        raise InternalError(
+            f"special connection not equivalent to the input: {exc}") from exc
+    if recovered != total:
+        raise InternalError(
+            "recovered 1-form differs from the specialization 1-form")
     return special, total, f
 
 
@@ -283,12 +341,14 @@ def full_curvature(conn):
     return TensorField(chart, ("d", "d", "u", "d"), comps)
 
 
-def _schouten_and_weyl(conn):
-    """P and W of a symmetric-Ricci connection (gauge not required)."""
+def _schouten_and_weyl(conn, ric=None):
+    """P and W of a symmetric-Ricci connection (gauge not required).
+    `ric` is ricci(conn), when the caller already has it."""
     chart = conn.chart
     n = chart.dim
     riem = full_curvature(conn)
-    ric = ricci(conn)
+    if ric is None:
+        ric = ricci(conn)
     frac = chart.const(Fraction(1, n - 1))
     p_comps = [frac * ric.get(a, b) for a in range(n) for b in range(n)]
     schouten = TensorField(chart, ("d", "d"), p_comps)
@@ -359,11 +419,11 @@ def decompose_curvature(conn):
     """
     if not conn.is_special():
         raise NotSpecial("connection does not preserve the coordinate volume")
-    beta = beta_form(conn)
+    ric = ricci(conn)
+    beta = _beta_of_ricci(ric)
     if not beta.is_zero():
         raise NotSpecial("Ricci tensor is not symmetric")
-    schouten, weyl = _schouten_and_weyl(conn)
-    ric = ricci(conn)
+    schouten, weyl = _schouten_and_weyl(conn, ric)
     yk = cotton_york(conn, schouten)
     return ProjectiveData(conn, ric, beta, schouten, weyl, yk)
 

@@ -20,7 +20,6 @@ __all__ = [
     "kron_delta",
     "outer",
     "contract",
-    "partial_derivative",
     "covariant_derivative",
     "trace_free_part",
     "reweight",
@@ -191,16 +190,6 @@ def contract(t, i, j):
             s = s + t.get(*full)
         comps.append(s)
     return TensorField(t.chart, out_var, comps, t.weight, t.tag)
-
-
-def partial_derivative(t):
-    """Coordinate derivative, new lower slot in front; ignores the connection
-    and the tag (plumbing for the covariant derivative)."""
-    n = t.chart.dim
-    comps = []
-    for a in range(n):
-        comps.extend(c.diff(a + 1) for c in t.comps)
-    return TensorField(t.chart, ("d",) + t.variance, comps, t.weight, t.tag)
 
 
 def covariant_derivative(t, conn):

@@ -245,8 +245,11 @@ def test_criterion_4_round_trip():
                     chart.parse(witness["g_upper"][i][j])
                     for i in range(n) for j in range(n)])
                 lc2 = levi_civita(metric_inverse(g_up))
-                ups = projective_equivalence(conn, lc2)  # exact recovery
-                assert witness["equivalence_upsilon"] is not None
+                # exact recovery, independent of the 1-form the pipeline
+                # assembled from its parts
+                ups = projective_equivalence(conn, lc2)
+                assert witness["equivalence_upsilon"] == [
+                    str(c) for c in ups.components]
                 seeds = _ten_seeds(n)
                 defect, _ = geodesic_compare(conn, lc2, seeds)
                 assert defect < 1e-6

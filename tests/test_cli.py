@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+DATA = Path(__file__).parent / "data"
 FLAT2 = {"dimension": 2}
 KLEIN2 = {"dimension": 2, "christoffel": {
     "1,1,1": "2*x1/(1 - x1^2 - x2^2)",
@@ -80,6 +82,31 @@ def test_klein_analysis(tmp_path):
     assert hits
     # the report carries a re-runnable witness: metric plus recovered 1-form
     assert all("equivalence_upsilon" in m for m in hits)
+
+
+def test_analyze_builds_connection_matrices_once(tmp_path, monkeypatch):
+    """Every candidate's closure residual reuses the matrices of the jet
+    solve, on the exact path (Klein) and the truncated-series path (the
+    D1/D2 Liouville input at a low order)."""
+    import projmet.mobility as mobility
+
+    calls = []
+    build = mobility.connection_matrices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(mobility, "connection_matrices", counted)
+    report, _ = run_analysis(_write(tmp_path, "klein.json", KLEIN2))
+    assert len([m for m in report["metrics"] if "verified" in m]) > 1
+    assert len(calls) == 1
+
+    calls.clear()
+    report, _ = run_analysis(str(DATA / "liouville_d1_d2.json"),
+                             {"max_order": 3})
+    assert any(m.get("exact") is False for m in report["metrics"])
+    assert len(calls) == 1
 
 
 def test_witness_analysis(tmp_path):

@@ -213,7 +213,7 @@ def test_flat_residual_exactly_zero():
     js = degree_of_mobility(flat, [0, 0], 4, data)
     pts = [[Fraction(1, 3), Fraction(-1, 7)], [1, 2], [Fraction(-1, 2), Fraction(1, 2)]]
     for ser in js.series:
-        assert residual(flat, data, ser, [0, 0], pts) == 0
+        assert residual(js, ser, pts) == 0
 
 
 def test_klein_gauge_solutions_are_exact():
@@ -225,14 +225,13 @@ def test_klein_gauge_solutions_are_exact():
     js = degree_of_mobility(special, [0, 0], 8, data)
     pts = [[Fraction(1, 2), 0], [Fraction(-1, 4), Fraction(1, 4)]]
     for ser in js.series:
-        assert residual(special, data, ser, [0, 0], pts) == 0
+        assert residual(js, ser, pts) == 0
 
 
 def test_zero_section_residual_zero():
-    flat = flat_connection(2)
-    data = decompose_curvature(flat)
+    js = degree_of_mobility(flat_connection(2), [0, 0], 2)
     zero_series = {(0, 0): [Fraction(0)] * 6}
-    assert residual(flat, data, zero_series, [0, 0], [[1, 1]]) == 0
+    assert residual(js, zero_series, [[1, 1]]) == 0
 
 
 def test_stereo_round_metric_solution_matches_binomial_series():
@@ -298,12 +297,10 @@ def test_stereo_series_residual_decays_with_order():
     special, _, _ = specialize(sphere_stereographic_connection(2))
     data = decompose_curvature(special)
     pts = [[Fraction(1, 8), Fraction(-1, 16)]]
-    r8 = residual(special, data,
-                  degree_of_mobility(special, [0, 0], 8, data).series[0],
-                  [0, 0], pts)
-    r10 = residual(special, data,
-                   degree_of_mobility(special, [0, 0], 10, data).series[0],
-                   [0, 0], pts)
+    js8 = degree_of_mobility(special, [0, 0], 8, data)
+    js10 = degree_of_mobility(special, [0, 0], 10, data)
+    r8 = residual(js8, js8.series[0], pts)
+    r10 = residual(js10, js10.series[0], pts)
     assert float(r10) < float(r8) / 4
 
 
