@@ -43,6 +43,7 @@ __all__ = [
     "equivalence_defect",
     "riemann_split",
     "constant_curvature_check",
+    "kappa_at",
     "geodesic_compare",
     "write_trace_csv",
 ]
@@ -569,6 +570,75 @@ def constant_curvature_check(g_down, samples=(), conn=None, g_up=None):
             if not e.is_zero():
                 worst = max(worst, abs(float(e.evaluate(pt))))
     return worst <= 1e-9, kappa, worst
+
+
+def _value_and_gradient(terms, point):
+    """Value and first partials at `point` of the polynomial sum c x^e."""
+    n = len(point)
+    val = Fraction(0)
+    grad = [Fraction(0)] * n
+    for exps, c in terms:
+        powers = [x ** e for x, e in zip(point, exps)]
+        term = c
+        for p in powers:
+            term *= p
+        val += term
+        for k, e in enumerate(exps):
+            if e:
+                part = c * e * point[k] ** (e - 1)
+                for j, p in enumerate(powers):
+                    if j != k:
+                        part *= p
+                grad[k] += part
+    return val, grad
+
+
+def _jet_at(expr, point):
+    """Value and first partials of a rational function at a rational point,
+    by the quotient rule on its numerator and denominator polynomials."""
+    n = len(point)
+    if expr.is_zero():
+        return Fraction(0), [Fraction(0)] * n
+    num, dnum = _value_and_gradient(expr.numer_terms(), point)
+    den, dden = _value_and_gradient(expr.denom_terms(), point)
+    if not den:
+        raise PoleError(f"denominator vanishes at {tuple(point)}")
+    den2 = den * den
+    return num / den, [(dn * den - num * dd) / den2
+                       for dn, dd in zip(dnum, dden)]
+
+
+def kappa_at(conn, g_up, point):
+    """kappa = R / (n(n-1)) of the pair (conn, g^{ab}) at one rational point,
+    exactly in Q.
+
+    Only values at the point enter: g^{ab}, Gamma and the first partials of
+    Gamma, so no curvature field is built.  For the Levi-Civita connection of
+    a metric of constant curvature this is the sectional curvature.
+    """
+    n = conn.dim
+    pt = [Fraction(v) for v in point]
+    gam = [[[None] * n for _ in range(n)] for _ in range(n)]
+    dgam = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for c in range(n):
+        for a in range(n):
+            for b in range(a, n):
+                val, grad = _jet_at(conn.gamma[c][a][b], pt)
+                gam[c][a][b] = gam[c][b][a] = val
+                dgam[c][a][b] = dgam[c][b][a] = grad
+    # R_ab = d_c G^c_ab - d_a G^c_cb + G^c_cd G^d_ab - G^c_ad G^d_cb
+    scalar = Fraction(0)
+    for a, b in product(range(n), repeat=2):
+        gu = g_up.get(a, b).evaluate(pt)
+        if not gu:
+            continue
+        ric = Fraction(0)
+        for c in range(n):
+            ric += dgam[c][a][b][c] - dgam[c][c][b][a]
+            for d in range(n):
+                ric += gam[c][c][d] * gam[d][a][b] - gam[c][a][d] * gam[d][c][b]
+        scalar += gu * ric
+    return scalar / (n * (n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -181,13 +181,15 @@ def residual(jets, series, sample_points):
         for i in range(N):
             if vec[i]:
                 comp_series[i][mono] = vec[i]
+    d_series = [[series_diff(comp_series[i], a) for i in range(N)]
+                for a in range(n)]
     worst = Fraction(0)
     for x in sample_points:
         x = [Fraction(v) for v in x]
         u = [xv - pv for xv, pv in zip(x, point)]
         s_val = [series_eval(comp_series[i], u) for i in range(N)]
         for a in range(n):
-            ds = [series_eval(series_diff(comp_series[i], a), u) for i in range(N)]
+            ds = [series_eval(d_series[a][i], u) for i in range(N)]
             for i in range(N):
                 acc = ds[i]
                 row = mats[a][i]

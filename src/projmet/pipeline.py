@@ -13,9 +13,8 @@ from .exactlinalg import (adjugate, leibniz_det, nullspace, solve_linear_system,
                           symmetric_signature)
 from .exactseries import (series_add, series_inverse, series_mul, series_scale,
                           series_to_coeff_dict)
-from .metricize import (candidate_from_metric, constant_curvature_check,
-                        is_levi_civita, metric_inverse, reconstruct_metric,
-                        sampled_constant_curvature, sampled_lc_residual)
+from .metricize import (candidate_from_metric, is_levi_civita, kappa_at,
+                        metric_inverse, reconstruct_metric, sampled_lc_residual)
 from .mobility import degree_of_mobility, residual
 from .projconn import beta_form, decompose_curvature, specialize
 from .tensorfield import TensorField
@@ -41,13 +40,13 @@ def specialize_or_obstructed(conn, report, beta=None):
     specialize fails with NotPolynomial when the trace potential leaves the
     supported class.  With a nonzero beta that is the obstruction; with
     beta zero it is an input error and propagates.  `beta` is computed here
-    only when the caller has not already done so.
+    only when the caller has not already done so, and specialize reuses it.
     """
+    if beta is None:
+        beta = beta_form(conn)
     try:
-        return specialize(conn)
+        return specialize(conn, beta=beta)
     except NotPolynomial as exc:
-        if beta is None:
-            beta = beta_form(conn)
         if beta.is_zero():
             raise
         report["verdict"] = "OBSTRUCTED_BY_BETA"
@@ -311,6 +310,9 @@ def analyze_connection(conn, base_point, options, echo=None):
 
     samples = _sample_points(jets.base_point, n, options["samples"])
     tol = options["tolerance"]
+    # Beltrami: a metric has constant curvature exactly when its projective
+    # class is flat, and every candidate lies in the class of the input
+    flat = data.weyl.is_zero() and data.cotton_york.is_zero()
     metrics = []
     for vec in _candidate_vectors(jets, n):
         series = _combine_series(jets, vec)
@@ -334,7 +336,7 @@ def analyze_connection(conn, base_point, options, echo=None):
             "f": cand.f.describe(),
         }
         entry["verified"] = _verify_candidate(upsilon, cand, series, jets,
-                                              samples, tol, entry)
+                                              samples, tol, flat, entry)
         metrics.append(entry)
     report["metrics"] = metrics
 
@@ -352,13 +354,17 @@ def analyze_connection(conn, base_point, options, echo=None):
     return report, EXIT_INDEFINITE_ONLY
 
 
-def _verify_candidate(upsilon, cand, series, jets, samples, tol, entry):
-    """Levi-Civita and constant-curvature checks of one candidate.
+def _verify_candidate(upsilon, cand, series, jets, samples, tol, flat,
+                      entry):
+    """Levi-Civita check of one candidate, then its curvature.
 
     The candidate connection is the special connection changed by
     cand.upsilon, and the special connection is the input changed by
     `upsilon`, so the two 1-forms add up to the one relating the input to
-    the candidate.
+    the candidate.  Constant curvature is the input's projective flatness
+    (`flat`).  On a flat input kappa is exact at the base point, where even
+    a truncated series has an exact 2-jet; otherwise it is the value at the
+    first sample point.
     """
     res = residual(jets, series, samples)
     entry["closure_residual"] = fr_str(res) if res == 0 else float(res)
@@ -371,19 +377,18 @@ def _verify_candidate(upsilon, cand, series, jets, samples, tol, entry):
             str(c) for c in (upsilon + cand.upsilon).components]
         if not ok_lc:
             return False
-        flag, kappa, dev = constant_curvature_check(
-            cand.g_down, samples, conn=cand.connection, g_up=cand.g_up)
-        entry["constant_curvature"] = flag
-        entry["kappa"] = fr_str(kappa) if isinstance(kappa, Fraction) else kappa
-        return True
-    lc_defect = sampled_lc_residual(cand.connection, cand.g_up, samples)
-    ok_lc = lc_defect <= tol
-    entry["is_levi_civita"] = ok_lc
-    entry["levi_civita_defect"] = lc_defect
-    if not (ok_lc and float(res) <= tol):
-        return False
-    flag, kappa, dev = sampled_constant_curvature(cand.connection, cand.g_up,
-                                                  samples)
-    entry["constant_curvature"] = bool(flag)
-    entry["kappa"] = kappa
+    else:
+        lc_defect = sampled_lc_residual(cand.connection, cand.g_up, samples)
+        ok_lc = lc_defect <= tol
+        entry["is_levi_civita"] = ok_lc
+        entry["levi_civita_defect"] = lc_defect
+        if not (ok_lc and float(res) <= tol):
+            return False
+    entry["constant_curvature"] = flat
+    if flat:
+        kappa = kappa_at(cand.connection, cand.g_up, jets.base_point)
+        entry["kappa"] = fr_str(kappa) if cand.exact_solution else float(kappa)
+    else:
+        entry["kappa"] = (float(kappa_at(cand.connection, cand.g_up, samples[0]))
+                          if samples else None)
     return True

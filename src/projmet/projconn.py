@@ -255,7 +255,7 @@ def projective_equivalence(c1, c2):
     return DifferentialForm(chart, 1, ups)
 
 
-def specialize(conn, beta_potential=None):
+def specialize(conn, beta_potential=None, beta=None):
     """Projectively change into the volume-preserving gauge.
 
     Stage one removes the antisymmetric Ricci part: a 1-form Y0 with
@@ -264,6 +264,8 @@ def specialize(conn, beta_potential=None):
     Christoffel trace t_a, which is then closed, by the exact change
     Y1 = -t/(n+1); its potential f = -h/(n+1), with dh = t, is recovered in
     closed form.  Returns (special connection, total Y, f as a Potential).
+    A caller that already has beta_form(conn) passes it as `beta`, so the
+    Ricci tensor of `conn` is built once.
 
     Every metric candidate is a projective change of the special
     connection, so the 1-form relating it to `conn` is Y plus its own
@@ -273,7 +275,8 @@ def specialize(conn, beta_potential=None):
     """
     chart = conn.chart
     n = chart.dim
-    beta = beta_form(conn)
+    if beta is None:
+        beta = beta_form(conn)
     if beta.is_zero():
         ups0 = DifferentialForm.zero(chart, 1)
         stage1 = conn

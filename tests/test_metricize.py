@@ -9,8 +9,10 @@ from projmet import (Chart, DegenerateSigma, DimensionTooSmall, NotEquivalent,
                      TensorField, constant_curvature_check, equivalence_defect,
                      geodesic_compare, is_levi_civita, levi_civita,
                      metric_inverse, projective_change, projective_equivalence,
-                     reconstruct_metric, riemann_split, write_trace_csv)
-from projmet.metricize import sampled_constant_curvature, sampled_lc_residual
+                     reconstruct_metric, ricci, riemann_split,
+                     write_trace_csv)
+from projmet.metricize import (kappa_at, sampled_constant_curvature,
+                               sampled_lc_residual)
 from projmet.models import (euclidean_metric, flat_connection,
                             klein_connection, klein_metric,
                             sphere_gnomonic_connection, sphere_gnomonic_metric,
@@ -294,6 +296,26 @@ def test_sampled_constant_curvature_matches_exact():
     pts = [[Fraction(1, 8), Fraction(1, 16)], [Fraction(-1, 16), Fraction(1, 8)]]
     flag, kappa, dev = sampled_constant_curvature(conn, metric_inverse(g), pts)
     assert flag and abs(kappa + 1) < 1e-12 and dev < 1e-12
+
+
+def test_kappa_at_matches_scalar_curvature_field(rng):
+    """kappa_at from values at one point equals R/(n(n-1)) of the symbolic
+    Ricci tensor, exactly."""
+    pt2 = [Fraction(1, 8), Fraction(-1, 16)]
+    pt3 = pt2 + [Fraction(1, 12)]
+    cases = [(euclidean_metric(2), pt2), (sphere_stereographic_metric(2), pt2),
+             (klein_metric(3), pt3), (rand_metric(2, rng), pt2),
+             (rand_metric(3, rng), pt3)]
+    for g, pt in cases:
+        n = g.chart.dim
+        conn = levi_civita(g)
+        g_up = metric_inverse(g)
+        ric = ricci(conn)
+        scalar = sum(g_up.get(a, b).evaluate(pt) * ric.get(a, b).evaluate(pt)
+                     for a, b in product(range(n), repeat=2))
+        assert kappa_at(conn, g_up, pt) == scalar / (n * (n - 1))
+    assert kappa_at(klein_connection(3), metric_inverse(klein_metric(3)),
+                    pt3) == -1
 
 
 # -- geodesics --------------------------------------------------------------------
