@@ -171,20 +171,30 @@ def poly_to_series(terms, point, max_order):
     return out
 
 
-def rational_to_series(expr, point, max_order):
+def rational_to_series(expr, point, max_order, reciprocals=None):
     """Taylor series of a RationalExpr at a rational point.
 
-    Raises PoleAtBasePoint when the denominator vanishes there.
+    Raises PoleAtBasePoint when the denominator vanishes there.  Callers
+    expanding many entries pass one `reciprocals` dict: each distinct
+    denominator is then expanded and inverted once.
     """
     nvars = expr.chart.dim
-    num = poly_to_series(expr.numer_terms(), point, max_order)
-    den = poly_to_series(expr.denom_terms(), point, max_order)
     zero = (0,) * nvars
-    if not den.get(zero):
-        raise PoleAtBasePoint(f"denominator vanishes at base point {tuple(point)}")
-    if len(den) == 1:
-        return series_scale(num, Fraction(1) / den[zero])
-    return series_mul(num, series_inverse(den, nvars, max_order), max_order)
+    num = poly_to_series(expr.numer_terms(), point, max_order)
+    key = tuple(expr.denom_terms())
+    recip = None if reciprocals is None else reciprocals.get(key)
+    if recip is None:
+        den = poly_to_series(key, point, max_order)
+        if not den.get(zero):
+            raise PoleAtBasePoint(
+                f"denominator vanishes at base point {tuple(point)}")
+        recip = ({zero: Fraction(1) / den[zero]} if len(den) == 1
+                 else series_inverse(den, nvars, max_order))
+        if reciprocals is not None:
+            reciprocals[key] = recip
+    if len(recip) == 1:
+        return series_scale(num, recip[zero])
+    return series_mul(num, recip, max_order)
 
 
 def series_to_coeff_dict(a, point):

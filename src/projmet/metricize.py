@@ -82,16 +82,21 @@ def metric_inverse(t):
                                     for j in range(n)])
 
 
+_INVERT_G_UP = object()  # MetricCandidate.g_down not computed yet
+
+
 class MetricCandidate:
     """Reconstruction output for one solution sigma.
 
     `exact_solution` records whether sigma is an exact solution field (the
     jet series terminated) or a series truncation; verification downstream
-    is structural in the first case and sampled in the second.
+    is structural in the first case and sampled in the second.  `g_down`
+    is the symbolic inverse of `g_up`, computed on first access (None for
+    series truncations of sigma, which numeric checks invert pointwise).
     """
 
     __slots__ = ("sigma", "det_sigma", "f", "upsilon", "connection", "g_up",
-                 "g_down", "base_point", "signature", "definite", "warnings",
+                 "_g_down", "base_point", "signature", "definite", "warnings",
                  "exact_solution")
 
     def __init__(self, sigma, det_sigma, f, upsilon, connection, g_up, g_down,
@@ -102,12 +107,18 @@ class MetricCandidate:
         self.upsilon = upsilon
         self.connection = connection
         self.g_up = g_up
-        self.g_down = g_down
+        self._g_down = g_down
         self.base_point = base_point
         self.signature = signature
         self.definite = definite
         self.warnings = warnings
         self.exact_solution = exact_solution
+
+    @property
+    def g_down(self):
+        if self._g_down is _INVERT_G_UP:
+            self._g_down = metric_inverse(self.g_up)
+        return self._g_down
 
     def __repr__(self):
         return (f"MetricCandidate(signature={self.signature}, "
@@ -171,8 +182,7 @@ def _candidate(t, from_sigma, conn, base_point, region_samples, sigma,
     g_up = t.scale(det) if from_sigma else t
     # series truncations skip the symbolic inverse; numeric checks invert
     # pointwise instead
-    g_down = metric_inverse(g_up) if exact_solution or not from_sigma \
-        else None
+    g_down = _INVERT_G_UP if exact_solution or not from_sigma else None
 
     warnings = []
     mat = [[t.get(i, j).evaluate(base_point) for j in range(n)] for i in range(n)]

@@ -8,12 +8,20 @@ constraints on s(p).  The surviving initial values form the admissible
 space, whose dimension is the degree of mobility (an upper bound until the
 dimension repeats for two consecutive orders).
 
-All recursion arithmetic is over Q; rank decisions go through the
-fraction-free elimination in exactlinalg.  Numeric parallel transport is a
+The recursion works on integer rows over one denominator per monomial:
+every Taylor coefficient of the basis solutions is an integer denominator
+and N sparse integer rows {basis index: numerator}, in lowest terms, and
+the Taylor data of the A_a has one integer denominator per monomial, so
+products accumulate in int and zeros cost nothing.  Two predictions of the
+same coefficient are compared in that normal form; only rows that differ
+become (integer) constraint rows.  Rank decisions still go through the
+exact fraction-free elimination in exactlinalg, and the results are
+converted to Fractions once, at the end.  Numeric parallel transport is a
 floating-point cross-check, never an input to rank decisions.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotSpecial, PoleError, PoleOnPath, StepUnderflow
 from .exactlinalg import nullspace
@@ -39,10 +47,12 @@ class JetSolution:
     in shifted coordinates u = x - base_point.
     dims: admissible dimension after imposing consistency order by order.
     matrices: the connection matrices A_a the recursion was solved with.
+    entry_values: exact values of the A_a entries that `residual` has
+    evaluated, {point: {(a, i, j): value}}, shared by every candidate.
     """
 
     __slots__ = ("base_point", "order", "dims", "admissible_basis", "series",
-                 "matrices", "stabilized", "dim")
+                 "matrices", "stabilized", "dim", "entry_values")
 
     def __init__(self, base_point, order, dims, admissible_basis, series,
                  matrices):
@@ -52,6 +62,7 @@ class JetSolution:
         self.admissible_basis = admissible_basis
         self.series = series
         self.matrices = matrices
+        self.entry_values = {}
         self.dim = len(admissible_basis)
         self.stabilized = len(dims) >= 2 and dims[-1] == dims[-2]
 
@@ -64,7 +75,9 @@ def _expand_matrices(mats, point, max_order):
     """Sparse Taylor data of the connection matrices.
 
     Returns per coordinate a dict {exponent tuple: [(i, j, coeff), ...]}.
+    Entries with the same denominator share one expansion of its inverse.
     """
+    reciprocals = {}
     out = []
     for a, mat in enumerate(mats):
         by_mono = {}
@@ -72,10 +85,54 @@ def _expand_matrices(mats, point, max_order):
             for j, entry in enumerate(row):
                 if entry.is_zero():
                     continue
-                ser = rational_to_series(entry, point, max_order)
+                ser = rational_to_series(entry, point, max_order, reciprocals)
                 for mono, coeff in ser.items():
                     by_mono.setdefault(mono, []).append((i, j, coeff))
         out.append(by_mono)
+    return out
+
+
+def _integer_taylor_data(tdata):
+    """Per coordinate, [(mono, order, den, [(i, j, int coeff)])] with the
+    coefficients of each monomial over one integer denominator, lowest
+    order first."""
+    out = []
+    for by_mono in tdata:
+        terms = []
+        for mono, entries in by_mono.items():
+            den = lcm(*(c.denominator for _, _, c in entries))
+            terms.append((mono, sum(mono), den,
+                          [(i, j, c.numerator * (den // c.denominator))
+                           for i, j, c in entries]))
+        terms.sort(key=lambda term: term[1])
+        out.append(terms)
+    return out
+
+
+def _normalised(den, rows):
+    """(den, rows) in lowest terms: zero entries dropped and the gcd of den
+    and every entry divided out, so equal coefficients compare equal."""
+    g = gcd(den, *(v for row in rows for v in row.values()))
+    return den // g, [{t: v // g for t, v in row.items() if v} for row in rows]
+
+
+def _difference_rows(first, second, d):
+    """Dense integer rows spanning the differences of two candidates for
+    the same Taylor coefficient; rows that agree give nothing."""
+    (den1, rows1), (den2, rows2) = first, second
+    g = gcd(den1, den2)
+    f1, f2 = den2 // g, den1 // g
+    out = []
+    for r1, r2 in zip(rows1, rows2):
+        if f1 == f2 == 1 and r1 == r2:
+            continue
+        diff = [0] * d
+        for t, v in r1.items():
+            diff[t] = v * f1
+        for t, v in r2.items():
+            diff[t] -= v * f2
+        if any(diff):
+            out.append(diff)
     return out
 
 
@@ -97,21 +154,34 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
         data = decompose_curvature(conn)
     point = [Fraction(p) for p in base_point]
     mats = connection_matrices(conn, data)
-    tdata = _expand_matrices(mats, point, max_order)
+    tdata = _integer_taylor_data(_expand_matrices(mats, point, max_order))
     N = section_dim(n)
 
+    # coeff[mono] = (den, rows): slot i of basis solution t has Taylor
+    # coefficient rows[i].get(t, 0) / den at u^mono
     zero_mono = (0,) * n
-    coeff = {zero_mono: [[Fraction(int(i == j)) for j in range(N)] for i in range(N)]}
+    coeff = {zero_mono: (1, [{i: 1} for i in range(N)])}
     d = N
     dims = [N]
 
     def restrict(kernel):
-        nonlocal coeff, d
-        d2 = len(kernel)
-        for mono, mat in coeff.items():
-            coeff[mono] = [[sum(row[t] * kernel[l][t] for t in range(d) if row[t])
-                            for l in range(d2)] for row in mat]
-        d = d2
+        nonlocal d
+        kden = lcm(*(v.denominator for vec in kernel for v in vec))
+        cols = [[] for _ in range(d)]
+        for l, vec in enumerate(kernel):
+            for t, v in enumerate(vec):
+                if v:
+                    cols[t].append((l, v.numerator * (kden // v.denominator)))
+        for mono, (den, rows) in coeff.items():
+            new_rows = []
+            for row in rows:
+                acc = {}
+                for t, v in row.items():
+                    for l, k in cols[t]:
+                        acc[l] = acc.get(l, 0) + v * k
+                new_rows.append(acc)
+            coeff[mono] = _normalised(den * kden, new_rows)
+        d = len(kernel)
 
     for order in range(max_order):
         cand = {}
@@ -120,28 +190,32 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
             if alpha not in coeff:
                 continue
             for a in range(n):
-                rhs = [[Fraction(0)] * d for _ in range(N)]
-                for mono, entries in tdata[a].items():
+                terms = []
+                for mono, mono_order, mono_den, entries in tdata[a]:
+                    if mono_order > order:
+                        break
                     rem = tuple(x - y for x, y in zip(alpha, mono))
                     if min(rem) < 0:
                         continue
                     base = coeff.get(rem)
-                    if base is None:
-                        continue
+                    if base is not None:
+                        terms.append((mono_den * base[0], entries, base[1]))
+                den = lcm(*(q for q, _, _ in terms))
+                acc = [{} for _ in range(N)]
+                for q, entries, brows in terms:
+                    scale = den // q
                     for i, j, c in entries:
-                        brow = base[j]
-                        rrow = rhs[i]
-                        for t in range(d):
-                            if brow[t]:
-                                rrow[t] -= c * brow[t]
-                div = Fraction(1, alpha[a] + 1)
-                candidate = [[v * div for v in row] for row in rhs]
+                        brow = brows[j]
+                        if not brow:
+                            continue
+                        f = c * scale
+                        arow = acc[i]
+                        for t, v in brow.items():
+                            arow[t] = arow.get(t, 0) - f * v
+                candidate = _normalised(den * (alpha[a] + 1), acc)
                 tau = alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:]
                 if tau in cand:
-                    other = cand[tau]
-                    for r1, r2 in zip(other, candidate):
-                        if r1 != r2:
-                            rows.append([x - y for x, y in zip(r1, r2)])
+                    rows += _difference_rows(cand[tau], candidate, d)
                 else:
                     cand[tau] = candidate
         coeff.update(cand)
@@ -155,12 +229,16 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
             dims.extend([0] * (max_order - 1 - order))
             break
 
-    basis_matrix = coeff[zero_mono]
-    basis = [[basis_matrix[i][j] for i in range(N)] for j in range(d)]
-    series = []
-    for j in range(d):
-        ser = {mono: [mat[i][j] for i in range(N)] for mono, mat in coeff.items()}
-        series.append(ser)
+    zero = Fraction(0)
+    series = [{} for _ in range(d)]
+    for mono, (den, rows) in coeff.items():
+        columns = [[zero] * N for _ in range(d)]
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                columns[j][i] = Fraction(v, den)
+        for ser, col in zip(series, columns):
+            ser[mono] = col
+    basis = [list(ser[zero_mono]) for ser in series]
     return JetSolution(point, max_order, dims, basis, series, mats)
 
 
@@ -171,6 +249,8 @@ def residual(jets, series, sample_points):
     Evaluates d_a s + A_a(x) s exactly at each rational sample point, with
     the matrices of the jet solve, and returns the maximum absolute slot
     value as a Fraction.  Exact polynomial solutions give exactly zero.
+    Each matrix entry is evaluated at most once per point and kept in
+    `jets.entry_values` for the next candidate.
     """
     mats = jets.matrices
     n = len(mats)
@@ -187,6 +267,7 @@ def residual(jets, series, sample_points):
     for x in sample_points:
         x = [Fraction(v) for v in x]
         u = [xv - pv for xv, pv in zip(x, point)]
+        at_x = jets.entry_values.setdefault(tuple(x), {})
         s_val = [series_eval(comp_series[i], u) for i in range(N)]
         for a in range(n):
             ds = [series_eval(d_series[a][i], u) for i in range(N)]
@@ -194,8 +275,11 @@ def residual(jets, series, sample_points):
                 acc = ds[i]
                 row = mats[a][i]
                 for j in range(N):
-                    if not row[j].is_zero() and s_val[j]:
-                        acc += row[j].evaluate(x) * s_val[j]
+                    if s_val[j] and not row[j].is_zero():
+                        value = at_x.get((a, i, j))
+                        if value is None:
+                            value = at_x[(a, i, j)] = row[j].evaluate(x)
+                        acc += value * s_val[j]
                 if abs(acc) > worst:
                     worst = abs(acc)
     return worst

@@ -80,6 +80,39 @@ def test_reconstruct_klein_solution_exactly():
     assert flag and kappa == -1 and dev == 0
 
 
+def test_g_down_is_inverted_once_on_first_access(monkeypatch):
+    """`analyze` never reads g_down, so the symbolic inverse waits for the
+    first access and is then kept."""
+    from projmet import metricize
+    from projmet.pipeline import analyze_connection
+
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return metric_inverse(t)
+
+    monkeypatch.setattr(metricize, "metric_inverse", counted)
+    chart = Chart(2)
+    xs = chart.vars
+    sigma = TensorField(chart, ("u", "u"),
+                        [1 - xs[0] * xs[0], -xs[0] * xs[1],
+                         -xs[1] * xs[0], 1 - xs[1] * xs[1]])
+    cand = reconstruct_metric(sigma, flat_connection(2))
+    assert calls == []
+    assert cand.g_down == klein_metric(2)
+    assert cand.g_down is cand.g_down
+    assert len(calls) == 1
+    # a truncated series sigma has no symbolic inverse at all
+    trunc = reconstruct_metric(sigma, flat_connection(2), exact_solution=False)
+    assert trunc.g_down is None and len(calls) == 1
+    report, _ = analyze_connection(klein_connection(2), [0, 0],
+                                   {"max_order": 8, "samples": 4,
+                                    "tolerance": 1e-8})
+    assert report["verdict"] == "METRIZABLE"
+    assert len(calls) == 1
+
+
 def test_reconstruct_degenerate():
     chart = Chart(2)
     x = chart.var(1)

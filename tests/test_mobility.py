@@ -1,5 +1,6 @@
 """Jet recursion, admissible spaces, transport cross-checks."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,15 @@ from projmet import (AffineConnection, Chart, NotSpecial, PoleAtBasePoint,
                      parallel_transport, residual, specialize)
 from projmet.exactlinalg import nullspace, rank
 from projmet.exactseries import series_eval
+from projmet.mobility import _expand_matrices
 from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness,
                             sphere_stereographic_connection)
-from projmet.tractor import section_dim, sym_pairs, tractor_curvature
+from projmet.tractor import (connection_matrices, section_dim, sym_pairs,
+                             tractor_curvature)
 
 from conftest import rand_fraction
+from jet_oracle import expand_matrices
 
 
 def test_flat_dimensions_and_stabilization():
@@ -162,8 +166,34 @@ def test_errors():
     conn = AffineConnection.from_components(
         chart, {(1, 2, 2): chart.var(1) ** 2 / (1 - chart.var(1))})
     assert conn.is_special()
-    with pytest.raises(PoleAtBasePoint):
+    # several matrix entries share the vanishing denominator 1 - x1
+    message = "denominator vanishes at base point (Fraction(1, 1), Fraction(0, 1))"
+    with pytest.raises(PoleAtBasePoint, match=re.escape(message)):
         degree_of_mobility(conn, [1, 0], 4)
+
+
+def test_expand_matrices_inverts_each_denominator_once(monkeypatch):
+    """Entries sharing a denominator share its inverse series, and the
+    Taylor data is exactly the per-entry rational_to_series expansion."""
+    from projmet import exactseries
+
+    special, _, _ = specialize(sphere_stereographic_connection(3))
+    mats = connection_matrices(special, decompose_curvature(special))
+    point = [Fraction(1, 4), Fraction(-1, 8), Fraction(0)]
+    expected = expand_matrices(mats, point, 6)
+    calls = []
+    inverse = exactseries.series_inverse
+
+    def counted(*args):
+        calls.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(exactseries, "series_inverse", counted)
+    assert _expand_matrices(mats, point, 6) == expected
+    entries = [e for mat in mats for row in mat for e in row
+               if not e.is_zero() and not e.is_polynomial()]
+    distinct = {tuple(e.denom_terms()) for e in entries}
+    assert len(calls) == len(distinct) < len(entries)
 
 
 def test_not_stabilized_is_reported_not_fatal():
@@ -226,6 +256,33 @@ def test_klein_gauge_solutions_are_exact():
     pts = [[Fraction(1, 2), 0], [Fraction(-1, 4), Fraction(1, 4)]]
     for ser in js.series:
         assert residual(js, ser, pts) == 0
+
+
+def test_residual_evaluates_each_entry_once_per_point(monkeypatch):
+    """The matrix entries' values at a sample point are shared by every
+    candidate of one jet solve, and the residuals do not change."""
+    from projmet.exprcore import RationalExpr
+
+    special, _, _ = specialize(sphere_stereographic_connection(2))
+    js = degree_of_mobility(special, [0, 0], 6)
+    pts = [[Fraction(1, 8), Fraction(-1, 16)], [Fraction(-1, 16), 0]]
+    fresh = []
+    for ser in js.series:
+        fresh.append(residual(js, ser, pts))
+        js.entry_values.clear()
+    evaluate = RationalExpr.evaluate
+    calls = []
+
+    def counted(self, point):
+        calls.append(self)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(RationalExpr, "evaluate", counted)
+    assert [residual(js, ser, pts) for ser in js.series] == fresh
+    nonzero = sum(not e.is_zero() for mat in js.matrices for row in mat
+                  for e in row)
+    assert 0 < len(calls) <= nonzero * len(pts)
+    assert len(js.series) > 1
 
 
 def test_zero_section_residual_zero():
