@@ -1,11 +1,24 @@
 """Exact scalar arithmetic on a coordinate chart.
 
 Every tensor component in this package is a multivariate rational function
-over Q in the chart coordinates x1..xn.  The representation is canonical
-(numerator and denominator coprime, denominator leading coefficient positive
-under graded lex order), so equality of values is plain structural equality.
-Backed by sympy's sparse polynomial rings; wrapped here so the rest of the
-package sees one small, immutable scalar type.
+over Q in the chart coordinates x1..xn.  The representation is canonical:
+numerator and denominator are coprime polynomials with integer
+coefficients, their joint integer content is 1 and the denominator's
+leading coefficient under graded lex order is positive.  So equality of
+values is plain structural equality.  The polynomials live in sympy's
+sparse ring Q[x1..xn], which also supplies the polynomial gcd; the rest of
+the package sees one small, immutable scalar type.
+
+The arithmetic keeps the pair reduced by Henrici's rules (Knuth, TAOCP
+vol. 2, 4.5.1), which hold in any UFD.  For a/b * c/d only gcd(a, d) and
+gcd(c, b) are taken, each skipped when one side is a constant.  For
+a/b + c/d with b = d only gcd(a + c, b) is taken; otherwise g = gcd(b, d),
+and when g is not 1 only t = a(d/g) + c(b/g) is reduced against g.  A
+polynomial sum or product, or a product with a constant, takes no gcd at
+all.  What is left is to scale the pair by one rational number to the
+canonical integer form.  Evaluation at a rational point scales the point
+to integers over the lcm L of its denominators and sums each term times
+the power of L that lifts it to the common degree, all in `int`.
 
 Also provides low-degree differential forms, exterior differentiation, the
 radial homotopy operator that trivialises closed polynomial forms on a
@@ -13,9 +26,10 @@ star-shaped chart, and closed-form potentials for exact rational 1-forms.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import sympy
-from sympy import QQ
+from sympy import QQ, ZZ
 from sympy.polys.fields import field as _frac_field
 
 from .errors import NotClosed, NotPolynomial, ParseError, PoleError
@@ -50,6 +64,124 @@ def to_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     return Fraction(int(value.numerator), int(value.denominator))
+
+
+# ---------------------------------------------------------------------------
+# Henrici arithmetic on coprime pairs (numer, denom) in Q[x1..xn]
+# ---------------------------------------------------------------------------
+
+_mpq = QQ.dtype
+
+
+def _reduced(field, num, den):
+    """The canonical fraction num/den, for num and den coprime in Q[x].
+
+    Only a rational scalar is left to choose: it clears the coefficient
+    denominators, divides out the joint integer content and makes the
+    leading coefficient of den (grlex) positive.
+    """
+    if not num:
+        return field.zero
+    coeffs = [*num.values(), *den.values()]
+    scale = lcm(*[c.denominator for c in coeffs])
+    content = gcd(*[c.numerator * (scale // c.denominator) for c in coeffs])
+    if den.LC < 0:
+        content = -content
+    if scale == 1 and content == 1:
+        return field.raw_new(num, den)
+    return field.raw_new(_rescaled(num, scale, content),
+                         _rescaled(den, scale, content))
+
+
+def _rescaled(poly, scale, content):
+    """poly * scale / content, with integer coefficients by construction."""
+    return poly.new([(m, _mpq(c.numerator * (scale // c.denominator) // content))
+                     for m, c in poly.items()])
+
+
+def _cofactors(f, g):
+    """(h, f/h, g/h) for h = gcd(f, g) in Q[x].
+
+    The gcd runs on the integer polynomials c_f f and c_g g, where c_f, c_g
+    clear the coefficient denominators (1 for canonical operands); that
+    skips the monic scaling and coefficient-wise ring conversions of the
+    gcd over Q.
+    """
+    zz = f.ring.clone(domain=ZZ).zero
+    cf = lcm(*[c.denominator for c in f.values()])
+    cg = lcm(*[c.denominator for c in g.values()])
+    h, f1, g1 = _integer_poly(zz, f, cf).cofactors(_integer_poly(zz, g, cg))
+    return (_rational_poly(f, h, 1), _rational_poly(f, f1, cf),
+            _rational_poly(f, g1, cg))
+
+
+def _integer_poly(zz, poly, scale):
+    return zz.new([(m, c.numerator * (scale // c.denominator))
+                   for m, c in poly.items()])
+
+
+def _rational_poly(like, poly, scale):
+    return like.new([(m, _mpq(c, scale)) for m, c in poly.items()])
+
+
+def _frac_add(f, g):
+    """f + g for canonical fractions (Henrici): a gcd only of the
+    denominators, and of the new numerator with their common factor."""
+    if not g:
+        return f
+    if not f:
+        return g
+    field = f.field
+    a, b, c, d = f.numer, f.denom, g.numer, g.denom
+    if b == d:
+        t = a + c
+        if t and not b.is_ground:
+            _, t, b = _cofactors(t, b)
+        return _reduced(field, t, b)
+    if not (b.is_ground or d.is_ground):
+        h, b1, d1 = _cofactors(b, d)
+        if not h.is_ground:
+            t = a * d1 + c * b1
+            if not t:
+                return field.zero
+            _, t, h = _cofactors(t, h)
+            return _reduced(field, t, b1 * d1 * h)
+    return _reduced(field, a * d + c * b, b * d)
+
+
+def _frac_mul(field, a, b, c, d):
+    """(a/b) * (c/d) for coprime pairs (Henrici): cancel a against d and c
+    against b, skipping a gcd whenever one side is a constant."""
+    if not a or not c:
+        return field.zero
+    if not (a.is_ground or d.is_ground):
+        _, a, d = _cofactors(a, d)
+    if not (c.is_ground or b.is_ground):
+        _, c, b = _cofactors(c, b)
+    return _reduced(field, a * c, b * d)
+
+
+def _powers(x, top):
+    table = [1]
+    for _ in range(top):
+        table.append(table[-1] * x)
+    return table
+
+
+def _scaled_value(poly, powers, lpow, deg):
+    """(s, q) with poly(X / L) = s / (q * L^deg): the powers of the integer
+    point X and of L come from the tables, q clears the coefficients."""
+    q = lcm(*[c.denominator for c in poly.values()])
+    s = 0
+    for exps, c in poly.items():
+        t = c.numerator if q == 1 else c.numerator * (q // c.denominator)
+        k = deg
+        for table, e in zip(powers, exps):
+            if e:
+                t *= table[e]
+                k -= e
+        s += t * lpow[k]
+    return s, q
 
 
 class Chart:
@@ -87,7 +219,10 @@ class Chart:
         return self._gens
 
     def const(self, value):
-        return RationalExpr(self, self._field.ground_new(_to_qq(value)))
+        q = _to_qq(value)
+        ground = self._ring.ground_new
+        return RationalExpr(self, self._field.raw_new(
+            ground(_mpq(q.numerator)), ground(_mpq(q.denominator))))
 
     @property
     def zero(self):
@@ -104,8 +239,7 @@ class Chart:
         """Polynomial from {exponent tuple: rational coefficient}."""
         d = {tuple(e): _to_qq(c) for e, c in coeffs.items()}
         num = self._ring.from_dict(d)
-        # field.new renormalises content, keeping the canonical form
-        return RationalExpr(self, self._field.new(num, self._ring.one))
+        return RationalExpr(self, _reduced(self._field, num, self._ring.one))
 
     def __repr__(self):
         return f"Chart(dim={self.dim})"
@@ -133,7 +267,7 @@ class RationalExpr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalExpr(self.chart, self.frac + o.frac)
+        return RationalExpr(self.chart, _frac_add(self.frac, o.frac))
 
     __radd__ = __add__
 
@@ -141,19 +275,21 @@ class RationalExpr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalExpr(self.chart, self.frac - o.frac)
+        return RationalExpr(self.chart, _frac_add(self.frac, -o.frac))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalExpr(self.chart, o.frac - self.frac)
+        return RationalExpr(self.chart, _frac_add(o.frac, -self.frac))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalExpr(self.chart, self.frac * o.frac)
+        f, g = self.frac, o.frac
+        return RationalExpr(self.chart, _frac_mul(f.field, f.numer, f.denom,
+                                                  g.numer, g.denom))
 
     __rmul__ = __mul__
 
@@ -163,7 +299,9 @@ class RationalExpr:
             return NotImplemented
         if not o.frac:
             raise ZeroDivisionError("division by the zero expression")
-        return RationalExpr(self.chart, self.frac / o.frac)
+        f, g = self.frac, o.frac
+        return RationalExpr(self.chart, _frac_mul(f.field, f.numer, f.denom,
+                                                  g.denom, g.numer))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -171,7 +309,9 @@ class RationalExpr:
             return NotImplemented
         if not self.frac:
             raise ZeroDivisionError("division by the zero expression")
-        return RationalExpr(self.chart, o.frac / self.frac)
+        f, g = o.frac, self.frac
+        return RationalExpr(self.chart, _frac_mul(f.field, f.numer, f.denom,
+                                                  g.denom, g.numer))
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -237,13 +377,20 @@ class RationalExpr:
         """Exact value at a rational point; PoleError if the denominator vanishes."""
         if len(point) != self.chart.dim:
             raise ValueError(f"point must have {self.chart.dim} coordinates")
-        vals = [_to_qq(v) for v in point]
-        pairs = list(zip(self.chart._ring.gens, vals))
-        num = self.frac.numer.evaluate(pairs)
-        den = self.frac.denom.evaluate(pairs)
+        vals = [v if isinstance(v, (int, Fraction)) else _to_qq(v) for v in point]
+        # p(x) = p(X / L) with X integer: every term is scaled to degree deg
+        scale = lcm(*[v.denominator for v in vals])
+        numer, denom = self.frac.numer, self.frac.denom
+        monoms = [*numer, *denom]
+        deg = max(map(sum, monoms))
+        powers = [_powers(v.numerator * (scale // v.denominator), top)
+                  for v, top in zip(vals, map(max, zip(*monoms)))]
+        lpow = _powers(scale, deg)
+        num, qn = _scaled_value(numer, powers, lpow, deg)
+        den, qd = _scaled_value(denom, powers, lpow, deg)
         if not den:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
-        return to_fraction(num) / to_fraction(den)
+        return Fraction(num * qd, den * qn)
 
     def poly_terms(self):
         """[(exponent tuple, Fraction coeff)] of a polynomial expression."""

@@ -179,16 +179,18 @@ def _combine_series(jets, vec):
          for i in range(len(vec))], [Fraction(v) for v in vec])
     if coords is None:
         raise ValueError("vector not in the admissible space")
+    zero = Fraction(0)
     out = {}
     for l, c in enumerate(coords):
         if c == 0:
             continue
         for mono, coeffs in jets.series[l].items():
-            scaled = [c * v for v in coeffs]
-            if mono in out:
-                out[mono] = [a + b for a, b in zip(out[mono], scaled)]
-            else:
-                out[mono] = scaled
+            row = out.get(mono)
+            if row is None:
+                row = out[mono] = [zero] * len(coeffs)
+            for i, v in enumerate(coeffs):
+                if v:
+                    row[i] += c * v
     return out
 
 

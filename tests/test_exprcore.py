@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import QQ
+from sympy.polys.rings import PolyElement
 
 from projmet import (Chart, DifferentialForm, NotClosed, NotPolynomial,
                      ParseError, PoleError, homotopy_potential,
                      potential_of_closed_1form)
+from projmet.exprcore import RationalExpr
 
 from conftest import rand_poly
 
@@ -65,6 +68,141 @@ def test_pow_and_division(ch2):
     assert (x + y) ** 2 == x ** 2 + 2 * x * y + y ** 2
     with pytest.raises(ZeroDivisionError):
         x / (ch2.zero)
+
+
+# -- the arithmetic kernel against sympy's field operations --------------------
+
+def _nonzero_poly(chart, rng, max_degree=2):
+    p = rand_poly(chart, rng, max_degree, 3)
+    return p if not p.is_zero() else chart.var(1) + 1
+
+
+def _kernel_operands(chart, rng):
+    """Pairs of rational functions, with common factors planted between one
+    operand's numerator and the other's denominator, and between the two
+    denominators.  In the last two pairs the numerator of the sum is again
+    a multiple of the common factor h."""
+    h = _nonzero_poly(chart, rng, 1) + chart.var(rng.randint(1, chart.dim))
+    p1, p2, q1, q2 = (_nonzero_poly(chart, rng) for _ in range(4))
+    return [
+        (p1 / (q1 * h), p2 * h / q2),
+        (p1 / h, p2 / (h * q2)),
+        (p1 / q1, p2 / q1),
+        (p1, p2),
+        (p1 * h, q1 / h),
+        (p1 / q1, p1 / q1),
+        (p1 / (h * (h + q1)), p1 / (h * (h - q1))),
+        (p1 / (h * q1), (h * p2 - p1) / (h * q1)),
+    ]
+
+
+def _same_frac(result, oracle):
+    assert result.frac.numer == oracle.numer
+    assert result.frac.denom == oracle.denom
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_matches_sympy_field(n):
+    chart = Chart(n)
+    field = chart._field
+    rng = random.Random(1000 + n)
+    scalars = [3, -1, 0, Fraction(-2, 3), Fraction(5, 7)]
+    for _ in range(6):
+        for a, b in _kernel_operands(chart, rng):
+            f, g = a.frac, b.frac
+            _same_frac(a + b, f + g)
+            _same_frac(a - b, f - g)
+            _same_frac(a * b, f * g)
+            _same_frac(a / b, f / g)
+            _same_frac(a - a, f - f)          # cancels to zero
+            _same_frac(a / a, f / f)          # cancels to a constant
+            _same_frac((3 * a) / a, (f * 3) / f)
+            _same_frac(a * (1 / a), f * (1 / f))
+            _same_frac(b / b.denominator, g / g.denom)
+            for s in scalars:
+                c = field.ground_new(QQ(Fraction(s).numerator, Fraction(s).denominator))
+                _same_frac(a + s, f + c)
+                _same_frac(s + a, c + f)
+                _same_frac(a - s, f - c)
+                _same_frac(s - a, c - f)
+                _same_frac(a * s, f * c)
+                _same_frac(s * a, c * f)
+                if s:
+                    _same_frac(a / s, f / c)
+                _same_frac(s / a, c / f)
+
+
+def _sympy_value(expr, point):
+    ring = expr.chart._ring
+    pairs = list(zip(ring.gens, [QQ(Fraction(v).numerator, Fraction(v).denominator)
+                                 for v in point]))
+    num = expr.frac.numer.evaluate(pairs)
+    den = expr.frac.denom.evaluate(pairs)
+    return None if not den else Fraction(int(num.numerator), int(num.denominator)) / \
+        Fraction(int(den.numerator), int(den.denominator))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluate_matches_sympy(n):
+    chart = Chart(n)
+    ring = chart._ring
+    rng = random.Random(2000 + n)
+    # a raw fraction whose numerator keeps non-integer coefficients
+    thirds = RationalExpr(chart, chart._field.raw_new(
+        ring.from_dict({(1,) + (0,) * (n - 1): QQ(1, 3), (0,) * n: QQ(-5, 2)}),
+        ring.one))
+    for _ in range(6):
+        exprs = [thirds]
+        for a, b in _kernel_operands(chart, rng):
+            e = a / b
+            exprs += [e, e.numerator, e.denominator]
+        for e in exprs:
+            for _ in range(3):
+                point = [rng.choice([0, rng.randint(-3, 3),
+                                     Fraction(rng.randint(-5, 5), rng.randint(1, 6))])
+                         for _ in range(n)]
+                want = _sympy_value(e, point)
+                if want is None:
+                    with pytest.raises(PoleError):
+                        e.evaluate(point)
+                    continue
+                got = e.evaluate(point)
+                assert type(got) is Fraction and got == want
+                assert e.evaluate([str(v) for v in point]) == want
+
+
+def test_evaluate_pole_on_raw_denominator():
+    chart = Chart(2)
+    x, y = chart.vars
+    den = (x - y) * (x + 2)
+    with pytest.raises(PoleError, match=r"denominator vanishes at \(1, 1\)"):
+        (1 / den).evaluate([1, 1])
+    with pytest.raises(PoleError):
+        (x / den).evaluate([Fraction(1, 2), Fraction(1, 2)])
+    assert den.evaluate([1, 1]) == 0
+    assert (1 / den).denominator.evaluate([1, 1]) == 0
+
+
+def test_kernel_fast_paths_skip_the_gcd(monkeypatch):
+    chart = Chart(2)
+    x, y = chart.vars
+    p, q, r = x ** 2 + 3 * y - 1, 2 * x * y + y ** 2 + 5, x - y + 7
+    rat, rat2 = p / q, r / q
+    calls = []
+    cofactors = PolyElement.cofactors
+
+    def counting(self, other):
+        calls.append(1)
+        return cofactors(self, other)
+
+    monkeypatch.setattr(PolyElement, "cofactors", counting)
+    for value in (p + q, p - q, p * q, rat * 3, rat * Fraction(-2, 5),
+                  Fraction(1, 3) * rat, rat / 4, rat * chart.const(7)):
+        assert not value.is_zero()
+    assert not calls
+    value = rat + rat2
+    assert len(calls) <= 1
+    assert value == (p + r) / q
 
 
 # -- parser -----------------------------------------------------------------
