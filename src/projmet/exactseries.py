@@ -200,32 +200,9 @@ def rational_to_series(expr, point, max_order, reciprocals=None):
 def series_to_coeff_dict(a, point):
     """Convert a series in u = x - p back to polynomial coefficients in x.
 
-    Exact; used when a truncated solution is detected to be an actual
-    polynomial.
+    Exact: the Taylor shift of the polynomial a(u) to the point -p, which
+    keeps its total degree.  Used when a truncated solution is detected to
+    be an actual polynomial.
     """
-    nvars = len(point)
-    pt = [Fraction(-p) for p in point]  # u = x - p  =>  u^k = (x + (-p))^k
-    out = {}
-    for exps, coeff in a.items():
-        acc = {(0,) * nvars: coeff}
-        for var, e in enumerate(exps):
-            if e == 0:
-                continue
-            shifted = _shift_powers(pt[var], e, e)
-            nxt = {}
-            for key, v in acc.items():
-                for k, c in shifted:
-                    kk = key[:var] + (key[var] + k,) + key[var + 1:]
-                    w = nxt.get(kk, Fraction(0)) + v * c
-                    if w:
-                        nxt[kk] = w
-                    elif kk in nxt:
-                        del nxt[kk]
-            acc = nxt
-        for k, v in acc.items():
-            w = out.get(k, Fraction(0)) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-    return out
+    return poly_to_series(list(a.items()), [-v for v in point],
+                          max(map(sum, a), default=0))

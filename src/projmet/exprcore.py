@@ -22,7 +22,9 @@ the power of L that lifts it to the common degree, all in `int`.
 
 Also provides low-degree differential forms, exterior differentiation, the
 radial homotopy operator that trivialises closed polynomial forms on a
-star-shaped chart, and closed-form potentials for exact rational 1-forms.
+star-shaped chart, and the potentials of exact rational 1-forms: one exact
+linear solve for a rational part, a polynomial and the logarithms of the
+denominator's irreducible factors, sized by total degrees.
 """
 
 from fractions import Fraction
@@ -316,7 +318,15 @@ class RationalExpr:
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        return RationalExpr(self.chart, self.frac ** k)
+        if k < 0 and not self.frac:
+            raise ZeroDivisionError("division by the zero expression")
+        # sympy's PolyElement.square caches the hash of its result before
+        # the result is complete; a copy drops that stale hash
+        num = (self.frac.numer ** abs(k)).copy()
+        den = (self.frac.denom ** abs(k)).copy()
+        if k < 0:
+            num, den = den, num
+        return RationalExpr(self.chart, _reduced(self.frac.field, num, den))
 
     def __neg__(self):
         return RationalExpr(self.chart, -self.frac)
@@ -870,345 +880,103 @@ class Potential:
 def potential_of_closed_1form(omega):
     """Scalar potential of an exact rational 1-form on the star-shaped chart.
 
-    Polynomial forms go through the radial homotopy.  For rational forms
-    with squarefree denominator the potential is a sum of logarithms of the
-    denominator's irreducible factors plus a polynomial: each log
-    coefficient is read off as a residue on a generic line through the
-    chart, the remainder is checked to be polynomial and integrated by the
-    homotopy.  Denominators with repeated factors fall back to one dense
-    linear solve over the full ansatz P/den + logs + polynomial.  Raises
-    NotPolynomial when no representation in this class exists.
+    One exact ansatz covers every form: the split of an integral into a
+    rational and a logarithmic part (Bronstein, Symbolic Integration I,
+    ch. 2).  Let D = prod D_i^m_i be the irreducible factorisation of the
+    lcm of the component denominators and h = prod D_i^(m_i - 1).  The
+    potential is sought as f = P/h + Q + sum c_i log D_i.  Cleared of the
+    denominator D h^2, df = omega is one linear system over Q in the
+    coefficients of P and Q and the c_i.
+
+    The ansatz is sized from the form by total degrees.  Let top be the
+    largest deg(numerator) - deg(denominator) of a nonzero component, plus
+    one, and at least 0.  A rational part of degree d >= 1 has a top
+    homogeneous part F with x . grad F = d F (Euler), so its gradient has
+    degree d - 1, while each d log D_i is O(1/|x|) as |x| -> infinity: the
+    two cannot cancel, and d <= top.  Hence:
+
+    - h constant (squarefree D): Q has the monomials of degree 1..top and
+      P is absent.  The representation is then unique.
+    - h not constant: P has the monomials of degree <= top + deg h and Q is
+      absent, since Q = Q h / h is already a P.
+
+    A solution is an exact identity df = omega, so omega is closed; only
+    when the system has none is closedness tested, to raise NotClosed
+    rather than NotPolynomial.  The gradient of the solution is audited
+    against omega.
     """
-    chart = omega.chart
-    if not omega.d().is_zero():
-        raise NotClosed("1-form is not closed")
-    if omega.is_polynomial():
-        pot = homotopy_potential(omega)
-        return Potential(chart, poly_part=pot.components)
-    fast = _residue_potential(omega)
-    if fast is not None:
-        return fast
-    return _rational_potential(omega)
-
-
-# -- univariate helpers for the residue computation (coefficient lists) ------
-
-def _p1_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _p1_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return _p1_trim(out)
-
-
-def _p1_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, v in enumerate(a):
-        if not v:
-            continue
-        for j, w in enumerate(b):
-            if w:
-                out[i + j] += v * w
-    return _p1_trim(out)
-
-
-def _p1_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] * inv
-        if c:
-            q[k] = c
-            for j, w in enumerate(b):
-                a[k + j] -= c * w
-    return q, _p1_trim(a)
-
-
-def _p1_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _p1_divmod(a, b)[1]
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = [v * inv for v in a]
-    return a
-
-
-def _p1_diff(a):
-    return _p1_trim([a[i] * i for i in range(1, len(a))])
-
-
-def _restrict_terms(terms, w):
-    """Terms of an n-variable polynomial restricted to x = w s."""
-    out = {}
-    for exps, coeff in terms:
-        c = coeff
-        for e, wi in zip(exps, w):
-            if e:
-                c *= Fraction(wi) ** e
-        if c:
-            d = sum(exps)
-            out[d] = out.get(d, Fraction(0)) + c
-    coeffs = [Fraction(0)] * (max(out) + 1 if out else 0)
-    for d, c in out.items():
-        coeffs[d] = c
-    return _p1_trim(coeffs)
-
-
-def _line_directions(n):
-    base = [tuple(range(1, n + 1)),
-            tuple(1 + ((i * 2 + 1) % (n + 2)) for i in range(n)),
-            tuple(2 + ((i * 3 + 2) % (n + 3)) for i in range(n)),
-            tuple(1 if i % 2 else 3 + i for i in range(n))]
-    return base
-
-
-def _residue_potential(omega):
-    """Fast path: squarefree denominator, pure log + polynomial potential.
-
-    Returns None when this shape does not apply and the caller should try
-    the dense ansatz instead.
-    """
-    chart = omega.chart
-    n = chart.dim
-    ring = chart._ring
-    den = ring.one
-    for c in omega.components:
-        g = den.gcd(c.frac.denom)
-        den = den.quo(g) * c.frac.denom
-    factors = sympy.factor_list(den.as_expr())[1]
-    if any(int(m) > 1 for _, m in factors):
-        return None
-    origin = [0] * n
-    bases = []
-    for f, _ in factors:
-        base = RationalExpr(chart, chart._field.from_expr(f))
-        if base.evaluate(origin) < 0:
-            base = -base
-        bases.append(base)
-    if not bases:
-        return None
-
-    for w in _line_directions(n):
-        coeffs = _residues_on_line(omega, bases, w)
-        if coeffs is None:
-            continue
-        rest = []
-        ok = True
-        for a in range(n):
-            r = omega.components[a]
-            for base, c in zip(bases, coeffs):
-                if c:
-                    r = r - base.diff(a + 1) * c / base
-            if not r.is_polynomial():
-                ok = False
-                break
-            rest.append(r)
-        if not ok:
-            continue
-        pot = homotopy_potential(DifferentialForm(chart, 1, rest))
-        out = Potential(chart, poly_part=pot.components,
-                        log_terms=[(b, c) for b, c in zip(bases, coeffs) if c])
-        grad = out.grad()
-        if all(grad.components[a] == omega.components[a] for a in range(n)):
-            return out
-    return None
-
-
-def _residues_on_line(omega, bases, w):
-    """Log coefficients of the potential along the line x = w s, or None
-    when the line is degenerate for this data."""
-    chart = omega.chart
-    n = chart.dim
-    # u(s) = sum_a w_a omega_a(w s) as one reduced fraction
-    u_num, u_den = [], [Fraction(1)]
-    for a in range(n):
-        comp = omega.components[a]
-        num = _restrict_terms(comp.numer_terms(), w)
-        num = _p1_mul(num, [Fraction(w[a])])
-        dnm = _restrict_terms(comp.denom_terms(), w)
-        if not dnm:
-            return None
-        u_num = _p1_add(_p1_mul(u_num, dnm), _p1_mul(num, u_den))
-        u_den = _p1_mul(u_den, dnm)
-        g = _p1_gcd(u_num, u_den)
-        if len(g) > 1:
-            u_num = _p1_divmod(u_num, g)[0]
-            u_den = _p1_divmod(u_den, g)[0]
-    restricted = []
-    for base in bases:
-        b = _restrict_terms(base.numer_terms(), w)
-        if len(b) - 1 != base.frac.numer.degree():
-            return None  # leading behaviour lost on this line
-        if len(_p1_gcd(b, _p1_diff(b))) > 1:
-            return None  # restriction not squarefree
-        restricted.append(b)
-    for i in range(len(restricted)):
-        for j in range(i + 1, len(restricted)):
-            if len(_p1_gcd(restricted[i], restricted[j])) > 1:
-                return None
-    coeffs = []
-    for b in restricted:
-        g = _p1_gcd(u_den, b)
-        if len(g) <= 1:
-            coeffs.append(Fraction(0))
-            continue
-        if len(g) != len(b):
-            return None
-        quo, rem = _p1_divmod(u_den, b)
-        if rem:
-            return None
-        if len(_p1_gcd(quo, b)) > 1:
-            return None  # higher-order pole on the line
-        a_part = _p1_divmod(u_num, b)[1]
-        c_part = _p1_divmod(_p1_mul(_p1_diff(b), quo), b)[1]
-        if not c_part:
-            return None
-        k = max(i for i, v in enumerate(c_part) if v)
-        if k >= len(a_part) and a_part:
-            return None
-        if not a_part:
-            coeffs.append(Fraction(0))
-            continue
-        c = a_part[k] / c_part[k] if k < len(a_part) else Fraction(0)
-        check = [v * c for v in c_part]
-        if _p1_trim([x - y for x, y in
-                     zip(a_part + [Fraction(0)] * len(check),
-                         check + [Fraction(0)] * len(a_part))]):
-            return None
-        coeffs.append(c)
-    return coeffs
-
-
-def _rational_potential(omega):
     from .exactlinalg import solve_linear_system
 
     chart = omega.chart
     n = chart.dim
     ring = chart._ring
+    gens = ring.gens
 
-    # lcm of the component denominators and its irreducible factors
+    # lcm of the component denominators and its irreducible factors, each a
+    # primitive integer polynomial (canonical denominator 1)
     den = ring.one
     for c in omega.components:
         g = den.gcd(c.frac.denom)
         den = den.quo(g) * c.frac.denom
-    factors = sympy.factor_list(den.as_expr())
     origin = [0] * n
     bases = []
-    mult = []
-    for f, m in factors[1]:
+    h = ring.one
+    for f, m in sympy.factor_list(den.as_expr())[1]:
         base = RationalExpr(chart, chart._field.from_expr(f))
-        try:
-            if base.evaluate(origin) < 0:
-                # same log-gradient, but exp() stays positive near the centre
-                base = -base
-        except PoleError:
-            pass
+        if base.evaluate(origin) < 0:
+            # same log-gradient, but exp() stays positive near the centre
+            base = -base
         bases.append(base)
-        mult.append(int(m))
-    # denominator of the rational part: product of D_i^(m_i - 1)
-    h_den = chart.one
-    for b, m in zip(bases, mult):
-        if m > 1:
-            h_den = h_den * b ** (m - 1)
+        h *= base.frac.numer ** (int(m) - 1)
 
-    max_num_deg = max(c.frac.numer.degree() for c in omega.components)
-    max_den_deg = max(1, den.degree())
-    num_deg = max_num_deg + max_den_deg + 2
-    poly_deg = max_num_deg + 2
+    # the columns: each unknown's gradient times clear = den * h^2, and
+    # omega times clear, all polynomials
+    top = max([_tdeg(c.frac.numer) - _tdeg(c.frac.denom) + 1
+               for c in omega.components if c] + [0])
+    clear = den * h ** 2
+    if h.is_ground:
+        monos = [m for m in _monomials_upto(n, top) if sum(m) > 0]
+        cols = [[ring.term_new(m, QQ.one).diff(x) * clear for x in gens]
+                for m in monos]
+    else:
+        monos = _monomials_upto(n, top + _tdeg(h))
+        dh = [h.diff(x) for x in gens]
+        cols = []
+        for m in monos:
+            p = ring.term_new(m, QQ.one)
+            cols.append([(p.diff(x) * h - p * dhx) * den
+                         for x, dhx in zip(gens, dh)])
+    for base in bases:
+        b = base.frac.numer
+        rest = clear.exquo(b)
+        cols.append([b.diff(x) * rest for x in gens])
+    ncols = len(cols)
+    cols.append([c.frac.numer * clear.exquo(c.frac.denom)
+                 for c in omega.components])
 
-    def monomials_upto(deg):
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                out.append(tuple(prefix))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + [e], remaining - e, slots - 1)
-
-        rec([], deg, n)
-        return out
-
-    p_monos = monomials_upto(num_deg) if not h_den.is_constant() else []
-    q_monos = [m for m in monomials_upto(poly_deg) if sum(m) > 0]
-
-    unknowns = []
-    unknowns += [("P", m) for m in p_monos]
-    unknowns += [("Q", m) for m in q_monos]
-    unknowns += [("L", i) for i in range(len(bases))]
-
-    # candidate gradient pieces, each a rational 1-form in the chart field
-    def grad_of(kind, key):
-        if kind == "P":
-            mono = chart.from_coeff_dict({key: 1})
-            f = mono / h_den
-        elif kind == "Q":
-            f = chart.from_coeff_dict({key: 1})
-        else:
-            base = bases[key]
-            return [base.diff(a) / base for a in range(1, n + 1)]
-        return [f.diff(a) for a in range(1, n + 1)]
-
-    grads = [grad_of(kind, key) for kind, key in unknowns]
-
-    # clear denominators: multiply everything by den * h_den^2 (a polynomial
-    # multiple of every denominator that appears)
-    clear = RationalExpr(chart, chart._field.raw_new(den, ring.one)) * h_den ** 2
     rows = {}
-
-    def add_terms(expr, col, scale):
-        poly = expr * clear
-        if not poly.is_polynomial():
-            raise NotPolynomial("potential ansatz failed to clear denominators")
-        for exps, coeff in poly.poly_terms():
-            rows.setdefault(exps, [Fraction(0)] * (len(unknowns) + 1))
-            rows[exps][col] += scale * coeff
-
-    ncols = len(unknowns)
     for a in range(n):
-        rows_a = {}
-        saved = rows
-        rows = rows_a
-        for j, g in enumerate(grads):
-            add_terms(g[a], j, Fraction(1))
-        add_terms(omega.components[a], ncols, Fraction(1))
-        rows = saved
-        for key, row in rows_a.items():
-            rows[(a,) + key] = row
-
+        for j, col in enumerate(cols):
+            for exps, coeff in col[a].items():
+                row = rows.setdefault((a,) + exps, [Fraction(0)] * (ncols + 1))
+                row[j] += to_fraction(coeff)
     matrix = [r[:ncols] for r in rows.values()]
     rhs = [r[ncols] for r in rows.values()]
     sol = solve_linear_system(matrix, rhs)
     if sol is None:
+        if not omega.d().is_zero():
+            raise NotClosed("1-form is not closed")
         raise NotPolynomial("closed 1-form has no potential in the supported class")
 
-    p_acc = {}
-    q_acc = {}
-    logs = []
-    for (kind, key), value in zip(unknowns, sol):
-        if value == 0:
-            continue
-        if kind == "P":
-            p_acc[key] = p_acc.get(key, Fraction(0)) + value
-        elif kind == "Q":
-            q_acc[key] = q_acc.get(key, Fraction(0)) + value
-        else:
-            logs.append((bases[key], value))
-    rational_part = chart.zero
-    if p_acc:
-        rational_part = chart.from_coeff_dict(p_acc) / h_den
-    poly_part = chart.from_coeff_dict(q_acc) if q_acc else chart.zero
+    acc = {m: value for m, value in zip(monos, sol) if value}
+    logs = [(base, value) for base, value in zip(bases, sol[len(monos):])
+            if value]
+    poly_part = rational_part = chart.zero
+    if acc and h.is_ground:
+        poly_part = chart.from_coeff_dict(acc)
+    elif acc:
+        rational_part = chart.from_coeff_dict(acc) / RationalExpr(
+            chart, chart._field.raw_new(h, ring.one))
     pot = Potential(chart, poly_part=poly_part, rational_part=rational_part,
                     log_terms=logs)
     # exactness audit: the match is only accepted if the gradient reproduces omega
@@ -1217,3 +985,16 @@ def _rational_potential(omega):
         if g.components[a] != omega.components[a]:
             raise NotPolynomial("potential reconstruction failed the exactness audit")
     return pot
+
+
+def _tdeg(poly):
+    """Total degree of a nonzero polynomial."""
+    return max(map(sum, poly))
+
+
+def _monomials_upto(n, deg):
+    """Exponent tuples of total degree <= deg, in lexicographic order."""
+    if n == 0:
+        return [()]
+    return [(e,) + rest for e in range(deg + 1)
+            for rest in _monomials_upto(n - 1, deg - e)]

@@ -255,12 +255,12 @@ def projective_equivalence(c1, c2):
     return DifferentialForm(chart, 1, ups)
 
 
-def specialize(conn, beta_potential=None, beta=None):
+def specialize(conn, beta=None):
     """Projectively change into the volume-preserving gauge.
 
     Stage one removes the antisymmetric Ricci part: a 1-form Y0 with
-    dY0 = -beta comes from the radial homotopy (or is supplied by the
-    caller when beta is not polynomial).  Stage two kills the resulting
+    dY0 = -beta comes from the radial homotopy, which raises NotPolynomial
+    when beta is not polynomial.  Stage two kills the resulting
     Christoffel trace t_a, which is then closed, by the exact change
     Y1 = -t/(n+1); its potential f = -h/(n+1), with dh = t, is recovered in
     closed form.  Returns (special connection, total Y, f as a Potential).
@@ -281,12 +281,7 @@ def specialize(conn, beta_potential=None, beta=None):
         ups0 = DifferentialForm.zero(chart, 1)
         stage1 = conn
     else:
-        if beta_potential is not None:
-            ups0 = beta_potential
-        else:
-            ups0 = homotopy_potential(-beta)
-        if not (ups0.d() + beta).is_zero():
-            raise InternalError("supplied beta potential does not satisfy dY0 = -beta")
+        ups0 = homotopy_potential(-beta)
         stage1 = projective_change(conn, ups0)
 
     trace = stage1.trace_form()

@@ -264,3 +264,32 @@ def test_obstructed_by_beta(tmp_path, capsys):
     assert data["verdict"] == "OBSTRUCTED_BY_BETA"
     assert data["beta_nonzero"] is True
     assert code == 12
+
+
+def test_trace_potential_with_polynomial_part_in_x2(capsys):
+    # the flat connection changed by psi = omega/3, with omega =
+    # d(1/2 log(x1 + 8) + 1/2 log(x2 + 8) + x2^5): the trace potential has a
+    # polynomial part of degree 5 in x2 and none in x1
+    from projmet import Chart, DifferentialForm, potential_of_closed_1form
+
+    assert main(["analyze", str(DATA / "flat_log_poly_change.json")]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "METRIZABLE"
+    ch = Chart(2)
+    x1, x2 = ch.vars
+    omega = DifferentialForm(ch, 1, [1 / (2 * x1 + 16),
+                                     1 / (2 * x2 + 16) + 5 * x2 ** 4])
+    assert (potential_of_closed_1form(omega).describe()
+            == "x2^5 + 1/2*log(x2 + 8) + 1/2*log(x1 + 8)")
+
+
+def test_negative_exponent_spec_matches_quotient_spec(tmp_path, capsys):
+    # "(1-x1)^-1" and "1/(1-x1)" are one value, so the symmetric entries agree
+    outputs = []
+    for name, text in (("power", "(1-x1)^-1"), ("quotient", "1/(1-x1)")):
+        doc = {"dimension": 2, "christoffel": {"1,1,2": text,
+                                               "1,2,1": "1/(1-x1)"}}
+        code = main(["mobility", _write(tmp_path, f"{name}.json", doc)])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 12

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import QQ
+from sympy import QQ, factor_list
 from sympy.polys.rings import PolyElement
 
 from projmet import (Chart, DifferentialForm, NotClosed, NotPolynomial,
@@ -68,6 +68,19 @@ def test_pow_and_division(ch2):
     assert (x + y) ** 2 == x ** 2 + 2 * x * y + y ** 2
     with pytest.raises(ZeroDivisionError):
         x / (ch2.zero)
+    with pytest.raises(ZeroDivisionError):
+        ch2.zero ** -1
+
+
+def test_negative_power_is_canonical(ch2):
+    x, y = ch2.vars
+    for base in (1 - x, (2 - x * y) / (3 * y - 1), Fraction(-2, 3) * x):
+        for k in (1, 2, 3):
+            inv = base ** -k
+            assert inv == 1 / base ** k
+            assert hash(inv) == hash(1 / base ** k)
+            assert str(inv) == str(1 / base ** k)
+    assert str((1 - x) ** -1) == "-1/(x1 - 1)"
 
 
 # -- the arithmetic kernel against sympy's field operations --------------------
@@ -340,3 +353,84 @@ def test_potential_exp_and_scale(ch2):
     assert pot.scale(-2).exp() == base
     with pytest.raises(ValueError):
         pot.exp()
+    for k in (1, 2, 3):
+        inv = Potential(ch2, log_terms=[(1 - x, -k)]).exp()
+        assert inv == 1 / (1 - x) ** k
+        assert hash(inv) == hash(1 / (1 - x) ** k)
+
+
+def _irreducible(expr):
+    _, factors = factor_list(expr.frac.numer.as_expr())
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+def _log_bases(chart, rng, count):
+    """Distinct irreducible integer polynomials with a positive constant
+    term, each of degree one in some coordinate."""
+    n = chart.dim
+    bases = [1 + sum((x ** 2 for x in chart.vars), chart.zero)]
+    while len(bases) < count:
+        k = rng.randint(1, n)
+        rest = sum((rng.randint(-2, 2) * x ** rng.randint(1, 3)
+                    for j, x in enumerate(chart.vars, 1) if j != k),
+                   chart.zero)
+        base = rng.randint(1, 9) + rng.choice([-1, 1]) * chart.var(k) + rest
+        if base not in bases:
+            bases.append(base)
+    return bases
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_potential_recovers_log_and_polynomial_parts(n):
+    chart = Chart(n)
+    rng = random.Random(8 + n)
+    last = chart.var(n)
+    for trial in range(3):
+        # Q has no constant term and a part free of x1 of higher degree
+        poly = rand_poly(chart, rng, 3, 3)
+        poly = (poly - poly.evaluate([0] * n)
+                + rng.randint(1, 3) * last ** (3 + trial))
+        bases = _log_bases(chart, rng, 1 + trial)
+        for base in bases:
+            assert _irreducible(base)
+            assert base.evaluate([0] * n) > 0
+        coeffs = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+                  for _ in bases]
+        omega = DifferentialForm(chart, 1, [
+            poly.diff(a) + sum((c * b.diff(a) / b for b, c in zip(bases, coeffs)),
+                               chart.zero)
+            for a in range(1, n + 1)])
+        pot = potential_of_closed_1form(omega)
+        # a squarefree denominator makes the representation unique
+        assert pot.poly_part == poly
+        assert pot.rational_part.is_zero()
+        assert set(pot.log_terms) == set(zip(bases, coeffs))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_potential_repeated_factor_polynomial_and_zero(n):
+    chart = Chart(n)
+    rng = random.Random(30 + n)
+    x1, last = chart.var(1), chart.var(n)
+    base = 2 + x1 - last ** 2
+    f = (x1 + 1) / base ** 2 + Fraction(3, 2) * last ** 2
+    omega = DifferentialForm(chart, 1, [
+        f.diff(a) - base.diff(a) / base for a in range(1, n + 1)])
+    assert (potential_of_closed_1form(omega).grad() - omega).is_zero()
+
+    poly = DifferentialForm(chart, 0, rand_poly(chart, rng, 4, 4)
+                            + last ** 5).d()
+    pot = potential_of_closed_1form(poly)
+    assert pot.poly_part == homotopy_potential(poly).components
+    assert pot.rational_part.is_zero() and not pot.log_terms
+
+    assert potential_of_closed_1form(DifferentialForm.zero(chart, 1)).is_zero()
+
+    zero = [chart.zero] * (n - 1)
+    for comp in (last, last / (1 + x1)):
+        with pytest.raises(NotClosed):
+            potential_of_closed_1form(DifferentialForm(chart, 1, [comp] + zero))
+    # closed, but its potential is arctan(x1)
+    with pytest.raises(NotPolynomial):
+        potential_of_closed_1form(
+            DifferentialForm(chart, 1, [1 / (1 + x1 ** 2)] + zero))
