@@ -877,6 +877,18 @@ class Potential:
         return f"Potential({self.describe()})"
 
 
+def _common_denominator(exprs):
+    """lcm in Q[x], up to a constant factor, of the canonical denominators
+    of a nonempty sequence of RationalExpr.  Constants divide everything
+    over Q, so a constant denominator takes no gcd."""
+    den = exprs[0].frac.denom.ring.one
+    for e in exprs:
+        d = e.frac.denom
+        if not d.is_ground and d != den:
+            den = d if den.is_ground else den.quo(den.gcd(d)) * d
+    return den
+
+
 def potential_of_closed_1form(omega):
     """Scalar potential of an exact rational 1-form on the star-shaped chart.
 
@@ -914,10 +926,7 @@ def potential_of_closed_1form(omega):
 
     # lcm of the component denominators and its irreducible factors, each a
     # primitive integer polynomial (canonical denominator 1)
-    den = ring.one
-    for c in omega.components:
-        g = den.gcd(c.frac.denom)
-        den = den.quo(g) * c.frac.denom
+    den = _common_denominator(omega.components)
     origin = [0] * n
     bases = []
     h = ring.one

@@ -93,6 +93,7 @@ class MetricCandidate:
     is structural in the first case and sampled in the second.  `g_down`
     is the symbolic inverse of `g_up`, computed on first access (None for
     series truncations of sigma, which numeric checks invert pointwise).
+    `sigma` is None for a candidate built from its metric g^{ab}.
     """
 
     __slots__ = ("sigma", "det_sigma", "f", "upsilon", "connection", "g_up",
@@ -134,12 +135,12 @@ def reconstruct_metric(sigma, conn, base_point=None, region_samples=(),
     which is the Levi-Civita connection of g whenever sigma solves the
     metrizability system for `conn`.
     """
-    return _candidate(sigma, True, conn, base_point, region_samples, sigma,
+    return _candidate(sigma, True, conn, base_point, region_samples,
                       exact_solution)
 
 
 def candidate_from_metric(g_up, conn, base_point=None, region_samples=(),
-                          sigma=None, exact_solution=True):
+                          exact_solution=True):
     """Metric candidate from an exact reconstructed metric g^{ab}.
 
     Used when the candidate metric is exactly rational (for instance the
@@ -148,15 +149,16 @@ def candidate_from_metric(g_up, conn, base_point=None, region_samples=(),
     projective change onto the Levi-Civita connection has the rational
     gradient of f = -1/(2(n+1)) log det(g^{ab}).
     """
-    return _candidate(g_up, False, conn, base_point, region_samples, sigma,
+    return _candidate(g_up, False, conn, base_point, region_samples,
                       exact_solution)
 
 
-def _candidate(t, from_sigma, conn, base_point, region_samples, sigma,
+def _candidate(t, from_sigma, conn, base_point, region_samples,
                exact_solution):
     """Shared body of the two constructors: `t` is sigma^{ab} when
-    `from_sigma`, else the metric g^{ab}.  Nondegeneracy, the signature and
-    the log potential are all taken from `t`."""
+    `from_sigma`, else the metric g^{ab} (and the candidate's sigma is
+    None).  Nondegeneracy, the signature and the log potential are all
+    taken from `t`."""
     det_name, noun = ("sigma", "sigma") if from_sigma else ("g", "metric")
     chart = t.chart
     n = chart.dim
@@ -204,9 +206,9 @@ def _candidate(t, from_sigma, conn, base_point, region_samples, sigma,
         if (p2, n2) != (pos, neg) or z2:
             definite = False
             warnings.append(f"signature changes at sample {tuple(pt)}")
-    return MetricCandidate(sigma, det, f, upsilon, changed, g_up, g_down,
-                           tuple(base_point), (pos, neg), definite, warnings,
-                           exact_solution)
+    return MetricCandidate(t if from_sigma else None, det, f, upsilon,
+                           changed, g_up, g_down, tuple(base_point),
+                           (pos, neg), definite, warnings, exact_solution)
 
 
 def _volume_residual(conn, g_up):

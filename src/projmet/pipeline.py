@@ -245,12 +245,11 @@ def _reconstruct(special, series, base_point, max_order, samples):
             lambda a: series_scale(a, -1))
     det = leibniz_det(_symmetric_entry(sig), n, *ring)
     g_ser = {ij: series_mul(det, s, max_order) for ij, s in sig.items()}
-    sigma = _field_from_series(chart, sig, base_point, max_order - 2)
     if _tail_is_zero(g_ser.values(), max_order):
         # the reconstructed metric itself is polynomial
         g_up = _field_from_series(chart, g_ser, base_point, max_order)
         return True, candidate_from_metric(g_up, special, base_point,
-                                           region_samples=samples, sigma=sigma,
+                                           region_samples=samples,
                                            exact_solution=True)
     # g_ab as adjugate over determinant; the series inverse of the
     # determinant needs a nonzero constant term
@@ -269,7 +268,8 @@ def _reconstruct(special, series, base_point, max_order, samples):
             return True, candidate_from_metric(metric_inverse(g_down), special,
                                                base_point,
                                                region_samples=samples,
-                                               sigma=sigma, exact_solution=True)
+                                               exact_solution=True)
+    sigma = _field_from_series(chart, sig, base_point, max_order - 2)
     return False, reconstruct_metric(sigma, special, base_point,
                                      region_samples=samples,
                                      exact_solution=False)

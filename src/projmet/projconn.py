@@ -18,11 +18,12 @@ are the unique solution of those linear conventions.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .errors import InternalError, NotEquivalent, NotSpecial, ShapeError
 from .exprcore import (DifferentialForm, Potential, RationalExpr,
-                       homotopy_potential, potential_of_closed_1form)
+                       _common_denominator, homotopy_potential,
+                       potential_of_closed_1form)
 from .tensorfield import TensorField, covariant_derivative
 
 __all__ = [
@@ -125,50 +126,73 @@ class ProjectiveData:
         self.cotton_york = cotton_york
 
 
-def _gamma_common(conn):
-    """Christoffel symbols over one common polynomial denominator.
+def _over_common(arrays):
+    """Entries of nested n x m x k arrays of RationalExpr over one common
+    polynomial denominator D, the lcm of theirs up to a constant factor.
 
-    Returns (numerators N[c][a][b] as ring elements, D, [d_k D]); rational
-    connections are assembled this way so each curvature component costs a
-    single gcd cancellation instead of thousands.
+    Returns (numerators N[i][j][l] as ring elements, D, [d_k D]), so that a
+    curvature component assembled from the numerators costs a single gcd
+    cancellation against a power of D instead of one per operation.
     """
-    chart = conn.chart
-    n = chart.dim
-    ring = chart._ring
-    D = ring.one
-    for c, a, b in product(range(n), repeat=3):
-        den = conn.gamma[c][a][b].frac.denom
-        g = D.gcd(den)
-        D = D.quo(g) * den
-    N = [[[conn.gamma[c][a][b].frac.numer * D.quo(conn.gamma[c][a][b].frac.denom)
-           for b in range(n)] for a in range(n)] for c in range(n)]
-    gens = ring.gens
-    dD = [D.diff(gens[k]) for k in range(n)]
-    return N, D, dD
+    D = _common_denominator([e for plane in arrays for row in plane
+                             for e in row])
+    zero = D.ring.zero
+    N = [[[e.frac.numer * D.quo(e.frac.denom) if e else zero for e in row]
+          for row in plane] for plane in arrays]
+    return N, D, [D.diff(x) for x in D.ring.gens]
 
 
-def _is_polynomial_connection(conn):
-    return all(e.is_polynomial() for plane in conn.gamma for row in plane
-               for e in row)
+def _matmul(X, Y):
+    """Product of two matrices of polynomials, skipping zero entries."""
+    zero = X[0][0].ring.zero
+    out = []
+    for row in X:
+        acc = [zero] * len(Y[0])
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(Y[k]):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def _matrix_curvature(chart, mats):
+    """F_ab = d_a A_b - d_b A_a + A_a A_b - A_b A_a of the square matrices
+    A_a of RationalExpr, one per coordinate, as {(a, b): F_ab} for a < b
+    (0-based).
+
+    With (A_a)^c_d = Gamma^c_ad this is R_ab{}^c{}_d; with the matrices of
+    the prolonged connection it is that connection's curvature.  Over the
+    common denominator D of all entries, A_a = N_a / D and
+
+        F_ab = (D (d_a N_b - d_b N_a) - N_b d_a D + N_a d_b D
+                + N_a N_b - N_b N_a) / D^2,
+
+    so each entry costs one cancellation against D^2.
+    """
+    N, D, dD = _over_common(mats)
+    gens = D.ring.gens
+    field = chart._field
+    D2 = D * D
+    size = range(len(mats[0]))
+    out = {}
+    for a, b in combinations(range(len(mats)), 2):
+        Na, Nb = N[a], N[b]
+        ab, ba = _matmul(Na, Nb), _matmul(Nb, Na)
+        out[(a, b)] = [[RationalExpr(chart, field.new(
+            D * (Nb[i][j].diff(gens[a]) - Na[i][j].diff(gens[b]))
+            - Nb[i][j] * dD[a] + Na[i][j] * dD[b] + ab[i][j] - ba[i][j], D2))
+            for j in size] for i in size]
+    return out
 
 
 def ricci(conn):
-    """Ricci tensor R_ab = d_c G^c_ab - d_a G^c_cb + G^c_cd G^d_ab - G^c_ad G^d_cb."""
+    """Ricci tensor R_ab = d_c G^c_ab - d_a G^c_cb + G^c_cd G^d_ab - G^c_ad G^d_cb,
+    assembled over the common denominator of the Christoffel symbols."""
     chart = conn.chart
     n = chart.dim
-    g = conn.gamma
-    if _is_polynomial_connection(conn):
-        comps = []
-        for a in range(n):
-            for b in range(n):
-                val = chart.zero
-                for c in range(n):
-                    val = val + g[c][a][b].diff(c + 1) - g[c][c][b].diff(a + 1)
-                    for d in range(n):
-                        val = val + g[c][c][d] * g[d][a][b] - g[c][a][d] * g[d][c][b]
-                comps.append(val)
-        return TensorField(chart, ("d", "d"), comps)
-    N, D, dD = _gamma_common(conn)
+    N, D, dD = _over_common(conn.gamma)
     ring = chart._ring
     gens = ring.gens
     field = chart._field
@@ -309,33 +333,21 @@ def specialize(conn, beta=None):
 
 
 def full_curvature(conn):
-    """R_ab{}^c{}_d with the package's sign convention."""
+    """R_ab{}^c{}_d with the package's sign convention: the matrix
+    curvature of A_a = (Gamma^c_ad)."""
     chart = conn.chart
     n = chart.dim
     g = conn.gamma
-    if _is_polynomial_connection(conn):
-        comps = []
-        for a, b, c, d in product(range(n), repeat=4):
-            val = g[c][b][d].diff(a + 1) - g[c][a][d].diff(b + 1)
-            for e in range(n):
-                val = val + g[c][a][e] * g[e][b][d] - g[c][b][e] * g[e][a][d]
-            comps.append(val)
-        return TensorField(chart, ("d", "d", "u", "d"), comps)
-    N, D, dD = _gamma_common(conn)
-    ring = chart._ring
-    gens = ring.gens
-    field = chart._field
-    D2 = D * D
+    F = _matrix_curvature(chart, [[[g[c][a][d] for d in range(n)]
+                                   for c in range(n)] for a in range(n)])
     comps = []
     for a, b, c, d in product(range(n), repeat=4):
-        if a == b:
+        if a < b:
+            comps.append(F[(a, b)][c][d])
+        elif a > b:
+            comps.append(-F[(b, a)][c][d])
+        else:
             comps.append(chart.zero)
-            continue
-        num = N[c][b][d].diff(gens[a]) * D - N[c][b][d] * dD[a] \
-            - N[c][a][d].diff(gens[b]) * D + N[c][a][d] * dD[b]
-        for e in range(n):
-            num = num + N[c][a][e] * N[e][b][d] - N[c][b][e] * N[e][a][d]
-        comps.append(RationalExpr(chart, field.new(num, D2)))
     return TensorField(chart, ("d", "d", "u", "d"), comps)
 
 
@@ -366,26 +378,13 @@ def cotton_york(conn, schouten):
     """Y_abc = (grad_a P_bc - grad_b P_ac)/2."""
     chart = conn.chart
     n = chart.dim
-    if _is_polynomial_connection(conn) and all(e.is_polynomial()
-                                               for e in schouten.comps):
-        dp = covariant_derivative(schouten, conn)
-        half = chart.const(Fraction(1, 2))
-        comps = [half * (dp.get(a, b, c) - dp.get(b, a, c))
-                 for a, b, c in product(range(n), repeat=3)]
-        return TensorField(chart, ("d", "d", "d"), comps)
-    # rational data: assemble grad P over the product of the two common
-    # denominators so each component cancels once
-    ring = chart._ring
-    gens = ring.gens
+    # assemble grad P over the product of the two common denominators so
+    # each component cancels once
+    gens = chart._ring.gens
     field = chart._field
-    N, D, dD = _gamma_common(conn)
-    DP = ring.one
-    for e in schouten.comps:
-        g = DP.gcd(e.frac.denom)
-        DP = DP.quo(g) * e.frac.denom
-    PN = [[schouten.get(a, b).frac.numer * DP.quo(schouten.get(a, b).frac.denom)
-           for b in range(n)] for a in range(n)]
-    dDP = [DP.diff(gens[k]) for k in range(n)]
+    N, D, _ = _over_common(conn.gamma)
+    (PN,), DP, dDP = _over_common([[[schouten.get(a, b) for b in range(n)]
+                                    for a in range(n)]])
     den = D * DP * DP
 
     def grad_num(a, b, c):

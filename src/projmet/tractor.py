@@ -3,9 +3,12 @@
 Solutions of the metrizability equation correspond to covariant constant
 sections of T = Sym^2 TM + TM + R.  The connection used here is the tractor
 connection modified by curvature terms (the W term in the middle slot, the
-Cotton-York term in the bottom slot); `modified=False` switches those terms
-off and yields the plain tractor connection, so the difference of the two
-operators can be tested directly.
+Cotton-York term in the bottom slot).  It is stored as matrices A_a on
+packed components, and its curvature is F_ab = d_a A_b - d_b A_a
++ [A_a, A_b] of those matrices.  On field sections, `modified=False`
+switches the curvature terms off and yields the plain tractor connection,
+so the difference of the two operators, and the commutator of two
+covariant derivatives, can be tested directly against the matrices.
 
 Sections are triples (sigma^{bc}, mu^b, rho).  Field-valued sections use
 TensorField components; point-valued sections are packed into vectors of
@@ -17,6 +20,7 @@ from itertools import product
 
 from .errors import NotSpecial, ShapeError
 from .exprcore import DifferentialForm
+from .projconn import _matrix_curvature
 from .tensorfield import TensorField, covariant_derivative
 
 __all__ = [
@@ -306,10 +310,8 @@ def top_slot_curvature_formula(data, sigma, a, b):
 class TractorCurvature:
     """Curvature action per antisymmetric index pair as N x N matrices.
 
-    The top block comes from the closed formula, the remaining rows from the
-    commutator of two covariant derivatives applied to the constant basis
-    sections; both realisations agree (tested) and are antisymmetric in the
-    index pair.
+    `action` maps each pair a < b to F_ab = d_a A_b - d_b A_a + [A_a, A_b]
+    of the connection matrices; `matrix` extends it antisymmetrically.
     """
 
     __slots__ = ("chart", "action")
@@ -337,30 +339,11 @@ class TractorCurvature:
         return [[Fraction(e.evaluate(point)) for e in row] for row in self.matrix(a, b)]
 
 
-def tractor_curvature(conn, data, modified=True):
-    """Curvature of the (modified) tractor connection as stored matrices."""
-    _check_special(conn)
-    chart = conn.chart
-    n = chart.dim
-    pairs = sym_pairs(n)
-    N = section_dim(n)
-    basis = section_basis(chart)
-    columns = [curvature_on_section(conn, data, s, modified) for s in basis]
-    action = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            mat = [[chart.zero] * N for _ in range(N)]
-            for j, per_pair in enumerate(columns):
-                top_c, mid_c, bot_c = per_pair[(a, b)]
-                if modified:
-                    top_c = top_slot_curvature_formula(data, basis[j].sigma, a, b)
-                for k, (i1, i2) in enumerate(pairs):
-                    mat[k][j] = top_c.get(i1, i2)
-                for i in range(n):
-                    mat[len(pairs) + i][j] = mid_c.get(i)
-                mat[N - 1][j] = bot_c.get()
-            action[(a, b)] = mat
-    return TractorCurvature(chart, action)
+def tractor_curvature(conn, data):
+    """Curvature of the modified tractor connection as stored matrices."""
+    return TractorCurvature(conn.chart,
+                            _matrix_curvature(conn.chart,
+                                              connection_matrices(conn, data)))
 
 
 def transform_section(section, upsilon):
@@ -395,7 +378,7 @@ def transform_values(n, values, upsilon_values):
     return pack_values(n, sigma, new_mu, new_rho)
 
 
-def connection_matrices(conn, data, modified=True):
+def connection_matrices(conn, data):
     """Matrices A_a with (D_a s) = d_a s + A_a s on packed components.
 
     Columns are the covariant derivatives of the constant basis sections.
@@ -405,12 +388,12 @@ def connection_matrices(conn, data, modified=True):
     n = chart.dim
     pairs = sym_pairs(n)
     N = section_dim(n)
-    basis = section_basis(chart)
     mats = []
     for a in range(n):
         mats.append([[chart.zero] * N for _ in range(N)])
-    for j, s in enumerate(basis):
-        top, mid, bot = tractor_derivative(conn, data, s, modified)
+    for j, s in enumerate(section_basis(chart)):
+        top, mid, bot = _derivative_triple(conn, data, s.sigma, s.mu, s.rho,
+                                           True)
         for a in range(n):
             for k, (i1, i2) in enumerate(pairs):
                 mats[a][k][j] = top.get(a, i1, i2)

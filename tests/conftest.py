@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from projmet import (AffineConnection, Chart, TensorField,
-                     covariant_derivative)
+                     covariant_derivative, levi_civita)
 
 
 def rand_fraction(rng, bound=3, den=4):
@@ -79,6 +79,16 @@ def rand_metric(n, rng, scale=Fraction(1, 4), max_degree=2):
             val = val + pert[(min(i, j), max(i, j))]
             comps.append(val)
     return TensorField(chart, ("d", "d"), comps)
+
+
+def warped_product_connection():
+    """Levi-Civita connection of dx1^2 + (1 + x1^2/4) dx2^2 + dx3^2, whose
+    curvature is not constant, so its projective class is not flat."""
+    chart = Chart(3)
+    x1 = chart.var(1)
+    one, z = chart.one, chart.zero
+    return levi_civita(TensorField(chart, ("d", "d"), [
+        one, z, z, z, one + x1 * x1 / 4, z, z, z, one]))
 
 
 def rand_vector_field(chart, rng, max_degree=2):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from projmet import Chart, TensorField, constant_curvature_check, levi_civita
+from projmet import constant_curvature_check
 from projmet import pipeline
 from projmet.cli import main
 from projmet.metricize import sampled_constant_curvature
@@ -21,6 +21,8 @@ from projmet.models import (klein_connection, sphere_gnomonic_connection,
                             sphere_stereographic_connection)
 from projmet.pipeline import analyze_connection, fr_str
 from projmet.projconn import ricci
+
+from conftest import warped_product_connection
 
 
 def _options(max_order, samples=4):
@@ -44,16 +46,6 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
-def _warped_product_connection():
-    """Levi-Civita connection of dx1^2 + (1 + x1^2/4) dx2^2 + dx3^2, whose
-    curvature is not constant, so its projective class is not flat."""
-    chart = Chart(3)
-    x1 = chart.var(1)
-    one, z = chart.one, chart.zero
-    return levi_civita(TensorField(chart, ("d", "d"), [
-        one, z, z, z, one + x1 * x1 / 4, z, z, z, one]))
-
-
 def test_stereographic_truncated_candidates_have_constant_curvature():
     """Order 10 is the smallest at which a truncated candidate of the
     round sphere verifies; each has the curvature of a rescaled sphere."""
@@ -72,7 +64,7 @@ def test_stereographic_truncated_candidates_have_constant_curvature():
 @pytest.mark.parametrize("conn, max_order", [
     (klein_connection(3), 6),
     (sphere_gnomonic_connection(2), 8),
-    (_warped_product_connection(), 6),
+    (warped_product_connection(), 6),
 ], ids=["klein3", "gnomonic2", "warped3"])
 def test_exact_entries_match_curvature_field(conn, max_order, monkeypatch):
     """The flag and kappa of every verified exact candidate are what the

@@ -1,13 +1,17 @@
 """Connections, curvature decomposition and the volume gauge."""
 
+import json
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from pathlib import Path
 
 import pytest
 
 from projmet import (AffineConnection, Chart, NotSpecial, beta_form,
-                     bianchi_contracted_check, decompose_curvature,
-                     full_curvature, projective_change, ricci, specialize)
+                     bianchi_contracted_check, covariant_derivative,
+                     decompose_curvature, full_curvature, projective_change,
+                     ricci, specialize)
+from projmet.cli import parse_spec
 from projmet.models import (flat_connection, klein_connection, klein_metric,
                             sphere_stereographic_connection,
                             sphere_stereographic_metric)
@@ -15,7 +19,24 @@ from projmet.projconn import _schouten_and_weyl, cotton_york
 
 from conftest import (rand_exact_oneform, rand_metric, rand_poly,
                       rand_special_connection, rand_vector_field,
-                      ricci_by_commutator)
+                      ricci_by_commutator, warped_product_connection)
+
+DATA = Path(__file__).parent / "data"
+
+
+def _curved_rational_special(n):
+    """A curved special connection with non-polynomial Christoffel symbols:
+    the specialised D3 Liouville input (n = 2) or warped product (n = 3)."""
+    if n == 2:
+        doc = json.loads((DATA / "liouville_d3.json").read_text())
+        conn = parse_spec(doc)[0]
+    else:
+        conn = warped_product_connection()
+    special = specialize(conn)[0]
+    assert not all(e.is_polynomial() for plane in special.gamma
+                   for row in plane for e in row)
+    assert not full_curvature(special).is_zero()
+    return special
 
 
 def test_flat_ricci_zero():
@@ -77,8 +98,9 @@ def test_ricci_against_commutator_oracle(n, rng):
     checked on random vector fields; the oracle uses only the covariant
     derivative."""
     chart = Chart(n)
-    for _ in range(4):
-        conn = rand_special_connection(n, rng)
+    conns = chain((rand_special_connection(n, rng) for _ in range(4)),
+                  [_curved_rational_special(n)])
+    for conn in conns:
         r = ricci(conn)
         x = rand_vector_field(chart, rng)
         lhs = ricci_by_commutator(conn, x)
@@ -267,10 +289,25 @@ def test_klein3_weyl_zero_and_schouten():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_bianchi_contracted(n, rng):
-    for _ in range(3):
-        conn = rand_special_connection(n, rng)
+    conns = chain((rand_special_connection(n, rng) for _ in range(3)),
+                  [_curved_rational_special(n)])
+    for conn in conns:
         data = decompose_curvature(conn)
         assert bianchi_contracted_check(data, conn).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cotton_york_is_antisymmetrised_grad_schouten(n, rng):
+    """2 Y_abc = grad_a P_bc - grad_b P_ac, with grad P from
+    covariant_derivative instead of the common-denominator assembly."""
+    conns = chain((rand_special_connection(n, rng) for _ in range(3)),
+                  [_curved_rational_special(n)])
+    for conn in conns:
+        data = decompose_curvature(conn)
+        dp = covariant_derivative(data.schouten, conn)
+        for a, b, c in product(range(n), repeat=3):
+            assert 2 * data.cotton_york.get(a, b, c) == \
+                dp.get(a, b, c) - dp.get(b, a, c)
 
 
 def test_weyl_projective_invariance_and_cotton_york_law(rng):

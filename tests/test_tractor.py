@@ -308,3 +308,32 @@ def test_section_basis_roundtrip():
     for k, sec in enumerate(basis):
         vals = sec.values_at([0, 0, 0])
         assert vals[k] == 1 and sum(abs(v) for v in vals) == 1
+
+
+def test_tractor_curvature_is_curvature_of_the_matrices(monkeypatch):
+    """The stored curvature is F_ab of the connection matrices: no
+    commutator of second derivatives is built, and the matrices check the
+    gauge once for all N basis sections."""
+    import projmet.tractor as tractor
+
+    special, _, _ = specialize(sphere_stereographic_connection(2))
+    data = decompose_curvature(special)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("commutator of second derivatives built")
+
+    monkeypatch.setattr(tractor, "curvature_on_section", forbidden)
+    monkeypatch.setattr(tractor, "tractor_second_derivative", forbidden)
+    checks = []
+    is_special = AffineConnection.is_special
+
+    def counted(self):
+        checks.append(self)
+        return is_special(self)
+
+    monkeypatch.setattr(AffineConnection, "is_special", counted)
+    connection_matrices(special, data)
+    assert len(checks) == 1
+    assert tractor_curvature(special, data).is_zero()
+    conn = nonmetrizable_witness()
+    assert not tractor_curvature(conn, decompose_curvature(conn)).is_zero()
