@@ -102,11 +102,14 @@ def parse_spec(doc):
         raise ParseError(f"bad base_point {base!r}")
 
     opts = dict(doc.get("options") or {})
-    options = {
-        "max_order": int(opts.get("max_order", 2 * n + 4)),
-        "samples": int(opts.get("samples", 5)),
-        "tolerance": float(opts.get("tolerance", 1e-8)),
-    }
+    try:
+        options = {
+            "max_order": int(opts.get("max_order", 2 * n + 4)),
+            "samples": int(opts.get("samples", 5)),
+            "tolerance": float(opts.get("tolerance", 1e-8)),
+        }
+    except (TypeError, ValueError):
+        raise ParseError(f"bad options {opts!r}")
     echo = {
         "dimension": n,
         "variables": list(names),
@@ -118,11 +121,19 @@ def parse_spec(doc):
     return conn, base_point, options, echo
 
 
+def _check_order(options):
+    """The jet solve needs order 2 at least; a lower one is an input error."""
+    if options["max_order"] < 2:
+        raise ParseError(
+            f"max_order must be at least 2, got {options['max_order']}")
+
+
 def run_analysis(spec_path, options_override=None, report_path=None):
     """Spec file in, report dict and exit code out; optionally writes JSON."""
     conn, base_point, options, echo = load_spec(spec_path)
     if options_override:
         options.update({k: v for k, v in options_override.items() if v is not None})
+    _check_order(options)
     report, code = analyze_connection(conn, base_point, options, echo)
     if report_path:
         with open(report_path, "w") as fh:
@@ -159,6 +170,7 @@ def _cmd_mobility(args):
     conn, base_point, options, echo = load_spec(args.spec)
     if args.max_order is not None:
         options["max_order"] = args.max_order
+    _check_order(options)
     report = {"schema": SCHEMA_VERSION, "input": echo, "warnings": []}
     gauge = specialize_or_obstructed(conn, report)
     if gauge is None:

@@ -2,7 +2,8 @@
 
 The jet solver works in shifted coordinates u = x - p.  Series are plain
 dicts {exponent tuple: Fraction}, truncated at a fixed total order; all
-operations stay in Q so rank decisions downstream remain exact.
+operations stay in Q so rank decisions downstream remain exact.  Values at
+a rational point come from exprcore's integer point evaluator.
 """
 
 from fractions import Fraction
@@ -10,6 +11,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import PoleAtBasePoint
+from .exprcore import _scaled_point, _scaled_value
 
 __all__ = [
     "monomials_of_order",
@@ -117,16 +119,13 @@ def series_diff(a, var):
 
 
 def series_eval(a, point):
-    """Exact value at a rational point (coordinates of u)."""
-    total = Fraction(0)
-    pt = [Fraction(p) for p in point]
-    for k, v in a.items():
-        term = v
-        for e, x in zip(k, pt):
-            if e:
-                term *= x ** e
-        total += term
-    return total
+    """Exact value at a rational point (coordinates of u), summed in int by
+    the point evaluation kernel of exprcore."""
+    if not a:
+        return Fraction(0)
+    powers, lpow = _scaled_point([Fraction(p) for p in point], a)
+    s, q, _ = _scaled_value(a, powers, lpow)
+    return Fraction(s, q * lpow[-1])
 
 
 def _shift_powers(value, exponent, max_order):

@@ -15,16 +15,19 @@ gcd(c, b) are taken, each skipped when one side is a constant.  For
 a/b + c/d with b = d only gcd(a + c, b) is taken; otherwise g = gcd(b, d),
 and when g is not 1 only t = a(d/g) + c(b/g) is reduced against g.  A
 polynomial sum or product, or a product with a constant, takes no gcd at
-all.  What is left is to scale the pair by one rational number to the
-canonical integer form.  Evaluation at a rational point scales the point
-to integers over the lcm L of its denominators and sums each term times
-the power of L that lifts it to the common degree, all in `int`.
+all; `diff` takes at most two (see there).  What is left is to scale the
+pair by one rational number to the canonical integer form.  One point
+evaluator serves `evaluate`, `jet` (value and first partials) and
+`exactseries.series_eval`: it scales the point to integers over the lcm L
+of its denominators and lifts every term to one common degree in `int`.
 
 Also provides low-degree differential forms, exterior differentiation, the
 radial homotopy operator that trivialises closed polynomial forms on a
 star-shaped chart, and the potentials of exact rational 1-forms: one exact
 linear solve for a rational part, a polynomial and the logarithms of the
-denominator's irreducible factors, sized by total degrees.
+denominator's irreducible factors, sized by total degrees.  The float
+cross-checks (geodesics, parallel transport) compile entries with
+`compile_numeric` and share one Runge-Kutta step.
 """
 
 from fractions import Fraction
@@ -170,20 +173,46 @@ def _powers(x, top):
     return table
 
 
-def _scaled_value(poly, powers, lpow, deg):
-    """(s, q) with poly(X / L) = s / (q * L^deg): the powers of the integer
-    point X and of L come from the tables, q clears the coefficients."""
-    q = lcm(*[c.denominator for c in poly.values()])
+def _scaled_point(point, monoms):
+    """Power tables for evaluating polynomials with the exponent tuples
+    `monoms` at `point` = X / L, where L is the lcm of the coordinate
+    denominators and X is integer: per coordinate X_k^0..X_k^top, and
+    L^0..L^deg for the largest total degree deg of the monomials."""
+    scale = lcm(*[v.denominator for v in point])
+    powers = [_powers(v.numerator * (scale // v.denominator), top)
+              for v, top in zip(point, map(max, zip(*monoms)))]
+    return powers, _powers(scale, max(map(sum, monoms)))
+
+
+def _scaled_value(terms, powers, lpow, partials=False):
+    """(s, q, ds) with p(X / L) = s / (q * L^deg) for the polynomial p given
+    by its term dict {exponent tuple: rational}, where deg = len(lpow) - 1
+    and q clears the coefficients.  With `partials`, ds[k] / (q * L^deg) is
+    the k-th first partial of p at the point; otherwise ds is None."""
+    q = lcm(*[c.denominator for c in terms.values()])
+    deg = len(lpow) - 1
     s = 0
-    for exps, c in poly.items():
-        t = c.numerator if q == 1 else c.numerator * (q // c.denominator)
+    ds = [0] * len(powers) if partials else None
+    for exps, c in terms.items():
+        coeff = c.numerator if q == 1 else c.numerator * (q // c.denominator)
+        t = coeff
         k = deg
         for table, e in zip(powers, exps):
             if e:
                 t *= table[e]
                 k -= e
         s += t * lpow[k]
-    return s, q
+        if partials and k < deg:
+            # d/dx_i of x^e lifted to L^deg: e_i X^(e - 1_i) L^(k + 1)
+            lift = coeff * lpow[k + 1]
+            for i, e in enumerate(exps):
+                if e:
+                    g = lift * e * powers[i][e - 1]
+                    for j, (table, f) in enumerate(zip(powers, exps)):
+                        if f and j != i:
+                            g *= table[f]
+                    ds[i] += g
+    return s, q, ds
 
 
 class Chart:
@@ -377,30 +406,59 @@ class RationalExpr:
             self.frac.denom, self.chart._ring.one))
 
     def diff(self, k):
-        """Exact partial derivative with respect to x^k (1-based)."""
+        """Exact partial derivative with respect to x^k (1-based).
+
+        d(a/b) = t / b^2 with t = a'b - ab'.  A factor p^m of b that
+        involves x^k divides t exactly m - 1 times (a, b coprime), so
+        h = gcd(t, b) cancels it; a factor free of x^k is in h m times and
+        may divide t / h again, which one more gcd against h removes.
+        """
         if not 1 <= k <= self.chart.dim:
             raise ValueError(f"coordinate index {k} out of range 1..{self.chart.dim}")
-        gen = self.chart._field.gens[k - 1]
-        return RationalExpr(self.chart, self.frac.diff(gen))
+        x = self.chart._ring.gens[k - 1]
+        field = self.frac.field
+        a, b = self.frac.numer, self.frac.denom
+        if b.is_ground:
+            return RationalExpr(self.chart, _reduced(field, a.diff(x), b))
+        t = a.diff(x) * b - a * b.diff(x)
+        if not t:
+            return RationalExpr(self.chart, field.zero)
+        h, t, b1 = _cofactors(t, b)
+        if h.is_ground:
+            return RationalExpr(self.chart, _reduced(field, t, b1 * b))
+        _, t, h = _cofactors(t, h)
+        return RationalExpr(self.chart, _reduced(field, t, b1 * b1 * h))
 
-    def evaluate(self, point):
-        """Exact value at a rational point; PoleError if the denominator vanishes."""
+    def _tables(self, point):
+        """Power tables of `point` for the numerator and denominator."""
         if len(point) != self.chart.dim:
             raise ValueError(f"point must have {self.chart.dim} coordinates")
         vals = [v if isinstance(v, (int, Fraction)) else _to_qq(v) for v in point]
-        # p(x) = p(X / L) with X integer: every term is scaled to degree deg
-        scale = lcm(*[v.denominator for v in vals])
-        numer, denom = self.frac.numer, self.frac.denom
-        monoms = [*numer, *denom]
-        deg = max(map(sum, monoms))
-        powers = [_powers(v.numerator * (scale // v.denominator), top)
-                  for v, top in zip(vals, map(max, zip(*monoms)))]
-        lpow = _powers(scale, deg)
-        num, qn = _scaled_value(numer, powers, lpow, deg)
-        den, qd = _scaled_value(denom, powers, lpow, deg)
+        return _scaled_point(vals, [*self.frac.numer, *self.frac.denom])
+
+    def evaluate(self, point):
+        """Exact value at a rational point; PoleError if the denominator vanishes."""
+        powers, lpow = self._tables(point)
+        num, qn, _ = _scaled_value(self.frac.numer, powers, lpow)
+        den, qd, _ = _scaled_value(self.frac.denom, powers, lpow)
         if not den:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
         return Fraction(num * qd, den * qn)
+
+    def jet(self, point):
+        """Exact value and first partials [d_1, .., d_n] at a rational point,
+        by the quotient rule on the integer sums; PoleError if the
+        denominator vanishes."""
+        powers, lpow = self._tables(point)
+        num, qn, dnum = _scaled_value(self.frac.numer, powers, lpow, True)
+        den, qd, dden = _scaled_value(self.frac.denom, powers, lpow, True)
+        if not den:
+            raise PoleError(f"denominator vanishes at {tuple(point)}")
+        # (N/D)' = (N'D - ND') / D^2; every sum is over the same q L^deg
+        scale = qn * den * den
+        return Fraction(num * qd, den * qn), [
+            Fraction((dn * den - num * dd) * qd, scale)
+            for dn, dd in zip(dnum, dden)]
 
     def poly_terms(self):
         """[(exponent tuple, Fraction coeff)] of a polynomial expression."""
@@ -449,6 +507,28 @@ def compile_numeric(expr):
         return ev_terms(num, x) / d
 
     return fn
+
+
+def _compile_nonzero(entries):
+    """Nested lists of RationalExpr -> the same nesting of `compile_numeric`
+    callables, with None for the zero entries."""
+    if isinstance(entries, RationalExpr):
+        return None if entries.is_zero() else compile_numeric(entries)
+    return [_compile_nonzero(e) for e in entries]
+
+
+def _rk4_step(rhs, t, y, h):
+    """One classical fourth-order Runge-Kutta step of y' = rhs(t, y) on a
+    list of floats."""
+    k1 = rhs(t, y)
+    s2 = [a + h / 2 * b for a, b in zip(y, k1)]
+    k2 = rhs(t + h / 2, s2)
+    s3 = [a + h / 2 * b for a, b in zip(y, k2)]
+    k3 = rhs(t + h / 2, s3)
+    s4 = [a + h * b for a, b in zip(y, k3)]
+    k4 = rhs(t + h, s4)
+    return [a + h / 6 * (p + 2 * q + 2 * r + s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ the whole reconstruction inside the rational-function field.
 Also here: the Levi-Civita characterisation used as the acceptance check,
 the sampled projective-equivalence defect, the metric decomposition of the
 Riemann tensor, constant-curvature detection, and the numeric comparison of
-unparameterised geodesics.
+unparameterised geodesics.  The checks at points (`sampled_lc_residual`,
+`kappa_at`) take exact values and first partials from `RationalExpr.jet`
+and build no derivative fields; the geodesics use the Runge-Kutta step
+that parallel transport in `mobility` uses too.
 """
 
 import csv
@@ -20,7 +23,8 @@ from itertools import product
 from .errors import (DegenerateMetric, DegenerateSigma, DimensionTooSmall,
                      PoleError, PoleOnPath, ShapeError, StepUnderflow)
 from .exactlinalg import adjugate, leibniz_det, symmetric_signature
-from .exprcore import DifferentialForm, Potential, compile_numeric
+from .exprcore import (DifferentialForm, Potential, _compile_nonzero,
+                       _rk4_step)
 # projective_equivalence lives in projconn, where specialize checks it; it
 # stays importable from here with the other verification checks
 from .projconn import (AffineConnection, _schouten_and_weyl, _trace_upsilon,
@@ -249,28 +253,29 @@ def sampled_lc_residual(conn, g_up, samples):
     """Pointwise Levi-Civita defect of (conn, g) at sample points.
 
     Largest entry of the trace-free part of grad g and of the volume
-    residual, all evaluated numerically.
+    residual, evaluated numerically from the exact values and first
+    partials of the symmetric g^{ab} at each point.
     """
     import numpy as np
 
-    chart = conn.chart
-    n = chart.dim
+    n = conn.chart.dim
     worst = 0.0
-    dg_fields = {}
-    for a in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                dg_fields[(a, i, j)] = g_up.get(i, j).diff(a + 1)
     for pt in samples:
         pt = [Fraction(v) for v in pt]
-        gv = np.array(_eval_matrix(g_up, pt))
+        # exact value and first partials of each entry of the symmetric g
+        jets = {}
+        for i in range(n):
+            for j in range(i, n):
+                jets[(i, j)] = jets[(j, i)] = g_up.get(i, j).jet(pt)
+        gv = np.array([[float(jets[(i, j)][0]) for j in range(n)]
+                       for i in range(n)])
         gam = [[[float(conn.gamma[c][a][b].evaluate(pt)) for b in range(n)]
                 for a in range(n)] for c in range(n)]
         nabla = [[[0.0] * n for _ in range(n)] for _ in range(n)]
         for a in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    val = float(dg_fields[(a, i, j)].evaluate(pt))
+                    val = float(jets[(i, j)][1][a])
                     for e in range(n):
                         val += gam[i][a][e] * gv[e][j] + gam[j][a][e] * gv[i][e]
                     nabla[a][i][j] = val
@@ -289,8 +294,8 @@ def sampled_lc_residual(conn, g_up, samples):
         ginv = np.linalg.inv(gv)
         for a in range(n):
             t_a = sum(gam[b][a][b] for b in range(n))
-            dg_a = np.array([[float(dg_fields[(a, min(i, j), max(i, j))].evaluate(pt))
-                              for j in range(n)] for i in range(n)])
+            dg_a = np.array([[float(jets[(i, j)][1][a]) for j in range(n)]
+                             for i in range(n)])
             val = t_a + 0.5 * float(np.trace(ginv @ dg_a))
             worst = max(worst, abs(val))
     return worst
@@ -584,42 +589,6 @@ def constant_curvature_check(g_down, samples=(), conn=None, g_up=None):
     return worst <= 1e-9, kappa, worst
 
 
-def _value_and_gradient(terms, point):
-    """Value and first partials at `point` of the polynomial sum c x^e."""
-    n = len(point)
-    val = Fraction(0)
-    grad = [Fraction(0)] * n
-    for exps, c in terms:
-        powers = [x ** e for x, e in zip(point, exps)]
-        term = c
-        for p in powers:
-            term *= p
-        val += term
-        for k, e in enumerate(exps):
-            if e:
-                part = c * e * point[k] ** (e - 1)
-                for j, p in enumerate(powers):
-                    if j != k:
-                        part *= p
-                grad[k] += part
-    return val, grad
-
-
-def _jet_at(expr, point):
-    """Value and first partials of a rational function at a rational point,
-    by the quotient rule on its numerator and denominator polynomials."""
-    n = len(point)
-    if expr.is_zero():
-        return Fraction(0), [Fraction(0)] * n
-    num, dnum = _value_and_gradient(expr.numer_terms(), point)
-    den, dden = _value_and_gradient(expr.denom_terms(), point)
-    if not den:
-        raise PoleError(f"denominator vanishes at {tuple(point)}")
-    den2 = den * den
-    return num / den, [(dn * den - num * dd) / den2
-                       for dn, dd in zip(dnum, dden)]
-
-
 def kappa_at(conn, g_up, point):
     """kappa = R / (n(n-1)) of the pair (conn, g^{ab}) at one rational point,
     exactly in Q.
@@ -635,7 +604,7 @@ def kappa_at(conn, g_up, point):
     for c in range(n):
         for a in range(n):
             for b in range(a, n):
-                val, grad = _jet_at(conn.gamma[c][a][b], pt)
+                val, grad = conn.gamma[c][a][b].jet(pt)
                 gam[c][a][b] = gam[c][b][a] = val
                 dgam[c][a][b] = dgam[c][b][a] = grad
     # R_ab = d_c G^c_ab - d_a G^c_cb + G^c_cd G^d_ab - G^c_ad G^d_cb
@@ -657,13 +626,6 @@ def kappa_at(conn, g_up, point):
 # unparameterised geodesic comparison
 # ---------------------------------------------------------------------------
 
-def _compile_gamma(conn):
-    n = conn.dim
-    return [[[None if conn.gamma[c][a][b].is_zero()
-              else compile_numeric(conn.gamma[c][a][b])
-              for b in range(n)] for a in range(n)] for c in range(n)]
-
-
 def _gamma_quad(compiled, n, x, v):
     """Gamma^c_ab v^a v^b for compiled symbols."""
     out = [0.0] * n
@@ -683,30 +645,21 @@ def _gamma_quad(compiled, n, x, v):
     return out
 
 
-def _geodesic_rhs(compiled, n, state):
-    x, v = state[:n], state[n:]
-    acc = _gamma_quad(compiled, n, x, v)
-    return v + [-a for a in acc]
+def _geodesic_rhs(compiled, n):
+    """Right-hand side (x, v)' = (v, -Gamma(v, v)) of the geodesic flow."""
+    def rhs(t, state):
+        x, v = state[:n], state[n:]
+        acc = _gamma_quad(compiled, n, x, v)
+        return v + [-a for a in acc]
+    return rhs
 
 
-def _rk4_step(compiled, n, cur, h):
-    k1 = _geodesic_rhs(compiled, n, cur)
-    s2 = [a + h / 2 * b for a, b in zip(cur, k1)]
-    k2 = _geodesic_rhs(compiled, n, s2)
-    s3 = [a + h / 2 * b for a, b in zip(cur, k2)]
-    k3 = _geodesic_rhs(compiled, n, s3)
-    s4 = [a + h * b for a, b in zip(cur, k3)]
-    k4 = _geodesic_rhs(compiled, n, s4)
-    return [a + h / 6 * (p + 2 * q + 2 * r + s)
-            for a, p, q, r, s in zip(cur, k1, k2, k3, k4)]
-
-
-def _rk4_path(compiled, n, state, t_end, steps):
+def _rk4_path(rhs, n, state, t_end, steps):
     h = t_end / steps
     cur = list(state)
     trace = [(0.0, cur[:n])]
     for k in range(steps):
-        cur = _rk4_step(compiled, n, cur, h)
+        cur = _rk4_step(rhs, k * h, cur, h)
         trace.append(((k + 1) * h, cur[:n]))
     return cur, trace
 
@@ -714,16 +667,16 @@ def _rk4_path(compiled, n, state, t_end, steps):
 def integrate_geodesic(conn, point, direction, t_end=1.0, tol=1e-10):
     """Geodesic of conn from (point, direction), adaptive step doubling."""
     n = conn.dim
-    compiled = _compile_gamma(conn)
+    rhs = _geodesic_rhs(_compile_nonzero(conn.gamma), n)
     state = [float(v) for v in point] + [float(v) for v in direction]
     steps = 16
     try:
-        prev, _ = _rk4_path(compiled, n, state, t_end, steps)
+        prev, _ = _rk4_path(rhs, n, state, t_end, steps)
     except PoleError as exc:
         raise PoleOnPath(str(exc)) from exc
     while True:
         steps *= 2
-        cur, trace = _rk4_path(compiled, n, state, t_end, steps)
+        cur, trace = _rk4_path(rhs, n, state, t_end, steps)
         err = max(abs(a - b) for a, b in zip(cur, prev))
         if err <= tol * max(1.0, max(abs(v) for v in cur)):
             return cur, trace
@@ -743,8 +696,9 @@ def geodesic_compare(c1, c2, seeds, tol=1e-10, t_end=1.0, trace_samples=32):
     n = c1.dim
     if c2.dim != n:
         raise ShapeError("connections have different dimensions")
-    comp1 = _compile_gamma(c1)
-    comp2 = _compile_gamma(c2)
+    comp1 = _compile_nonzero(c1.gamma)
+    comp2 = _compile_nonzero(c2.gamma)
+    rhs1 = _geodesic_rhs(comp1, n)
     worst = 0.0
     traces = []
     for point, direction in seeds:
@@ -767,7 +721,7 @@ def geodesic_compare(c1, c2, seeds, tol=1e-10, t_end=1.0, trace_samples=32):
                 trans = [d - proj * w for d, w in zip(diff, v)]
                 mag = max(abs(t) for t in trans) / v2
                 worst = max(worst, mag)
-            cur = _rk4_step(comp1, n, cur, h)
+            cur = _rk4_step(rhs1, k * h, cur, h)
     return worst, traces
 
 

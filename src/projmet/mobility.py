@@ -27,7 +27,7 @@ from .errors import NotSpecial, PoleError, PoleOnPath, StepUnderflow
 from .exactlinalg import nullspace
 from .exactseries import (monomials_of_order, rational_to_series, series_diff,
                           series_eval)
-from .exprcore import compile_numeric
+from .exprcore import _compile_nonzero, _rk4_step
 from .projconn import decompose_curvature
 from .tractor import connection_matrices, section_dim
 
@@ -289,16 +289,6 @@ def residual(jets, series, sample_points):
 # numeric parallel transport
 # ---------------------------------------------------------------------------
 
-def _compile_matrices(mats):
-    compiled = []
-    for mat in mats:
-        rows = []
-        for row in mat:
-            rows.append([None if e.is_zero() else compile_numeric(e) for e in row])
-        compiled.append(rows)
-    return compiled
-
-
 def _apply(compiled, n, N, x, velocity, s):
     """-(sum_a v_a A_a(x)) s for float state s."""
     out = [0.0] * N
@@ -321,22 +311,15 @@ def _apply(compiled, n, N, x, velocity, s):
 
 def _rk4_segment(compiled, n, N, start, end, s, steps):
     delta = [e - b for e, b in zip(end, start)]
+
+    def rhs(t, state):
+        x = [b + t * d for b, d in zip(start, delta)]
+        return _apply(compiled, n, N, x, delta, state)
+
     h = 1.0 / steps
     state = list(s)
     for k in range(steps):
-        t0 = k * h
-        x0 = [b + t0 * d for b, d in zip(start, delta)]
-        xm = [b + (t0 + h / 2) * d for b, d in zip(start, delta)]
-        x1 = [b + (t0 + h) * d for b, d in zip(start, delta)]
-        k1 = _apply(compiled, n, N, x0, delta, state)
-        s2 = [v + h / 2 * w for v, w in zip(state, k1)]
-        k2 = _apply(compiled, n, N, xm, delta, s2)
-        s3 = [v + h / 2 * w for v, w in zip(state, k2)]
-        k3 = _apply(compiled, n, N, xm, delta, s3)
-        s4 = [v + h * w for v, w in zip(state, k3)]
-        k4 = _apply(compiled, n, N, x1, delta, s4)
-        state = [v + h / 6 * (a + 2 * b + 2 * c + e)
-                 for v, a, b, c, e in zip(state, k1, k2, k3, k4)]
+        state = _rk4_step(rhs, k * h, state, h)
     return state
 
 
@@ -363,7 +346,7 @@ def parallel_transport(conn, data, path, s0, rel_tol=1e-10):
                             e.evaluate(xq)
                         except PoleError as exc:
                             raise PoleOnPath(str(exc)) from exc
-    compiled = _compile_matrices(mats)
+    compiled = _compile_nonzero(mats)
     state = [float(v) for v in s0]
     scale = max(1.0, max(abs(v) for v in state))
     for seg in range(len(path) - 1):

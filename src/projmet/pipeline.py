@@ -18,7 +18,7 @@ from .metricize import (candidate_from_metric, is_levi_civita, kappa_at,
 from .mobility import degree_of_mobility, residual
 from .projconn import beta_form, decompose_curvature, specialize
 from .tensorfield import TensorField
-from .tractor import section_dim, sym_pairs
+from .tractor import section_dim, sym_pairs, unpack_values
 
 __all__ = ["analyze_connection"]
 
@@ -93,23 +93,16 @@ def _sample_points(base_point, n, count):
 # candidate generation
 # ---------------------------------------------------------------------------
 
-def _primitive_ray(vec):
-    """Scale to coprime integers; sign fixed by the sigma block (metrics from
-    positive multiples of one solution differ by a constant rescale only)."""
-    fr = [Fraction(v) for v in vec]
-    den = lcm(*(v.denominator for v in fr))
-    ints = [int(v * den) for v in fr]
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
-
-
 def _candidate_vectors(jets, n):
-    """Deterministic initial-value candidates inside the admissible space.
+    """Deterministic initial-value candidates inside the admissible space,
+    as (vector, coordinates on the admissible basis).
 
     Basis vectors give the reporting baseline; reference candidates carry
     sigma(p) = identity, first with zero velocity slot and scanned scalar
     slot (the constant-curvature family when the structure is flat), then
-    with single offsets along the remaining freedom.
+    with single offsets along the remaining freedom.  Each vector and its
+    coordinates are scaled to its primitive integer ray, the sign fixed by
+    the sigma block (positive multiples give the same metric up to scale).
     """
     N = section_dim(n)
     d = jets.dim
@@ -118,33 +111,30 @@ def _candidate_vectors(jets, n):
     cands = []
     seen = set()
 
-    def push(vec):
+    def push(vec, coords):
         if all(v == 0 for v in vec):
             return
-        sig_mat = _sigma_matrix(vec, n)
-        pos, neg, zero = symmetric_signature(sig_mat)
-        if neg > pos:
-            vec = [-v for v in vec]
-        vec = _primitive_ray(vec)
+        pos, neg, zero = symmetric_signature(unpack_values(n, vec)[0])
+        den = lcm(*(v.denominator for v in vec))
+        scale = Fraction(den if neg <= pos else -den,
+                         gcd(*(int(v * den) for v in vec)))
+        vec = [int(v * scale) for v in vec]
         key = tuple(vec)
         if key not in seen:
             seen.add(key)
-            cands.append(vec)
+            cands.append((vec, [c * scale for c in coords]))
 
-    for col in basis:
-        push(list(col))
-
-    full_rows = [[basis[l][i] for l in range(d)] for i in range(N)]
-
-    def member(vec):
-        return solve_linear_system(full_rows, [Fraction(v) for v in vec]) is not None
+    for l, col in enumerate(basis):
+        push(list(col), [Fraction(int(k == l)) for k in range(d)])
 
     # sigma(p) = identity, mu(p) = 0, rho(p) scanned
+    full_rows = [[basis[l][i] for l in range(d)] for i in range(N)]
     ident = [Fraction(1) if i == j else Fraction(0) for i, j in pairs]
     for rho in (0, 1, -1, 2, -2):
         vec = ident + [Fraction(0)] * n + [Fraction(rho)]
-        if member(vec):
-            push(vec)
+        coords = solve_linear_system(full_rows, vec)
+        if coords is not None:
+            push(vec, coords)
 
     # sigma(p) = identity with the solver's choice of the remaining slots,
     # plus single-direction offsets
@@ -159,26 +149,13 @@ def _candidate_vectors(jets, n):
         for off in offsets:
             coeffs = [c + o for c, o in zip(part, off)]
             vec = [sum(coeffs[l] * basis[l][i] for l in range(d)) for i in range(N)]
-            push(vec)
+            push(vec, coeffs)
     return cands
 
 
-def _sigma_matrix(vec, n):
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for k, (i, j) in enumerate(sym_pairs(n)):
-        mat[i][j] = Fraction(vec[k])
-        mat[j][i] = Fraction(vec[k])
-    return mat
-
-
-def _combine_series(jets, vec):
-    """Series of the solution with the given initial values."""
-    d = jets.dim
-    coords = solve_linear_system(
-        [[jets.admissible_basis[l][i] for l in range(d)]
-         for i in range(len(vec))], [Fraction(v) for v in vec])
-    if coords is None:
-        raise ValueError("vector not in the admissible space")
+def _combine_series(jets, coords):
+    """Series of the solution with the given coordinates on the admissible
+    basis."""
     zero = Fraction(0)
     out = {}
     for l, c in enumerate(coords):
@@ -299,7 +276,7 @@ def analyze_connection(conn, base_point, options, echo=None):
 
     report["solutions"] = []
     for vec in jets.admissible_basis:
-        pos, neg, zero = symmetric_signature(_sigma_matrix(vec, n))
+        pos, neg, zero = symmetric_signature(unpack_values(n, vec)[0])
         report["solutions"].append({
             "initial_value": [fr_str(v) for v in vec],
             "sigma_signature": [pos, neg, zero],
@@ -316,8 +293,8 @@ def analyze_connection(conn, base_point, options, echo=None):
     # class is flat, and every candidate lies in the class of the input
     flat = data.weyl.is_zero() and data.cotton_york.is_zero()
     metrics = []
-    for vec in _candidate_vectors(jets, n):
-        series = _combine_series(jets, vec)
+    for vec, coords in _candidate_vectors(jets, n):
+        series = _combine_series(jets, coords)
         try:
             exact, cand = _reconstruct(special, series, jets.base_point,
                                        options["max_order"], samples)

@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import ShapeError
-from .exprcore import RationalExpr
 
 __all__ = [
     "TensorField",

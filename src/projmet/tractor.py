@@ -69,19 +69,12 @@ class TractorSection:
     def from_constant_vector(cls, chart, values):
         """Constant section from a packed rational vector."""
         n = chart.dim
-        pairs = sym_pairs(n)
         if len(values) != section_dim(n):
             raise ShapeError(f"expected packed vector of length {section_dim(n)}")
-        consts = [chart.const(v) for v in values]
-        sig = [[chart.zero] * n for _ in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            sig[i][j] = consts[k]
-            sig[j][i] = consts[k]
+        sig, mu, rho = unpack_values(n, [chart.const(v) for v in values])
         sigma = TensorField(chart, ("u", "u"), [sig[i][j] for i in range(n) for j in range(n)])
-        off = len(pairs)
-        mu = TensorField(chart, ("u",), consts[off:off + n])
-        rho = TensorField.scalar(chart, consts[off + n])
-        return cls(sigma, mu, rho)
+        return cls(sigma, TensorField(chart, ("u",), mu),
+                   TensorField.scalar(chart, rho))
 
     def values_at(self, point):
         """Packed exact values at a rational point."""

@@ -222,6 +222,38 @@ def test_unstabilized_order_adds_warning(tmp_path):
     assert any("stabilize" in w for w in report["warnings"])
 
 
+def _assert_input_error(capsys, code, text):
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: ") and text in err
+    assert err.count("\n") == 1
+
+
+def test_analyze_order_below_two_is_an_input_error(tmp_path, capsys):
+    spec = _write(tmp_path, "flat.json", FLAT2)
+    code = main(["analyze", spec, "--max-order", "1"])
+    _assert_input_error(capsys, code, "max_order must be at least 2, got 1")
+
+
+def test_mobility_order_below_two_is_an_input_error(tmp_path, capsys):
+    spec = _write(tmp_path, "flat.json", FLAT2)
+    code = main(["mobility", spec, "--max-order", "0"])
+    _assert_input_error(capsys, code, "max_order must be at least 2, got 0")
+
+
+def test_non_integer_max_order_option_is_an_input_error(tmp_path, capsys):
+    spec = _write(tmp_path, "o.json", dict(FLAT2, options={"max_order": "abc"}))
+    code = main(["analyze", spec])
+    _assert_input_error(capsys, code, "bad options")
+
+
+def test_non_numeric_tolerance_option_is_an_input_error(tmp_path, capsys):
+    spec = _write(tmp_path, "t.json", dict(FLAT2, options={"tolerance": "x"}))
+    code = main(["mobility", spec])
+    _assert_input_error(capsys, code, "bad options")
+
+
 def test_pole_at_base_point_is_an_input_error(tmp_path, capsys):
     doc = {"dimension": 2,
            "christoffel": {"1,2,2": "x1^2/(1 - x1)"},

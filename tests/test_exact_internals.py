@@ -45,6 +45,37 @@ def test_poly_series_shift_and_eval(rng):
         assert series_eval(ser, u) == p.evaluate(x)
 
 
+def _series_eval_by_powers(a, point):
+    """The plain Fraction loop: the sum of v * u^e over the series."""
+    total = Fraction(0)
+    for k, v in a.items():
+        term = v
+        for e, x in zip(k, point):
+            if e:
+                term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def test_series_eval_matches_power_loop():
+    rng = random.Random(17)
+    assert series_eval({}, [Fraction(1, 3), 2]) == 0
+    for n in (1, 2, 3):
+        for _ in range(15):
+            ser = {}
+            for order in range(rng.randint(0, 6)):
+                for mono in monomials_of_order(n, order):
+                    if rng.random() < 0.6:
+                        ser[mono] = Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 12))
+            point = [rng.choice([0, rng.randint(-3, 3),
+                                 Fraction(rng.randint(-7, 7), rng.randint(1, 9))])
+                     for _ in range(n)]
+            got = series_eval(ser, point)
+            assert type(got) is Fraction
+            assert got == _series_eval_by_powers(ser, point)
+
+
 def test_rational_series_matches_taylor():
     chart = Chart(2)
     x, y = chart.vars

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from sympy import QQ, factor_list
 from sympy.polys.rings import PolyElement
 
@@ -216,6 +217,116 @@ def test_kernel_fast_paths_skip_the_gcd(monkeypatch):
     value = rat + rat2
     assert len(calls) <= 1
     assert value == (p + r) / q
+
+
+# -- first partials: jet and diff ---------------------------------------------
+
+def _jet_operands(chart, rng):
+    """Constants, polynomials and rational functions, some with repeated
+    denominator factors or factors free of a coordinate."""
+    x = chart.vars
+    p, q = _nonzero_poly(chart, rng), _nonzero_poly(chart, rng)
+    out = [chart.zero, chart.const(Fraction(-7, 3)), p, p / 5, p / q,
+           p / (q * q * (x[-1] + 2)), (x[0] + 2 * x[-1]) / (q * q)]
+    for a, b in _kernel_operands(chart, rng):
+        out.append(a / b)
+    return out
+
+
+def _distinct_denominator_point(rng, n):
+    dens = rng.sample(range(1, 9), n)
+    coords = [Fraction(rng.randint(-6, 6), d) for d in dens]
+    coords[rng.randrange(n)] = Fraction(0)
+    return coords
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jet_matches_sympy_differentiation(n):
+    """Value and first partials at rational points against sympy's own
+    differentiation and substitution of the same expression."""
+    chart = Chart(n)
+    syms = chart._ring.symbols
+    rng = random.Random(3000 + n)
+    checked = 0
+    for _ in range(2):
+        for e in _jet_operands(chart, rng):
+            expr = e.frac.as_expr()
+            for _ in range(2):
+                point = _distinct_denominator_point(rng, n)
+                sub = {s: sympy.Rational(v.numerator, v.denominator)
+                       for s, v in zip(syms, point)}
+                den = e.frac.denom.as_expr().subs(sub)
+                if den == 0:
+                    with pytest.raises(PoleError, match="denominator vanishes"):
+                        e.jet(point)
+                    continue
+                value, grad = e.jet(point)
+                want = expr.subs(sub)
+                assert type(value) is Fraction
+                assert value == Fraction(int(want.p), int(want.q))
+                assert value == e.evaluate(point)
+                assert len(grad) == n
+                for s, g in zip(syms, grad):
+                    d = sympy.diff(expr, s).subs(sub)
+                    assert type(g) is Fraction
+                    assert g == Fraction(int(d.p), int(d.q))
+                checked += 1
+    assert checked > 25
+
+
+def test_jet_pole_and_shape_errors():
+    chart = Chart(2)
+    x, y = chart.vars
+    e = x / ((x - y) * (x + 2))
+    with pytest.raises(PoleError, match=r"denominator vanishes at \(1, 1\)"):
+        e.jet([1, 1])
+    with pytest.raises(PoleError):
+        e.jet([Fraction(-2), Fraction(1, 3)])
+    with pytest.raises(ValueError):
+        e.jet([1])
+    assert (x * y).jet(["1/2", 3]) == (Fraction(3, 2), [3, Fraction(1, 2)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diff_matches_sympy_field_diff(n):
+    chart = Chart(n)
+    rng = random.Random(4000 + n)
+    for _ in range(4):
+        for e in _jet_operands(chart, rng):
+            for k, gen in enumerate(chart._field.gens, start=1):
+                got, want = e.diff(k).frac, e.frac.diff(gen)
+                assert got.numer == want.numer and got.denom == want.denom
+                assert str(got) == str(want)
+                assert hash(got) == hash(want)
+
+
+def test_diff_gcd_count(monkeypatch):
+    """No gcd for a constant denominator; one when gcd(a'b - ab', b) is 1;
+    a second one, against that gcd, otherwise.  A factor of b free of x^k
+    (here x2 for d/dx1) can divide a'b - ab' to a higher power than b."""
+    chart = Chart(2)
+    x, y = chart.vars
+    calls = []
+    cofactors = PolyElement.cofactors
+
+    def counting(self, other):
+        calls.append(1)
+        return cofactors(self, other)
+
+    monkeypatch.setattr(PolyElement, "cofactors", counting)
+    cases = [((x ** 2 * y + 3) / 5, 0),
+             (x / (1 + x ** 2 + y ** 2), 1),
+             ((x + y) / (x - 2 * y), 1),
+             ((x + y) / (y * (x + 2 * y)), 2),
+             (1 / (1 + x ** 2) ** 2, 2)]
+    for e, count in cases:
+        calls.clear()
+        got = e.diff(1)
+        assert len(calls) == count, e
+        monkeypatch.setattr(PolyElement, "cofactors", cofactors)
+        assert got.frac == e.frac.diff(chart._field.gens[0])
+        monkeypatch.setattr(PolyElement, "cofactors", counting)
+    assert ((x + y) / (y * (x + 2 * y))).diff(1) == 1 / (x + 2 * y) ** 2
 
 
 # -- parser -----------------------------------------------------------------

@@ -351,6 +351,44 @@ def test_kappa_at_matches_scalar_curvature_field(rng):
                     pt3) == -1
 
 
+def test_sampled_checks_take_partials_without_diff(monkeypatch):
+    """sampled_lc_residual and kappa_at read values and first partials off
+    RationalExpr.jet: no symbolic derivative field is built inside them
+    during analyze of the stereographic sphere, which takes the truncated
+    path at order 10."""
+    from projmet import pipeline
+    from projmet.exprcore import RationalExpr
+
+    inside, diffs, calls = [], [], []
+    diff = RationalExpr.diff
+
+    def counting_diff(self, k):
+        if inside:
+            diffs.append(k)
+        return diff(self, k)
+
+    def watched(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            inside.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(RationalExpr, "diff", counting_diff)
+    monkeypatch.setattr(pipeline, "sampled_lc_residual",
+                        watched(sampled_lc_residual))
+    monkeypatch.setattr(pipeline, "kappa_at", watched(kappa_at))
+    conn = sphere_stereographic_connection(2)
+    options = {"max_order": 10, "samples": 5, "tolerance": 1e-8}
+    report, code = pipeline.analyze_connection(conn, [0, 0], options)
+    assert code == 0
+    assert "sampled_lc_residual" in calls and "kappa_at" in calls
+    assert diffs == []
+
+
 # -- geodesics --------------------------------------------------------------------
 
 SEEDS = [([0.1, -0.05], [0.25, 0.075]), ([0.0, 0.2], [0.125, -0.25]),
