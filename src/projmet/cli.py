@@ -128,12 +128,20 @@ def _check_order(options):
             f"max_order must be at least 2, got {options['max_order']}")
 
 
+def _check_samples(options):
+    """The sampled checks need a point; with none they would pass unseen."""
+    if options["samples"] < 1:
+        raise ParseError(
+            f"samples must be at least 1, got {options['samples']}")
+
+
 def run_analysis(spec_path, options_override=None, report_path=None):
     """Spec file in, report dict and exit code out; optionally writes JSON."""
     conn, base_point, options, echo = load_spec(spec_path)
     if options_override:
         options.update({k: v for k, v in options_override.items() if v is not None})
     _check_order(options)
+    _check_samples(options)
     report, code = analyze_connection(conn, base_point, options, echo)
     if report_path:
         with open(report_path, "w") as fh:

@@ -1,7 +1,8 @@
 """Exact linear algebra over Q.
 
 Rank decisions for the jet solver must not depend on floating point, so
-elimination here is fraction-free (Bareiss) on integer-scaled rows, and
+`rank`, `nullspace` and `solve_linear_system` all read one exact reduced
+row echelon form, computed by sparse Gauss-Jordan over Fraction, and
 signatures of symmetric matrices are read off the characteristic polynomial
 with Descartes' rule (exact for real-rooted polynomials).
 
@@ -11,12 +12,10 @@ by its operations: rational-function fields and truncated series alike.
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm
 
 __all__ = [
     "leibniz_det",
     "adjugate",
-    "fraction_free_rref",
     "rank",
     "nullspace",
     "solve_linear_system",
@@ -24,88 +23,59 @@ __all__ = [
 ]
 
 
-def _to_integer_rows(rows):
-    """Scale each row by the lcm of its denominators; returns int rows."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in fr))
-        out.append([int(x * den) for x in fr])
-    return out
+def _rref(rows, ncols):
+    """Reduced row echelon form of dense rows over Q, by sparse Gauss-Jordan.
 
-
-def fraction_free_rref(rows):
-    """Bareiss fraction-free elimination to row echelon form.
-
-    Returns (echelon integer rows, pivot column list).  Input rows may be
-    Fractions or ints; they are scaled to integers first.
+    Pivot columns go strictly left to right, and each pivot row is the
+    shortest remaining row holding the column, to limit fill-in.  Returns
+    {pivot column: row} in column order, each row a dict {column: Fraction}
+    with 1 at its pivot and 0 at every other pivot.  The reduced form is
+    unique, so it does not depend on which rows were chosen.
     """
-    m = _to_integer_rows(rows)
-    nrows = len(m)
-    if nrows == 0:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    prev = 1
-    r = 0
+    todo = [r for r in ({c: Fraction(x) for c, x in enumerate(row) if x}
+                        for row in rows) if r]
+    reduced = {}
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
+        hits = [r for r in todo if c in r]
+        if not hits:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # normalise each pivot row by its content to keep entries small
-    for i in range(len(pivots)):
-        g = gcd(*m[i])
-        if g > 1:
-            m[i] = [x // g for x in m[i]]
-        if m[i][pivots[i]] < 0:
-            m[i] = [-x for x in m[i]]
-    return m[: len(pivots)], pivots
+        best = min(hits, key=len)
+        inv = 1 / best[c]
+        pivot = {k: v * inv for k, v in best.items()}
+        for r in hits + [r for r in reduced.values() if c in r]:
+            if r is best:
+                continue
+            f = r[c]
+            for k, v in pivot.items():
+                x = r.get(k, 0) - f * v
+                if x:
+                    r[k] = x
+                else:
+                    del r[k]
+        todo = [r for r in todo if r and r is not best]
+        reduced[c] = pivot
+    return reduced
 
 
 def rank(rows):
-    return len(fraction_free_rref(rows)[1])
+    return len(_rref(rows, len(rows[0]) if rows else 0))
 
 
 def nullspace(rows, ncols=None):
-    """Exact basis of the right nullspace as lists of Fractions."""
-    if not rows:
-        if not ncols:
-            return []
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = ncols if ncols is not None else len(rows[0])
-    ech, pivots = fraction_free_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Exact basis of the right nullspace as lists of Fractions: one vector
+    per free column, 1 there, 0 at the other free columns."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    reduced = _rref(rows, ncols)
     basis = []
-    for fc in free:
+    for free in range(ncols):
+        if free in reduced:
+            continue
         v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        # back substitution over the echelon rows
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            s = Fraction(0)
-            for c in range(pc + 1, ncols):
-                if ech[i][c] != 0 and v[c] != 0:
-                    s += Fraction(ech[i][c]) * v[c]
-            v[pc] = -s / ech[i][pc]
+        v[free] = Fraction(1)
+        for p, row in reduced.items():
+            if free in row:
+                v[p] = -row[free]
         basis.append(v)
     return basis
 
@@ -115,21 +85,14 @@ def solve_linear_system(matrix, rhs):
 
     Underdetermined systems return the solution with free variables zero.
     """
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
+    ncols = len(matrix[0]) if matrix else 0
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    ech, pivots = fraction_free_rref(aug)
-    if ncols in pivots:
+    reduced = _rref(aug, ncols + 1)
+    if ncols in reduced:
         return None
     x = [Fraction(0)] * ncols
-    for i in range(len(pivots) - 1, -1, -1):
-        pc = pivots[i]
-        s = Fraction(ech[i][ncols])
-        for c in range(pc + 1, ncols):
-            if ech[i][c] != 0 and x[c] != 0:
-                s -= Fraction(ech[i][c]) * x[c]
-        x[pc] = s / ech[i][pc]
+    for p, row in reduced.items():
+        x[p] = row.get(ncols, Fraction(0))
     return x
 
 

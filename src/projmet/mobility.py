@@ -15,7 +15,7 @@ the Taylor data of the A_a has one integer denominator per monomial, so
 products accumulate in int and zeros cost nothing.  Two predictions of the
 same coefficient are compared in that normal form; only rows that differ
 become (integer) constraint rows.  Rank decisions still go through the
-exact fraction-free elimination in exactlinalg, and the results are
+exact sparse Gauss-Jordan elimination in exactlinalg, and the results are
 converted to Fractions once, at the end.  Numeric parallel transport is a
 floating-point cross-check, never an input to rank decisions.
 """

@@ -1,0 +1,119 @@
+"""Reference exact linear algebra: the dense Bareiss elimination that
+`projmet.exactlinalg` used before it moved to sparse Gauss-Jordan.
+
+Kept verbatim as an independent oracle: rows are scaled to integers,
+eliminated fraction-free to row echelon form, and `nullspace` and
+`solve_linear_system` back-substitute over the echelon rows.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def _to_integer_rows(rows):
+    """Scale each row by the lcm of its denominators; returns int rows."""
+    out = []
+    for row in rows:
+        fr = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in fr))
+        out.append([int(x * den) for x in fr])
+    return out
+
+
+def fraction_free_rref(rows):
+    """Bareiss fraction-free elimination to row echelon form.
+
+    Returns (echelon integer rows, pivot column list).  Input rows may be
+    Fractions or ints; they are scaled to integers first.
+    """
+    m = _to_integer_rows(rows)
+    nrows = len(m)
+    if nrows == 0:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            for j in range(c + 1, ncols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    # normalise each pivot row by its content to keep entries small
+    for i in range(len(pivots)):
+        g = gcd(*m[i])
+        if g > 1:
+            m[i] = [x // g for x in m[i]]
+        if m[i][pivots[i]] < 0:
+            m[i] = [-x for x in m[i]]
+    return m[: len(pivots)], pivots
+
+
+def rank(rows):
+    return len(fraction_free_rref(rows)[1])
+
+
+def nullspace(rows, ncols=None):
+    """Exact basis of the right nullspace as lists of Fractions."""
+    if not rows:
+        if not ncols:
+            return []
+        basis = []
+        for j in range(ncols):
+            v = [Fraction(0)] * ncols
+            v[j] = Fraction(1)
+            basis.append(v)
+        return basis
+    ncols = ncols if ncols is not None else len(rows[0])
+    ech, pivots = fraction_free_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        # back substitution over the echelon rows
+        for i in range(len(pivots) - 1, -1, -1):
+            pc = pivots[i]
+            s = Fraction(0)
+            for c in range(pc + 1, ncols):
+                if ech[i][c] != 0 and v[c] != 0:
+                    s += Fraction(ech[i][c]) * v[c]
+            v[pc] = -s / ech[i][pc]
+        basis.append(v)
+    return basis
+
+
+def solve_linear_system(matrix, rhs):
+    """One exact solution of M x = b, or None when inconsistent.
+
+    Underdetermined systems return the solution with free variables zero.
+    """
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    ech, pivots = fraction_free_rref(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
+        s = Fraction(ech[i][ncols])
+        for c in range(pc + 1, ncols):
+            if ech[i][c] != 0 and x[c] != 0:
+                s -= Fraction(ech[i][c]) * x[c]
+        x[pc] = s / ech[i][pc]
+    return x

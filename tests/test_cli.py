@@ -236,6 +236,20 @@ def test_analyze_order_below_two_is_an_input_error(tmp_path, capsys):
     _assert_input_error(capsys, code, "max_order must be at least 2, got 1")
 
 
+@pytest.mark.parametrize("flag, spec_samples, count", [
+    (["--samples", "0"], None, 0),
+    (["--samples", "-3"], None, -3),
+    ([], 0, 0),
+], ids=["flag-zero", "flag-negative", "spec-zero"])
+def test_analyze_samples_below_one_is_an_input_error(tmp_path, capsys, flag,
+                                                     spec_samples, count):
+    doc = FLAT2 if spec_samples is None else dict(
+        FLAT2, options={"samples": spec_samples})
+    spec = _write(tmp_path, "flat.json", doc)
+    code = main(["analyze", spec] + flag)
+    _assert_input_error(capsys, code, f"samples must be at least 1, got {count}")
+
+
 def test_mobility_order_below_two_is_an_input_error(tmp_path, capsys):
     spec = _write(tmp_path, "flat.json", FLAT2)
     code = main(["mobility", spec, "--max-order", "0"])

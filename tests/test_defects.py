@@ -1,15 +1,19 @@
-"""Regression tests for the known defects D1-D3 (ROADMAP), written before
-their fixes.
+"""Regression tests for the known defects D1-D3 and D5 (ROADMAP), written
+before their fixes.
 
 Each test states the correct behaviour and is a strict xfail: it fails
 today for the reason its marker names, and the fix of its defect makes it
 pass, which then fails the suite until the marker is removed.  Each runs at
 the smallest jet order that shows its defect.
 
-The specs are Levi-Civita connections, so the correct verdict is
+The D1-D3 specs are Levi-Civita connections, so the correct verdict is
 METRIZABLE:
 - liouville_d1_d2.json: g = (2 + x1 + 2 x2) [[1,3],[3,10]];
 - liouville_d3.json: g = (2 + (x1 + 3 x2)^2 - x2^3) [[1,3],[3,10]].
+
+D5 uses the stored non-metrizable witness (README), whose admissible space
+dies by order 6, so it has no solution at all and INDEFINITE_ONLY ("solutions
+exist, none positive definite") is never its correct verdict.
 """
 
 import json
@@ -23,6 +27,7 @@ from projmet.cli import (EXIT_INDEFINITE_ONLY, EXIT_INPUT, EXIT_NOT_METRIZABLE,
 DATA = Path(__file__).parent / "data"
 D1_D2 = str(DATA / "liouville_d1_d2.json")
 D3 = str(DATA / "liouville_d3.json")
+WITNESS = {"dimension": 2, "christoffel": {"1,2,2": "x1^2", "2,1,1": "x2"}}
 DOCUMENTED_EXITS = (EXIT_OK, EXIT_NOT_METRIZABLE, EXIT_INDEFINITE_ONLY,
                     EXIT_OBSTRUCTED, EXIT_INPUT)
 
@@ -57,3 +62,15 @@ def test_d3_liouville_metric_is_metrizable():
     report, code = run_analysis(D3, {"max_order": 4})
     assert report["mobility"]["dimension"] == 2
     assert report["verdict"] == "METRIZABLE"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="D5: INDEFINITE_ONLY is read off the jet space, an "
+                          "upper bound, with no proven solution")
+def test_d5_witness_without_solutions_is_not_indefinite_only(tmp_path):
+    # order 5 leaves dims [6, 6, 5, 3, 2, 1]; order 6 gives
+    # NOT_METRIZABLE_AT_ORDER(6)
+    spec = tmp_path / "witness.json"
+    spec.write_text(json.dumps(WITNESS))
+    report, code = run_analysis(str(spec), {"max_order": 5})
+    assert report["verdict"] != "INDEFINITE_ONLY"

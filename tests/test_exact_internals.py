@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from projmet.exactlinalg import (adjugate, char_poly, fraction_free_rref,
-                                 leibniz_det, nullspace, rank,
-                                 solve_linear_system, symmetric_signature)
+from projmet.exactlinalg import (adjugate, char_poly, leibniz_det, nullspace,
+                                 rank, solve_linear_system,
+                                 symmetric_signature)
 from projmet.exactseries import (monomials_of_order, poly_to_series,
                                  rational_to_series, series_add, series_diff,
                                  series_eval, series_inverse, series_mul,
@@ -16,6 +16,8 @@ from projmet.exactseries import (monomials_of_order, poly_to_series,
 from projmet import Chart, PoleAtBasePoint
 
 from conftest import rand_poly
+import linalg_oracle
+from linalg_oracle import fraction_free_rref
 
 
 def test_monomials_of_order_counts():
@@ -129,6 +131,60 @@ def test_solve_linear_system_cases():
     # underdetermined: free variables pinned to zero
     sol = solve_linear_system([[1, 1, 0]], [3])
     assert sol[0] == 3 and sol[1] == 0
+
+
+def _oracle_entry(rng):
+    k = rng.random()
+    if k < 0.45:
+        return 0
+    if k < 0.75:
+        return rng.randint(-5, 5)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def _oracle_system(rng):
+    """A random sparse rational system, often with dependent rows; the rhs
+    is in the column space half of the time, else random (and then often
+    inconsistent)."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+    rows = [[_oracle_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.4:
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = _oracle_entry(rng), _oracle_entry(rng)
+            rows.insert(rng.randrange(len(rows) + 1),
+                        [s * x + t * y for x, y in zip(a, b)])
+    if rows and rng.random() < 0.1:
+        rows = [[0] * ncols for _ in rows]
+    if rows and rng.random() < 0.5:
+        x = [_oracle_entry(rng) for _ in range(ncols)]
+        rhs = [sum(Fraction(e) * v for e, v in zip(row, x)) for row in rows]
+    else:
+        rhs = [_oracle_entry(rng) for _ in rows]
+    return rows, ncols, rhs
+
+
+def test_elimination_matches_bareiss_oracle():
+    fixed = [
+        ([], 0, []), ([], 3, []), ([[]], 0, [1]), ([[0, 0], [0, 0]], 2, [0, 0]),
+        ([[0, 0, 0]], 3, [1]),
+        ([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3, [1, 2, 5]),
+        ([[1, 1], [1, 1]], 2, [1, 2]),
+        ([[1, 1, 0]], 3, [3]),
+        ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]],
+         2, [Fraction(-2, 3), Fraction(-1, 3)]),
+    ]
+    rng = random.Random(11)
+    cases = fixed + [_oracle_system(rng) for _ in range(3000)]
+    for rows, ncols, rhs in cases:
+        assert rank(rows) == linalg_oracle.rank(rows)
+        for nc in (ncols, None):
+            kernel = nullspace(rows, nc)
+            assert kernel == linalg_oracle.nullspace(rows, nc)
+            assert all(type(v) is Fraction for vec in kernel for v in vec)
+        sol = solve_linear_system(rows, rhs)
+        assert sol == linalg_oracle.solve_linear_system(rows, rhs)
+        assert sol is None or all(type(v) is Fraction for v in sol)
 
 
 def test_char_poly_and_signature():

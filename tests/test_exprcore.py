@@ -545,3 +545,21 @@ def test_potential_repeated_factor_polynomial_and_zero(n):
     with pytest.raises(NotPolynomial):
         potential_of_closed_1form(
             DifferentialForm(chart, 1, [1 / (1 + x1 ** 2)] + zero))
+
+
+def test_potential_of_sparse_n3_ansatz():
+    # 122 unknowns against 1173 equations with 5.9% nonzeros: the exact
+    # solve must stay sparse
+    chart = Chart(3)
+    x1, x2, x3 = chart.vars
+    poly = 2 * x3 ** 7 + x1 * x2 ** 3 - x2 * x3
+    logs = [(1 + x1 ** 2 + x2 ** 2 + x3 ** 2, Fraction(1, 2)),
+            (3 - x2 + 2 * x1 ** 2, Fraction(1)),
+            (5 + x3 - x1 * x2, Fraction(3, 2))]
+    omega = DifferentialForm(chart, 1, [
+        poly.diff(a) + sum((c * b.diff(a) / b for b, c in logs), chart.zero)
+        for a in (1, 2, 3)])
+    pot = potential_of_closed_1form(omega)
+    assert pot.poly_part == poly
+    assert pot.rational_part.is_zero()
+    assert set(pot.log_terms) == set(logs)
