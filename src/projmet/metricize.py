@@ -6,10 +6,14 @@ change by the gradient of f = -1/2 log det(sigma) carries the special
 connection onto the Levi-Civita connection of g.  The log potential keeps
 the whole reconstruction inside the rational-function field.
 
-Also here: the Levi-Civita characterisation used as the acceptance check,
-the sampled projective-equivalence defect, the metric decomposition of the
-Riemann tensor, constant-curvature detection, and the numeric comparison of
-unparameterised geodesics.  The checks at points (`sampled_lc_residual`,
+`pipeline` proves an exactly rebuilt candidate by the linear
+metrizability equation tf(grad_a t^{bc}) = 0 on the tensor t it was built
+from, in that tensor's own gauge; its volume form is parallel by
+construction.  Also here: the Levi-Civita characterisation
+`is_levi_civita`, the general library check and the tests' oracle for
+that proof, the sampled projective-equivalence defect, the metric
+decomposition of the Riemann tensor, constant-curvature detection, and
+the numeric comparison of unparameterised geodesics.  The checks at points (`sampled_lc_residual`,
 `kappa_at`) take exact values and first partials from `RationalExpr.jet`
 and build no derivative fields; the geodesics use the Runge-Kutta step
 that parallel transport in `mobility` uses too.
@@ -86,52 +90,42 @@ def metric_inverse(t):
                                     for j in range(n)])
 
 
-_INVERT_G_UP = object()  # MetricCandidate.g_down not computed yet
-
-
 class MetricCandidate:
     """Reconstruction output for one solution sigma.
 
-    `exact_solution` records whether sigma is an exact solution field (the
-    jet series terminated) or a series truncation; verification downstream
-    is structural in the first case and sampled in the second.  `g_down`
-    is the symbolic inverse of `g_up`, computed on first access (None for
-    series truncations of sigma, which numeric checks invert pointwise).
-    `sigma` is None for a candidate built from its metric g^{ab}.
+    `sigma` is None for a candidate built from its metric g^{ab}.  `g_down`
+    is the symbolic inverse of `g_up`, computed on first access and kept.
     """
 
     __slots__ = ("sigma", "det_sigma", "f", "upsilon", "connection", "g_up",
-                 "_g_down", "base_point", "signature", "definite", "warnings",
-                 "exact_solution")
+                 "_g_down", "base_point", "signature", "definite", "warnings")
 
-    def __init__(self, sigma, det_sigma, f, upsilon, connection, g_up, g_down,
-                 base_point, signature, definite, warnings, exact_solution):
+    def __init__(self, sigma, det_sigma, f, upsilon, connection, g_up,
+                 base_point, signature, definite, warnings):
         self.sigma = sigma
         self.det_sigma = det_sigma
         self.f = f
         self.upsilon = upsilon
         self.connection = connection
         self.g_up = g_up
-        self._g_down = g_down
+        self._g_down = None
         self.base_point = base_point
         self.signature = signature
         self.definite = definite
         self.warnings = warnings
-        self.exact_solution = exact_solution
 
     @property
     def g_down(self):
-        if self._g_down is _INVERT_G_UP:
+        if self._g_down is None:
             self._g_down = metric_inverse(self.g_up)
         return self._g_down
 
     def __repr__(self):
         return (f"MetricCandidate(signature={self.signature}, "
-                f"definite={self.definite}, exact={self.exact_solution})")
+                f"definite={self.definite})")
 
 
-def reconstruct_metric(sigma, conn, base_point=None, region_samples=(),
-                       exact_solution=True):
+def reconstruct_metric(sigma, conn, base_point=None, region_samples=()):
     """Metric candidate from a symmetric nondegenerate solution field.
 
     g^{ab} = det(sigma) sigma^{ab}; the returned connection is the
@@ -139,12 +133,10 @@ def reconstruct_metric(sigma, conn, base_point=None, region_samples=(),
     which is the Levi-Civita connection of g whenever sigma solves the
     metrizability system for `conn`.
     """
-    return _candidate(sigma, True, conn, base_point, region_samples,
-                      exact_solution)
+    return _candidate(sigma, True, conn, base_point, region_samples)
 
 
-def candidate_from_metric(g_up, conn, base_point=None, region_samples=(),
-                          exact_solution=True):
+def candidate_from_metric(g_up, conn, base_point=None, region_samples=()):
     """Metric candidate from an exact reconstructed metric g^{ab}.
 
     Used when the candidate metric is exactly rational (for instance the
@@ -153,12 +145,10 @@ def candidate_from_metric(g_up, conn, base_point=None, region_samples=(),
     projective change onto the Levi-Civita connection has the rational
     gradient of f = -1/(2(n+1)) log det(g^{ab}).
     """
-    return _candidate(g_up, False, conn, base_point, region_samples,
-                      exact_solution)
+    return _candidate(g_up, False, conn, base_point, region_samples)
 
 
-def _candidate(t, from_sigma, conn, base_point, region_samples,
-               exact_solution):
+def _candidate(t, from_sigma, conn, base_point, region_samples):
     """Shared body of the two constructors: `t` is sigma^{ab} when
     `from_sigma`, else the metric g^{ab} (and the candidate's sigma is
     None).  Nondegeneracy, the signature and the log potential are all
@@ -186,9 +176,6 @@ def _candidate(t, from_sigma, conn, base_point, region_samples,
     upsilon = f.grad()
     changed = projective_change(conn, upsilon)
     g_up = t.scale(det) if from_sigma else t
-    # series truncations skip the symbolic inverse; numeric checks invert
-    # pointwise instead
-    g_down = _INVERT_G_UP if exact_solution or not from_sigma else None
 
     warnings = []
     mat = [[t.get(i, j).evaluate(base_point) for j in range(n)] for i in range(n)]
@@ -211,8 +198,8 @@ def _candidate(t, from_sigma, conn, base_point, region_samples,
             definite = False
             warnings.append(f"signature changes at sample {tuple(pt)}")
     return MetricCandidate(t if from_sigma else None, det, f, upsilon,
-                           changed, g_up, g_down, tuple(base_point),
-                           (pos, neg), definite, warnings, exact_solution)
+                           changed, g_up, tuple(base_point), (pos, neg),
+                           definite, warnings)
 
 
 def _volume_residual(conn, g_up):
@@ -234,7 +221,10 @@ def is_levi_civita(conn, g_up):
     """Is conn the metric connection of g^{ab}?
 
     Checks structurally that grad_a g^{bc} is pure trace and that the metric
-    volume form is parallel.  Returns (bool, residual info dict).
+    volume form is parallel.  Returns (bool, residual info dict).  This is
+    the general library check, for any pair (conn, g^{ab}), and the tests'
+    oracle for the one linear proof `analyze` makes per exact candidate,
+    whose volume half holds by construction.
     """
     if g_up.variance != ("u", "u"):
         raise ShapeError("metric must be given with upper indices")

@@ -8,16 +8,16 @@ subcommand dispatch and rendering live in `cli`.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DegenerateSigma, NotPolynomial, PoleError
+from .errors import DegenerateSigma, NotPolynomial, ParseError, PoleError
 from .exactlinalg import (adjugate, leibniz_det, nullspace, solve_linear_system,
                           symmetric_signature)
 from .exactseries import (series_add, series_inverse, series_mul, series_scale,
                           series_to_coeff_dict)
-from .metricize import (candidate_from_metric, is_levi_civita, kappa_at,
-                        metric_inverse, reconstruct_metric, sampled_lc_residual)
+from .metricize import (candidate_from_metric, kappa_at, metric_inverse,
+                        reconstruct_metric, sampled_lc_residual)
 from .mobility import degree_of_mobility, residual
 from .projconn import beta_form, decompose_curvature, specialize
-from .tensorfield import TensorField
+from .tensorfield import TensorField, covariant_derivative, trace_free_part
 from .tractor import section_dim, sym_pairs, unpack_values
 
 __all__ = ["analyze_connection"]
@@ -215,9 +215,7 @@ def _reconstruct(special, series, base_point, max_order, samples):
     if _tail_is_zero(slots, max_order):
         # sigma itself is polynomial: plain reconstruction
         sigma = _field_from_series(chart, sig, base_point, max_order)
-        return True, reconstruct_metric(sigma, special, base_point,
-                                        region_samples=samples,
-                                        exact_solution=True)
+        return True, reconstruct_metric(sigma, special, base_point, samples)
     ring = ({}, lambda a, b: series_mul(a, b, max_order), series_add,
             lambda a: series_scale(a, -1))
     det = leibniz_det(_symmetric_entry(sig), n, *ring)
@@ -225,9 +223,7 @@ def _reconstruct(special, series, base_point, max_order, samples):
     if _tail_is_zero(g_ser.values(), max_order):
         # the reconstructed metric itself is polynomial
         g_up = _field_from_series(chart, g_ser, base_point, max_order)
-        return True, candidate_from_metric(g_up, special, base_point,
-                                           region_samples=samples,
-                                           exact_solution=True)
+        return True, candidate_from_metric(g_up, special, base_point, samples)
     # g_ab as adjugate over determinant; the series inverse of the
     # determinant needs a nonzero constant term
     entry = _symmetric_entry(g_ser)
@@ -243,13 +239,9 @@ def _reconstruct(special, series, base_point, max_order, samples):
             g_down = _field_from_series(chart, low_ser, base_point, max_order,
                                         variance=("d", "d"))
             return True, candidate_from_metric(metric_inverse(g_down), special,
-                                               base_point,
-                                               region_samples=samples,
-                                               exact_solution=True)
+                                               base_point, samples)
     sigma = _field_from_series(chart, sig, base_point, max_order - 2)
-    return False, reconstruct_metric(sigma, special, base_point,
-                                     region_samples=samples,
-                                     exact_solution=False)
+    return False, reconstruct_metric(sigma, special, base_point, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +250,9 @@ def _reconstruct(special, series, base_point, max_order, samples):
 
 def analyze_connection(conn, base_point, options, echo=None):
     """Full pipeline on a parsed connection; returns (report, exit_code)."""
+    if options["samples"] < 1:  # the sampled checks would pass unseen
+        raise ParseError(
+            f"samples must be at least 1, got {options['samples']}")
     chart = conn.chart
     n = chart.dim
     report = {"schema": SCHEMA_VERSION, "input": echo or {}, "warnings": []}
@@ -315,7 +310,8 @@ def analyze_connection(conn, base_point, options, echo=None):
             "f": cand.f.describe(),
         }
         entry["verified"] = _verify_candidate(upsilon, cand, series, jets,
-                                              samples, tol, flat, entry)
+                                              samples, tol, flat, special,
+                                              exact, entry)
         metrics.append(entry)
     report["metrics"] = metrics
 
@@ -334,8 +330,13 @@ def analyze_connection(conn, base_point, options, echo=None):
 
 
 def _verify_candidate(upsilon, cand, series, jets, samples, tol, flat,
-                      entry):
-    """Levi-Civita check of one candidate, then its curvature.
+                      special, exact, entry):
+    """Proof of one candidate, then its curvature.
+
+    An exact candidate is proven by the linear metrizability equation on
+    the tensor it was built from, in that tensor's own gauge; a truncated
+    one passes when its sampled Levi-Civita defect and closure residual
+    are within `tol`.
 
     The candidate connection is the special connection changed by
     cand.upsilon, and the special connection is the input changed by
@@ -347,10 +348,17 @@ def _verify_candidate(upsilon, cand, series, jets, samples, tol, flat,
     """
     res = residual(jets, series, samples)
     entry["closure_residual"] = fr_str(res) if res == 0 else float(res)
-    if cand.exact_solution:
-        # a structurally verified metric plus its 1-form is a complete
-        # metrizability witness regardless of the jet truncation
-        ok_lc, _ = is_levi_civita(cand.connection, cand.g_up)
+    if exact:
+        # The special connection has zero Christoffel trace and cand.upsilon
+        # = grad f with (n+1) f = -1/2 log det g^{..}, so the volume residual
+        # t'_a + 1/2 d_a log det g^{..} of the candidate connection is
+        # identically 0.  Then tf(grad'_a g^{bc}) = 0 iff grad' g = 0, and
+        # for sigma-built candidates tf(grad'_a g^{bc}) = det(sigma)
+        # tf(grad_a sigma^{bc}): this one linear check is a proof, and with
+        # the 1-form a complete witness regardless of the jet truncation.
+        t, gauge = ((cand.g_up, cand.connection) if cand.sigma is None
+                    else (cand.sigma, special))
+        ok_lc = trace_free_part(covariant_derivative(t, gauge)).is_zero()
         entry["is_levi_civita"] = ok_lc
         entry["equivalence_upsilon"] = [
             str(c) for c in (upsilon + cand.upsilon).components]
@@ -366,8 +374,7 @@ def _verify_candidate(upsilon, cand, series, jets, samples, tol, flat,
     entry["constant_curvature"] = flat
     if flat:
         kappa = kappa_at(cand.connection, cand.g_up, jets.base_point)
-        entry["kappa"] = fr_str(kappa) if cand.exact_solution else float(kappa)
+        entry["kappa"] = fr_str(kappa) if exact else float(kappa)
     else:
-        entry["kappa"] = (float(kappa_at(cand.connection, cand.g_up, samples[0]))
-                          if samples else None)
+        entry["kappa"] = float(kappa_at(cand.connection, cand.g_up, samples[0]))
     return True

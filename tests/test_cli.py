@@ -250,6 +250,38 @@ def test_analyze_samples_below_one_is_an_input_error(tmp_path, capsys, flag,
     _assert_input_error(capsys, code, f"samples must be at least 1, got {count}")
 
 
+def test_analyze_connection_rejects_samples_below_one():
+    """The library call, not only the CLI, refuses to decide a verdict with
+    no sample point (ROADMAP D4)."""
+    from projmet import ParseError
+    from projmet.models import nonmetrizable_witness
+    from projmet.pipeline import analyze_connection
+
+    with pytest.raises(ParseError, match="samples must be at least 1, got 0"):
+        analyze_connection(nonmetrizable_witness(), [0, 0],
+                           {"max_order": 3, "samples": 0, "tolerance": 1e-8})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"dimension": 2, "base_point": 5}', "base_point must have 2 coordinates"),
+    ('{"dimension": 2, "variables": 5}', "'variables' must list 2"),
+    ('{"dimension": 2, "christoffel": ["a"]}', "'christoffel' must map"),
+    ('{"dimension": 2, "options": 5}', "bad options 5"),
+    ('{"dimension": 2, "options": {"max_order": 1e400}}', "bad options"),
+    ('{"dimension": 2.5}', "spec needs an integer 'dimension'"),
+    ('{"dimension": 2, "variables": ["x", "x"]}', "distinct identifiers"),
+    ('{"dimension": 2, "variables": ["a", ""]}', "distinct identifiers"),
+], ids=["base-point-number", "variables-number", "christoffel-list",
+        "options-number", "max-order-overflow", "dimension-fraction",
+        "variables-repeated", "variables-empty-name"])
+def test_malformed_spec_shapes_are_input_errors(tmp_path, capsys, text,
+                                                message):
+    spec = tmp_path / "bad.json"
+    spec.write_text(text)
+    code = main(["analyze", str(spec)])
+    _assert_input_error(capsys, code, message)
+
+
 def test_mobility_order_below_two_is_an_input_error(tmp_path, capsys):
     spec = _write(tmp_path, "flat.json", FLAT2)
     code = main(["mobility", spec, "--max-order", "0"])

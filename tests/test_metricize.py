@@ -1,5 +1,6 @@
 """Metric reconstruction and all verification machinery."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +19,7 @@ from projmet.models import (euclidean_metric, flat_connection,
                             sphere_gnomonic_connection, sphere_gnomonic_metric,
                             sphere_stereographic_connection,
                             sphere_stereographic_metric)
+from projmet.tensorfield import covariant_derivative, trace_free_part
 
 from conftest import rand_metric, rand_poly
 
@@ -103,9 +105,6 @@ def test_g_down_is_inverted_once_on_first_access(monkeypatch):
     assert cand.g_down == klein_metric(2)
     assert cand.g_down is cand.g_down
     assert len(calls) == 1
-    # a truncated series sigma has no symbolic inverse at all
-    trunc = reconstruct_metric(sigma, flat_connection(2), exact_solution=False)
-    assert trunc.g_down is None and len(calls) == 1
     report, _ = analyze_connection(klein_connection(2), [0, 0],
                                    {"max_order": 8, "samples": 4,
                                     "tolerance": 1e-8})
@@ -182,6 +181,83 @@ def test_is_levi_civita_definitional(rng):
 def test_is_levi_civita_rejects_wrong_pair():
     ok, _ = is_levi_civita(flat_connection(2), metric_inverse(klein_metric(2)))
     assert not ok
+
+
+THEOREM_INPUTS = {
+    "flat2": lambda: flat_connection(2),
+    "klein2": lambda: klein_connection(2),
+    "klein3": lambda: klein_connection(3),
+    "gnomonic2": lambda: sphere_gnomonic_connection(2),
+    "gnomonic3": lambda: sphere_gnomonic_connection(3),
+    "roundtrip2": lambda: levi_civita(rand_metric(2, random.Random(7))),
+    "roundtrip3": lambda: levi_civita(
+        rand_metric(3, random.Random(3), max_degree=1)),
+}
+
+
+@pytest.mark.parametrize("name", THEOREM_INPUTS)
+def test_linear_equation_proves_exact_candidates(name, monkeypatch):
+    """The paper's theorem on the runtime path: `analyze` proves each exact
+    candidate by tf(grad_a t^{bc}) = 0 for the tensor t it was built from,
+    in that tensor's gauge, and never runs `is_levi_civita`.  The oracle and
+    the volume half, which holds by construction, agree on every candidate,
+    and both refute the candidate rebuilt from t with t^{11} + x1^2."""
+    from projmet import metricize, pipeline
+    from projmet.metricize import _volume_residual, candidate_from_metric
+
+    built = []
+    reconstruct = pipeline._reconstruct
+
+    def keep(special, *args):
+        exact, cand = reconstruct(special, *args)
+        if exact:
+            built.append((special, cand))
+        return exact, cand
+
+    calls = []
+
+    def counted(check):
+        def wrapper(*args):
+            calls.append(check.__name__)
+            return check(*args)
+        return wrapper
+
+    conn = THEOREM_INPUTS[name]()
+    n = conn.dim
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_reconstruct", keep)
+        for mod in (metricize, pipeline):
+            for check in (is_levi_civita, _volume_residual):
+                m.setattr(mod, check.__name__, counted(check), raising=False)
+        report, code = pipeline.analyze_connection(
+            conn, [0] * n, {"max_order": 2 * n + 2, "samples": 2,
+                            "tolerance": 1e-8})
+    assert calls == []
+    assert code == 0 and built
+    # the round trips take the g-built path, the models the sigma-built one
+    assert all((c.sigma is None) == name.startswith("roundtrip")
+               for _, c in built)
+    assert all(e["is_levi_civita"] for e in report["metrics"] if e.get("exact"))
+
+    def linear_check(cand, special):
+        t, gauge = ((cand.g_up, cand.connection) if cand.sigma is None
+                    else (cand.sigma, special))
+        return trace_free_part(covariant_derivative(t, gauge)).is_zero()
+
+    for special, cand in built:
+        assert linear_check(cand, special)
+        assert is_levi_civita(cand.connection, cand.g_up)[0]
+        assert _volume_residual(cand.connection, cand.g_up).is_zero()
+        t = cand.g_up if cand.sigma is None else cand.sigma
+        chart = t.chart
+        comps = [t.get(i, j) for i in range(n) for j in range(n)]
+        comps[0] = comps[0] + chart.var(1) * chart.var(1)
+        bent = TensorField(chart, ("u", "u"), comps)
+        rebuild = (candidate_from_metric if cand.sigma is None
+                   else reconstruct_metric)
+        wrong = rebuild(bent, special, cand.base_point)
+        assert not linear_check(wrong, special)
+        assert not is_levi_civita(wrong.connection, wrong.g_up)[0]
 
 
 def test_levi_civita_closed_forms():
