@@ -13,14 +13,12 @@ from .exprcore import (Chart, DifferentialForm, Potential, RationalExpr,
                        exterior_derivative, homotopy_potential,
                        potential_of_closed_1form)
 from .tensorfield import (TensorField, contract, covariant_derivative,
-                          kron_delta, outer, reweight, trace_free_part)
+                          trace_free_part)
 from .projconn import (AffineConnection, ProjectiveData, beta_form,
-                       bianchi_contracted_check, decompose_curvature,
-                       full_curvature, projective_change, ricci, specialize)
+                       decompose_curvature, full_curvature, projective_change,
+                       ricci, specialize)
 from .tractor import (TractorCurvature, TractorSection, connection_matrices,
-                      curvature_on_section, section_basis, section_dim,
-                      tractor_curvature, tractor_derivative, transform_section,
-                      transform_values)
+                      section_dim, tractor_curvature)
 from .mobility import (JetSolution, degree_of_mobility, parallel_transport,
                        residual)
 from .metricize import (MetricCandidate, RiemannSplit, candidate_from_metric,

@@ -14,10 +14,12 @@ and N sparse integer rows {basis index: numerator}, in lowest terms, and
 the Taylor data of the A_a has one integer denominator per monomial, so
 products accumulate in int and zeros cost nothing.  Two predictions of the
 same coefficient are compared in that normal form; only rows that differ
-become (integer) constraint rows.  Rank decisions still go through the
-exact sparse Gauss-Jordan elimination in exactlinalg, and the results are
-converted to Fractions once, at the end.  Numeric parallel transport is a
-floating-point cross-check, never an input to rank decisions.
+become (integer) constraint rows.  On a projectively flat structure the
+comparison cannot fail, so each coefficient is predicted once.  Rank
+decisions still go through the exact sparse Gauss-Jordan elimination in
+exactlinalg.  The basis is converted to Fractions at the end, the series
+only when it is read.  Numeric parallel transport is a floating-point
+cross-check, never an input to rank decisions.
 """
 
 from fractions import Fraction
@@ -44,31 +46,54 @@ class JetSolution:
 
     admissible_basis: list of packed initial-value vectors over Q.
     series: per basis vector, {exponent tuple: packed coefficient vector}
-    in shifted coordinates u = x - base_point.
+    in shifted coordinates u = x - base_point; converted from the integer
+    rows of the recursion to Fractions on first access.
     dims: admissible dimension after imposing consistency order by order.
     matrices: the connection matrices A_a the recursion was solved with.
     entry_values: exact values of the A_a entries that `residual` has
     evaluated, {point: {(a, i, j): value}}, shared by every candidate.
     """
 
-    __slots__ = ("base_point", "order", "dims", "admissible_basis", "series",
-                 "matrices", "stabilized", "dim", "entry_values")
+    __slots__ = ("base_point", "order", "dims", "admissible_basis", "_coeff",
+                 "_series", "matrices", "stabilized", "dim", "entry_values")
 
-    def __init__(self, base_point, order, dims, admissible_basis, series,
-                 matrices):
+    def __init__(self, base_point, order, dims, coeff, matrices):
         self.base_point = tuple(Fraction(p) for p in base_point)
         self.order = order
         self.dims = list(dims)
-        self.admissible_basis = admissible_basis
-        self.series = series
+        self.dim = dims[-1]
+        self._coeff = coeff
+        self._series = None
+        self.admissible_basis = _columns(*coeff[(0,) * len(base_point)],
+                                         self.dim)
         self.matrices = matrices
         self.entry_values = {}
-        self.dim = len(admissible_basis)
         self.stabilized = len(dims) >= 2 and dims[-1] == dims[-2]
+
+    @property
+    def series(self):
+        if self._series is None:
+            self._series = [{} for _ in range(self.dim)]
+            for mono, (den, rows) in self._coeff.items():
+                for ser, col in zip(self._series,
+                                    _columns(den, rows, self.dim)):
+                    ser[mono] = col
+        return self._series
 
     def __repr__(self):
         return (f"JetSolution(dim={self.dim}, order={self.order}, "
                 f"stabilized={self.stabilized}, dims={self.dims})")
+
+
+def _columns(den, rows, d):
+    """The d packed Fraction vectors of one Taylor coefficient: slot i of
+    basis solution t is rows[i].get(t, 0) / den."""
+    zero = Fraction(0)
+    columns = [[zero] * len(rows) for _ in range(d)]
+    for i, row in enumerate(rows):
+        for t, v in row.items():
+            columns[t][i] = Fraction(v, den)
+    return columns
 
 
 def _expand_matrices(mats, point, max_order):
@@ -136,11 +161,42 @@ def _difference_rows(first, second, d):
     return out
 
 
+def _predict(terms, coeff, alpha, a, N):
+    """Taylor coefficient at alpha + e_a of the basis solutions, from
+    d_a s = -A_a s: the coefficient of u^alpha in -A_a s over alpha_a + 1,
+    normalised.  `terms` is the integer Taylor data of A_a."""
+    order = sum(alpha)
+    products = []
+    for mono, mono_order, mono_den, entries in terms:
+        if mono_order > order:
+            break
+        rem = tuple(x - y for x, y in zip(alpha, mono))
+        if min(rem) >= 0:
+            rem_den, rem_rows = coeff[rem]
+            products.append((mono_den * rem_den, entries, rem_rows))
+    den = lcm(*(q for q, _, _ in products))
+    acc = [{} for _ in range(N)]
+    for q, entries, brows in products:
+        scale = den // q
+        for i, j, c in entries:
+            brow = brows[j]
+            if not brow:
+                continue
+            f = c * scale
+            arow = acc[i]
+            for t, v in brow.items():
+                arow[t] = arow.get(t, 0) - f * v
+    return _normalised(den * (alpha[a] + 1), acc)
+
+
 def degree_of_mobility(conn, base_point, max_order=None, data=None):
     """Exact jet solve of the closed system at base_point up to max_order.
 
     The default truncation order is 2n + 4; the reported dimension is an
-    upper bound whenever `stabilized` is False.
+    upper bound whenever `stabilized` is False.  On a projectively flat
+    structure the prolonged curvature vanishes identically, so every
+    prediction of a coefficient agrees: each is computed once, from the
+    first (alpha, a) that reaches it, and no constraint rows arise.
     """
     chart = conn.chart
     n = chart.dim
@@ -152,6 +208,7 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
         raise ValueError("max_order must be at least 2")
     if data is None:
         data = decompose_curvature(conn)
+    flat = data.is_flat()
     point = [Fraction(p) for p in base_point]
     mats = connection_matrices(conn, data)
     tdata = _integer_taylor_data(_expand_matrices(mats, point, max_order))
@@ -159,8 +216,7 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
 
     # coeff[mono] = (den, rows): slot i of basis solution t has Taylor
     # coefficient rows[i].get(t, 0) / den at u^mono
-    zero_mono = (0,) * n
-    coeff = {zero_mono: (1, [{i: 1} for i in range(N)])}
+    coeff = {(0,) * n: (1, [{i: 1} for i in range(N)])}
     d = N
     dims = [N]
 
@@ -187,37 +243,13 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
         cand = {}
         rows = []
         for alpha in monomials_of_order(n, order):
-            if alpha not in coeff:
-                continue
             for a in range(n):
-                terms = []
-                for mono, mono_order, mono_den, entries in tdata[a]:
-                    if mono_order > order:
-                        break
-                    rem = tuple(x - y for x, y in zip(alpha, mono))
-                    if min(rem) < 0:
-                        continue
-                    base = coeff.get(rem)
-                    if base is not None:
-                        terms.append((mono_den * base[0], entries, base[1]))
-                den = lcm(*(q for q, _, _ in terms))
-                acc = [{} for _ in range(N)]
-                for q, entries, brows in terms:
-                    scale = den // q
-                    for i, j, c in entries:
-                        brow = brows[j]
-                        if not brow:
-                            continue
-                        f = c * scale
-                        arow = acc[i]
-                        for t, v in brow.items():
-                            arow[t] = arow.get(t, 0) - f * v
-                candidate = _normalised(den * (alpha[a] + 1), acc)
                 tau = alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:]
-                if tau in cand:
-                    rows += _difference_rows(cand[tau], candidate, d)
-                else:
-                    cand[tau] = candidate
+                if tau not in cand:
+                    cand[tau] = _predict(tdata[a], coeff, alpha, a, N)
+                elif not flat:
+                    rows += _difference_rows(
+                        cand[tau], _predict(tdata[a], coeff, alpha, a, N), d)
         coeff.update(cand)
         if rows:
             kernel = nullspace(rows, d)
@@ -228,18 +260,7 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
             # every later jet is zero, so the remaining orders hold trivially
             dims.extend([0] * (max_order - 1 - order))
             break
-
-    zero = Fraction(0)
-    series = [{} for _ in range(d)]
-    for mono, (den, rows) in coeff.items():
-        columns = [[zero] * N for _ in range(d)]
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                columns[j][i] = Fraction(v, den)
-        for ser, col in zip(series, columns):
-            ser[mono] = col
-    basis = [list(ser[zero_mono]) for ser in series]
-    return JetSolution(point, max_order, dims, basis, series, mats)
+    return JetSolution(point, max_order, dims, coeff, mats)
 
 
 def residual(jets, series, sample_points):

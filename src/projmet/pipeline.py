@@ -286,7 +286,7 @@ def analyze_connection(conn, base_point, options, echo=None):
     tol = options["tolerance"]
     # Beltrami: a metric has constant curvature exactly when its projective
     # class is flat, and every candidate lies in the class of the input
-    flat = data.weyl.is_zero() and data.cotton_york.is_zero()
+    flat = data.is_flat()
     metrics = []
     for vec, coords in _candidate_vectors(jets, n):
         series = _combine_series(jets, coords)

@@ -24,7 +24,7 @@ from .errors import InternalError, NotEquivalent, NotSpecial, ShapeError
 from .exprcore import (DifferentialForm, Potential, RationalExpr,
                        _common_denominator, homotopy_potential,
                        potential_of_closed_1form)
-from .tensorfield import TensorField, covariant_derivative
+from .tensorfield import TensorField
 
 __all__ = [
     "AffineConnection",
@@ -36,7 +36,6 @@ __all__ = [
     "specialize",
     "full_curvature",
     "decompose_curvature",
-    "bianchi_contracted_check",
 ]
 
 
@@ -124,6 +123,11 @@ class ProjectiveData:
         self.schouten = schouten
         self.weyl = weyl
         self.cotton_york = cotton_york
+
+    def is_flat(self):
+        """Projectively flat: W and Y vanish, so the prolonged connection is
+        flat and every initial value extends to a solution."""
+        return self.weyl.is_zero() and self.cotton_york.is_zero()
 
 
 def _over_common(arrays):
@@ -423,23 +427,3 @@ def decompose_curvature(conn):
     schouten, weyl = _schouten_and_weyl(conn, ric)
     yk = cotton_york(conn, schouten)
     return ProjectiveData(conn, ric, beta, schouten, weyl, yk)
-
-
-def bianchi_contracted_check(data, conn):
-    """Residual of grad_c W_ab{}^c{}_d - (n-2)(grad_a P_bd - grad_b P_ad).
-
-    Identically zero for curvature data coming from a connection; returned
-    rather than asserted so tests can inspect it.
-    """
-    chart = conn.chart
-    n = chart.dim
-    dw = covariant_derivative(data.weyl, conn)  # slots: e, a, b, c(up), d
-    dp = covariant_derivative(data.schouten, conn)
-    comps = []
-    for a, b, d in product(range(n), repeat=3):
-        val = chart.zero
-        for c in range(n):
-            val = val + dw.get(c, a, b, c, d)
-        val = val - (n - 2) * (dp.get(a, b, d) - dp.get(b, a, d))
-        comps.append(val)
-    return TensorField(chart, ("d", "d", "d"), comps)

@@ -16,12 +16,9 @@ from .errors import ShapeError
 
 __all__ = [
     "TensorField",
-    "kron_delta",
-    "outer",
     "contract",
     "covariant_derivative",
     "trace_free_part",
-    "reweight",
 ]
 
 
@@ -148,28 +145,6 @@ def _nest(flat, n, rank):
     return [_nest(flat[i * step:(i + 1) * step], n, rank - 1) for i in range(n)]
 
 
-def kron_delta(chart):
-    """Tautological delta_a^b as variance ('u','d')."""
-    one, zero = chart.one, chart.zero
-    return TensorField.from_function(
-        chart, ("u", "d"), lambda a, b: one if a == b else zero)
-
-
-def outer(t1, t2):
-    """Tensor product; weights add, tags add."""
-    if t1.chart is not t2.chart:
-        raise ShapeError("different charts")
-    n = t1.chart.dim
-    comps = []
-    for c1 in t1.comps:
-        if c1.is_zero():
-            comps.extend([t1.chart.zero] * len(t2.comps))
-        else:
-            comps.extend([c1 * c2 for c2 in t2.comps])
-    return TensorField(t1.chart, t1.variance + t2.variance, comps,
-                       t1.weight + t2.weight, t1.tag + t2.tag)
-
-
 def contract(t, i, j):
     """Contract slot i (up) with slot j (down), 0-based positions."""
     if {t.variance[i], t.variance[j]} != {"u", "d"}:
@@ -255,14 +230,3 @@ def trace_free_part(t):
             val = val - frac * s.get(b)
         comps.append(val)
     return TensorField(chart, t.variance, comps, t.weight, t.tag)
-
-
-def reweight(t, f, volume_weight=None):
-    """Rescale a weighted tensor for the volume change eps -> e^{(n+1)f} eps.
-
-    Components are unchanged; the formal factor exp(w f) is recorded on the
-    tag, so tags compose additively and reweight(reweight(T, f), -f) == T.
-    """
-    w = t.weight if volume_weight is None else volume_weight
-    return TensorField(t.chart, t.variance, t.comps, t.weight,
-                       t.tag + f * w)

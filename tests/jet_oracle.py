@@ -5,7 +5,8 @@ Kept verbatim (apart from the argument checks and returning plain data) as
 an independent oracle: every Taylor coefficient is a dense N x d matrix of
 Fractions, every (alpha, a) product is accumulated entry by entry, and the
 Taylor data of the connection matrices comes from one `rational_to_series`
-per entry.
+per entry.  The matrices come from the column-by-column builder in
+`oracles`, not from the closed form the solver uses.
 """
 
 from fractions import Fraction
@@ -13,7 +14,9 @@ from fractions import Fraction
 from projmet.exactlinalg import nullspace
 from projmet.exactseries import monomials_of_order, rational_to_series
 from projmet.projconn import decompose_curvature
-from projmet.tractor import connection_matrices, section_dim
+from projmet.tractor import section_dim
+
+from oracles import connection_matrices_by_columns
 
 
 def expand_matrices(mats, point, max_order):
@@ -41,7 +44,7 @@ def dense_jet_solve(conn, base_point, max_order):
     n = conn.chart.dim
     data = decompose_curvature(conn)
     point = [Fraction(p) for p in base_point]
-    mats = connection_matrices(conn, data)
+    mats = connection_matrices_by_columns(conn, data)
     tdata = expand_matrices(mats, point, max_order)
     N = section_dim(n)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from projmet import (AffineConnection, Chart, TensorField, beta_form,
-                     bianchi_contracted_check, constant_curvature_check,
+                     constant_curvature_check,
                      decompose_curvature, degree_of_mobility, geodesic_compare,
                      levi_civita, metric_inverse, projective_change,
                      projective_equivalence, reconstruct_metric, specialize)
@@ -24,12 +24,12 @@ from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness, sphere_gnomonic_connection,
                             sphere_stereographic_connection)
 from projmet.projconn import _schouten_and_weyl, cotton_york
-from projmet.tractor import (curvature_on_section, section_dim, sym_pairs,
-                             tractor_curvature)
-from projmet.tensorfield import covariant_derivative, reweight, trace_free_part
+from projmet.tractor import section_dim, sym_pairs, tractor_curvature
+from projmet.tensorfield import covariant_derivative, trace_free_part
 
 from conftest import (rand_exact_oneform, rand_fraction, rand_poly,
                       rand_special_connection)
+from oracles import bianchi_contracted_check, curvature_on_section, reweight
 
 
 @contextmanager

@@ -109,6 +109,34 @@ def test_analyze_builds_connection_matrices_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mobility_never_reads_the_series(tmp_path, monkeypatch):
+    """`mobility` reports dimensions only, so the Fraction series of the jet
+    solve is never built; `analyze` reads it for its candidates."""
+    from itertools import product
+
+    from projmet.mobility import JetSolution
+    from projmet.models import klein_connection
+
+    reads = []
+    series = JetSolution.series
+
+    def counted(self):
+        reads.append(self)
+        return series.fget(self)
+
+    monkeypatch.setattr(JetSolution, "series", property(counted))
+    conn = klein_connection(4)
+    doc = {"dimension": 4, "christoffel": {
+        f"{c + 1},{a + 1},{b + 1}": str(conn.gamma[c][a][b])
+        for c, a, b in product(range(4), repeat=3)
+        if a <= b and conn.gamma[c][a][b]}}
+    spec = _write(tmp_path, "klein4.json", doc)
+    assert main(["mobility", spec]) == EXIT_OK
+    assert not reads
+    assert main(["analyze", spec, "--max-order", "4"]) == EXIT_OK
+    assert reads
+
+
 def test_witness_analysis(tmp_path):
     spec = _write(tmp_path, "w.json", WITNESS)
     report, code = run_analysis(spec)

@@ -2,6 +2,8 @@
 
 import re
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from projmet import (AffineConnection, Chart, NotSpecial, PoleAtBasePoint,
                      PoleOnPath, decompose_curvature, degree_of_mobility,
                      parallel_transport, residual, specialize)
 from projmet.exactlinalg import nullspace, rank
+from projmet.cli import load_spec
 from projmet.exactseries import series_eval
 from projmet.mobility import _expand_matrices
 from projmet.models import (flat_connection, klein_connection,
@@ -18,7 +21,9 @@ from projmet.tractor import (connection_matrices, section_dim, sym_pairs,
                              tractor_curvature)
 
 from conftest import rand_fraction
-from jet_oracle import expand_matrices
+from jet_oracle import dense_jet_solve, expand_matrices
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_flat_dimensions_and_stabilization():
@@ -196,6 +201,64 @@ def test_expand_matrices_inverts_each_denominator_once(monkeypatch):
     assert len(calls) == len(distinct) < len(entries)
 
 
+def _counted_predictions(monkeypatch):
+    """Record the coefficient (alpha + e_a) of every jet prediction."""
+    import projmet.mobility as mobility
+
+    predicted = []
+    predict = mobility._predict
+
+    def counted(terms, coeff, alpha, a, N):
+        predicted.append(alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:])
+        return predict(terms, coeff, alpha, a, N)
+
+    monkeypatch.setattr(mobility, "_predict", counted)
+    return predicted
+
+
+def test_flat_structure_predicts_each_coefficient_once(monkeypatch):
+    """Klein is projectively flat, so the prolonged curvature vanishes and
+    all predictions of a Taylor coefficient agree: each is made once, and
+    no constraint row or elimination is needed."""
+    import projmet.mobility as mobility
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("constraint rows built on a flat structure")
+
+    monkeypatch.setattr(mobility, "_difference_rows", forbidden)
+    monkeypatch.setattr(mobility, "nullspace", forbidden)
+    predicted = _counted_predictions(monkeypatch)
+    special, _, _ = specialize(klein_connection(4))
+    js = degree_of_mobility(special, [0] * 4, 6)
+    assert js.dims == [15] * 7
+    # every monomial of order 1..6 in four variables, once
+    assert len(predicted) == len(set(predicted)) == comb(6 + 4, 4) - 1
+
+
+def test_curved_structure_compares_predictions(monkeypatch):
+    """The D3 input is curved: repeated predictions are compared, their
+    differences become constraint rows, and the dimensions match the dense
+    recursion."""
+    import projmet.mobility as mobility
+
+    made = []
+    difference_rows = mobility._difference_rows
+
+    def counted(*args):
+        rows = difference_rows(*args)
+        made.extend(rows)
+        return rows
+
+    monkeypatch.setattr(mobility, "_difference_rows", counted)
+    predicted = _counted_predictions(monkeypatch)
+    special, _, _ = specialize(load_spec(str(DATA / "liouville_d3.json"))[0])
+    js = degree_of_mobility(special, [0, 0], 6)
+    assert made
+    assert len(predicted) > len(set(predicted))
+    assert js.dims == dense_jet_solve(special, [0, 0], 6)[0]
+    assert js.dims[-1] < js.dims[0]
+
+
 def test_not_stabilized_is_reported_not_fatal():
     # at the minimum order the witness dimensions are still falling
     js = degree_of_mobility(nonmetrizable_witness(), [0, 0], 2)
@@ -208,7 +271,8 @@ def test_input_metric_solution_lies_in_admissible_space():
     sigma = g^{bc} solves the system with zero velocity slot."""
     from projmet import TensorField, decompose_curvature
     from projmet.metricize import levi_civita, metric_inverse
-    from projmet.tractor import TractorSection, tractor_derivative
+    from projmet.tractor import TractorSection
+    from oracles import tractor_derivative, values_at
 
     chart = Chart(2)
     x = chart.var(1)
@@ -230,7 +294,7 @@ def test_input_metric_solution_lies_in_admissible_space():
     assert top.is_zero() and mid.is_zero() and bot.is_zero()
     # the corresponding initial values lie in the admissible span
     js = degree_of_mobility(conn, [0, 0], 6, data)
-    init = sec.values_at([0, 0])
+    init = values_at(sec, [0, 0])
     rows = [list(v) for v in js.admissible_basis]
     assert rank(rows + [init]) == rank(rows)
 

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 from projmet import (AffineConnection, Chart, NotSpecial, beta_form,
-                     bianchi_contracted_check, covariant_derivative,
-                     decompose_curvature, full_curvature, projective_change,
-                     ricci, specialize)
+                     covariant_derivative, decompose_curvature, full_curvature,
+                     projective_change, ricci, specialize)
 from projmet.cli import parse_spec
 from projmet.models import (flat_connection, klein_connection, klein_metric,
                             sphere_stereographic_connection,
@@ -20,6 +19,7 @@ from projmet.projconn import _schouten_and_weyl, cotton_york
 from conftest import (rand_exact_oneform, rand_metric, rand_poly,
                       rand_special_connection, rand_vector_field,
                       ricci_by_commutator, warped_product_connection)
+from oracles import bianchi_contracted_check
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,24 +1,29 @@
 """The prolonged connection, its transformation law and its curvature."""
 
+import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from projmet import (AffineConnection, Chart, NotSpecial, TensorField,
-                     decompose_curvature, projective_change, specialize)
+                     decompose_curvature, levi_civita, projective_change,
+                     specialize)
+from projmet.cli import load_spec
 from projmet.models import (flat_connection, klein_connection,
-                            nonmetrizable_witness,
+                            nonmetrizable_witness, sphere_gnomonic_connection,
                             sphere_stereographic_connection)
 from projmet.projconn import _schouten_and_weyl, cotton_york
 from projmet.tractor import (TractorSection, connection_matrices,
-                             curvature_on_section, section_basis, section_dim,
-                             sym_pairs, top_slot_curvature_formula,
-                             tractor_curvature, tractor_derivative,
-                             transform_section, transform_values)
+                             section_dim, sym_pairs, tractor_curvature)
 
-from conftest import rand_exact_oneform, rand_fraction, rand_poly, \
-    rand_special_connection
+from conftest import rand_exact_oneform, rand_fraction, rand_metric, \
+    rand_poly, rand_special_connection
+from oracles import (connection_matrices_by_columns, curvature_on_section,
+                     section_basis, section_difference, section_is_zero,
+                     top_slot_curvature_formula, tractor_derivative,
+                     transform_section, transform_values, values_at)
 
 
 def _general_flat_solution(chart, s, m, r):
@@ -77,9 +82,7 @@ def test_transform_identity_and_example():
     chart = Chart(2)
     sec = TractorSection.from_constant_vector(chart, [1, 0, 1, 0, 0, 0])
     same = transform_section(sec, [chart.zero, chart.zero])
-    assert (same.sigma - sec.sigma).is_zero()
-    assert (same.mu - sec.mu).is_zero()
-    assert (same.rho - sec.rho).is_zero()
+    assert section_is_zero(section_difference(same, sec))
     out = transform_values(2, [1, 0, 1, 0, 0, 0], [1, 0])
     assert out == [1, 0, 1, 1, 0, 1]
 
@@ -96,9 +99,7 @@ def test_transform_group_law(rng):
     both = [a + b for a, b in zip(u1, u2)]
     lhs = transform_section(transform_section(sec, u1), u2)
     rhs = transform_section(sec, both)
-    assert (lhs.sigma - rhs.sigma).is_zero()
-    assert (lhs.mu - rhs.mu).is_zero()
-    assert (lhs.rho - rhs.rho).is_zero()
+    assert section_is_zero(section_difference(lhs, rhs))
 
 
 def test_flat_curvature_operator_zero():
@@ -306,24 +307,25 @@ def test_section_basis_roundtrip():
     basis = section_basis(chart)
     assert len(basis) == section_dim(3) == 10
     for k, sec in enumerate(basis):
-        vals = sec.values_at([0, 0, 0])
+        vals = values_at(sec, [0, 0, 0])
         assert vals[k] == 1 and sum(abs(v) for v in vals) == 1
 
 
 def test_tractor_curvature_is_curvature_of_the_matrices(monkeypatch):
-    """The stored curvature is F_ab of the connection matrices: no
-    commutator of second derivatives is built, and the matrices check the
-    gauge once for all N basis sections."""
-    import projmet.tractor as tractor
+    """The stored curvature is F_ab of the connection matrices, and the
+    matrices are read off Gamma, P, W and Y: no symbolic derivative is
+    taken, and the gauge is checked once for all N basis sections."""
+    from projmet.exprcore import RationalExpr
 
     special, _, _ = specialize(sphere_stereographic_connection(2))
     data = decompose_curvature(special)
+    conn = nonmetrizable_witness()
+    conn_data = decompose_curvature(conn)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("commutator of second derivatives built")
+        raise AssertionError("symbolic derivative taken")
 
-    monkeypatch.setattr(tractor, "curvature_on_section", forbidden)
-    monkeypatch.setattr(tractor, "tractor_second_derivative", forbidden)
+    monkeypatch.setattr(RationalExpr, "diff", forbidden)
     checks = []
     is_special = AffineConnection.is_special
 
@@ -335,5 +337,52 @@ def test_tractor_curvature_is_curvature_of_the_matrices(monkeypatch):
     connection_matrices(special, data)
     assert len(checks) == 1
     assert tractor_curvature(special, data).is_zero()
-    conn = nonmetrizable_witness()
-    assert not tractor_curvature(conn, decompose_curvature(conn)).is_zero()
+    assert not tractor_curvature(conn, conn_data).is_zero()
+
+
+DATA = Path(__file__).parent / "data"
+CLOSED_FORM_CASES = {
+    "flat2": lambda: flat_connection(2),
+    **{f"klein{n}": (lambda n=n: klein_connection(n)) for n in (2, 3, 4, 5)},
+    **{f"gnomonic{n}": (lambda n=n: sphere_gnomonic_connection(n))
+       for n in (2, 3)},
+    **{f"stereo{n}": (lambda n=n: sphere_stereographic_connection(n))
+       for n in (2, 3)},
+    "witness": nonmetrizable_witness,
+    **{name: (lambda name=name: load_spec(str(DATA / f"{name}.json"))[0])
+       for name in ("flat_log_poly_change", "liouville_d1_d2",
+                    "liouville_d3")},
+    # Levi-Civita round trips: general Christoffel symbols, curved classes
+    "roundtrip2": lambda: levi_civita(rand_metric(2, random.Random(7))),
+    "roundtrip3": lambda: levi_civita(
+        rand_metric(3, random.Random(3), max_degree=1)),
+    **{f"random{n}-{seed}": (lambda n=n, seed=seed: rand_special_connection(
+        n, random.Random(f"closed-form-{n}-{seed}"), entries=3))
+       for n in (2, 3, 4) for seed in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_closed_form_matrices_match_column_builder(name):
+    """The matrices read off Gamma, P, W and Y equal, entry by entry, the
+    columns of full covariant derivatives of the constant basis sections."""
+    conn = CLOSED_FORM_CASES[name]()
+    if not conn.is_special():
+        conn = specialize(conn)[0]
+    data = decompose_curvature(conn)
+    mats = connection_matrices(conn, data)
+    want = connection_matrices_by_columns(conn, data)
+    N = section_dim(conn.dim)
+    assert len(mats) == len(want) == conn.dim
+    for mat, wmat in zip(mats, want):
+        assert len(mat) == N and all(len(row) == N for row in mat)
+        for row, wrow in zip(mat, wmat):
+            for entry, wentry in zip(row, wrow):
+                assert entry == wentry
+                assert str(entry) == str(wentry)
+
+
+def test_closed_form_matrices_reject_non_special_connection():
+    data = decompose_curvature(flat_connection(2))
+    with pytest.raises(NotSpecial):
+        connection_matrices(klein_connection(2), data)
