@@ -124,7 +124,7 @@ def series_eval(a, point):
     if not a:
         return Fraction(0)
     powers, lpow = _scaled_point([Fraction(p) for p in point], a)
-    s, q, _ = _scaled_value(a, powers, lpow)
+    s, q, _, _ = _scaled_value(a, powers, lpow)
     return Fraction(s, q * lpow[-1])
 
 

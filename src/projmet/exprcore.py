@@ -184,15 +184,19 @@ def _scaled_point(point, monoms):
     return powers, _powers(scale, max(map(sum, monoms)))
 
 
-def _scaled_value(terms, powers, lpow, partials=False):
-    """(s, q, ds) with p(X / L) = s / (q * L^deg) for the polynomial p given
-    by its term dict {exponent tuple: rational}, where deg = len(lpow) - 1
-    and q clears the coefficients.  With `partials`, ds[k] / (q * L^deg) is
-    the k-th first partial of p at the point; otherwise ds is None."""
+def _scaled_value(terms, powers, lpow, order=0):
+    """(s, q, ds, hs) with p(X / L) = s / (q * L^deg) for the polynomial p
+    given by its term dict {exponent tuple: rational}, where
+    deg = len(lpow) - 1 and q clears the coefficients.  With `order` >= 1,
+    ds[k] / (q * L^deg) is the k-th first partial of p at the point, and
+    with `order` 2, hs[k][l] / (q * L^deg) is the second partial d_k d_l p;
+    what is not asked for is None."""
     q = lcm(*[c.denominator for c in terms.values()])
     deg = len(lpow) - 1
+    n = len(powers)
     s = 0
-    ds = [0] * len(powers) if partials else None
+    ds = [0] * n if order else None
+    hs = [[0] * n for _ in range(n)] if order > 1 else None
     for exps, c in terms.items():
         coeff = c.numerator if q == 1 else c.numerator * (q // c.denominator)
         t = coeff
@@ -202,7 +206,7 @@ def _scaled_value(terms, powers, lpow, partials=False):
                 t *= table[e]
                 k -= e
         s += t * lpow[k]
-        if partials and k < deg:
+        if order and k < deg:
             # d/dx_i of x^e lifted to L^deg: e_i X^(e - 1_i) L^(k + 1)
             lift = coeff * lpow[k + 1]
             for i, e in enumerate(exps):
@@ -212,7 +216,27 @@ def _scaled_value(terms, powers, lpow, partials=False):
                         if f and j != i:
                             g *= table[f]
                     ds[i] += g
-    return s, q, ds
+        if order > 1 and k + 1 < deg:
+            # d_i d_j x^e lifted to L^deg:
+            # e_i (e_j - [i = j]) X^(e - 1_i - 1_j) L^(k + 2)
+            lift = coeff * lpow[k + 2]
+            for i in range(n):
+                for j in range(i, n):
+                    low = list(exps)
+                    low[i] -= 1
+                    low[j] -= 1
+                    if low[i] < 0 or low[j] < 0:
+                        continue
+                    h = lift * exps[i] * (exps[j] - (i == j))
+                    for table, e in zip(powers, low):
+                        if e:
+                            h *= table[e]
+                    hs[i][j] += h
+    if hs is not None:
+        for i in range(n):
+            for j in range(i):
+                hs[i][j] = hs[j][i]
+    return s, q, ds, hs
 
 
 class Chart:
@@ -439,26 +463,42 @@ class RationalExpr:
     def evaluate(self, point):
         """Exact value at a rational point; PoleError if the denominator vanishes."""
         powers, lpow = self._tables(point)
-        num, qn, _ = _scaled_value(self.frac.numer, powers, lpow)
-        den, qd, _ = _scaled_value(self.frac.denom, powers, lpow)
+        num, qn, _, _ = _scaled_value(self.frac.numer, powers, lpow)
+        den, qd, _, _ = _scaled_value(self.frac.denom, powers, lpow)
         if not den:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
         return Fraction(num * qd, den * qn)
 
-    def jet(self, point):
+    def jet(self, point, hessian=False):
         """Exact value and first partials [d_1, .., d_n] at a rational point,
-        by the quotient rule on the integer sums; PoleError if the
+        by the quotient rule on the integer sums; with `hessian`, also the
+        second partials [[d_k d_l]] as a third item.  PoleError if the
         denominator vanishes."""
         powers, lpow = self._tables(point)
-        num, qn, dnum = _scaled_value(self.frac.numer, powers, lpow, True)
-        den, qd, dden = _scaled_value(self.frac.denom, powers, lpow, True)
+        order = 2 if hessian else 1
+        num, qn, dnum, hnum = _scaled_value(self.frac.numer, powers, lpow,
+                                            order)
+        den, qd, dden, hden = _scaled_value(self.frac.denom, powers, lpow,
+                                            order)
         if not den:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
         # (N/D)' = (N'D - ND') / D^2; every sum is over the same q L^deg
         scale = qn * den * den
-        return Fraction(num * qd, den * qn), [
-            Fraction((dn * den - num * dd) * qd, scale)
-            for dn, dd in zip(dnum, dden)]
+        value = Fraction(num * qd, den * qn)
+        grad = [Fraction((dn * den - num * dd) * qd, scale)
+                for dn, dd in zip(dnum, dden)]
+        if not hessian:
+            return value, grad
+        # (N/D)_kl = (N_kl D^2 - (N_k D_l + N_l D_k) D - N D_kl D
+        #             + 2 N D_k D_l) / D^3
+        scale *= den
+        hess = [[Fraction((hn * den * den
+                           - (dnum[k] * dden[l] + dnum[l] * dden[k]) * den
+                           - num * hd * den
+                           + 2 * num * dden[k] * dden[l]) * qd, scale)
+                 for l, (hn, hd) in enumerate(zip(hrow_n, hrow_d))]
+                for k, (hrow_n, hrow_d) in enumerate(zip(hnum, hden))]
+        return value, grad, hess
 
     def poly_terms(self):
         """[(exponent tuple, Fraction coeff)] of a polynomial expression."""

@@ -13,10 +13,18 @@ construction.  Also here: the Levi-Civita characterisation
 `is_levi_civita`, the general library check and the tests' oracle for
 that proof, the sampled projective-equivalence defect, the metric
 decomposition of the Riemann tensor, constant-curvature detection, and
-the numeric comparison of unparameterised geodesics.  The checks at points (`sampled_lc_residual`,
-`kappa_at`) take exact values and first partials from `RationalExpr.jet`
-and build no derivative fields; the geodesics use the Runge-Kutta step
-that parallel transport in `mobility` uses too.
+the numeric comparison of unparameterised geodesics.
+
+The checks at points (the candidate signatures at the samples,
+`sampled_lc_residual`, `kappa_at`) read exact values and first partials
+and build no derivative field.  A candidate's point table
+(`MetricCandidate.jets_at`) comes from the jets of the special
+connection, of sigma (or g) and the 2-jet of D = det: the candidate
+connection is the special one changed by Y_b = k d_b D / D, so neither
+grad f nor the changed connection is built as a field unless a proof or
+a report reads it.  A symbolic pair (conn, g^{ab}) is read through the
+jets of its entries.  The geodesics use the Runge-Kutta step that
+parallel transport in `mobility` uses too.
 """
 
 import csv
@@ -93,26 +101,48 @@ def metric_inverse(t):
 class MetricCandidate:
     """Reconstruction output for one solution sigma.
 
-    `sigma` is None for a candidate built from its metric g^{ab}.  `g_down`
-    is the symbolic inverse of `g_up`, computed on first access and kept.
+    `sigma` is None for a candidate built from its metric g^{ab}.  The
+    candidate is built from the tensor t (sigma, or g^{ab}), the special
+    connection and D = det t: `det_sigma` is D, `f` the log potential
+    k log D.  `upsilon` = grad f, `connection` (the special connection
+    changed by `upsilon`) and `g_down` (the symbolic inverse of `g_up`) are
+    built on first access and kept.  The checks at points read `jets_at`
+    instead, which builds none of them.
     """
 
-    __slots__ = ("sigma", "det_sigma", "f", "upsilon", "connection", "g_up",
-                 "_g_down", "base_point", "signature", "definite", "warnings")
+    __slots__ = ("sigma", "det_sigma", "f", "g_up", "base_point", "signature",
+                 "definite", "warnings", "_t", "_special", "_log_coeff",
+                 "_upsilon", "_connection", "_g_down", "_t_cache",
+                 "_table_cache")
 
-    def __init__(self, sigma, det_sigma, f, upsilon, connection, g_up,
-                 base_point, signature, definite, warnings):
-        self.sigma = sigma
-        self.det_sigma = det_sigma
-        self.f = f
-        self.upsilon = upsilon
-        self.connection = connection
+    def __init__(self, t, from_sigma, det, log_coeff, special, g_up,
+                 base_point):
+        self.sigma = t if from_sigma else None
+        self.det_sigma = det
+        self.f = Potential(t.chart, log_terms=[(det, log_coeff)])
         self.g_up = g_up
-        self._g_down = None
         self.base_point = base_point
-        self.signature = signature
-        self.definite = definite
-        self.warnings = warnings
+        self.signature = None
+        self.definite = None
+        self.warnings = []
+        self._t = t
+        self._special = special
+        self._log_coeff = log_coeff
+        self._upsilon = self._connection = self._g_down = None
+        self._t_cache = {}
+        self._table_cache = {}
+
+    @property
+    def upsilon(self):
+        if self._upsilon is None:
+            self._upsilon = self.f.grad()
+        return self._upsilon
+
+    @property
+    def connection(self):
+        if self._connection is None:
+            self._connection = projective_change(self._special, self.upsilon)
+        return self._connection
 
     @property
     def g_down(self):
@@ -120,15 +150,123 @@ class MetricCandidate:
             self._g_down = metric_inverse(self.g_up)
         return self._g_down
 
+    def _t_jets(self, pt):
+        """Exact values and first partials of the entries of t at the
+        rational point `pt`, as a symmetric matrix of (value, [d_1..d_n]);
+        cached per point.  PoleError where t has a pole."""
+        key = tuple(pt)
+        jets = self._t_cache.get(key)
+        if jets is None:
+            jets = self._t_cache[key] = _symmetric_jets(self._t, pt)
+        return jets
+
+    def jets_at(self, pt):
+        """(gamma, dgamma, g, dg) at the rational point `pt`: exact values
+        and first partials of the candidate connection and of g^{ab}
+        (`_point_table`), cached per point.
+
+        Where a factor has a pole or D vanishes, the symbolic pair
+        (`connection`, `g_up`) is evaluated instead: it either raises the
+        PoleError of its own pole there or, where its poles cancel, gives
+        the values.
+        """
+        key = tuple(pt)
+        table = self._table_cache.get(key)
+        if table is None:
+            try:
+                table = self._point_table(pt)
+            except PoleError:
+                table = _pair_table(self.connection, self.g_up, pt)
+            self._table_cache[key] = table
+        return table
+
+    def _point_table(self, pt):
+        """The candidate connection Gamma' = Gamma + delta^c_a Y_b +
+        delta^c_b Y_a, with Y_b = k d_b D / D and
+        d_m Y_b = k (D d_m d_b D - d_b D d_m D) / D^2, from the jets of the
+        special Gamma and the 2-jet of D; g^{ab} = D sigma^{ab} by the
+        product rule for a sigma-built candidate, else t itself."""
+        n = len(pt)
+        dv, dd, hd = self.det_sigma.jet(pt, hessian=True)
+        if not dv:
+            raise PoleError(f"det vanishes at {tuple(pt)}")
+        k = self._log_coeff
+        ups = [k * d / dv for d in dd]
+        dups = [[k * (dv * hd[m][b] - dd[b] * dd[m]) / (dv * dv)
+                 for m in range(n)] for b in range(n)]
+        gam, dgam = _connection_jets(self._special, pt)
+        for c, a, b in product(range(n), repeat=3):
+            for i, j in ((a, b), (b, a)):
+                if c == i:
+                    gam[c][a][b] += ups[j]
+                    dgam[c][a][b] = [x + y for x, y in
+                                     zip(dgam[c][a][b], dups[j])]
+        t = self._t_jets(pt)
+        if self.sigma is None:
+            return gam, dgam, _values(t), _partials(t)
+        g = [[dv * v for v, _ in row] for row in t]
+        dg = [[[dd[m] * v + dv * grad[m] for m in range(n)] for v, grad in row]
+              for row in t]
+        return gam, dgam, g, dg
+
     def __repr__(self):
         return (f"MetricCandidate(signature={self.signature}, "
                 f"definite={self.definite})")
 
 
+def _symmetric_jets(t, pt):
+    """Symmetric matrix of RationalExpr.jet of a symmetric rank-2 field's
+    entries at pt; each jet is taken once."""
+    n = len(pt)
+    jets = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            jets[i][j] = jets[j][i] = t.get(i, j).jet(pt)
+    return jets
+
+
+def _values(jets):
+    return [[v for v, _ in row] for row in jets]
+
+
+def _partials(jets):
+    return [[grad for _, grad in row] for row in jets]
+
+
+def _connection_jets(conn, pt):
+    """(gamma, dgamma): values and first partials of Gamma^c_ab at pt."""
+    n = len(pt)
+    gam = [[[None] * n for _ in range(n)] for _ in range(n)]
+    dgam = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for c in range(n):
+        for a in range(n):
+            for b in range(a, n):
+                val, grad = conn.gamma[c][a][b].jet(pt)
+                gam[c][a][b] = gam[c][b][a] = val
+                dgam[c][a][b] = dgam[c][b][a] = grad
+    return gam, dgam
+
+
+def _pair_table(conn, g_up, pt):
+    """The point table of a symbolic pair (conn, g^{ab}), from the jets of
+    each entry."""
+    jets = _symmetric_jets(g_up, pt)
+    return (*_connection_jets(conn, pt), _values(jets), _partials(jets))
+
+
+def _point_source(conn, g_up):
+    """Point evaluator pt -> (gamma, dgamma, g, dg) for the point checks: a
+    MetricCandidate in place of `conn` (with `g_up` None) gives its own;
+    otherwise the symbolic pair is read through its jets."""
+    if isinstance(conn, MetricCandidate):
+        return conn.jets_at
+    return lambda pt: _pair_table(conn, g_up, pt)
+
+
 def reconstruct_metric(sigma, conn, base_point=None, region_samples=()):
     """Metric candidate from a symmetric nondegenerate solution field.
 
-    g^{ab} = det(sigma) sigma^{ab}; the returned connection is the
+    g^{ab} = det(sigma) sigma^{ab}; the candidate connection is the
     projective change of `conn` by grad f with f = -1/2 log det(sigma),
     which is the Levi-Civita connection of g whenever sigma solves the
     metrizability system for `conn`.
@@ -152,7 +290,8 @@ def _candidate(t, from_sigma, conn, base_point, region_samples):
     """Shared body of the two constructors: `t` is sigma^{ab} when
     `from_sigma`, else the metric g^{ab} (and the candidate's sigma is
     None).  Nondegeneracy, the signature and the log potential are all
-    taken from `t`."""
+    taken from `t`; the signatures at points read the candidate's
+    cached jets of `t`."""
     det_name, noun = ("sigma", "sigma") if from_sigma else ("g", "metric")
     chart = t.chart
     n = chart.dim
@@ -172,14 +311,12 @@ def _candidate(t, from_sigma, conn, base_point, region_samples):
         raise DegenerateSigma(f"det({det_name}) vanishes at the base point")
 
     log_coeff = Fraction(-1, 2) if from_sigma else Fraction(-1, 2 * (n + 1))
-    f = Potential(chart, log_terms=[(det, log_coeff)])
-    upsilon = f.grad()
-    changed = projective_change(conn, upsilon)
     g_up = t.scale(det) if from_sigma else t
+    cand = MetricCandidate(t, from_sigma, det, log_coeff, conn, g_up,
+                           tuple(base_point))
 
-    warnings = []
-    mat = [[t.get(i, j).evaluate(base_point) for j in range(n)] for i in range(n)]
-    pos, neg, zero = symmetric_signature(mat)
+    warnings = cand.warnings
+    pos, neg, zero = symmetric_signature(_values(cand._t_jets(base_point)))
     if zero:
         raise DegenerateSigma(f"{noun} has a zero eigenvalue at the base point")
     definite = pos == n
@@ -189,7 +326,7 @@ def _candidate(t, from_sigma, conn, base_point, region_samples):
     for pt in region_samples:
         pt = [Fraction(v) for v in pt]
         try:
-            m = [[t.get(i, j).evaluate(pt) for j in range(n)] for i in range(n)]
+            m = _values(cand._t_jets(pt))
         except PoleError:
             warnings.append(f"{noun} has a pole at sample {tuple(pt)}")
             continue
@@ -197,9 +334,9 @@ def _candidate(t, from_sigma, conn, base_point, region_samples):
         if (p2, n2) != (pos, neg) or z2:
             definite = False
             warnings.append(f"signature changes at sample {tuple(pt)}")
-    return MetricCandidate(t if from_sigma else None, det, f, upsilon,
-                           changed, g_up, tuple(base_point), (pos, neg),
-                           definite, warnings)
+    cand.signature = (pos, neg)
+    cand.definite = definite
+    return cand
 
 
 def _volume_residual(conn, g_up):
@@ -244,28 +381,27 @@ def sampled_lc_residual(conn, g_up, samples):
 
     Largest entry of the trace-free part of grad g and of the volume
     residual, evaluated numerically from the exact values and first
-    partials of the symmetric g^{ab} at each point.
+    partials of Gamma and of the symmetric g^{ab} at each point.  A
+    MetricCandidate may stand in for `conn`, with `g_up` None: its point
+    evaluator then gives both (`_point_source`).
     """
     import numpy as np
 
-    n = conn.chart.dim
+    jets_at = _point_source(conn, g_up)
     worst = 0.0
     for pt in samples:
         pt = [Fraction(v) for v in pt]
-        # exact value and first partials of each entry of the symmetric g
-        jets = {}
-        for i in range(n):
-            for j in range(i, n):
-                jets[(i, j)] = jets[(j, i)] = g_up.get(i, j).jet(pt)
-        gv = np.array([[float(jets[(i, j)][0]) for j in range(n)]
+        n = len(pt)
+        gam_q, _, g_q, dg_q = jets_at(pt)
+        gv = np.array([[float(g_q[i][j]) for j in range(n)]
                        for i in range(n)])
-        gam = [[[float(conn.gamma[c][a][b].evaluate(pt)) for b in range(n)]
+        gam = [[[float(gam_q[c][a][b]) for b in range(n)]
                 for a in range(n)] for c in range(n)]
         nabla = [[[0.0] * n for _ in range(n)] for _ in range(n)]
         for a in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    val = float(jets[(i, j)][1][a])
+                    val = float(dg_q[i][j][a])
                     for e in range(n):
                         val += gam[i][a][e] * gv[e][j] + gam[j][a][e] * gv[i][e]
                     nabla[a][i][j] = val
@@ -284,7 +420,7 @@ def sampled_lc_residual(conn, g_up, samples):
         ginv = np.linalg.inv(gv)
         for a in range(n):
             t_a = sum(gam[b][a][b] for b in range(n))
-            dg_a = np.array([[float(jets[(i, j)][1][a]) for j in range(n)]
+            dg_a = np.array([[float(dg_q[i][j][a]) for j in range(n)]
                              for i in range(n)])
             val = t_a + 0.5 * float(np.trace(ginv @ dg_a))
             worst = max(worst, abs(val))
@@ -585,22 +721,17 @@ def kappa_at(conn, g_up, point):
 
     Only values at the point enter: g^{ab}, Gamma and the first partials of
     Gamma, so no curvature field is built.  For the Levi-Civita connection of
-    a metric of constant curvature this is the sectional curvature.
+    a metric of constant curvature this is the sectional curvature.  A
+    MetricCandidate may stand in for `conn`, with `g_up` None, as in
+    `sampled_lc_residual`.
     """
-    n = conn.dim
     pt = [Fraction(v) for v in point]
-    gam = [[[None] * n for _ in range(n)] for _ in range(n)]
-    dgam = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        for a in range(n):
-            for b in range(a, n):
-                val, grad = conn.gamma[c][a][b].jet(pt)
-                gam[c][a][b] = gam[c][b][a] = val
-                dgam[c][a][b] = dgam[c][b][a] = grad
+    n = len(pt)
+    gam, dgam, g, _ = _point_source(conn, g_up)(pt)
     # R_ab = d_c G^c_ab - d_a G^c_cb + G^c_cd G^d_ab - G^c_ad G^d_cb
     scalar = Fraction(0)
     for a, b in product(range(n), repeat=2):
-        gu = g_up.get(a, b).evaluate(pt)
+        gu = g[a][b]
         if not gu:
             continue
         ric = Fraction(0)

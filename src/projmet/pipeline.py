@@ -198,6 +198,29 @@ def _symmetric_entry(comps):
     return lambda i, j: comps[(min(i, j), max(i, j))]
 
 
+def _series_ring(max_order):
+    """(zero, mul, add, neg) of the series truncated at max_order."""
+    return ({}, lambda a, b: series_mul(a, b, max_order), series_add,
+            lambda a: series_scale(a, -1))
+
+
+def _lower_metric_series(sig, det, n, max_order):
+    """Series of g_ab = adj(g) / det(g) for g^{ab} = D sigma^{ab}, D the
+    series `det` of det(sigma), truncated at max_order; None when D(p) = 0.
+
+    det(D sigma) = D^(n+1) and adj(D sigma) = D^(n-1) adj(sigma), so
+    g_ab = adj(sigma) D^(-2), and truncation is a ring map: one series
+    inverse of D gives the same coefficients as the adjugate and
+    determinant of the series of g^{ab}.
+    """
+    if not det.get((0,) * n):
+        return None
+    adj = adjugate(_symmetric_entry(sig), n, *_series_ring(max_order))
+    inv = series_inverse(det, n, max_order)
+    inv2 = series_mul(inv, inv, max_order)
+    return {(i, j): series_mul(adj(i, j), inv2, max_order) for i, j in sig}
+
+
 def _reconstruct(special, series, base_point, max_order, samples):
     """Metric candidate from a packed solution series; returns (exact, cand).
 
@@ -216,30 +239,21 @@ def _reconstruct(special, series, base_point, max_order, samples):
         # sigma itself is polynomial: plain reconstruction
         sigma = _field_from_series(chart, sig, base_point, max_order)
         return True, reconstruct_metric(sigma, special, base_point, samples)
-    ring = ({}, lambda a, b: series_mul(a, b, max_order), series_add,
-            lambda a: series_scale(a, -1))
-    det = leibniz_det(_symmetric_entry(sig), n, *ring)
+    det = leibniz_det(_symmetric_entry(sig), n, *_series_ring(max_order))
     g_ser = {ij: series_mul(det, s, max_order) for ij, s in sig.items()}
     if _tail_is_zero(g_ser.values(), max_order):
         # the reconstructed metric itself is polynomial
         g_up = _field_from_series(chart, g_ser, base_point, max_order)
         return True, candidate_from_metric(g_up, special, base_point, samples)
-    # g_ab as adjugate over determinant; the series inverse of the
-    # determinant needs a nonzero constant term
-    entry = _symmetric_entry(g_ser)
-    det = leibniz_det(entry, n, *ring)
-    if det.get((0,) * n):
-        adj = adjugate(entry, n, *ring)
-        det_inv = series_inverse(det, n, max_order)
-        low_ser = {(i, j): series_mul(adj(i, j), det_inv, max_order)
-                   for i, j in g_ser}
-        if _tail_is_zero(low_ser.values(), max_order):
-            # the lower-index metric is polynomial (the usual round-trip
-            # case); invert it exactly
-            g_down = _field_from_series(chart, low_ser, base_point, max_order,
-                                        variance=("d", "d"))
-            return True, candidate_from_metric(metric_inverse(g_down), special,
-                                               base_point, samples)
+    # g_ab, when det(sigma)(p) != 0 makes the series invertible
+    low_ser = _lower_metric_series(sig, det, n, max_order)
+    if low_ser is not None and _tail_is_zero(low_ser.values(), max_order):
+        # the lower-index metric is polynomial (the usual round-trip case);
+        # invert it exactly
+        g_down = _field_from_series(chart, low_ser, base_point, max_order,
+                                    variance=("d", "d"))
+        return True, candidate_from_metric(metric_inverse(g_down), special,
+                                           base_point, samples)
     sigma = _field_from_series(chart, sig, base_point, max_order - 2)
     return False, reconstruct_metric(sigma, special, base_point, samples)
 
@@ -336,7 +350,9 @@ def _verify_candidate(upsilon, cand, series, jets, samples, tol, flat,
     An exact candidate is proven by the linear metrizability equation on
     the tensor it was built from, in that tensor's own gauge; a truncated
     one passes when its sampled Levi-Civita defect and closure residual
-    are within `tol`.
+    are within `tol`.  The sampled defect and kappa read the candidate's
+    exact point table (`MetricCandidate.jets_at`), so only the proof of a
+    g-built candidate builds the candidate connection as a field.
 
     The candidate connection is the special connection changed by
     cand.upsilon, and the special connection is the input changed by
@@ -365,7 +381,7 @@ def _verify_candidate(upsilon, cand, series, jets, samples, tol, flat,
         if not ok_lc:
             return False
     else:
-        lc_defect = sampled_lc_residual(cand.connection, cand.g_up, samples)
+        lc_defect = sampled_lc_residual(cand, None, samples)
         ok_lc = lc_defect <= tol
         entry["is_levi_civita"] = ok_lc
         entry["levi_civita_defect"] = lc_defect
@@ -373,8 +389,8 @@ def _verify_candidate(upsilon, cand, series, jets, samples, tol, flat,
             return False
     entry["constant_curvature"] = flat
     if flat:
-        kappa = kappa_at(cand.connection, cand.g_up, jets.base_point)
+        kappa = kappa_at(cand, None, jets.base_point)
         entry["kappa"] = fr_str(kappa) if exact else float(kappa)
     else:
-        entry["kappa"] = float(kappa_at(cand.connection, cand.g_up, samples[0]))
+        entry["kappa"] = float(kappa_at(cand, None, samples[0]))
     return True

@@ -137,6 +137,84 @@ def test_mobility_never_reads_the_series(tmp_path, monkeypatch):
     assert reads
 
 
+def _pinned_analyze_inputs():
+    """The benchmark's 49 pinned `analyze` inputs: the fixed cases of both
+    analyze workloads and every member of the round-trip pools."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    cases = [c for w in ("analyze-exact", "analyze-truncated")
+             for c in corpus.fixed_cases(w)]
+    cases += [corpus.generated_case(pool, m)
+              for pool, members in corpus.load_pins()["pools"].items()
+              if pool.startswith("roundtrip") for m in members]
+    return cases
+
+
+def _adjugate_over_det(g_ser, n, max_order):
+    """g_ab the long way: adjugate and Leibniz determinant of the series of
+    g^{ab}, and the series inverse of that determinant."""
+    from projmet.exactlinalg import adjugate, leibniz_det
+    from projmet.exactseries import series_inverse, series_mul
+    from projmet.pipeline import _series_ring, _symmetric_entry
+
+    ring = _series_ring(max_order)
+    entry = _symmetric_entry(g_ser)
+    det = leibniz_det(entry, n, *ring)
+    if not det.get((0,) * n):
+        return None
+    adj = adjugate(entry, n, *ring)
+    inv = series_inverse(det, n, max_order)
+    return {(i, j): series_mul(adj(i, j), inv, max_order) for i, j in g_ser}
+
+
+def test_lower_metric_series_reads_the_det_series():
+    """g_ab = adj(sigma) det(sigma)^(-2), read off the det(sigma) series,
+    has the coefficients of adj(g) / det(g) for g^{ab} = det(sigma)
+    sigma^{ab}, and is missing exactly where det(g) has no constant term:
+    on every candidate of the pinned analyze inputs."""
+    from projmet.exactlinalg import leibniz_det
+    from projmet.exactseries import series_mul
+    from projmet.mobility import degree_of_mobility
+    from projmet.pipeline import (_candidate_vectors, _combine_series,
+                                  _lower_metric_series, _series_ring,
+                                  _symmetric_entry)
+    from projmet.projconn import decompose_curvature, specialize
+    from projmet.tractor import section_dim, sym_pairs
+
+    def nonzero(ser):
+        return {ij: {m: v for m, v in s.items() if v} for ij, s in ser.items()}
+
+    cases = _pinned_analyze_inputs()
+    assert len(cases) == 49
+    compared = inverted = 0
+    for case in cases:
+        conn, base_point, options, _ = parse_spec(case.spec)
+        n = conn.dim
+        order = options["max_order"]
+        special = specialize(conn)[0]
+        jets = degree_of_mobility(special, base_point, order,
+                                  decompose_curvature(special))
+        for _, coords in _candidate_vectors(jets, n):
+            series = _combine_series(jets, coords)
+            sig = dict(zip(sym_pairs(n), (
+                {m: c[k] for m, c in series.items() if c[k]}
+                for k in range(section_dim(n)))))
+            det = leibniz_det(_symmetric_entry(sig), n, *_series_ring(order))
+            g_ser = {ij: series_mul(det, s, order) for ij, s in sig.items()}
+            want = _adjugate_over_det(g_ser, n, order)
+            got = _lower_metric_series(sig, det, n, order)
+            assert (got is None) == (want is None), case.cid
+            if got is not None:
+                assert nonzero(got) == nonzero(want), case.cid
+                inverted += 1
+            compared += 1
+    assert compared > inverted > 0
+
+
 def test_witness_analysis(tmp_path):
     spec = _write(tmp_path, "w.json", WITNESS)
     report, code = run_analysis(spec)

@@ -243,7 +243,8 @@ def _distinct_denominator_point(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jet_matches_sympy_differentiation(n):
     """Value and first partials at rational points against sympy's own
-    differentiation and substitution of the same expression."""
+    differentiation and substitution of the same expression; the second
+    partials of `hessian` against `diff` twice, then `evaluate`."""
     chart = Chart(n)
     syms = chart._ring.symbols
     rng = random.Random(3000 + n)
@@ -259,8 +260,12 @@ def test_jet_matches_sympy_differentiation(n):
                 if den == 0:
                     with pytest.raises(PoleError, match="denominator vanishes"):
                         e.jet(point)
+                    with pytest.raises(PoleError, match="denominator vanishes"):
+                        e.jet(point, hessian=True)
                     continue
                 value, grad = e.jet(point)
+                assert e.jet(point, hessian=True)[:2] == (value, grad)
+                hess = e.jet(point, hessian=True)[2]
                 want = expr.subs(sub)
                 assert type(value) is Fraction
                 assert value == Fraction(int(want.p), int(want.q))
@@ -270,6 +275,10 @@ def test_jet_matches_sympy_differentiation(n):
                     d = sympy.diff(expr, s).subs(sub)
                     assert type(g) is Fraction
                     assert g == Fraction(int(d.p), int(d.q))
+                for k, row in enumerate(hess, 1):
+                    for m, h in enumerate(row, 1):
+                        assert type(h) is Fraction
+                        assert h == e.diff(k).diff(m).evaluate(point)
                 checked += 1
     assert checked > 25
 

@@ -3,15 +3,17 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from projmet import (Chart, DegenerateSigma, DimensionTooSmall, NotEquivalent,
-                     TensorField, constant_curvature_check, equivalence_defect,
-                     geodesic_compare, is_levi_civita, levi_civita,
-                     metric_inverse, projective_change, projective_equivalence,
-                     reconstruct_metric, ricci, riemann_split,
-                     write_trace_csv)
+                     PoleError, TensorField, constant_curvature_check,
+                     equivalence_defect, geodesic_compare, is_levi_civita,
+                     levi_civita, metric_inverse, projective_change,
+                     projective_equivalence, reconstruct_metric, ricci,
+                     riemann_split, write_trace_csv)
+from projmet.cli import load_spec
 from projmet.metricize import (kappa_at, sampled_constant_curvature,
                                sampled_lc_residual)
 from projmet.models import (euclidean_metric, flat_connection,
@@ -463,6 +465,160 @@ def test_sampled_checks_take_partials_without_diff(monkeypatch):
     assert code == 0
     assert "sampled_lc_residual" in calls and "kappa_at" in calls
     assert diffs == []
+
+
+# -- the candidate's point evaluator ---------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+# input, jet order: the truncated cases of the benchmark, a sigma-built exact
+# model and a g-built round trip
+POINT_INPUTS = {
+    "stereo2-o10": (lambda: sphere_stereographic_connection(2), 10),
+    "d2-o8": (lambda: load_spec(str(DATA / "liouville_d1_d2.json"))[0], 8),
+    "d3-o8": (lambda: load_spec(str(DATA / "liouville_d3.json"))[0], 8),
+    "klein3": (lambda: klein_connection(3), 10),
+    "roundtrip2": (lambda: levi_civita(rand_metric(2, random.Random(7))), 6),
+}
+
+
+def _analyzed_candidates(name, monkeypatch):
+    """analyze_connection on a POINT_INPUTS entry at 5 samples; returns the
+    report, the exit code and every candidate built, as (special
+    connection, candidate, sample points)."""
+    from projmet import pipeline
+
+    built = []
+    reconstruct = pipeline._reconstruct
+
+    def keep(special, series, base_point, max_order, samples):
+        exact, cand = reconstruct(special, series, base_point, max_order,
+                                  samples)
+        built.append((special, cand, samples))
+        return exact, cand
+
+    make, order = POINT_INPUTS[name]
+    conn = make()
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_reconstruct", keep)
+        report, code = pipeline.analyze_connection(
+            conn, [0] * conn.dim,
+            {"max_order": order, "samples": 5, "tolerance": 1e-8})
+    assert built
+    return report, code, built
+
+
+@pytest.mark.parametrize("name", POINT_INPUTS)
+def test_point_evaluator_matches_symbolic_connection(name, monkeypatch):
+    """The candidate's point table (Gamma' from the jets of Gamma and the
+    2-jet of det, g^{ab} by the product rule) equals, as Fractions, the
+    jets of projective_change(special, grad f) and of g_up at the base
+    point and every sample point."""
+    _, _, built = _analyzed_candidates(name, monkeypatch)
+    for special, cand, samples in built:
+        n = special.dim
+        oracle = projective_change(special, cand.f.grad())
+        for pt in [list(cand.base_point)] + samples:
+            table = cand._point_table(pt)
+            assert cand.jets_at(pt) == table
+            gam, dgam, g, dg = table
+            for c, a, b in product(range(n), repeat=3):
+                assert (gam[c][a][b], dgam[c][a][b]) == \
+                    oracle.gamma[c][a][b].jet(pt)
+            for i, j in product(range(n), repeat=2):
+                assert (g[i][j], dg[i][j]) == cand.g_up.get(i, j).jet(pt)
+
+
+@pytest.mark.parametrize("name", ["stereo2-o10", "d2-o8", "klein3",
+                                  "roundtrip2"])
+def test_candidate_connection_is_built_only_for_the_g_built_proof(
+        name, monkeypatch):
+    """analyze builds grad f and the candidate connection only where a
+    proof or a report string reads them: no projective change and no
+    gradient for truncated candidates, no projective change for
+    sigma-built exact ones, one for each g-built exact candidate.  No
+    derivative field is built inside the point checks."""
+    from projmet import metricize, pipeline
+    from projmet.exprcore import Potential, RationalExpr
+
+    changes, grads, diffs, inside = [], [], [], []
+    change, grad, diff = (metricize.projective_change, Potential.grad,
+                          RationalExpr.diff)
+
+    def counting_change(*args):
+        changes.append(1)
+        return change(*args)
+
+    def counting_grad(self):
+        grads.append(self)
+        return grad(self)
+
+    def counting_diff(self, k):
+        if inside:
+            diffs.append(k)
+        return diff(self, k)
+
+    def watched(fn):
+        def wrapper(*args):
+            inside.append(1)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(metricize, "projective_change", counting_change)
+    monkeypatch.setattr(Potential, "grad", counting_grad)
+    monkeypatch.setattr(RationalExpr, "diff", counting_diff)
+    for check in (sampled_lc_residual, kappa_at):
+        monkeypatch.setattr(pipeline, check.__name__, watched(check))
+    report, code, built = _analyzed_candidates(name, monkeypatch)
+    assert diffs == []
+    exact = [e["exact"] for e in report["metrics"] if "exact" in e]
+    g_built = [c for _, c, _ in built if c.sigma is None]
+    # specialize takes the gradient of its own potential once
+    grads = [f for f in grads if any(f is c.f for _, c, _ in built)]
+    if name in ("stereo2-o10", "d2-o8"):
+        assert exact and not any(exact)
+        assert changes == [] and grads == []
+    elif name == "klein3":
+        assert all(exact) and not g_built
+        assert changes == []
+    else:
+        assert all(exact) and len(g_built) == len(built)
+        assert len(changes) == len(g_built)
+
+
+@pytest.mark.parametrize("entry, warning", [
+    ("1 - 96*x1", "signature changes at sample"),
+    ("1/(1 - 96*x1)", "sigma has a pole at sample")])
+def test_pole_at_a_sample_matches_symbolic_connection(entry, warning):
+    """Where det(sigma) vanishes at a sample point, or sigma has a pole
+    there, the point checks raise the PoleError of the symbolic candidate
+    connection, with its message."""
+    from projmet.pipeline import _sample_points
+
+    chart = Chart(2)
+    sigma = TensorField(chart, ("u", "u"), [chart.parse(entry), chart.zero,
+                                            chart.zero, chart.one])
+    samples = _sample_points([Fraction(0)] * 2, 2, 5)
+    first = samples[0]
+    assert first == [Fraction(1, 96), Fraction(-1, 96)]
+
+    def raised(check, *args):
+        with pytest.raises(PoleError) as info:
+            check(*args)
+        return str(info.value)
+
+    cand = reconstruct_metric(sigma, flat_connection(2), [0, 0], samples)
+    assert cand.warnings[0] == f"{warning} {tuple(first)}"
+    point = [raised(sampled_lc_residual, cand, None, samples),
+             raised(kappa_at, cand, None, first)]
+    cand = reconstruct_metric(sigma, flat_connection(2), [0, 0], samples)
+    symbolic = [raised(sampled_lc_residual, cand.connection, cand.g_up,
+                       samples),
+                raised(kappa_at, cand.connection, cand.g_up, first)]
+    assert point == symbolic == [f"denominator vanishes at {tuple(first)}"] * 2
 
 
 # -- geodesics --------------------------------------------------------------------
