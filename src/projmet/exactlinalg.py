@@ -3,8 +3,8 @@
 Rank decisions for the jet solver must not depend on floating point, so
 `rank`, `nullspace` and `solve_linear_system` all read one exact reduced
 row echelon form, computed by sparse Gauss-Jordan over Fraction, and
-signatures of symmetric matrices are read off the characteristic polynomial
-with Descartes' rule (exact for real-rooted polynomials).
+signatures of symmetric matrices come from congruence diagonalisation
+(Sylvester's law of inertia).
 
 The Leibniz determinant and adjugate work over any commutative ring given
 by its operations: rational-function fields and truncated series alike.
@@ -96,50 +96,46 @@ def solve_linear_system(matrix, rhs):
     return x
 
 
-def char_poly(matrix):
-    """Characteristic polynomial coefficients [1, c1, ..., cn] of a rational
-    matrix via Faddeev-LeVerrier, exact over Q."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    coeffs = [Fraction(1)]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        prev_c = coeffs[-1]
-        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        for i in range(n):
-            am[i][i] += prev_c
-        tr = sum(sum(a[i][t] * am[t][i] for t in range(n)) for i in range(n))
-        coeffs.append(-tr / k)
-        m = am
-    return coeffs
-
-
 def symmetric_signature(matrix):
     """(n_positive, n_negative, n_zero) eigenvalue counts of a symmetric
     rational matrix.
 
-    Uses Descartes' rule on the characteristic polynomial, which counts sign
-    changes exactly because symmetric matrices have real spectra.
+    Sylvester's law of inertia: a congruence P^T A P keeps the counts, so
+    symmetric Gaussian elimination over Fraction, which is a congruence,
+    leaves them on the signs of the pivots.  Each pivot is a nonzero
+    diagonal entry of the remaining block, and its Schur complement is the
+    next block.  When that diagonal is all zero but some a_ij is not,
+    adding row and column j to row and column i makes a_ii = 2 a_ij the
+    pivot.  A zero block that is left counts as zero eigenvalues.
     """
-    n = len(matrix)
-    coeffs = char_poly(matrix)  # lambda^n + c1 lambda^(n-1) + ... + cn
-    # strip zero roots
-    zero = 0
-    while zero < n and coeffs[n - zero] == 0:
-        zero += 1
-    reduced = coeffs[: n - zero + 1]
-
-    def sign_changes(cs):
-        signs = [1 if c > 0 else -1 for c in cs if c != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    pos = sign_changes(reduced)
-    neg_cs = [c if (len(reduced) - 1 - i) % 2 == 0 else -c
-              for i, c in enumerate(reduced)]
-    neg = sign_changes(neg_cs)
-    return pos, neg, zero
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    live = list(range(n))
+    pos = neg = 0
+    while live:
+        p = next((i for i in live if a[i][i]), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live
+                         if i < j and a[i][j]), None)
+            if pair is None:
+                break
+            p, j = pair
+            for k in live:
+                a[p][k] += a[j][k]
+            for k in live:
+                a[k][p] += a[k][j]
+        d = a[p][p]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        live.remove(p)
+        for i in live:
+            f = a[i][p] / d
+            if f:
+                for k in live:
+                    a[i][k] -= f * a[p][k]
+    return pos, neg, n - pos - neg
 
 
 def _perm_sign(perm):

@@ -6,8 +6,10 @@ numerator and denominator are coprime polynomials with integer
 coefficients, their joint integer content is 1 and the denominator's
 leading coefficient under graded lex order is positive.  So equality of
 values is plain structural equality.  The polynomials live in sympy's
-sparse ring Q[x1..xn], which also supplies the polynomial gcd; the rest of
-the package sees one small, immutable scalar type.
+sparse ring Z[x1..xn], which also supplies the polynomial gcd; rational
+numbers appear only as `Fraction` scalars (constants, points, values and
+coefficients handed in or out), and the rest of the package sees one
+small, immutable scalar type.
 
 The arithmetic keeps the pair reduced by Henrici's rules (Knuth, TAOCP
 vol. 2, 4.5.1), which hold in any UFD.  For a/b * c/d only gcd(a, d) and
@@ -15,8 +17,8 @@ gcd(c, b) are taken, each skipped when one side is a constant.  For
 a/b + c/d with b = d only gcd(a + c, b) is taken; otherwise g = gcd(b, d),
 and when g is not 1 only t = a(d/g) + c(b/g) is reduced against g.  A
 polynomial sum or product, or a product with a constant, takes no gcd at
-all; `diff` takes at most two (see there).  What is left is to scale the
-pair by one rational number to the canonical integer form.  One point
+all; `diff` takes at most two (see there).  What is left is to divide the
+pair by its joint integer content and fix the sign.  One point
 evaluator serves `evaluate`, `jet` (value and first partials) and
 `exactseries.series_eval`: it scales the point to integers over the lcm L
 of its denominators and lifts every term to one common degree in `int`.
@@ -34,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import sympy
-from sympy import QQ, ZZ
+from sympy import ZZ
 from sympy.polys.fields import field as _frac_field
 
 from .errors import NotClosed, NotPolynomial, ParseError, PoleError
@@ -50,83 +52,22 @@ __all__ = [
 ]
 
 
-def _to_qq(value):
-    """Coerce int / Fraction / str / QQ element to a QQ element."""
-    if isinstance(value, int):
-        return QQ(value)
-    if isinstance(value, Fraction):
-        return QQ(value.numerator, value.denominator)
-    if isinstance(value, str):
-        f = Fraction(value)
-        return QQ(f.numerator, f.denominator)
-    return QQ.convert(value)
-
-
-def to_fraction(value):
-    """QQ element (or int/Fraction) -> Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(int(value.numerator), int(value.denominator))
-
-
 # ---------------------------------------------------------------------------
-# Henrici arithmetic on coprime pairs (numer, denom) in Q[x1..xn]
+# Henrici arithmetic on coprime pairs (numer, denom) in Z[x1..xn]
 # ---------------------------------------------------------------------------
-
-_mpq = QQ.dtype
-
 
 def _reduced(field, num, den):
-    """The canonical fraction num/den, for num and den coprime in Q[x].
-
-    Only a rational scalar is left to choose: it clears the coefficient
-    denominators, divides out the joint integer content and makes the
-    leading coefficient of den (grlex) positive.
-    """
+    """The canonical fraction num/den, for num and den in Z[x] with no
+    common factor of positive degree: divides out the joint integer content
+    and makes the leading coefficient of den (grlex) positive."""
     if not num:
         return field.zero
-    coeffs = [*num.values(), *den.values()]
-    scale = lcm(*[c.denominator for c in coeffs])
-    content = gcd(*[c.numerator * (scale // c.denominator) for c in coeffs])
+    content = gcd(*num.values(), *den.values())
     if den.LC < 0:
         content = -content
-    if scale == 1 and content == 1:
+    if content == 1:
         return field.raw_new(num, den)
-    return field.raw_new(_rescaled(num, scale, content),
-                         _rescaled(den, scale, content))
-
-
-def _rescaled(poly, scale, content):
-    """poly * scale / content, with integer coefficients by construction."""
-    return poly.new([(m, _mpq(c.numerator * (scale // c.denominator) // content))
-                     for m, c in poly.items()])
-
-
-def _cofactors(f, g):
-    """(h, f/h, g/h) for h = gcd(f, g) in Q[x].
-
-    The gcd runs on the integer polynomials c_f f and c_g g, where c_f, c_g
-    clear the coefficient denominators (1 for canonical operands); that
-    skips the monic scaling and coefficient-wise ring conversions of the
-    gcd over Q.
-    """
-    zz = f.ring.clone(domain=ZZ).zero
-    cf = lcm(*[c.denominator for c in f.values()])
-    cg = lcm(*[c.denominator for c in g.values()])
-    h, f1, g1 = _integer_poly(zz, f, cf).cofactors(_integer_poly(zz, g, cg))
-    return (_rational_poly(f, h, 1), _rational_poly(f, f1, cf),
-            _rational_poly(f, g1, cg))
-
-
-def _integer_poly(zz, poly, scale):
-    return zz.new([(m, c.numerator * (scale // c.denominator))
-                   for m, c in poly.items()])
-
-
-def _rational_poly(like, poly, scale):
-    return like.new([(m, _mpq(c, scale)) for m, c in poly.items()])
+    return field.raw_new(num.quo_ground(content), den.quo_ground(content))
 
 
 def _frac_add(f, g):
@@ -141,15 +82,15 @@ def _frac_add(f, g):
     if b == d:
         t = a + c
         if t and not b.is_ground:
-            _, t, b = _cofactors(t, b)
+            _, t, b = t.cofactors(b)
         return _reduced(field, t, b)
     if not (b.is_ground or d.is_ground):
-        h, b1, d1 = _cofactors(b, d)
+        h, b1, d1 = b.cofactors(d)
         if not h.is_ground:
             t = a * d1 + c * b1
             if not t:
                 return field.zero
-            _, t, h = _cofactors(t, h)
+            _, t, h = t.cofactors(h)
             return _reduced(field, t, b1 * d1 * h)
     return _reduced(field, a * d + c * b, b * d)
 
@@ -160,9 +101,9 @@ def _frac_mul(field, a, b, c, d):
     if not a or not c:
         return field.zero
     if not (a.is_ground or d.is_ground):
-        _, a, d = _cofactors(a, d)
+        _, a, d = a.cofactors(d)
     if not (c.is_ground or b.is_ground):
-        _, c, b = _cofactors(c, b)
+        _, c, b = c.cofactors(b)
     return _reduced(field, a * c, b * d)
 
 
@@ -255,7 +196,7 @@ class Chart:
             return cls._cache[dim]
         self = super().__new__(cls)
         names = ",".join(f"x{i}" for i in range(1, dim + 1))
-        objs = _frac_field(names, QQ, order="grlex")
+        objs = _frac_field(names, ZZ, order="grlex")
         self.dim = dim
         self._field = objs[0]
         self._ring = objs[0].ring
@@ -274,10 +215,10 @@ class Chart:
         return self._gens
 
     def const(self, value):
-        q = _to_qq(value)
+        q = Fraction(value)
         ground = self._ring.ground_new
         return RationalExpr(self, self._field.raw_new(
-            ground(_mpq(q.numerator)), ground(_mpq(q.denominator))))
+            ground(q.numerator), ground(q.denominator)))
 
     @property
     def zero(self):
@@ -291,10 +232,14 @@ class Chart:
         return _parse(self, text)
 
     def from_coeff_dict(self, coeffs):
-        """Polynomial from {exponent tuple: rational coefficient}."""
-        d = {tuple(e): _to_qq(c) for e, c in coeffs.items()}
-        num = self._ring.from_dict(d)
-        return RationalExpr(self, _reduced(self._field, num, self._ring.one))
+        """Polynomial from {exponent tuple: rational coefficient}; the
+        coefficient denominators are cleared into an integer denominator."""
+        d = {tuple(e): Fraction(c) for e, c in coeffs.items()}
+        scale = lcm(*[c.denominator for c in d.values()])
+        num = self._ring.from_dict({e: c.numerator * (scale // c.denominator)
+                                    for e, c in d.items()})
+        return RationalExpr(self, _reduced(self._field, num,
+                                           self._ring.ground_new(scale)))
 
     def __repr__(self):
         return f"Chart(dim={self.dim})"
@@ -413,11 +358,7 @@ class RationalExpr:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("expression is not constant")
-        if not self.frac:
-            return Fraction(0)
-        num = self.frac.numer.LC
-        den = self.frac.denom.LC
-        return to_fraction(num) / to_fraction(den)
+        return Fraction(self.frac.numer.LC, self.frac.denom.LC)
 
     @property
     def numerator(self):
@@ -447,17 +388,18 @@ class RationalExpr:
         t = a.diff(x) * b - a * b.diff(x)
         if not t:
             return RationalExpr(self.chart, field.zero)
-        h, t, b1 = _cofactors(t, b)
+        h, t, b1 = t.cofactors(b)
         if h.is_ground:
             return RationalExpr(self.chart, _reduced(field, t, b1 * b))
-        _, t, h = _cofactors(t, h)
+        _, t, h = t.cofactors(h)
         return RationalExpr(self.chart, _reduced(field, t, b1 * b1 * h))
 
     def _tables(self, point):
         """Power tables of `point` for the numerator and denominator."""
         if len(point) != self.chart.dim:
             raise ValueError(f"point must have {self.chart.dim} coordinates")
-        vals = [v if isinstance(v, (int, Fraction)) else _to_qq(v) for v in point]
+        vals = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+                for v in point]
         return _scaled_point(vals, [*self.frac.numer, *self.frac.denom])
 
     def evaluate(self, point):
@@ -506,15 +448,15 @@ class RationalExpr:
             raise NotPolynomial("expression has a nontrivial denominator")
         if not self.frac:
             return []
-        den = to_fraction(self.frac.denom.LC)
-        return [(tuple(exps), to_fraction(c) / den)
+        den = self.frac.denom.LC
+        return [(tuple(exps), Fraction(c, den))
                 for exps, c in self.frac.numer.terms()]
 
     def numer_terms(self):
-        return [(tuple(exps), to_fraction(c)) for exps, c in self.frac.numer.terms()]
+        return [(tuple(exps), Fraction(c)) for exps, c in self.frac.numer.terms()]
 
     def denom_terms(self):
-        return [(tuple(exps), to_fraction(c)) for exps, c in self.frac.denom.terms()]
+        return [(tuple(exps), Fraction(c)) for exps, c in self.frac.denom.terms()]
 
     def __str__(self):
         return str(self.frac).replace("**", "^")
@@ -998,15 +940,19 @@ class Potential:
 
 
 def _common_denominator(exprs):
-    """lcm in Q[x], up to a constant factor, of the canonical denominators
-    of a nonempty sequence of RationalExpr.  Constants divide everything
-    over Q, so a constant denominator takes no gcd."""
+    """lcm in Z[x], up to sign, of the canonical denominators of a nonempty
+    sequence of RationalExpr, so that each divides it exactly.  A constant
+    denominator takes no gcd: the integer lcm of those is folded in once,
+    at the end."""
     den = exprs[0].frac.denom.ring.one
+    scale = 1
     for e in exprs:
         d = e.frac.denom
-        if not d.is_ground and d != den:
-            den = d if den.is_ground else den.quo(den.gcd(d)) * d
-    return den
+        if d.is_ground:
+            scale = lcm(scale, d.LC)
+        elif d != den:
+            den = d if den.is_ground else den.exquo(den.gcd(d)) * d
+    return den * (scale // gcd(scale, den.content()))
 
 
 def potential_of_closed_1form(omega):
@@ -1065,14 +1011,14 @@ def potential_of_closed_1form(omega):
     clear = den * h ** 2
     if h.is_ground:
         monos = [m for m in _monomials_upto(n, top) if sum(m) > 0]
-        cols = [[ring.term_new(m, QQ.one).diff(x) * clear for x in gens]
+        cols = [[ring.term_new(m, 1).diff(x) * clear for x in gens]
                 for m in monos]
     else:
         monos = _monomials_upto(n, top + _tdeg(h))
         dh = [h.diff(x) for x in gens]
         cols = []
         for m in monos:
-            p = ring.term_new(m, QQ.one)
+            p = ring.term_new(m, 1)
             cols.append([(p.diff(x) * h - p * dhx) * den
                          for x, dhx in zip(gens, dh)])
     for base in bases:
@@ -1088,7 +1034,7 @@ def potential_of_closed_1form(omega):
         for j, col in enumerate(cols):
             for exps, coeff in col[a].items():
                 row = rows.setdefault((a,) + exps, [Fraction(0)] * (ncols + 1))
-                row[j] += to_fraction(coeff)
+                row[j] += coeff
     matrix = [r[:ncols] for r in rows.values()]
     rhs = [r[ncols] for r in rows.values()]
     sol = solve_linear_system(matrix, rhs)

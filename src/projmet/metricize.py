@@ -286,6 +286,15 @@ def candidate_from_metric(g_up, conn, base_point=None, region_samples=()):
     return _candidate(g_up, False, conn, base_point, region_samples)
 
 
+def _symmetric_scale(t, s):
+    """s * t for a symmetric rank-2 field t: one product per unordered pair
+    i <= j, and the (j, i) entry is the same object as the (i, j) one."""
+    n = t.chart.dim
+    upper = {(i, j): s * t.get(i, j) for i in range(n) for j in range(i, n)}
+    return TensorField.from_function(t.chart, t.variance,
+                                     lambda i, j: upper[min(i, j), max(i, j)])
+
+
 def _candidate(t, from_sigma, conn, base_point, region_samples):
     """Shared body of the two constructors: `t` is sigma^{ab} when
     `from_sigma`, else the metric g^{ab} (and the candidate's sigma is
@@ -311,7 +320,7 @@ def _candidate(t, from_sigma, conn, base_point, region_samples):
         raise DegenerateSigma(f"det({det_name}) vanishes at the base point")
 
     log_coeff = Fraction(-1, 2) if from_sigma else Fraction(-1, 2 * (n + 1))
-    g_up = t.scale(det) if from_sigma else t
+    g_up = _symmetric_scale(t, det) if from_sigma else t
     cand = MetricCandidate(t, from_sigma, det, log_coeff, conn, g_up,
                            tuple(base_point))
 

@@ -29,6 +29,14 @@ EXIT_INDEFINITE_ONLY = 11
 EXIT_OBSTRUCTED = 12
 
 
+def _symmetric_strings(t):
+    """Rows of str() of a symmetric rank-2 field, each distinct entry
+    rendered once: (j, i) reuses the string of (i, j)."""
+    n = t.chart.dim
+    upper = {(i, j): str(t.get(i, j)) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
 def fr_str(v):
     f = Fraction(v)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -319,8 +327,7 @@ def analyze_connection(conn, base_point, options, echo=None):
             "signature": list(cand.signature),
             "definite": cand.definite,
             "warnings": cand.warnings,
-            "g_upper": [[str(cand.g_up.get(i, j)) for j in range(n)]
-                        for i in range(n)],
+            "g_upper": _symmetric_strings(cand.g_up),
             "f": cand.f.describe(),
         }
         entry["verified"] = _verify_candidate(upsilon, cand, series, jets,

@@ -132,16 +132,17 @@ class ProjectiveData:
 
 def _over_common(arrays):
     """Entries of nested n x m x k arrays of RationalExpr over one common
-    polynomial denominator D, the lcm of theirs up to a constant factor.
+    polynomial denominator D in Z[x], the lcm of theirs up to sign.
 
     Returns (numerators N[i][j][l] as ring elements, D, [d_k D]), so that a
     curvature component assembled from the numerators costs a single gcd
-    cancellation against a power of D instead of one per operation.
+    cancellation against a power of D instead of one per operation.  Each
+    quotient D / denominator is exact, or ExactQuotientFailed is raised.
     """
     D = _common_denominator([e for plane in arrays for row in plane
                              for e in row])
     zero = D.ring.zero
-    N = [[[e.frac.numer * D.quo(e.frac.denom) if e else zero for e in row]
+    N = [[[e.frac.numer * D.exquo(e.frac.denom) if e else zero for e in row]
           for row in plane] for plane in arrays]
     return N, D, [D.diff(x) for x in D.ring.gens]
 

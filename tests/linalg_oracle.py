@@ -4,6 +4,10 @@
 Kept verbatim as an independent oracle: rows are scaled to integers,
 eliminated fraction-free to row echelon form, and `nullspace` and
 `solve_linear_system` back-substitute over the echelon rows.
+
+Also the signature of a symmetric matrix as the package read it before it
+moved to congruence diagonalisation: `char_poly` by Faddeev-LeVerrier and
+Descartes' rule of signs on it, which counts exactly for a real spectrum.
 """
 
 from fractions import Fraction
@@ -117,3 +121,49 @@ def solve_linear_system(matrix, rhs):
                 s -= Fraction(ech[i][c]) * x[c]
         x[pc] = s / ech[i][pc]
     return x
+
+
+def char_poly(matrix):
+    """Characteristic polynomial coefficients [1, c1, ..., cn] of a rational
+    matrix via Faddeev-LeVerrier, exact over Q."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    coeffs = [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = A M_{k-1} + c_{k-1} I
+        prev_c = coeffs[-1]
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        for i in range(n):
+            am[i][i] += prev_c
+        tr = sum(sum(a[i][t] * am[t][i] for t in range(n)) for i in range(n))
+        coeffs.append(-tr / k)
+        m = am
+    return coeffs
+
+
+def descartes_signature(matrix):
+    """(n_positive, n_negative, n_zero) eigenvalue counts of a symmetric
+    rational matrix.
+
+    Uses Descartes' rule on the characteristic polynomial, which counts sign
+    changes exactly because symmetric matrices have real spectra.
+    """
+    n = len(matrix)
+    coeffs = char_poly(matrix)  # lambda^n + c1 lambda^(n-1) + ... + cn
+    # strip zero roots
+    zero = 0
+    while zero < n and coeffs[n - zero] == 0:
+        zero += 1
+    reduced = coeffs[: n - zero + 1]
+
+    def sign_changes(cs):
+        signs = [1 if c > 0 else -1 for c in cs if c != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    pos = sign_changes(reduced)
+    neg_cs = [c if (len(reduced) - 1 - i) % 2 == 0 else -c
+              for i, c in enumerate(reduced)]
+    neg = sign_changes(neg_cs)
+    return pos, neg, zero

@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from projmet.exactlinalg import (adjugate, char_poly, leibniz_det, nullspace,
-                                 rank, solve_linear_system,
-                                 symmetric_signature)
+from projmet.exactlinalg import (adjugate, leibniz_det, nullspace, rank,
+                                 solve_linear_system, symmetric_signature)
 from projmet.exactseries import (monomials_of_order, poly_to_series,
                                  rational_to_series, series_add, series_diff,
                                  series_eval, series_inverse, series_mul,
@@ -17,7 +16,7 @@ from projmet import Chart, PoleAtBasePoint
 
 from conftest import rand_poly
 import linalg_oracle
-from linalg_oracle import fraction_free_rref
+from linalg_oracle import char_poly, descartes_signature, fraction_free_rref
 
 
 def test_monomials_of_order_counts():
@@ -212,6 +211,48 @@ def test_signature_random_vs_numpy(rng):
         assert pos == sum(1 for e in eig if e > 1e-9)
         assert neg == sum(1 for e in eig if e < -1e-9)
         assert zero == sum(1 for e in eig if abs(e) <= 1e-9)
+
+
+def _random_symmetric(rng, n, kind):
+    """A random rational symmetric n x n matrix: "full", "zero_diagonal",
+    or "singular" (B^T E B with a rank-deficient B and a random diagonal
+    E of either sign, so its rank is below n)."""
+    def frac():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+    if kind == "singular":
+        rank = rng.randint(0, n - 1)
+        b = [[frac() for _ in range(n)] for _ in range(rank)]
+        e = [frac() for _ in range(rank)]
+        return [[sum(b[k][i] * e[k] * b[k][j] for k in range(rank))
+                 for j in range(n)] for i in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or kind == "full":
+                m[i][j] = m[j][i] = frac()
+    return m
+
+
+def test_signature_matches_char_poly_oracle():
+    """Congruence diagonalisation against Descartes' rule on the
+    characteristic polynomial, on random rational symmetric matrices with
+    n <= 6: full ones, singular ones and ones with a zero diagonal."""
+    rng = random.Random(23)
+    kinds = {"full": 0, "zero_diagonal": 0, "singular": 0}
+    for _ in range(60):
+        for kind in kinds:
+            m = _random_symmetric(rng, rng.randint(1, 6), kind)
+            got = symmetric_signature(m)
+            assert got == descartes_signature(m)
+            kinds[kind] += got[2] > 0
+    # the singular draws did exercise the zero count
+    assert kinds["singular"] == 60
+    # a zero diagonal with a nonzero off-diagonal entry, and a zero block
+    # below a nonzero pivot
+    assert symmetric_signature([[0, 0, 2], [0, 0, 0], [2, 0, 0]]) == (1, 1, 1)
+    assert symmetric_signature([[1, 1, 1], [1, 1, 1], [1, 1, 1]]) == (1, 0, 2)
+    assert symmetric_signature([]) == (0, 0, 0)
 
 
 def test_leibniz_det_and_adjugate_agree_on_both_rings():

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
-from sympy import QQ, factor_list
+from sympy import QQ, ZZ, factor_list
 from sympy.polys.rings import PolyElement
 
 from projmet import (Chart, DifferentialForm, NotClosed, NotPolynomial,
@@ -146,12 +147,82 @@ def test_kernel_matches_sympy_field(n):
                 _same_frac(s / a, c / f)
 
 
+def _rational_field(chart):
+    """sympy's own field Q(x1..xn), the oracle for the kernel over Z[x]."""
+    return sympy.polys.fields.field(chart._ring.symbols, QQ, order="grlex")[0]
+
+
+def _in_rational_field(qf, e):
+    return qf.raw_new(e.frac.numer.set_ring(qf.ring),
+                      e.frac.denom.set_ring(qf.ring))
+
+
+def _assert_integer_canonical(qf, e, want):
+    """e is kept over Z[x] in canonical form and has the value `want`, an
+    element of the field Q(x)."""
+    num, den = e.frac.numer, e.frac.denom
+    assert num.ring.domain == ZZ and den.ring.domain == ZZ
+    assert gcd(*num.values(), *den.values()) == 1
+    assert den.LC > 0
+    got = _in_rational_field(qf, e)
+    assert got.numer * want.denom == want.numer * got.denom
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_stays_in_integer_ring(n):
+    """Every way to make a RationalExpr leaves an integer, canonical pair
+    whose value is the one sympy's field over Q computes."""
+    chart = Chart(n)
+    qf = _rational_field(chart)
+    rng = random.Random(5000 + n)
+
+    def q(s):
+        s = Fraction(s)
+        return qf.ground_new(QQ(s.numerator, s.denominator))
+
+    for s in (0, 3, -1, Fraction(-2, 3), Fraction(5, 7), "7/4", "-6"):
+        _assert_integer_canonical(qf, chart.const(s), q(s))
+    for text in ("3/4", "x1/6 - 5/2", "(2*x1 - 4)/(6*x1^2 + 2)",
+                 f"x{n}^-2 * 3/2", "-(x1 + 1/3)^3 / (x1 - 1/2)"):
+        want = qf.from_expr(sympy.sympify(text.replace("^", "**")))
+        _assert_integer_canonical(qf, chart.parse(text), want)
+    coeffs = {(2,) + (0,) * (n - 1): Fraction(3, 4), (0,) * n: Fraction(-5, 6),
+              (0,) * (n - 1) + (1,): 2}
+    want = sum((q(c) * qf.from_expr(sympy.Mul(*[g ** k for g, k in
+                                               zip(chart._ring.symbols, e)]))
+                for e, c in coeffs.items()), qf.zero)
+    _assert_integer_canonical(qf, chart.from_coeff_dict(coeffs), want)
+    _assert_integer_canonical(qf, chart.from_coeff_dict({}), qf.zero)
+
+    scalars = [3, -1, 0, Fraction(-2, 3), Fraction(5, 7)]
+    for a, b in _kernel_operands(chart, rng):
+        f, g = _in_rational_field(qf, a), _in_rational_field(qf, b)
+        for got, want in [(a + b, f + g), (a - b, f - g), (a * b, f * g),
+                          (a / b, f / g), (-a, -f), (+a, f), (a - a, f - f),
+                          (a / a, f / f), (a ** 2, f ** 2), (a ** 0, f ** 0),
+                          (b ** -1, g ** -1), (b ** -2, g ** -2),
+                          (a.numerator, qf(f.numer)),
+                          (a.denominator, qf(f.denom))]:
+            _assert_integer_canonical(qf, got, want)
+        for k, gen in enumerate(qf.gens, start=1):
+            _assert_integer_canonical(qf, a.diff(k), f.diff(gen))
+        for s in scalars:
+            c = q(s)
+            for got, want in [(a + s, f + c), (s + a, c + f), (a - s, f - c),
+                              (s - a, c - f), (a * s, f * c), (s * a, c * f),
+                              (s / b, c / g)]:
+                _assert_integer_canonical(qf, got, want)
+            if s:
+                _assert_integer_canonical(qf, a / s, f / c)
+
+
 def _sympy_value(expr, point):
-    ring = expr.chart._ring
+    """The value by sympy's own substitution, in the ring over Q."""
+    ring = expr.chart._ring.clone(domain=QQ)
     pairs = list(zip(ring.gens, [QQ(Fraction(v).numerator, Fraction(v).denominator)
                                  for v in point]))
-    num = expr.frac.numer.evaluate(pairs)
-    den = expr.frac.denom.evaluate(pairs)
+    num = expr.frac.numer.set_ring(ring).evaluate(pairs)
+    den = expr.frac.denom.set_ring(ring).evaluate(pairs)
     return None if not den else Fraction(int(num.numerator), int(num.denominator)) / \
         Fraction(int(den.numerator), int(den.denominator))
 
@@ -161,10 +232,11 @@ def test_evaluate_matches_sympy(n):
     chart = Chart(n)
     ring = chart._ring
     rng = random.Random(2000 + n)
-    # a raw fraction whose numerator keeps non-integer coefficients
+    # a raw, non-canonical fraction: x1/3 - 5/2 stored as (4 x1 - 30)/12,
+    # with a joint integer content of 2 left in
     thirds = RationalExpr(chart, chart._field.raw_new(
-        ring.from_dict({(1,) + (0,) * (n - 1): QQ(1, 3), (0,) * n: QQ(-5, 2)}),
-        ring.one))
+        ring.from_dict({(1,) + (0,) * (n - 1): 4, (0,) * n: -30}),
+        ring.ground_new(12)))
     for _ in range(6):
         exprs = [thirds]
         for a, b in _kernel_operands(chart, rng):

@@ -310,6 +310,77 @@ def test_cotton_york_is_antisymmetrised_grad_schouten(n, rng):
                 dp.get(a, b, c) - dp.get(b, a, c)
 
 
+# Special connections whose Christoffel symbols have constant, non-unit
+# denominators, and the curvature the `curvature` command reported for them
+# when the kernel still ran over Q[x]
+CONSTANT_DENOMINATORS = {
+    2: ({"1,2,2": "x2/2", "2,1,1": "3*x1/4"},
+        {"cotton_york": {"1,2,1": "-3*x2/16", "1,2,2": "3*x1/16",
+                         "2,1,1": "3*x2/16", "2,1,2": "-3*x1/16"},
+         "schouten": [["0", "-3*x1*x2/8"], ["-3*x1*x2/8", "0"]],
+         "weyl": {}}),
+    3: ({"1,2,2": "x2/2", "2,1,1": "3*x1/4", "3,1,2": "x1*x3/3"},
+        {"cotton_york": {"1,2,1": "(-9*x2 + 8)/96", "1,2,2": "3*x1/32",
+                         "2,1,1": "(9*x2 - 8)/96", "2,1,2": "-3*x1/32"},
+         "schouten": [["0", "(-9*x1*x2 + 8*x1)/48", "0"],
+                      ["(-9*x1*x2 + 8*x1)/48", "0", "0"],
+                      ["0", "0", "0"]],
+         "weyl": {"1,2,1,1": "(-9*x1*x2 - 8*x1)/48",
+                  "1,2,2,2": "(9*x1*x2 + 8*x1)/48",
+                  "1,2,3,1": "x3/3",
+                  "1,3,3,2": "(-9*x1*x2 - 8*x1)/48",
+                  "2,1,1,1": "(9*x1*x2 + 8*x1)/48",
+                  "2,1,2,2": "(-9*x1*x2 - 8*x1)/48",
+                  "2,1,3,1": "-x3/3",
+                  "2,3,3,1": "(-9*x1*x2 - 8*x1)/48",
+                  "3,1,3,2": "(9*x1*x2 + 8*x1)/48",
+                  "3,2,3,1": "(9*x1*x2 + 8*x1)/48"}}),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_curvature_with_constant_denominators(n, rng, tmp_path, capsys):
+    """The common denominator of the curvature assembly must be divisible by
+    every constant denominator, or the numerators over it are truncated:
+    Ricci and Riemann against the commutator oracles, Y against
+    (grad_a P_bc - grad_b P_ac)/2 from covariant_derivative, and the
+    `curvature` report against its recorded values."""
+    from projmet.cli import main
+
+    from conftest import riemann_by_commutator
+
+    christoffel, want = CONSTANT_DENOMINATORS[n]
+    doc = {"dimension": n, "christoffel": christoffel}
+    conn = parse_spec(doc)[0]
+    chart = conn.chart
+    assert conn.is_special()
+    data = decompose_curvature(conn)
+    riem = full_curvature(conn)
+    for _ in range(2):
+        x = rand_vector_field(chart, rng)
+        lhs = ricci_by_commutator(conn, x)
+        for a in range(n):
+            assert lhs[a] == sum((data.ricci.get(a, b) * x.get(b)
+                                  for b in range(n)), chart.zero)
+        lhs = riemann_by_commutator(conn, x)
+        for a, b, c in product(range(n), repeat=3):
+            assert lhs.get(a, b, c) == sum((riem.get(a, b, c, d) * x.get(d)
+                                            for d in range(n)), chart.zero)
+    dp = covariant_derivative(data.schouten, conn)
+    half = chart.const(Fraction(1, 2))
+    for a, b, c in product(range(n), repeat=3):
+        assert data.cotton_york.get(a, b, c) == \
+            (dp.get(a, b, c) - dp.get(b, a, c)) * half
+    assert not data.cotton_york.is_zero()
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["curvature", str(spec)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key, value in want.items():
+        assert report[key] == value
+
+
 def test_weyl_projective_invariance_and_cotton_york_law(rng):
     """Exact changes leave W untouched and shift Y by the displayed W term."""
     for n in (2, 3):
