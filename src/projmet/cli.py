@@ -24,8 +24,8 @@ from .metricize import geodesic_compare, projective_equivalence
 from .mobility import degree_of_mobility
 from .pipeline import (EXIT_INDEFINITE_ONLY, EXIT_NOT_METRIZABLE,  # noqa: F401
                        EXIT_OBSTRUCTED, EXIT_OK, SCHEMA_VERSION,
-                       add_gauge_blocks, analyze_connection, fr_str,
-                       specialize_or_obstructed)
+                       add_gauge_blocks, analyze_connection,
+                       check_base_point, fr_str, specialize_or_obstructed)
 from .projconn import AffineConnection, beta_form, decompose_curvature
 
 __all__ = ["run_analysis", "main"]
@@ -126,11 +126,18 @@ def parse_spec(doc):
     return conn, base_point, options, echo
 
 
+MAX_ORDER = 64
+
+
 def _check_order(options):
-    """The jet solve needs order 2 at least; a lower one is an input error."""
+    """An order below 2 or above MAX_ORDER is an input error: the jet solve
+    needs order 2, and its work grows with the monomials up to max_order."""
     if options["max_order"] < 2:
         raise ParseError(
             f"max_order must be at least 2, got {options['max_order']}")
+    if options["max_order"] > MAX_ORDER:
+        raise ParseError(f"max_order must be at most {MAX_ORDER}, "
+                         f"got {options['max_order']}")
 
 
 def run_analysis(spec_path, options_override=None, report_path=None):
@@ -176,6 +183,7 @@ def _cmd_mobility(args):
     if args.max_order is not None:
         options["max_order"] = args.max_order
     _check_order(options)
+    check_base_point(conn, base_point)
     report = {"schema": SCHEMA_VERSION, "input": echo, "warnings": []}
     gauge = specialize_or_obstructed(conn, report)
     if gauge is None:

@@ -1,30 +1,49 @@
-"""Truncated multivariate Taylor series with exact rational coefficients.
+"""Truncated multivariate Taylor series over one integer denominator.
 
-The jet solver works in shifted coordinates u = x - p.  Series are plain
-dicts {exponent tuple: Fraction}, truncated at a fixed total order; all
-operations stay in Q so rank decisions downstream remain exact.  Values at
-a rational point come from exprcore's integer point evaluator.
+The jet solver and the reconstruction work in shifted coordinates
+u = x - p.  A series is `Series(den, terms)`, the sum of terms[m] / den u^m
+over exponent tuples m, truncated at a fixed total order: den is a positive
+int and every numerator a nonzero int.  Each operation adds and multiplies
+in `int` and reduces its result once (one gcd over den and all numerators),
+so equal series compare equal and the zero series is falsy.  Fractions
+appear only at the edges: points, values at a point (from exprcore's
+integer point evaluator) and the coefficients of `series_to_coeff_dict`.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm
+from operator import add
+from typing import NamedTuple
 
 from .errors import PoleAtBasePoint
-from .exprcore import _scaled_point, _scaled_value
+from .exprcore import _powers, _scaled_point, _scaled_value
 
 __all__ = [
-    "monomials_of_order",
-    "series_add",
-    "series_scale",
-    "series_mul",
-    "series_inverse",
-    "series_diff",
-    "series_eval",
-    "poly_to_series",
-    "rational_to_series",
+    "Series", "monomials_of_order", "series_from_coeffs", "series_add",
+    "series_scale", "series_mul", "series_inverse", "series_diff",
+    "series_eval", "poly_to_series", "rational_to_series",
     "series_to_coeff_dict",
 ]
+
+
+class Series(NamedTuple):
+    """sum over m of terms[m] / den * u^m, in lowest terms."""
+
+    den: int
+    terms: dict
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+def _lowest(den, terms):
+    """Series(den, terms) in lowest terms, for den > 0 and `terms` without
+    zero numerators."""
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return Series(den, terms)
+    return Series(den // g, {m: v // g for m, v in terms.items()})
 
 
 def monomials_of_order(nvars, order):
@@ -38,84 +57,96 @@ def monomials_of_order(nvars, order):
     return out
 
 
+def series_from_coeffs(coeffs):
+    """The Series of {exponent tuple: int or Fraction coefficient}; over the
+    lcm of the reduced denominators it is already in lowest terms."""
+    coeffs = {m: v for m, v in coeffs.items() if v}
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    return Series(den, {m: v.numerator * (den // v.denominator)
+                        for m, v in coeffs.items()})
+
+
 def series_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, Fraction(0)) + v
-        if w:
-            out[k] = w
-        elif k in out:
-            del out[k]
-    return out
+    if not (a and b):
+        return a or b
+    (da, ta), (db, tb) = a, b
+    g = gcd(da, db)
+    out = {m: v * (db // g) for m, v in ta.items()}
+    for m, v in tb.items():
+        out[m] = out.get(m, 0) + v * (da // g)
+    return _lowest(da * (db // g), {m: v for m, v in out.items() if v})
 
 
 def series_scale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
+    c = Fraction(c)
+    terms = {m: v * c.numerator for m, v in a.terms.items()} if c else {}
+    return _lowest(a.den * c.denominator, terms)
 
 
 def series_mul(a, b, max_order):
-    if len(b) < len(a):
-        a, b = b, a
+    """Product truncated at total order max_order: one int convolution,
+    reduced once."""
+    (da, ta), (db, tb) = a, b
+    if len(tb) < len(ta):
+        ta, tb = tb, ta
     by_order = {}
-    for kb, vb in b.items():
+    for kb, vb in tb.items():
         by_order.setdefault(sum(kb), []).append((kb, vb))
+    buckets = sorted(by_order.items())
     out = {}
-    for ka, va in a.items():
-        da = sum(ka)
-        for order, bucket in by_order.items():
-            if da + order > max_order:
-                continue
+    get = out.get
+    for ka, va in ta.items():
+        room = max_order - sum(ka)
+        for order, bucket in buckets:
+            if order > room:
+                break
             for kb, vb in bucket:
-                key = tuple(x + y for x, y in zip(ka, kb))
-                w = out.get(key, Fraction(0)) + va * vb
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
-    return out
+                key = tuple(map(add, ka, kb))
+                out[key] = get(key, 0) + va * vb
+    return _lowest(da * db, {k: v for k, v in out.items() if v})
 
 
 def series_inverse(a, nvars, max_order):
-    """Multiplicative inverse of a series with nonzero constant term."""
+    """Multiplicative inverse of a series with nonzero constant term.
+
+    With f = a.terms and c = f_0, h_m = c^(|m|+1) (1/f)_m is an int: h_0 = 1
+    and h_m = -sum over k != 0 of f_k c^(|k|-1) h_(m-k).  Each h_m is pushed
+    on to the monomials it reaches once it is known, and 1/a has the
+    numerators den h_m c^(max_order-|m|) over c^(max_order+1).
+    """
+    den, f = a
     zero = (0,) * nvars
-    c0 = a.get(zero, Fraction(0))
-    if not c0:
+    c = f.get(zero)
+    if not c:
         raise ZeroDivisionError("series has no constant term")
-    inv0 = Fraction(1) / c0
-    out = {zero: inv0}
-    by_order = {}
-    for k, v in a.items():
-        if k == zero:
-            continue
-        by_order.setdefault(sum(k), []).append((k, v))
-    for order in range(1, max_order + 1):
-        for mono in monomials_of_order(nvars, order):
-            s = Fraction(0)
-            for d in range(1, order + 1):
-                for k, v in by_order.get(d, ()):
-                    rem = tuple(m - e for m, e in zip(mono, k))
-                    if min(rem) < 0:
-                        continue
-                    w = out.get(rem)
-                    if w:
-                        s += v * w
-            if s:
-                out[mono] = -inv0 * s
-    return out
+    steps = sorted((sum(k), k, v * c ** (sum(k) - 1))
+                   for k, v in f.items() if k != zero)
+    cpow = _powers(c, max_order + 1)
+    sign = 1 if cpow[-1] > 0 else -1
+    levels = [{zero: 1}] + [{} for _ in range(max_order)]
+    terms = {}
+    for order, level in enumerate(levels):
+        for m, h in level.items():
+            if not h:
+                continue
+            terms[m] = sign * den * h * cpow[max_order - order]
+            for step, k, fk in steps:
+                if order + step > max_order:
+                    break
+                key = tuple(map(add, m, k))
+                target = levels[order + step]
+                target[key] = target.get(key, 0) - fk * h
+    return _lowest(sign * cpow[-1], terms)
 
 
 def series_diff(a, var):
     """Partial derivative with respect to variable index (0-based)."""
     out = {}
-    for k, v in a.items():
+    for k, v in a.terms.items():
         e = k[var]
-        if e == 0:
-            continue
-        key = k[:var] + (e - 1,) + k[var + 1:]
-        out[key] = v * e
-    return out
+        if e:
+            out[k[:var] + (e - 1,) + k[var + 1:]] = v * e
+    return _lowest(a.den, out)
 
 
 def series_eval(a, point):
@@ -123,51 +154,46 @@ def series_eval(a, point):
     the point evaluation kernel of exprcore."""
     if not a:
         return Fraction(0)
-    powers, lpow = _scaled_point([Fraction(p) for p in point], a)
-    s, q, _, _ = _scaled_value(a, powers, lpow)
-    return Fraction(s, q * lpow[-1])
-
-
-def _shift_powers(value, exponent, max_order):
-    """(value + u)^exponent as [(power of u, coeff)] truncated."""
-    top = min(exponent, max_order)
-    out = []
-    for k in range(top + 1):
-        c = Fraction(comb(exponent, k)) * value ** (exponent - k)
-        if c:
-            out.append((k, c))
-    return out
+    powers, lpow = _scaled_point([Fraction(p) for p in point], a.terms)
+    s, _, _ = _scaled_value(a.terms, powers, lpow)
+    return Fraction(s, lpow[-1] * a.den)
 
 
 def poly_to_series(terms, point, max_order):
     """Taylor series of a polynomial at `point`, in u = x - p.
 
-    `terms` is [(exponent tuple, Fraction coeff)]; `point` the base point.
-    The expansion is exact (finite) up to the truncation order.
+    `terms` is [(exponent tuple, int or Fraction coeff)].  With p = X / L
+    for the lcm L of the point's denominators and d the top total degree,
+    L^d x^e is the sum over k of L^(d-|e|) L^|k| u^k times the product of
+    comb(e_i, k_i) X_i^(e_i-k_i): all in int, with L^|k| read off the
+    monomial u^k at the end.  Where X_i = 0 the exponent e_i is copied.
     """
+    terms = [(tuple(e), c) for e, c in terms if c]
+    if not terms:
+        return Series(1, {})
     pt = [Fraction(p) for p in point]
+    scale = lcm(*(p.denominator for p in pt))
+    xs = [p.numerator * (scale // p.denominator) for p in pt]
+    q = lcm(*(c.denominator for _, c in terms))
+    deg = max(sum(e) for e, _ in terms)
+    lpow = _powers(scale, deg)
+    shifts = {}
     out = {}
-    for exps, coeff in terms:
-        acc = {(0,) * len(pt): coeff}
-        for var, e in enumerate(exps):
-            if e == 0:
-                continue
-            shifted = _shift_powers(pt[var], e, max_order)
-            nxt = {}
-            for key, v in acc.items():
-                base_order = sum(key)
-                for k, c in shifted:
-                    if base_order + k > max_order:
-                        continue
-                    kk = key[:var] + (key[var] + k,) + key[var + 1:]
-                    w = nxt.get(kk, Fraction(0)) + v * c
-                    if w:
-                        nxt[kk] = w
-                    elif kk in nxt:
-                        del nxt[kk]
-            acc = nxt
-        out = series_add(out, acc)
-    return out
+    for exps, c in terms:
+        acc = [((), c.numerator * (q // c.denominator) * lpow[deg - sum(exps)],
+                0)]
+        for x, e in zip(xs, exps):
+            shift = shifts.get((x, e))
+            if shift is None:
+                shift = shifts[x, e] = (
+                    [(k, comb(e, k) * x ** (e - k)) for k in range(e + 1)]
+                    if x and e else [(e, 1)])
+            acc = [(key + (k,), v * ck, order + k) for key, v, order in acc
+                   for k, ck in shift if order + k <= max_order]
+        for key, v, _ in acc:
+            out[key] = out.get(key, 0) + v
+    return _lowest(q * lpow[deg], {m: v * lpow[sum(m)]
+                                   for m, v in out.items() if v})
 
 
 def rational_to_series(expr, point, max_order, reciprocals=None):
@@ -177,22 +203,21 @@ def rational_to_series(expr, point, max_order, reciprocals=None):
     expanding many entries pass one `reciprocals` dict: each distinct
     denominator is then expanded and inverted once.
     """
-    nvars = expr.chart.dim
-    zero = (0,) * nvars
+    zero = (0,) * expr.chart.dim
     num = poly_to_series(expr.numer_terms(), point, max_order)
     key = tuple(expr.denom_terms())
     recip = None if reciprocals is None else reciprocals.get(key)
     if recip is None:
         den = poly_to_series(key, point, max_order)
-        if not den.get(zero):
+        if not den.terms.get(zero):
             raise PoleAtBasePoint(
                 f"denominator vanishes at base point {tuple(point)}")
-        recip = ({zero: Fraction(1) / den[zero]} if len(den) == 1
-                 else series_inverse(den, nvars, max_order))
+        recip = (Fraction(den.den, den.terms[zero]) if len(den.terms) == 1
+                 else series_inverse(den, len(zero), max_order))
         if reciprocals is not None:
             reciprocals[key] = recip
-    if len(recip) == 1:
-        return series_scale(num, recip[zero])
+    if isinstance(recip, Fraction):
+        return series_scale(num, recip)
     return series_mul(num, recip, max_order)
 
 
@@ -203,5 +228,6 @@ def series_to_coeff_dict(a, point):
     keeps its total degree.  Used when a truncated solution is detected to
     be an actual polynomial.
     """
-    return poly_to_series(list(a.items()), [-v for v in point],
-                          max(map(sum, a), default=0))
+    den, terms = poly_to_series(list(a.terms.items()), [-v for v in point],
+                                max(map(sum, a.terms), default=0))
+    return {m: Fraction(v, den * a.den) for m, v in terms.items()}

@@ -126,20 +126,17 @@ def _scaled_point(point, monoms):
 
 
 def _scaled_value(terms, powers, lpow, order=0):
-    """(s, q, ds, hs) with p(X / L) = s / (q * L^deg) for the polynomial p
-    given by its term dict {exponent tuple: rational}, where
-    deg = len(lpow) - 1 and q clears the coefficients.  With `order` >= 1,
-    ds[k] / (q * L^deg) is the k-th first partial of p at the point, and
-    with `order` 2, hs[k][l] / (q * L^deg) is the second partial d_k d_l p;
-    what is not asked for is None."""
-    q = lcm(*[c.denominator for c in terms.values()])
+    """(s, ds, hs) with p(X / L) = s / L^deg for the polynomial p given by
+    its term dict {exponent tuple: int}, where deg = len(lpow) - 1.  With
+    `order` >= 1, ds[k] / L^deg is the k-th first partial of p at the
+    point, and with `order` 2, hs[k][l] / L^deg is the second partial
+    d_k d_l p; what is not asked for is None."""
     deg = len(lpow) - 1
     n = len(powers)
     s = 0
     ds = [0] * n if order else None
     hs = [[0] * n for _ in range(n)] if order > 1 else None
-    for exps, c in terms.items():
-        coeff = c.numerator if q == 1 else c.numerator * (q // c.denominator)
+    for exps, coeff in terms.items():
         t = coeff
         k = deg
         for table, e in zip(powers, exps):
@@ -177,7 +174,7 @@ def _scaled_value(terms, powers, lpow, order=0):
         for i in range(n):
             for j in range(i):
                 hs[i][j] = hs[j][i]
-    return s, q, ds, hs
+    return s, ds, hs
 
 
 class Chart:
@@ -405,11 +402,11 @@ class RationalExpr:
     def evaluate(self, point):
         """Exact value at a rational point; PoleError if the denominator vanishes."""
         powers, lpow = self._tables(point)
-        num, qn, _, _ = _scaled_value(self.frac.numer, powers, lpow)
-        den, qd, _, _ = _scaled_value(self.frac.denom, powers, lpow)
+        num, _, _ = _scaled_value(self.frac.numer, powers, lpow)
+        den, _, _ = _scaled_value(self.frac.denom, powers, lpow)
         if not den:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
-        return Fraction(num * qd, den * qn)
+        return Fraction(num, den)
 
     def jet(self, point, hessian=False):
         """Exact value and first partials [d_1, .., d_n] at a rational point,
@@ -418,16 +415,14 @@ class RationalExpr:
         denominator vanishes."""
         powers, lpow = self._tables(point)
         order = 2 if hessian else 1
-        num, qn, dnum, hnum = _scaled_value(self.frac.numer, powers, lpow,
-                                            order)
-        den, qd, dden, hden = _scaled_value(self.frac.denom, powers, lpow,
-                                            order)
+        num, dnum, hnum = _scaled_value(self.frac.numer, powers, lpow, order)
+        den, dden, hden = _scaled_value(self.frac.denom, powers, lpow, order)
         if not den:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
-        # (N/D)' = (N'D - ND') / D^2; every sum is over the same q L^deg
-        scale = qn * den * den
-        value = Fraction(num * qd, den * qn)
-        grad = [Fraction((dn * den - num * dd) * qd, scale)
+        # (N/D)' = (N'D - ND') / D^2; every sum is over the same L^deg
+        scale = den * den
+        value = Fraction(num, den)
+        grad = [Fraction(dn * den - num * dd, scale)
                 for dn, dd in zip(dnum, dden)]
         if not hessian:
             return value, grad
@@ -437,7 +432,7 @@ class RationalExpr:
         hess = [[Fraction((hn * den * den
                            - (dnum[k] * dden[l] + dnum[l] * dden[k]) * den
                            - num * hd * den
-                           + 2 * num * dden[k] * dden[l]) * qd, scale)
+                           + 2 * num * dden[k] * dden[l]), scale)
                  for l, (hn, hd) in enumerate(zip(hrow_n, hrow_d))]
                 for k, (hrow_n, hrow_d) in enumerate(zip(hnum, hden))]
         return value, grad, hess
@@ -453,10 +448,10 @@ class RationalExpr:
                 for exps, c in self.frac.numer.terms()]
 
     def numer_terms(self):
-        return [(tuple(exps), Fraction(c)) for exps, c in self.frac.numer.terms()]
+        return [(tuple(exps), c) for exps, c in self.frac.numer.terms()]
 
     def denom_terms(self):
-        return [(tuple(exps), Fraction(c)) for exps, c in self.frac.denom.terms()]
+        return [(tuple(exps), c) for exps, c in self.frac.denom.terms()]
 
     def __str__(self):
         return str(self.frac).replace("**", "^")

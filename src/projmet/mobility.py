@@ -11,15 +11,15 @@ dimension repeats for two consecutive orders).
 The recursion works on integer rows over one denominator per monomial:
 every Taylor coefficient of the basis solutions is an integer denominator
 and N sparse integer rows {basis index: numerator}, in lowest terms, and
-the Taylor data of the A_a has one integer denominator per monomial, so
-products accumulate in int and zeros cost nothing.  Two predictions of the
+the integer Taylor data of the A_a, read off the integer series of
+exactseries, has one denominator per monomial, so products accumulate in
+int and zeros cost nothing.  Two predictions of the
 same coefficient are compared in that normal form; only rows that differ
 become (integer) constraint rows.  On a projectively flat structure the
 comparison cannot fail, so each coefficient is predicted once.  Rank
 decisions still go through the exact sparse Gauss-Jordan elimination in
-exactlinalg.  The basis is converted to Fractions at the end, the series
-only when it is read.  Numeric parallel transport is a floating-point
-cross-check, never an input to rank decisions.
+exactlinalg.  The basis becomes Fractions at the end, the series only
+when read.  Numeric parallel transport is a float cross-check only.
 """
 
 from fractions import Fraction
@@ -28,7 +28,7 @@ from math import gcd, lcm
 from .errors import NotSpecial, PoleError, PoleOnPath, StepUnderflow
 from .exactlinalg import nullspace
 from .exactseries import (monomials_of_order, rational_to_series, series_diff,
-                          series_eval)
+                          series_eval, series_from_coeffs)
 from .exprcore import _compile_nonzero, _rk4_step
 from .projconn import decompose_curvature
 from .tractor import connection_matrices, section_dim
@@ -97,40 +97,31 @@ def _columns(den, rows, d):
 
 
 def _expand_matrices(mats, point, max_order):
-    """Sparse Taylor data of the connection matrices.
-
-    Returns per coordinate a dict {exponent tuple: [(i, j, coeff), ...]}.
-    Entries with the same denominator share one expansion of its inverse.
-    """
+    """Per coordinate [(mono, order, den, [(i, j, coeff)])], lowest order
+    first: the int Taylor coefficients of the A_a entries at u^mono over one
+    denominator, in lowest terms.  Entries sharing a denominator share the
+    expansion of its inverse."""
     reciprocals = {}
     out = []
-    for a, mat in enumerate(mats):
+    for mat in mats:
         by_mono = {}
         for i, row in enumerate(mat):
             for j, entry in enumerate(row):
                 if entry.is_zero():
                     continue
-                ser = rational_to_series(entry, point, max_order, reciprocals)
-                for mono, coeff in ser.items():
-                    by_mono.setdefault(mono, []).append((i, j, coeff))
-        out.append(by_mono)
-    return out
-
-
-def _integer_taylor_data(tdata):
-    """Per coordinate, [(mono, order, den, [(i, j, int coeff)])] with the
-    coefficients of each monomial over one integer denominator, lowest
-    order first."""
-    out = []
-    for by_mono in tdata:
-        terms = []
-        for mono, entries in by_mono.items():
-            den = lcm(*(c.denominator for _, _, c in entries))
-            terms.append((mono, sum(mono), den,
-                          [(i, j, c.numerator * (den // c.denominator))
-                           for i, j, c in entries]))
-        terms.sort(key=lambda term: term[1])
-        out.append(terms)
+                den, terms = rational_to_series(entry, point, max_order,
+                                                reciprocals)
+                for mono, v in terms.items():
+                    by_mono.setdefault(mono, []).append((i, j, v, den))
+        data = []
+        for mono, entries in sorted(by_mono.items(),
+                                    key=lambda item: sum(item[0])):
+            den = lcm(*(q for _, _, _, q in entries))
+            coeffs = [(i, j, v * (den // q)) for i, j, v, q in entries]
+            g = gcd(den, *(c for _, _, c in coeffs))
+            data.append((mono, sum(mono), den // g,
+                         [(i, j, c // g) for i, j, c in coeffs]))
+        out.append(data)
     return out
 
 
@@ -211,7 +202,7 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
     flat = data.is_flat()
     point = [Fraction(p) for p in base_point]
     mats = connection_matrices(conn, data)
-    tdata = _integer_taylor_data(_expand_matrices(mats, point, max_order))
+    tdata = _expand_matrices(mats, point, max_order)
     N = section_dim(n)
 
     # coeff[mono] = (den, rows): slot i of basis solution t has Taylor
@@ -277,11 +268,9 @@ def residual(jets, series, sample_points):
     n = len(mats)
     N = len(mats[0])
     point = jets.base_point
-    comp_series = [{} for _ in range(N)]
-    for mono, vec in series.items():
-        for i in range(N):
-            if vec[i]:
-                comp_series[i][mono] = vec[i]
+    comp_series = [series_from_coeffs({mono: vec[i]
+                                       for mono, vec in series.items()})
+                   for i in range(N)]
     d_series = [[series_diff(comp_series[i], a) for i in range(N)]
                 for a in range(n)]
     worst = Fraction(0)

@@ -6,12 +6,15 @@ subcommand dispatch and rendering live in `cli`.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
-from .errors import DegenerateSigma, NotPolynomial, ParseError, PoleError
+from .errors import (DegenerateSigma, NotPolynomial, ParseError, PoleAtBasePoint,
+                     PoleError)
 from .exactlinalg import (adjugate, leibniz_det, nullspace, solve_linear_system,
                           symmetric_signature)
-from .exactseries import (series_add, series_inverse, series_mul, series_scale,
+from .exactseries import (Series, series_add, series_from_coeffs,
+                          series_inverse, series_mul, series_scale,
                           series_to_coeff_dict)
 from .metricize import (candidate_from_metric, kappa_at, metric_inverse,
                         reconstruct_metric, sampled_lc_residual)
@@ -40,6 +43,21 @@ def _symmetric_strings(t):
 def fr_str(v):
     f = Fraction(v)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def check_base_point(conn, base_point):
+    """PoleAtBasePoint naming the first Christoffel entry whose denominator
+    vanishes at the base point, where the input is undefined."""
+    for c, a, b in product(range(conn.chart.dim), repeat=3):
+        entry = conn.gamma[c][a][b]
+        if a > b or entry.is_polynomial():
+            continue
+        try:
+            entry.evaluate(base_point)
+        except PoleError:
+            raise PoleAtBasePoint(
+                f'christoffel "{c + 1},{a + 1},{b + 1}" = {entry} has a pole '
+                f"at base point ({', '.join(map(fr_str, base_point))})") from None
 
 
 def specialize_or_obstructed(conn, report, beta=None):
@@ -186,8 +204,8 @@ def _combine_series(jets, coords):
 def _tail_is_zero(series_list, max_order, tail=2):
     """No series in the list has a nonzero coefficient of total order above
     max_order - tail."""
-    return not any(v and sum(m) > max_order - tail
-                   for ser in series_list for m, v in ser.items())
+    return not any(sum(m) > max_order - tail
+                   for ser in series_list for m in ser.terms)
 
 
 def _field_from_series(chart, comps, base_point, cutoff, variance=("u", "u")):
@@ -195,8 +213,8 @@ def _field_from_series(chart, comps, base_point, cutoff, variance=("u", "u")):
     {(i, j): series}, keeping coefficients up to total order `cutoff`."""
     n = chart.dim
     fields = {}
-    for ij, ser in comps.items():
-        kept = {m: v for m, v in ser.items() if v and sum(m) <= cutoff}
+    for ij, (den, terms) in comps.items():
+        kept = Series(den, {m: v for m, v in terms.items() if sum(m) <= cutoff})
         fields[ij] = chart.from_coeff_dict(series_to_coeff_dict(kept, base_point))
     return TensorField(chart, variance, [fields[(min(i, j), max(i, j))]
                                          for i in range(n) for j in range(n)])
@@ -208,8 +226,8 @@ def _symmetric_entry(comps):
 
 def _series_ring(max_order):
     """(zero, mul, add, neg) of the series truncated at max_order."""
-    return ({}, lambda a, b: series_mul(a, b, max_order), series_add,
-            lambda a: series_scale(a, -1))
+    return (Series(1, {}), lambda a, b: series_mul(a, b, max_order),
+            series_add, lambda a: series_scale(a, -1))
 
 
 def _lower_metric_series(sig, det, n, max_order):
@@ -221,7 +239,7 @@ def _lower_metric_series(sig, det, n, max_order):
     inverse of D gives the same coefficients as the adjugate and
     determinant of the series of g^{ab}.
     """
-    if not det.get((0,) * n):
+    if not det.terms.get((0,) * n):
         return None
     adj = adjugate(_symmetric_entry(sig), n, *_series_ring(max_order))
     inv = series_inverse(det, n, max_order)
@@ -240,7 +258,7 @@ def _reconstruct(special, series, base_point, max_order, samples):
     """
     chart = special.chart
     n = chart.dim
-    slots = [{m: c[k] for m, c in series.items() if c[k]}
+    slots = [series_from_coeffs({m: c[k] for m, c in series.items()})
              for k in range(section_dim(n))]
     sig = dict(zip(sym_pairs(n), slots))
     if _tail_is_zero(slots, max_order):
@@ -275,6 +293,7 @@ def analyze_connection(conn, base_point, options, echo=None):
     if options["samples"] < 1:  # the sampled checks would pass unseen
         raise ParseError(
             f"samples must be at least 1, got {options['samples']}")
+    check_base_point(conn, base_point)
     chart = conn.chart
     n = chart.dim
     report = {"schema": SCHEMA_VERSION, "input": echo or {}, "warnings": []}

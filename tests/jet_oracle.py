@@ -5,18 +5,20 @@ Kept verbatim (apart from the argument checks and returning plain data) as
 an independent oracle: every Taylor coefficient is a dense N x d matrix of
 Fractions, every (alpha, a) product is accumulated entry by entry, and the
 Taylor data of the connection matrices comes from one `rational_to_series`
-per entry.  The matrices come from the column-by-column builder in
-`oracles`, not from the closed form the solver uses.
+of the Fraction series oracle (`series_oracle`) per entry.  The matrices
+come from the column-by-column builder in `oracles`, not from the closed
+form the solver uses.
 """
 
 from fractions import Fraction
 
 from projmet.exactlinalg import nullspace
-from projmet.exactseries import monomials_of_order, rational_to_series
+from projmet.exactseries import monomials_of_order
 from projmet.projconn import decompose_curvature
 from projmet.tractor import section_dim
 
 from oracles import connection_matrices_by_columns
+from series_oracle import rational_to_series
 
 
 def expand_matrices(mats, point, max_order):

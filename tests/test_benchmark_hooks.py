@@ -43,3 +43,30 @@ def test_tracer_install_records_spans_and_uninstall_restores(tmp_path):
     recorded = {span[0] for span in tracer.spans}
     assert {"cli", "cli.parse_spec", "cli.render_report",
             "projconn.specialize", "mobility.degree_of_mobility"} <= recorded
+
+
+def test_traced_truncated_analysis_records_the_series_kernel():
+    """The series products, inverses and expansions of a truncated
+    candidate go through the traced names; a private helper in their place
+    would silently move their time into the caller's self time."""
+    spantrace = _load_spantrace()
+    spec = Path(__file__).parent / "data" / "liouville_d1_d2.json"
+    tracer = spantrace.Tracer()
+    tracer.install()
+    try:
+        report, _ = cli.run_analysis(str(spec), {"max_order": 3})
+    finally:
+        tracer.uninstall()
+    assert any(m.get("exact") is False for m in report["metrics"])
+    spans = tracer.spans
+    # (name, name of the traced caller) for every span
+    called = {(name, spans[parent][0] if parent >= 0 else None)
+              for name, _, _, parent, _ in spans}
+    assert ("exactseries.rational_to_series",
+            "mobility.degree_of_mobility") in called
+    # the reconstruction's own products and inverse, not only those inside
+    # rational_to_series
+    for name in ("exactseries.series_mul", "exactseries.series_inverse"):
+        assert any(callee == name
+                   and caller != "exactseries.rational_to_series"
+                   for callee, caller in called), name

@@ -9,6 +9,9 @@ import pytest
 from projmet.cli import (EXIT_INPUT, EXIT_NOT_METRIZABLE, EXIT_OK, main,
                          parse_spec, render_report, run_analysis)
 
+import series_oracle
+from series_oracle import as_fractions
+
 
 def _write(tmp_path, name, doc):
     path = tmp_path / name
@@ -155,29 +158,33 @@ def _pinned_analyze_inputs():
 
 
 def _adjugate_over_det(g_ser, n, max_order):
-    """g_ab the long way: adjugate and Leibniz determinant of the series of
-    g^{ab}, and the series inverse of that determinant."""
+    """g_ab the long way, in the Fraction series oracle: adjugate and
+    Leibniz determinant of the series of g^{ab}, and the series inverse of
+    that determinant."""
     from projmet.exactlinalg import adjugate, leibniz_det
-    from projmet.exactseries import series_inverse, series_mul
-    from projmet.pipeline import _series_ring, _symmetric_entry
+    from projmet.pipeline import _symmetric_entry
 
-    ring = _series_ring(max_order)
+    ring = ({}, lambda a, b: series_oracle.series_mul(a, b, max_order),
+            series_oracle.series_add,
+            lambda a: series_oracle.series_scale(a, -1))
     entry = _symmetric_entry(g_ser)
     det = leibniz_det(entry, n, *ring)
     if not det.get((0,) * n):
         return None
     adj = adjugate(entry, n, *ring)
-    inv = series_inverse(det, n, max_order)
-    return {(i, j): series_mul(adj(i, j), inv, max_order) for i, j in g_ser}
+    inv = series_oracle.series_inverse(det, n, max_order)
+    return {(i, j): series_oracle.series_mul(adj(i, j), inv, max_order)
+            for i, j in g_ser}
 
 
 def test_lower_metric_series_reads_the_det_series():
     """g_ab = adj(sigma) det(sigma)^(-2), read off the det(sigma) series,
     has the coefficients of adj(g) / det(g) for g^{ab} = det(sigma)
     sigma^{ab}, and is missing exactly where det(g) has no constant term:
-    on every candidate of the pinned analyze inputs."""
+    on every candidate of the pinned analyze inputs.  The long way runs in
+    the Fraction series oracle."""
     from projmet.exactlinalg import leibniz_det
-    from projmet.exactseries import series_mul
+    from projmet.exactseries import series_from_coeffs
     from projmet.mobility import degree_of_mobility
     from projmet.pipeline import (_candidate_vectors, _combine_series,
                                   _lower_metric_series, _series_ring,
@@ -200,16 +207,19 @@ def test_lower_metric_series_reads_the_det_series():
                                   decompose_curvature(special))
         for _, coords in _candidate_vectors(jets, n):
             series = _combine_series(jets, coords)
-            sig = dict(zip(sym_pairs(n), (
+            sig_q = dict(zip(sym_pairs(n), (
                 {m: c[k] for m, c in series.items() if c[k]}
                 for k in range(section_dim(n)))))
+            sig = {ij: series_from_coeffs(s) for ij, s in sig_q.items()}
             det = leibniz_det(_symmetric_entry(sig), n, *_series_ring(order))
-            g_ser = {ij: series_mul(det, s, order) for ij, s in sig.items()}
+            g_ser = {ij: series_oracle.series_mul(as_fractions(det), s, order)
+                     for ij, s in sig_q.items()}
             want = _adjugate_over_det(g_ser, n, order)
             got = _lower_metric_series(sig, det, n, order)
             assert (got is None) == (want is None), case.cid
             if got is not None:
-                assert nonzero(got) == nonzero(want), case.cid
+                assert {ij: as_fractions(s) for ij, s in got.items()} == \
+                    nonzero(want), case.cid
                 inverted += 1
             compared += 1
     assert compared > inverted > 0
@@ -394,6 +404,27 @@ def test_mobility_order_below_two_is_an_input_error(tmp_path, capsys):
     _assert_input_error(capsys, code, "max_order must be at least 2, got 0")
 
 
+@pytest.mark.parametrize("command, flag, spec_order, order", [
+    ("mobility", ["--max-order", "100000000000"], None, 100000000000),
+    ("analyze", ["--max-order", "65"], None, 65),
+    ("analyze", [], 65, 65),
+], ids=["mobility-flag-huge", "analyze-flag", "analyze-spec"])
+def test_order_above_the_cap_is_an_input_error(tmp_path, capsys, command,
+                                               flag, spec_order, order):
+    """max_order is capped (cli.MAX_ORDER), so no order runs without end;
+    the check comes before any jet is solved, so this returns at once."""
+    from projmet.cli import MAX_ORDER, _check_order
+
+    assert MAX_ORDER == 64
+    _check_order({"max_order": MAX_ORDER})
+    doc = FLAT2 if spec_order is None else dict(
+        FLAT2, options={"max_order": spec_order})
+    spec = _write(tmp_path, "flat.json", doc)
+    code = main([command, spec] + flag)
+    _assert_input_error(capsys, code,
+                        f"max_order must be at most 64, got {order}")
+
+
 def test_non_integer_max_order_option_is_an_input_error(tmp_path, capsys):
     spec = _write(tmp_path, "o.json", dict(FLAT2, options={"max_order": "abc"}))
     code = main(["analyze", spec])
@@ -413,6 +444,25 @@ def test_pole_at_base_point_is_an_input_error(tmp_path, capsys):
     spec = _write(tmp_path, "pole.json", doc)
     assert main(["analyze", spec]) == EXIT_INPUT
     assert "PoleAtBasePoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "mobility"])
+@pytest.mark.parametrize("entry, base_point, shown", [
+    ("1/x1", None, "1/x1 has a pole at base point (0, 0)"),
+    ("1/(1+x1)", ["-1", "0"], "1/(x1 + 1) has a pole at base point (-1, 0)"),
+], ids=["origin", "shifted"])
+def test_pole_of_christoffel_at_base_point_names_the_entry(
+        tmp_path, capsys, command, entry, base_point, shown):
+    """The input is undefined at p: an input error naming the entry, not
+    OBSTRUCTED_BY_BETA from the gauge step that would fail on it."""
+    doc = {"dimension": 2, "christoffel": {"1,1,2": entry}}
+    if base_point is not None:
+        doc["base_point"] = base_point
+    spec = _write(tmp_path, "pole.json", doc)
+    assert main([command, spec]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f'error: PoleAtBasePoint: christoffel "1,1,2" = {shown}\n'
 
 
 def test_indefinite_only(tmp_path):

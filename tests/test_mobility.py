@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ from projmet import (AffineConnection, Chart, NotSpecial, PoleAtBasePoint,
                      parallel_transport, residual, specialize)
 from projmet.exactlinalg import nullspace, rank
 from projmet.cli import load_spec
-from projmet.exactseries import series_eval
+from projmet.exactseries import series_eval, series_from_coeffs
 from projmet.mobility import _expand_matrices
 from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness,
@@ -179,7 +179,9 @@ def test_errors():
 
 def test_expand_matrices_inverts_each_denominator_once(monkeypatch):
     """Entries sharing a denominator share its inverse series, and the
-    Taylor data is exactly the per-entry rational_to_series expansion."""
+    integer Taylor data, read as Fractions, is exactly the per-entry
+    expansion of the Fraction series oracle: per monomial one denominator
+    in lowest terms, lowest order first."""
     from projmet import exactseries
 
     special, _, _ = specialize(sphere_stereographic_connection(3))
@@ -194,7 +196,15 @@ def test_expand_matrices_inverts_each_denominator_once(monkeypatch):
         return inverse(*args)
 
     monkeypatch.setattr(exactseries, "series_inverse", counted)
-    assert _expand_matrices(mats, point, 6) == expected
+    data = _expand_matrices(mats, point, 6)
+    assert [{mono: [(i, j, Fraction(c, den)) for i, j, c in coeffs]
+             for mono, _, den, coeffs in terms} for terms in data] == expected
+    for terms in data:
+        orders = [order for _, order, _, _ in terms]
+        assert orders == sorted(orders)
+        for mono, order, den, coeffs in terms:
+            assert order == sum(mono)
+            assert gcd(den, *(c for _, _, c in coeffs)) == 1
     entries = [e for mat in mats for row in mat for e in row
                if not e.is_zero() and not e.is_polynomial()]
     distinct = {tuple(e.denom_terms()) for e in entries}
@@ -444,7 +454,7 @@ def test_transport_matches_taylor_endpoint():
     for k in (0, 3):
         s0 = js.admissible_basis[k]
         out = parallel_transport(special, data, [[0, 0], end], s0)
-        comp = [{m: v[i] for m, v in js.series[k].items() if v[i]}
+        comp = [series_from_coeffs({m: v[i] for m, v in js.series[k].items()})
                 for i in range(6)]
         taylor = [float(series_eval(c, end)) for c in comp]
         assert max(abs(a - b) for a, b in zip(out, taylor)) < 1e-7
