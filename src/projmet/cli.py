@@ -92,6 +92,11 @@ def parse_spec(doc):
             if not 1 <= idx <= n:
                 raise ParseError(f"index {idx} out of range in key {key!r}")
         expr = chart.parse(_rewrite_vars(str(text), names))
+        degree = max((sum(e) for e, _ in
+                      expr.numer_terms() + expr.denom_terms()), default=0)
+        if degree > MAX_DEGREE:
+            raise ParseError(f'christoffel "{key}" has total degree {degree}, '
+                             f"above the cap of {MAX_DEGREE}")
         prev = entries.get((c, min(a, b), max(a, b)))
         if prev is not None and prev != expr:
             raise ParseError(f"conflicting symmetric entries for {key!r}")
@@ -127,6 +132,10 @@ def parse_spec(doc):
 
 
 MAX_ORDER = 64
+# Largest total degree of a Christoffel numerator or denominator: the jet
+# solve and the trace potential are sized by it, and the pinned inputs
+# use at most 5.
+MAX_DEGREE = 32
 
 
 def _check_order(options):

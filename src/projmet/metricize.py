@@ -7,9 +7,10 @@ connection onto the Levi-Civita connection of g.  The log potential keeps
 the whole reconstruction inside the rational-function field.
 
 `pipeline` proves an exactly rebuilt candidate by the linear
-metrizability equation tf(grad_a t^{bc}) = 0 on the tensor t it was built
-from, in that tensor's own gauge; its volume form is parallel by
-construction.  Also here: the Levi-Civita characterisation
+metrizability equation tf(grad'_a g^{bc}) = 0 for its connection grad'
+(`MetricCandidate.solves_metrizability`), tested as integer polynomial
+identities in the special gauge with no gcd; its volume form is parallel
+by construction.  Also here: the Levi-Civita characterisation
 `is_levi_civita`, the general library check and the tests' oracle for
 that proof, the sampled projective-equivalence defect, the metric
 decomposition of the Riemann tensor, constant-curvature detection, and
@@ -20,17 +21,18 @@ The checks at points (the candidate signatures at the samples,
 and build no derivative field.  A candidate's point table
 (`MetricCandidate.jets_at`) comes from the jets of the special
 connection, of sigma (or g) and the 2-jet of D = det: the candidate
-connection is the special one changed by Y_b = k d_b D / D, so neither
-grad f nor the changed connection is built as a field unless a proof or
-a report reads it.  A symbolic pair (conn, g^{ab}) is read through the
-jets of its entries.  The geodesics use the Runge-Kutta step that
-parallel transport in `mobility` uses too.
+connection is the special one changed by Y_b = k d_b D / D, so grad f
+is built only where a report reads it, and the changed connection only
+where a point table falls back at a pole.  A symbolic pair (conn, g^{ab})
+is read through the jets of its entries.  The geodesics use the
+Runge-Kutta step that parallel transport in `mobility` uses too.
 """
 
 import csv
 import operator
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .errors import (DegenerateMetric, DegenerateSigma, DimensionTooSmall,
                      PoleError, PoleOnPath, ShapeError, StepUnderflow)
@@ -107,7 +109,8 @@ class MetricCandidate:
     k log D.  `upsilon` = grad f, `connection` (the special connection
     changed by `upsilon`) and `g_down` (the symbolic inverse of `g_up`) are
     built on first access and kept.  The checks at points read `jets_at`
-    instead, which builds none of them.
+    and the exact proof is `solves_metrizability`; neither builds any of
+    them.
     """
 
     __slots__ = ("sigma", "det_sigma", "f", "g_up", "base_point", "signature",
@@ -149,6 +152,61 @@ class MetricCandidate:
         if self._g_down is None:
             self._g_down = metric_inverse(self.g_up)
         return self._g_down
+
+    def solves_metrizability(self):
+        """Exact proof of tf(grad'_a g^{bc}) = 0 for the candidate
+        connection grad', as integer polynomial identities in the gauge of
+        the special connection Gamma: no gcd, no RationalExpr operation
+        and no candidate connection.
+
+        Gamma' - Gamma = delta Y + delta Y with Y = k d log D adds
+        2 Y_a g^{bc} to grad_a g^{bc}, plus a pure trace that tf removes.
+        For g^{bc} = D sigma^{bc} and k = -1/2 the product rule cancels
+        that term, so the test is tf(grad_a sigma^{bc}) = 0; for g-built
+        candidates (k = -1/(2(n+1))) it is
+        tf(grad_a g^{bc} + 2k d_a log D g^{bc}) = 0.  With Gamma = N / D_G
+        (the special connection's kept common form), t = T / E and
+        D = Dn / Dd, (n+1) D_G E^2 Dn Dd times the g-built bracket is
+
+            (n+1) Dn Dd M_a^{bc} - D_G E (Dd d_a Dn - Dn d_a Dd) T^{bc},
+            M_a^{bc} = D_G (E d_a T^{bc} - T^{bc} d_a E)
+                       + E (N^b_ae T^{ec} + N^c_ae T^{be}),
+
+        and M_a^{bc} = D_G E^2 grad_a sigma^{bc} is the sigma-built one.
+        Any common multiple of the denominators serves a zero test, so E
+        is the product of the distinct denominators of t.  In the special
+        gauge the metric volume form is parallel by construction, so this
+        one test proves that Gamma' is the Levi-Civita connection of g.
+        """
+        n = self._t.chart.dim
+        N, DG, _ = self._special.common
+        ring = DG.ring
+        gens = ring.gens
+        T, E = _numerators_over_product(self._t)
+        dE = [E.diff(x) for x in gens]
+        if self.sigma is None:
+            Dn, Dd = self.det_sigma.frac.numer, self.det_sigma.frac.denom
+            DnDd = (n + 1) * Dn * Dd
+            dlog = [DG * E * (Dd * Dn.diff(x) - Dn * Dd.diff(x))
+                    for x in gens]
+        Q = [[[None] * n for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                for c in range(b, n):
+                    acc = ring.zero
+                    for e in range(n):
+                        acc = acc + N[b][a][e] * T[e][c] + N[c][a][e] * T[b][e]
+                    m = DG * (E * T[b][c].diff(gens[a]) - T[b][c] * dE[a]) \
+                        + E * acc
+                    if self.sigma is None:
+                        m = DnDd * m - dlog[a] * T[b][c]
+                    Q[a][b][c] = Q[a][c][b] = m
+        # tf(Q)_a^{bc} = Q_a^{bc} - (delta_a^b S^c + delta_a^c S^b) / (n+1)
+        S = [sum((Q[d][d][c] for d in range(n)), ring.zero) for c in range(n)]
+        return not any(
+            (n + 1) * Q[a][b][c] - (S[c] if a == b else 0)
+            - (S[b] if a == c else 0)
+            for a in range(n) for b in range(n) for c in range(b, n))
 
     def _t_jets(self, pt):
         """Exact values and first partials of the entries of t at the
@@ -212,6 +270,22 @@ class MetricCandidate:
     def __repr__(self):
         return (f"MetricCandidate(signature={self.signature}, "
                 f"definite={self.definite})")
+
+
+def _numerators_over_product(t):
+    """(T, E) with t^{bc} = T[b][c] / E for a symmetric rank-2 field t, in
+    Z[x]: E is the product of the distinct denominators of the entries, a
+    common multiple found without a gcd."""
+    n = t.chart.dim
+    fracs = {(b, c): t.get(b, c).frac for b in range(n) for c in range(b, n)}
+    dens = []
+    for f in fracs.values():
+        if f.denom not in dens:
+            dens.append(f.denom)
+    T = [[None] * n for _ in range(n)]
+    for (b, c), f in fracs.items():
+        T[b][c] = T[c][b] = f.numer * prod(d for d in dens if d != f.denom)
+    return T, prod(dens)
 
 
 def _symmetric_jets(t, pt):

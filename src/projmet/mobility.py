@@ -18,8 +18,10 @@ same coefficient are compared in that normal form; only rows that differ
 become (integer) constraint rows.  On a projectively flat structure the
 comparison cannot fail, so each coefficient is predicted once.  Rank
 decisions still go through the exact sparse Gauss-Jordan elimination in
-exactlinalg.  The basis becomes Fractions at the end, the series only
-when read.  Numeric parallel transport is a float cross-check only.
+exactlinalg.  The basis becomes Fractions at the end; a combination of
+the basis solutions is read straight off the integer rows as one integer
+series per slot, and the Fraction series only when read.  Numeric
+parallel transport is a float cross-check only.
 """
 
 from fractions import Fraction
@@ -27,8 +29,8 @@ from math import gcd, lcm
 
 from .errors import NotSpecial, PoleError, PoleOnPath, StepUnderflow
 from .exactlinalg import nullspace
-from .exactseries import (monomials_of_order, rational_to_series, series_diff,
-                          series_eval, series_from_coeffs)
+from .exactseries import (_lowest, monomials_of_order, rational_to_series,
+                          series_diff, series_eval)
 from .exprcore import _compile_nonzero, _rk4_step
 from .projconn import decompose_curvature
 from .tractor import connection_matrices, section_dim
@@ -47,7 +49,8 @@ class JetSolution:
     admissible_basis: list of packed initial-value vectors over Q.
     series: per basis vector, {exponent tuple: packed coefficient vector}
     in shifted coordinates u = x - base_point; converted from the integer
-    rows of the recursion to Fractions on first access.
+    rows of the recursion to Fractions on first access.  `combine` reads
+    a combination of the basis solutions off those rows instead.
     dims: admissible dimension after imposing consistency order by order.
     matrices: the connection matrices A_a the recursion was solved with.
     entry_values: exact values of the A_a entries that `residual` has
@@ -79,6 +82,30 @@ class JetSolution:
                                     _columns(den, rows, self.dim)):
                     ser[mono] = col
         return self._series
+
+    def combine(self, coords):
+        """The solution with the given coordinates on the admissible basis,
+        as one integer Series per packed slot, in shifted coordinates.
+
+        Over C, the lcm of the coordinate denominators, slot i has the
+        coefficient sum_l (C coords[l]) rows[i][l] / (den C) at each
+        monomial: one integer sum per monomial and slot, and one
+        reduction per slot."""
+        scale = lcm(*(Fraction(c).denominator for c in coords))
+        weights = [(l, int(c * scale)) for l, c in enumerate(coords) if c]
+        origin = (0,) * len(self.base_point)
+        slots = [{} for _ in self._coeff[origin][1]]
+        for mono, (den, rows) in self._coeff.items():
+            for slot, row in zip(slots, rows):
+                v = sum(k * row[l] for l, k in weights if l in row)
+                if v:
+                    slot[mono] = (v, den)
+        out = []
+        for slot in slots:
+            common = lcm(*(den for _, den in slot.values()))
+            out.append(_lowest(common * scale, {
+                m: v * (common // den) for m, (v, den) in slot.items()}))
+        return out
 
     def __repr__(self):
         return (f"JetSolution(dim={self.dim}, order={self.order}, "
@@ -254,11 +281,12 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
     return JetSolution(point, max_order, dims, coeff, mats)
 
 
-def residual(jets, series, sample_points):
+def residual(jets, slots, sample_points):
     """Largest covariant-constancy defect of a truncated series solution.
 
-    `series` is packed like `jets.series` (shifted to `jets.base_point`).
-    Evaluates d_a s + A_a(x) s exactly at each rational sample point, with
+    `slots` holds one Series per packed slot, shifted to
+    `jets.base_point`, as `jets.combine` gives them.  Evaluates
+    d_a s + A_a(x) s exactly at each rational sample point, with
     the matrices of the jet solve, and returns the maximum absolute slot
     value as a Fraction.  Exact polynomial solutions give exactly zero.
     Each matrix entry is evaluated at most once per point and kept in
@@ -268,17 +296,14 @@ def residual(jets, series, sample_points):
     n = len(mats)
     N = len(mats[0])
     point = jets.base_point
-    comp_series = [series_from_coeffs({mono: vec[i]
-                                       for mono, vec in series.items()})
-                   for i in range(N)]
-    d_series = [[series_diff(comp_series[i], a) for i in range(N)]
+    d_series = [[series_diff(slots[i], a) for i in range(N)]
                 for a in range(n)]
     worst = Fraction(0)
     for x in sample_points:
         x = [Fraction(v) for v in x]
         u = [xv - pv for xv, pv in zip(x, point)]
         at_x = jets.entry_values.setdefault(tuple(x), {})
-        s_val = [series_eval(comp_series[i], u) for i in range(N)]
+        s_val = [series_eval(slots[i], u) for i in range(N)]
         for a in range(n):
             ds = [series_eval(d_series[a][i], u) for i in range(N)]
             for i in range(N):

@@ -13,14 +13,13 @@ from .errors import (DegenerateSigma, NotPolynomial, ParseError, PoleAtBasePoint
                      PoleError)
 from .exactlinalg import (adjugate, leibniz_det, nullspace, solve_linear_system,
                           symmetric_signature)
-from .exactseries import (Series, series_add, series_from_coeffs,
-                          series_inverse, series_mul, series_scale,
-                          series_to_coeff_dict)
+from .exactseries import (Series, series_add, series_inverse, series_mul,
+                          series_scale, series_to_coeff_dict)
 from .metricize import (candidate_from_metric, kappa_at, metric_inverse,
                         reconstruct_metric, sampled_lc_residual)
 from .mobility import degree_of_mobility, residual
 from .projconn import beta_form, decompose_curvature, specialize
-from .tensorfield import TensorField, covariant_derivative, trace_free_part
+from .tensorfield import TensorField
 from .tractor import section_dim, sym_pairs, unpack_values
 
 __all__ = ["analyze_connection"]
@@ -179,24 +178,6 @@ def _candidate_vectors(jets, n):
     return cands
 
 
-def _combine_series(jets, coords):
-    """Series of the solution with the given coordinates on the admissible
-    basis."""
-    zero = Fraction(0)
-    out = {}
-    for l, c in enumerate(coords):
-        if c == 0:
-            continue
-        for mono, coeffs in jets.series[l].items():
-            row = out.get(mono)
-            if row is None:
-                row = out[mono] = [zero] * len(coeffs)
-            for i, v in enumerate(coeffs):
-                if v:
-                    row[i] += c * v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reconstruction from a solution series
 # ---------------------------------------------------------------------------
@@ -247,8 +228,9 @@ def _lower_metric_series(sig, det, n, max_order):
     return {(i, j): series_mul(adj(i, j), inv2, max_order) for i, j in sig}
 
 
-def _reconstruct(special, series, base_point, max_order, samples):
-    """Metric candidate from a packed solution series; returns (exact, cand).
+def _reconstruct(special, slots, base_point, max_order, samples):
+    """Metric candidate from a solution given as one Series per packed slot
+    (`JetSolution.combine`); returns (exact, cand).
 
     The candidate is exact when sigma, the metric g^{ab} = det(sigma)
     sigma^{ab} or its inverse g_ab has a vanishing tail: coefficients
@@ -258,8 +240,6 @@ def _reconstruct(special, series, base_point, max_order, samples):
     """
     chart = special.chart
     n = chart.dim
-    slots = [series_from_coeffs({m: c[k] for m, c in series.items()})
-             for k in range(section_dim(n))]
     sig = dict(zip(sym_pairs(n), slots))
     if _tail_is_zero(slots, max_order):
         # sigma itself is polynomial: plain reconstruction
@@ -330,9 +310,9 @@ def analyze_connection(conn, base_point, options, echo=None):
     flat = data.is_flat()
     metrics = []
     for vec, coords in _candidate_vectors(jets, n):
-        series = _combine_series(jets, coords)
+        slots = jets.combine(coords)
         try:
-            exact, cand = _reconstruct(special, series, jets.base_point,
+            exact, cand = _reconstruct(special, slots, jets.base_point,
                                        options["max_order"], samples)
         except (DegenerateSigma, PoleError) as exc:
             metrics.append({
@@ -349,9 +329,9 @@ def analyze_connection(conn, base_point, options, echo=None):
             "g_upper": _symmetric_strings(cand.g_up),
             "f": cand.f.describe(),
         }
-        entry["verified"] = _verify_candidate(upsilon, cand, series, jets,
-                                              samples, tol, flat, special,
-                                              exact, entry)
+        entry["verified"] = _verify_candidate(upsilon, cand, slots, jets,
+                                              samples, tol, flat, exact,
+                                              entry)
         metrics.append(entry)
     report["metrics"] = metrics
 
@@ -369,16 +349,17 @@ def analyze_connection(conn, base_point, options, echo=None):
     return report, EXIT_INDEFINITE_ONLY
 
 
-def _verify_candidate(upsilon, cand, series, jets, samples, tol, flat,
-                      special, exact, entry):
+def _verify_candidate(upsilon, cand, slots, jets, samples, tol, flat,
+                      exact, entry):
     """Proof of one candidate, then its curvature.
 
-    An exact candidate is proven by the linear metrizability equation on
-    the tensor it was built from, in that tensor's own gauge; a truncated
-    one passes when its sampled Levi-Civita defect and closure residual
-    are within `tol`.  The sampled defect and kappa read the candidate's
-    exact point table (`MetricCandidate.jets_at`), so only the proof of a
-    g-built candidate builds the candidate connection as a field.
+    An exact candidate is proven by the linear metrizability equation,
+    tested as integer polynomial identities in the special gauge
+    (`MetricCandidate.solves_metrizability`); a truncated one passes when
+    its sampled Levi-Civita defect and closure residual are within `tol`.
+    The sampled defect and kappa read the candidate's exact point table
+    (`MetricCandidate.jets_at`), so the candidate connection is built as
+    a field only where that table falls back at a pole.
 
     The candidate connection is the special connection changed by
     cand.upsilon, and the special connection is the input changed by
@@ -388,19 +369,16 @@ def _verify_candidate(upsilon, cand, series, jets, samples, tol, flat,
     a truncated series has an exact 2-jet; otherwise it is the value at the
     first sample point.
     """
-    res = residual(jets, series, samples)
+    res = residual(jets, slots, samples)
     entry["closure_residual"] = fr_str(res) if res == 0 else float(res)
     if exact:
         # The special connection has zero Christoffel trace and cand.upsilon
         # = grad f with (n+1) f = -1/2 log det g^{..}, so the volume residual
         # t'_a + 1/2 d_a log det g^{..} of the candidate connection is
-        # identically 0.  Then tf(grad'_a g^{bc}) = 0 iff grad' g = 0, and
-        # for sigma-built candidates tf(grad'_a g^{bc}) = det(sigma)
-        # tf(grad_a sigma^{bc}): this one linear check is a proof, and with
-        # the 1-form a complete witness regardless of the jet truncation.
-        t, gauge = ((cand.g_up, cand.connection) if cand.sigma is None
-                    else (cand.sigma, special))
-        ok_lc = trace_free_part(covariant_derivative(t, gauge)).is_zero()
+        # identically 0.  Then tf(grad'_a g^{bc}) = 0 iff grad' g = 0: this
+        # one linear check is a proof, and with the 1-form a complete
+        # witness regardless of the jet truncation.
+        ok_lc = cand.solves_metrizability()
         entry["is_levi_civita"] = ok_lc
         entry["equivalence_upsilon"] = [
             str(c) for c in (upsilon + cand.upsilon).components]

@@ -43,9 +43,12 @@ class AffineConnection:
     """Torsion-free connection given by Christoffel symbols Gamma^c_{ab}.
 
     Storage is gamma[c][a][b] with the lower pair symmetric (checked).
+    The symbols over one common denominator (`common`) and the Ricci
+    tensor (`ricci`) are computed on first use and kept: every curvature
+    routine and the candidate proofs read the same copy.
     """
 
-    __slots__ = ("chart", "gamma")
+    __slots__ = ("chart", "gamma", "_common", "_ricci")
 
     def __init__(self, chart, gamma):
         n = chart.dim
@@ -60,6 +63,7 @@ class AffineConnection:
                             f"Christoffel symbols not symmetric at ^{c + 1}_({a + 1}{b + 1})")
         self.chart = chart
         self.gamma = tuple(tuple(tuple(row) for row in plane) for plane in g)
+        self._common = self._ricci = None
 
     @classmethod
     def flat(cls, chart):
@@ -82,6 +86,14 @@ class AffineConnection:
     @property
     def dim(self):
         return self.chart.dim
+
+    @property
+    def common(self):
+        """(N, D, [d_k D]) with Gamma^c_ab = N[c][a][b] / D: the symbols over
+        one common denominator (`_over_common`), built once."""
+        if self._common is None:
+            self._common = _over_common(self.gamma)
+        return self._common
 
     def trace_form(self):
         """Christoffel trace t_a = Gamma^b_{ab} as a 1-form."""
@@ -162,27 +174,25 @@ def _matmul(X, Y):
     return out
 
 
-def _matrix_curvature(chart, mats):
+def _matrix_curvature(chart, N, D, dD):
     """F_ab = d_a A_b - d_b A_a + A_a A_b - A_b A_a of the square matrices
-    A_a of RationalExpr, one per coordinate, as {(a, b): F_ab} for a < b
-    (0-based).
+    A_a = N_a / D, one per coordinate, given over their common denominator
+    as `_over_common` returns them; as {(a, b): F_ab} for a < b (0-based).
 
     With (A_a)^c_d = Gamma^c_ad this is R_ab{}^c{}_d; with the matrices of
-    the prolonged connection it is that connection's curvature.  Over the
-    common denominator D of all entries, A_a = N_a / D and
+    the prolonged connection it is that connection's curvature.  Over D,
 
         F_ab = (D (d_a N_b - d_b N_a) - N_b d_a D + N_a d_b D
                 + N_a N_b - N_b N_a) / D^2,
 
     so each entry costs one cancellation against D^2.
     """
-    N, D, dD = _over_common(mats)
     gens = D.ring.gens
     field = chart._field
     D2 = D * D
-    size = range(len(mats[0]))
+    size = range(len(N[0]))
     out = {}
-    for a, b in combinations(range(len(mats)), 2):
+    for a, b in combinations(range(len(N)), 2):
         Na, Nb = N[a], N[b]
         ab, ba = _matmul(Na, Nb), _matmul(Nb, Na)
         out[(a, b)] = [[RationalExpr(chart, field.new(
@@ -194,10 +204,17 @@ def _matrix_curvature(chart, mats):
 
 def ricci(conn):
     """Ricci tensor R_ab = d_c G^c_ab - d_a G^c_cb + G^c_cd G^d_ab - G^c_ad G^d_cb,
-    assembled over the common denominator of the Christoffel symbols."""
+    assembled over the common denominator of the Christoffel symbols;
+    built once per connection and kept."""
+    if conn._ricci is None:
+        conn._ricci = _ricci(conn)
+    return conn._ricci
+
+
+def _ricci(conn):
     chart = conn.chart
     n = chart.dim
-    N, D, dD = _over_common(conn.gamma)
+    N, D, dD = conn.common
     ring = chart._ring
     gens = ring.gens
     field = chart._field
@@ -293,8 +310,9 @@ def specialize(conn, beta=None):
     Christoffel trace t_a, which is then closed, by the exact change
     Y1 = -t/(n+1); its potential f = -h/(n+1), with dh = t, is recovered in
     closed form.  Returns (special connection, total Y, f as a Potential).
-    A caller that already has beta_form(conn) passes it as `beta`, so the
-    Ricci tensor of `conn` is built once.
+    A caller that already has beta_form(conn) passes it as `beta`.  When
+    `conn` is already special it is returned itself, so its kept Ricci
+    tensor serves `decompose_curvature` too.
 
     Every metric candidate is a projective change of the special
     connection, so the 1-form relating it to `conn` is Y plus its own
@@ -342,9 +360,10 @@ def full_curvature(conn):
     curvature of A_a = (Gamma^c_ad)."""
     chart = conn.chart
     n = chart.dim
-    g = conn.gamma
-    F = _matrix_curvature(chart, [[[g[c][a][d] for d in range(n)]
-                                   for c in range(n)] for a in range(n)])
+    N, D, dD = conn.common
+    F = _matrix_curvature(chart, [[[N[c][a][d] for d in range(n)]
+                                   for c in range(n)] for a in range(n)],
+                          D, dD)
     comps = []
     for a, b, c, d in product(range(n), repeat=4):
         if a < b:
@@ -356,14 +375,12 @@ def full_curvature(conn):
     return TensorField(chart, ("d", "d", "u", "d"), comps)
 
 
-def _schouten_and_weyl(conn, ric=None):
-    """P and W of a symmetric-Ricci connection (gauge not required).
-    `ric` is ricci(conn), when the caller already has it."""
+def _schouten_and_weyl(conn):
+    """P and W of a symmetric-Ricci connection (gauge not required)."""
     chart = conn.chart
     n = chart.dim
     riem = full_curvature(conn)
-    if ric is None:
-        ric = ricci(conn)
+    ric = ricci(conn)
     frac = chart.const(Fraction(1, n - 1))
     p_comps = [frac * ric.get(a, b) for a in range(n) for b in range(n)]
     schouten = TensorField(chart, ("d", "d"), p_comps)
@@ -380,35 +397,40 @@ def _schouten_and_weyl(conn, ric=None):
 
 
 def cotton_york(conn, schouten):
-    """Y_abc = (grad_a P_bc - grad_b P_ac)/2."""
+    """Y_abc = (grad_a P_bc - grad_b P_ac)/2
+             = (d_a P_bc - d_b P_ac - G^e_ac P_be + G^e_bc P_ae)/2,
+    since the terms G^e_ab P_ec cancel for a torsion-free connection.
+
+    With G = N/D and P = PN/DP over their common denominators and
+    L = lcm(D, DP), every term lies over DP L: each component with a < b
+    is one numerator and one cancellation, and Y_bac = -Y_abc.
+    """
     chart = conn.chart
     n = chart.dim
-    # assemble grad P over the product of the two common denominators so
-    # each component cancels once
     gens = chart._ring.gens
     field = chart._field
-    N, D, _ = _over_common(conn.gamma)
+    N, D, _ = conn.common
     (PN,), DP, dDP = _over_common([[[schouten.get(a, b) for b in range(n)]
                                     for a in range(n)]])
-    den = D * DP * DP
-
-    def grad_num(a, b, c):
-        # (d_a PN - PN dlog DP) D DP - sum_e (N PN + N PN) DP over D DP^2
-        num = (PN[b][c].diff(gens[a]) * DP - PN[b][c] * dDP[a]) * D
-        for e in range(n):
-            num = num - (N[e][a][b] * PN[e][c] + N[e][a][c] * PN[b][e]) * DP
-        return num
-
+    L = D.lcm(DP)
+    over_p, over_g = L.exquo(DP), L.exquo(D)
+    den = 2 * DP * L
+    upper = {}
+    for a, b in combinations(range(n), 2):
+        for c in range(n):
+            dp = (PN[b][c].diff(gens[a]) - PN[a][c].diff(gens[b])) * DP \
+                - PN[b][c] * dDP[a] + PN[a][c] * dDP[b]
+            gp = DP.ring.zero
+            for e in range(n):
+                gp = gp + N[e][b][c] * PN[a][e] - N[e][a][c] * PN[b][e]
+            upper[(a, b, c)] = field.new(dp * over_p + gp * over_g, den)
     comps = []
-    half = Fraction(1, 2)
-    cache = {}
     for a, b, c in product(range(n), repeat=3):
-        if (a, b, c) not in cache:
-            cache[(a, b, c)] = grad_num(a, b, c)
-        if (b, a, c) not in cache:
-            cache[(b, a, c)] = grad_num(b, a, c)
-        num = cache[(a, b, c)] - cache[(b, a, c)]
-        comps.append(RationalExpr(chart, field.new(num, den)) * half)
+        if a == b:
+            comps.append(chart.zero)
+        else:
+            y = upper[(min(a, b), max(a, b), c)]
+            comps.append(RationalExpr(chart, y if a < b else -y))
     return TensorField(chart, ("d", "d", "d"), comps)
 
 
@@ -425,6 +447,6 @@ def decompose_curvature(conn):
     beta = _beta_of_ricci(ric)
     if not beta.is_zero():
         raise NotSpecial("Ricci tensor is not symmetric")
-    schouten, weyl = _schouten_and_weyl(conn, ric)
+    schouten, weyl = _schouten_and_weyl(conn)
     yk = cotton_york(conn, schouten)
     return ProjectiveData(conn, ric, beta, schouten, weyl, yk)

@@ -15,7 +15,7 @@ length N = n(n+1)/2 + n + 1 ordered as (upper-triangle sigma, mu, rho).
 from fractions import Fraction
 
 from .errors import NotSpecial, ShapeError
-from .projconn import _matrix_curvature
+from .projconn import _matrix_curvature, _over_common
 from .tensorfield import TensorField
 
 __all__ = [
@@ -117,9 +117,8 @@ class TractorCurvature:
 
 def tractor_curvature(conn, data):
     """Curvature of the modified tractor connection as stored matrices."""
-    return TractorCurvature(conn.chart,
-                            _matrix_curvature(conn.chart,
-                                              connection_matrices(conn, data)))
+    return TractorCurvature(conn.chart, _matrix_curvature(
+        conn.chart, *_over_common(connection_matrices(conn, data))))
 
 
 

@@ -3,9 +3,11 @@
 Field-section forms of the prolonged connection, its transformation law and
 its curvature; the column-by-column builder of the connection matrices that
 `tractor.connection_matrices` replaced with a closed form; the contracted
-Bianchi identity; and the tensor helpers `kron_delta`, `outer` and
-`reweight`.  Each was moved from `projmet` unchanged, apart from the
-`TractorSection` methods, which became functions of the section.
+Bianchi identity; the Cotton-York tensor as the antisymmetrised
+covariant derivative of P over D DP^2 (`cotton_york_by_gradients`); and the
+tensor helpers `kron_delta`, `outer` and `reweight`.  Each was moved from
+`projmet` unchanged, apart from the `TractorSection` methods, which became
+functions of the section, and the renamed Cotton-York routine.
 
 The column builder takes full symbolic covariant derivatives of the N
 constant basis sections, so it shares no formula with the closed form it
@@ -15,8 +17,9 @@ checks, and `jet_oracle.dense_jet_solve` builds its matrices with it.
 from fractions import Fraction
 from itertools import product
 
-from projmet.exprcore import DifferentialForm
+from projmet.exprcore import DifferentialForm, RationalExpr
 from projmet.errors import ShapeError
+from projmet.projconn import _over_common
 from projmet.tensorfield import TensorField, covariant_derivative
 from projmet.tractor import (TractorSection, _check_special, section_dim,
                              sym_pairs, unpack_values)
@@ -57,6 +60,39 @@ def reweight(t, f, volume_weight=None):
     w = t.weight if volume_weight is None else volume_weight
     return TensorField(t.chart, t.variance, t.comps, t.weight,
                        t.tag + f * w)
+
+
+def cotton_york_by_gradients(conn, schouten):
+    """Y_abc = (grad_a P_bc - grad_b P_ac)/2."""
+    chart = conn.chart
+    n = chart.dim
+    # assemble grad P over the product of the two common denominators so
+    # each component cancels once
+    gens = chart._ring.gens
+    field = chart._field
+    N, D, _ = _over_common(conn.gamma)
+    (PN,), DP, dDP = _over_common([[[schouten.get(a, b) for b in range(n)]
+                                    for a in range(n)]])
+    den = D * DP * DP
+
+    def grad_num(a, b, c):
+        # (d_a PN - PN dlog DP) D DP - sum_e (N PN + N PN) DP over D DP^2
+        num = (PN[b][c].diff(gens[a]) * DP - PN[b][c] * dDP[a]) * D
+        for e in range(n):
+            num = num - (N[e][a][b] * PN[e][c] + N[e][a][c] * PN[b][e]) * DP
+        return num
+
+    comps = []
+    half = Fraction(1, 2)
+    cache = {}
+    for a, b, c in product(range(n), repeat=3):
+        if (a, b, c) not in cache:
+            cache[(a, b, c)] = grad_num(a, b, c)
+        if (b, a, c) not in cache:
+            cache[(b, a, c)] = grad_num(b, a, c)
+        num = cache[(a, b, c)] - cache[(b, a, c)]
+        comps.append(RationalExpr(chart, field.new(num, den)) * half)
+    return TensorField(chart, ("d", "d", "d"), comps)
 
 
 def bianchi_contracted_check(data, conn):

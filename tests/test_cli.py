@@ -113,21 +113,27 @@ def test_analyze_builds_connection_matrices_once(tmp_path, monkeypatch):
 
 
 def test_mobility_never_reads_the_series(tmp_path, monkeypatch):
-    """`mobility` reports dimensions only, so the Fraction series of the jet
-    solve is never built; `analyze` reads it for its candidates."""
+    """`mobility` reports dimensions only, so the series of the jet solve
+    is never read; `analyze` reads its candidates off the integer rows
+    (`JetSolution.combine`) and never builds the Fraction series."""
     from itertools import product
 
     from projmet.mobility import JetSolution
     from projmet.models import klein_connection
 
-    reads = []
-    series = JetSolution.series
+    reads, combined = [], []
+    series, combine = JetSolution.series, JetSolution.combine
 
     def counted(self):
         reads.append(self)
         return series.fget(self)
 
+    def counted_combine(self, coords):
+        combined.append(self)
+        return combine(self, coords)
+
     monkeypatch.setattr(JetSolution, "series", property(counted))
+    monkeypatch.setattr(JetSolution, "combine", counted_combine)
     conn = klein_connection(4)
     doc = {"dimension": 4, "christoffel": {
         f"{c + 1},{a + 1},{b + 1}": str(conn.gamma[c][a][b])
@@ -135,9 +141,9 @@ def test_mobility_never_reads_the_series(tmp_path, monkeypatch):
         if a <= b and conn.gamma[c][a][b]}}
     spec = _write(tmp_path, "klein4.json", doc)
     assert main(["mobility", spec]) == EXIT_OK
-    assert not reads
+    assert not reads and not combined
     assert main(["analyze", spec, "--max-order", "4"]) == EXIT_OK
-    assert reads
+    assert combined and not reads
 
 
 def _pinned_analyze_inputs():
@@ -184,13 +190,11 @@ def test_lower_metric_series_reads_the_det_series():
     on every candidate of the pinned analyze inputs.  The long way runs in
     the Fraction series oracle."""
     from projmet.exactlinalg import leibniz_det
-    from projmet.exactseries import series_from_coeffs
     from projmet.mobility import degree_of_mobility
-    from projmet.pipeline import (_candidate_vectors, _combine_series,
-                                  _lower_metric_series, _series_ring,
-                                  _symmetric_entry)
+    from projmet.pipeline import (_candidate_vectors, _lower_metric_series,
+                                  _series_ring, _symmetric_entry)
     from projmet.projconn import decompose_curvature, specialize
-    from projmet.tractor import section_dim, sym_pairs
+    from projmet.tractor import sym_pairs
 
     def nonzero(ser):
         return {ij: {m: v for m, v in s.items() if v} for ij, s in ser.items()}
@@ -206,11 +210,8 @@ def test_lower_metric_series_reads_the_det_series():
         jets = degree_of_mobility(special, base_point, order,
                                   decompose_curvature(special))
         for _, coords in _candidate_vectors(jets, n):
-            series = _combine_series(jets, coords)
-            sig_q = dict(zip(sym_pairs(n), (
-                {m: c[k] for m, c in series.items() if c[k]}
-                for k in range(section_dim(n)))))
-            sig = {ij: series_from_coeffs(s) for ij, s in sig_q.items()}
+            sig = dict(zip(sym_pairs(n), jets.combine(coords)))
+            sig_q = {ij: as_fractions(s) for ij, s in sig.items()}
             det = leibniz_det(_symmetric_entry(sig), n, *_series_ring(order))
             g_ser = {ij: series_oracle.series_mul(as_fractions(det), s, order)
                      for ij, s in sig_q.items()}
@@ -423,6 +424,34 @@ def test_order_above_the_cap_is_an_input_error(tmp_path, capsys, command,
     code = main([command, spec] + flag)
     _assert_input_error(capsys, code,
                         f"max_order must be at most 64, got {order}")
+
+
+@pytest.mark.parametrize("command, entry, degree", [
+    ("mobility", "x1^400", 400),
+    ("analyze", "x1^400", 400),
+    ("mobility", "1/(1 + x1^16*x2^17)", 33),
+], ids=["mobility-x1^400", "analyze-x1^400", "mobility-denominator"])
+def test_degree_above_the_cap_is_an_input_error(tmp_path, capsys, command,
+                                                entry, degree):
+    """The total degree of each Christoffel numerator and denominator is
+    capped (cli.MAX_DEGREE), and the entry is named; the check runs while
+    the spec is read, so `x1^400` returns at once instead of sizing the
+    trace potential's ansatz by its degree."""
+    import time
+
+    from projmet.cli import MAX_DEGREE
+
+    assert MAX_DEGREE == 32
+    at_cap = {"dimension": 2, "christoffel": {"1,1,2": "x1^16*x2^16"}}
+    parse_spec(at_cap)
+    spec = _write(tmp_path, "deg.json",
+                  {"dimension": 2, "christoffel": {"1,1,2": entry}})
+    start = time.perf_counter()
+    code = main([command, spec, "--max-order", "3"])
+    assert time.perf_counter() - start < 5
+    _assert_input_error(capsys, code,
+                        f'christoffel "1,1,2" has total degree {degree}, '
+                        f"above the cap of 32")
 
 
 def test_non_integer_max_order_option_is_an_input_error(tmp_path, capsys):

@@ -14,7 +14,8 @@ from projmet import (Chart, DegenerateSigma, DimensionTooSmall, NotEquivalent,
                      projective_equivalence, reconstruct_metric, ricci,
                      riemann_split, write_trace_csv)
 from projmet.cli import load_spec
-from projmet.metricize import (kappa_at, sampled_constant_curvature,
+from projmet.metricize import (_volume_residual, candidate_from_metric,
+                               kappa_at, sampled_constant_curvature,
                                sampled_lc_residual)
 from projmet.models import (euclidean_metric, flat_connection,
                             klein_connection, klein_metric,
@@ -23,7 +24,7 @@ from projmet.models import (euclidean_metric, flat_connection,
                             sphere_stereographic_metric)
 from projmet.tensorfield import covariant_derivative, trace_free_part
 
-from conftest import rand_metric, rand_poly
+from conftest import rand_metric, rand_poly, warped_product_connection
 
 
 def _delta_uu(chart):
@@ -194,19 +195,54 @@ THEOREM_INPUTS = {
     "roundtrip2": lambda: levi_civita(rand_metric(2, random.Random(7))),
     "roundtrip3": lambda: levi_civita(
         rand_metric(3, random.Random(3), max_degree=1)),
+    # rational special connection and rational g^{ab}, rebuilt from g_ab
+    "warped3": warped_product_connection,
 }
+G_BUILT = ("roundtrip2", "roundtrip3", "warped3")
+
+
+def linear_check(cand, special):
+    """The symbolic oracle of the proof: tf(grad_a t^{bc}) = 0 for the
+    tensor t the candidate was built from, sigma under the connection
+    `special` it was built on, or g^{ab} under the candidate connection."""
+    t, gauge = ((cand.g_up, cand.connection) if cand.sigma is None
+                else (cand.sigma, special))
+    return trace_free_part(covariant_derivative(t, gauge)).is_zero()
+
+
+def _assert_proof_matches_oracle(cand, special):
+    """The polynomial proof agrees with `linear_check` on the candidate and
+    refutes, with the oracle, the one rebuilt from t with t^{11} + x1^2."""
+    assert cand.solves_metrizability() == linear_check(cand, special) is True
+    assert is_levi_civita(cand.connection, cand.g_up)[0]
+    assert _volume_residual(cand.connection, cand.g_up).is_zero()
+    t = cand.g_up if cand.sigma is None else cand.sigma
+    chart = t.chart
+    n = chart.dim
+    comps = [t.get(i, j) for i in range(n) for j in range(n)]
+    comps[0] = comps[0] + chart.var(1) * chart.var(1)
+    bent = TensorField(chart, ("u", "u"), comps)
+    rebuild = (candidate_from_metric if cand.sigma is None
+               else reconstruct_metric)
+    wrong = rebuild(bent, special, cand.base_point)
+    assert wrong.solves_metrizability() == linear_check(wrong, special) \
+        is False
+    assert not is_levi_civita(wrong.connection, wrong.g_up)[0]
 
 
 @pytest.mark.parametrize("name", THEOREM_INPUTS)
 def test_linear_equation_proves_exact_candidates(name, monkeypatch):
     """The paper's theorem on the runtime path: `analyze` proves each exact
-    candidate by tf(grad_a t^{bc}) = 0 for the tensor t it was built from,
-    in that tensor's gauge, and never runs `is_levi_civita`.  The oracle and
-    the volume half, which holds by construction, agree on every candidate,
+    candidate by tf(grad'_a g^{bc}) = 0, as integer polynomial identities
+    in the special gauge (`MetricCandidate.solves_metrizability`), and
+    never runs `is_levi_civita` or `covariant_derivative`, nor builds a
+    candidate connection.  The symbolic oracle `linear_check` and the
+    volume half, which holds by construction, agree on every candidate,
     and both refute the candidate rebuilt from t with t^{11} + x1^2."""
-    from projmet import metricize, pipeline
-    from projmet.metricize import _volume_residual, candidate_from_metric
+    from projmet import metricize, pipeline, tensorfield
 
+    assert not hasattr(pipeline, "covariant_derivative")
+    assert not hasattr(pipeline, "trace_free_part")
     built = []
     reconstruct = pipeline._reconstruct
 
@@ -228,38 +264,44 @@ def test_linear_equation_proves_exact_candidates(name, monkeypatch):
     n = conn.dim
     with monkeypatch.context() as m:
         m.setattr(pipeline, "_reconstruct", keep)
-        for mod in (metricize, pipeline):
-            for check in (is_levi_civita, _volume_residual):
+        for mod in (metricize, pipeline, tensorfield):
+            for check in (is_levi_civita, _volume_residual,
+                          covariant_derivative):
                 m.setattr(mod, check.__name__, counted(check), raising=False)
         report, code = pipeline.analyze_connection(
             conn, [0] * n, {"max_order": 2 * n + 2, "samples": 2,
                             "tolerance": 1e-8})
     assert calls == []
     assert code == 0 and built
-    # the round trips take the g-built path, the models the sigma-built one
-    assert all((c.sigma is None) == name.startswith("roundtrip")
-               for _, c in built)
+    assert all(c._connection is None for _, c in built)
+    assert all((c.sigma is None) == (name in G_BUILT) for _, c in built)
     assert all(e["is_levi_civita"] for e in report["metrics"] if e.get("exact"))
-
-    def linear_check(cand, special):
-        t, gauge = ((cand.g_up, cand.connection) if cand.sigma is None
-                    else (cand.sigma, special))
-        return trace_free_part(covariant_derivative(t, gauge)).is_zero()
-
+    if name == "warped3":
+        assert any(not c.g_up.get(1, 1).is_polynomial() for _, c in built)
     for special, cand in built:
-        assert linear_check(cand, special)
-        assert is_levi_civita(cand.connection, cand.g_up)[0]
-        assert _volume_residual(cand.connection, cand.g_up).is_zero()
-        t = cand.g_up if cand.sigma is None else cand.sigma
-        chart = t.chart
-        comps = [t.get(i, j) for i in range(n) for j in range(n)]
-        comps[0] = comps[0] + chart.var(1) * chart.var(1)
-        bent = TensorField(chart, ("u", "u"), comps)
-        rebuild = (candidate_from_metric if cand.sigma is None
-                   else reconstruct_metric)
-        wrong = rebuild(bent, special, cand.base_point)
-        assert not linear_check(wrong, special)
-        assert not is_levi_civita(wrong.connection, wrong.g_up)[0]
+        _assert_proof_matches_oracle(cand, special)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sigma_proof_on_a_rational_special_connection(n):
+    """sigma-built candidates over a rational special connection: for
+    g_ab = u^-(n+1) delta with a polynomial u, sigma = u delta solves the
+    equation in the special gauge of the Levi-Civita connection, and the
+    polynomial proof agrees with the symbolic oracle on it and on its bent
+    copy."""
+    from projmet import specialize
+
+    chart = Chart(n)
+    u = chart.parse("2 + x1 - x2^2/3" if n == 2 else "1 + x1*x2 - x3/2")
+    g = TensorField(chart, ("d", "d"), [
+        u ** -(n + 1) if i == j else chart.zero
+        for i in range(n) for j in range(n)])
+    special = specialize(levi_civita(g))[0]
+    assert not all(e.is_polynomial() for plane in special.gamma
+                   for row in plane for e in row)
+    sigma = TensorField(chart, ("u", "u"), [
+        u if i == j else chart.zero for i in range(n) for j in range(n)])
+    _assert_proof_matches_oracle(reconstruct_metric(sigma, special), special)
 
 
 def test_levi_civita_closed_forms():
@@ -533,10 +575,10 @@ def test_point_evaluator_matches_symbolic_connection(name, monkeypatch):
                                   "roundtrip2"])
 def test_candidate_connection_is_built_only_for_the_g_built_proof(
         name, monkeypatch):
-    """analyze builds grad f and the candidate connection only where a
-    proof or a report string reads them: no projective change and no
-    gradient for truncated candidates, no projective change for
-    sigma-built exact ones, one for each g-built exact candidate.  No
+    """analyze builds grad f only where a report string reads it, and the
+    candidate connection not at all: no projective change and no gradient
+    for truncated candidates, and no projective change for exact ones,
+    sigma-built or g-built, whose proofs run in the special gauge.  No
     derivative field is built inside the point checks."""
     from projmet import metricize, pipeline
     from projmet.exprcore import Potential, RationalExpr
@@ -586,7 +628,7 @@ def test_candidate_connection_is_built_only_for_the_g_built_proof(
         assert changes == []
     else:
         assert all(exact) and len(g_built) == len(built)
-        assert len(changes) == len(g_built)
+        assert changes == []
 
 
 @pytest.mark.parametrize("entry, warning", [

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from projmet import (AffineConnection, Chart, NotSpecial, beta_form,
-                     covariant_derivative, decompose_curvature, full_curvature,
-                     projective_change, ricci, specialize)
+from projmet import (AffineConnection, Chart, NotSpecial, TensorField,
+                     beta_form, covariant_derivative, decompose_curvature,
+                     full_curvature, levi_civita, projective_change, ricci,
+                     specialize)
 from projmet.cli import parse_spec
 from projmet.models import (flat_connection, klein_connection, klein_metric,
                             sphere_stereographic_connection,
@@ -19,7 +20,7 @@ from projmet.projconn import _schouten_and_weyl, cotton_york
 from conftest import (rand_exact_oneform, rand_metric, rand_poly,
                       rand_special_connection, rand_vector_field,
                       ricci_by_commutator, warped_product_connection)
-from oracles import bianchi_contracted_check
+from oracles import bianchi_contracted_check, cotton_york_by_gradients
 
 DATA = Path(__file__).parent / "data"
 
@@ -308,6 +309,93 @@ def test_cotton_york_is_antisymmetrised_grad_schouten(n, rng):
         for a, b, c in product(range(n), repeat=3):
             assert 2 * data.cotton_york.get(a, b, c) == \
                 dp.get(a, b, c) - dp.get(b, a, c)
+
+
+def _rand_rational_connection(n, rng, entries=3):
+    """Torsion-free connection with a few entries p / (1 + x1 q) for random
+    polynomials p and q, mostly with distinct denominators."""
+    chart = Chart(n)
+    comps = {}
+    for _ in range(entries):
+        c, a, b = (rng.randint(1, n) for _ in range(3))
+        den = chart.one + chart.var(1) * rand_poly(chart, rng, max_degree=1)
+        comps[(c, min(a, b), max(a, b))] = rand_poly(chart, rng) / den
+    return AffineConnection.from_components(chart, comps)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cotton_york_matches_the_gradient_oracle(n, rng):
+    """Y from the numerators over DP lcm(D, DP), one cancellation per
+    component with a < b, equals the old assembly of grad P over D DP^2
+    (`oracles.cotton_york_by_gradients`) exactly: on random rational
+    connections (special or not, P from their Ricci tensor), on the
+    models and on their special gauges."""
+    models = [klein_connection(n), sphere_stereographic_connection(n),
+              _curved_rational_special(n)]
+    if n == 2:
+        models.append(parse_spec(json.loads(
+            (DATA / "liouville_d1_d2.json").read_text()))[0])
+    conns = [_rand_rational_connection(n, rng) for _ in range(4)]
+    conns += [rand_special_connection(n, rng), levi_civita(
+        rand_metric(n, rng, max_degree=2 if n == 2 else 1))]
+    conns += models + [specialize(c)[0] for c in models]
+    for conn in conns:
+        r = ricci(conn)
+        schouten = TensorField(conn.chart, ("d", "d"), [
+            r.get(a, b) / (n - 1) for a in range(n) for b in range(n)])
+        assert cotton_york(conn, schouten) == \
+            cotton_york_by_gradients(conn, schouten)
+
+
+@pytest.mark.parametrize("command", ["analyze", "mobility", "curvature"])
+def test_common_form_and_ricci_built_once_per_connection(command, rng,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+    """Each connection's symbols are put over their common denominator
+    once, and its Ricci tensor built once, however many curvature
+    routines and proofs read them.  A special input is its own special
+    connection (flat, and random special ones like the bench's `jets`
+    inputs), so beta and the curvature decomposition share one Ricci
+    tensor; the Klein input is not."""
+    from projmet import projconn
+    from projmet.cli import main
+
+    commons, riccis = [], []
+    over_common, build_ricci = projconn._over_common, projconn._ricci
+
+    def counted_common(arrays):
+        commons.append(arrays)
+        return over_common(arrays)
+
+    def counted_ricci(conn):
+        riccis.append(conn)
+        return build_ricci(conn)
+
+    monkeypatch.setattr(projconn, "_over_common", counted_common)
+    monkeypatch.setattr(projconn, "_ricci", counted_ricci)
+    inputs = [flat_connection(2), rand_special_connection(3, rng),
+              klein_connection(2)]
+    for i, conn in enumerate(inputs):
+        n = conn.dim
+        spec = tmp_path / f"{i}.json"
+        spec.write_text(json.dumps({"dimension": n, "christoffel": {
+            f"{c + 1},{a + 1},{b + 1}": str(conn.gamma[c][a][b])
+            for c, a, b in product(range(n), repeat=3)
+            if a <= b and conn.gamma[c][a][b]}}))
+        commons.clear()
+        riccis.clear()
+        argv = [command, str(spec)]
+        if command != "curvature":
+            argv += ["--max-order", "4"]
+        assert main(argv) in (0, 10, 11)
+        capsys.readouterr()
+        # a connection's symbols are its gamma tuple; the other arrays put
+        # over a common denominator are P and the prolonged matrices
+        gammas = [id(arrays) for arrays in commons
+                  if isinstance(arrays, tuple)]
+        assert len(gammas) == len(set(gammas)) == len(riccis)
+        assert set(gammas) == {id(c.gamma) for c in riccis}
+        assert len(riccis) == (2 if i == 2 else 1)
 
 
 # Special connections whose Christoffel symbols have constant, non-unit
