@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import NotEquivalent, ParseError, ProjmetError
+from .errors import DegreeAboveCap, NotEquivalent, ParseError, ProjmetError
 # bound here so the benchmark tracer's self-check can find it under
 # `projmet.cli` (perfbench/selfcheck.py)
 from .exactlinalg import nullspace  # noqa: F401
@@ -91,9 +91,13 @@ def parse_spec(doc):
         for idx in (c, a, b):
             if not 1 <= idx <= n:
                 raise ParseError(f"index {idx} out of range in key {key!r}")
-        expr = chart.parse(_rewrite_vars(str(text), names))
-        degree = max((sum(e) for e, _ in
-                      expr.numer_terms() + expr.denom_terms()), default=0)
+        try:
+            expr = chart.parse(_rewrite_vars(str(text), names), MAX_DEGREE)
+        except DegreeAboveCap as exc:
+            degree = exc.degree
+        else:
+            degree = max((sum(e) for e, _ in
+                          expr.numer_terms() + expr.denom_terms()), default=0)
         if degree > MAX_DEGREE:
             raise ParseError(f'christoffel "{key}" has total degree {degree}, '
                              f"above the cap of {MAX_DEGREE}")
@@ -132,9 +136,10 @@ def parse_spec(doc):
 
 
 MAX_ORDER = 64
-# Largest total degree of a Christoffel numerator or denominator: the jet
-# solve and the trace potential are sized by it, and the pinned inputs
-# use at most 5.
+# Largest total degree of a Christoffel numerator or denominator, and of
+# each power, product and quotient as the entry writes it (checked by the
+# parser before it expands one): the jet solve and the trace potential are
+# sized by it, and the pinned inputs use at most 5.
 MAX_DEGREE = 32
 
 

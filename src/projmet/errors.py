@@ -14,6 +14,15 @@ class ParseError(ProjmetError):
         self.column = column
 
 
+class DegreeAboveCap(ParseError):
+    """A power or product in an expression is above the degree cap."""
+
+    def __init__(self, degree, cap, line=1, column=1):
+        super().__init__(f"total degree {degree}, above the cap of {cap}",
+                         line, column)
+        self.degree = degree
+
+
 class PoleError(ProjmetError):
     """Denominator vanishes at the requested point."""
 

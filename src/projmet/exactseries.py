@@ -21,8 +21,8 @@ from .exprcore import _powers, _scaled_point, _scaled_value
 
 __all__ = [
     "Series", "monomials_of_order", "series_from_coeffs", "series_add",
-    "series_scale", "series_mul", "series_inverse", "series_diff",
-    "series_eval", "poly_to_series", "rational_to_series",
+    "series_scale", "series_combination", "series_mul", "series_inverse",
+    "series_diff", "series_eval", "poly_to_series", "rational_to_series",
     "series_to_coeff_dict",
 ]
 
@@ -81,6 +81,20 @@ def series_scale(a, c):
     c = Fraction(c)
     terms = {m: v * c.numerator for m, v in a.terms.items()} if c else {}
     return _lowest(a.den * c.denominator, terms)
+
+
+def series_combination(pairs):
+    """The sum of scale * series over (scale, Series) pairs with rational
+    scales: added in int over the lcm of the scaled denominators and
+    reduced once."""
+    pairs = [(Fraction(c), a) for c, a in pairs if c and a]
+    den = lcm(*(c.denominator * a.den for c, a in pairs))
+    out = {}
+    for c, (da, ta) in pairs:
+        f = c.numerator * (den // (c.denominator * da))
+        for m, v in ta.items():
+            out[m] = out.get(m, 0) + f * v
+    return _lowest(den, {m: v for m, v in out.items() if v})
 
 
 def series_mul(a, b, max_order):

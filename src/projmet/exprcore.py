@@ -39,7 +39,8 @@ import sympy
 from sympy import ZZ
 from sympy.polys.fields import field as _frac_field
 
-from .errors import NotClosed, NotPolynomial, ParseError, PoleError
+from .errors import (DegreeAboveCap, NotClosed, NotPolynomial, ParseError,
+                     PoleError)
 
 __all__ = [
     "Chart",
@@ -225,8 +226,11 @@ class Chart:
     def one(self):
         return self.const(1)
 
-    def parse(self, text):
-        return _parse(self, text)
+    def parse(self, text, max_degree=None):
+        """The expression `text`; with `max_degree`, DegreeAboveCap as soon
+        as a power, product or quotient as written would have a numerator
+        or denominator of higher total degree, before it is expanded."""
+        return _Parser(self, _tokenize(text), max_degree).parse()
 
     def from_coeff_dict(self, coeffs):
         """Polynomial from {exponent tuple: rational coefficient}; the
@@ -556,10 +560,18 @@ def _tokenize(text):
 class _Parser:
     """Pratt parser for the chart expression grammar."""
 
-    def __init__(self, chart, tokens):
+    def __init__(self, chart, tokens, max_degree=None):
         self.chart = chart
         self.tokens = tokens
         self.pos = 0
+        self.max_degree = max_degree
+
+    def cap(self, num_degree, den_degree, line, col):
+        """Refuse a result whose numerator or denominator would have a
+        total degree above the cap; the bounds are exact for polynomials."""
+        degree = max(num_degree, den_degree)
+        if self.max_degree is not None and degree > self.max_degree:
+            raise DegreeAboveCap(degree, self.max_degree, line, col)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -595,6 +607,12 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, _, line, col = self.advance()
             rhs = self.unary()
+            if self.max_degree is not None:
+                (an, ad), (bn, bd) = _degrees(e), _degrees(rhs)
+                if op == "*":
+                    self.cap(an + bn, ad + bd, line, col)
+                else:
+                    self.cap(an + bd, ad + bn, line, col)
             if op == "*":
                 e = e * rhs
             else:
@@ -616,8 +634,10 @@ class _Parser:
     def power(self):
         base = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            _, _, line, col = self.advance()
             k = self.int_exponent()
+            if self.max_degree is not None:
+                self.cap(*(abs(k) * v for v in _degrees(base)), line, col)
             return base ** k
         return base
 
@@ -655,8 +675,10 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}", line, col)
 
 
-def _parse(chart, text):
-    return _Parser(chart, _tokenize(text)).parse()
+def _degrees(e):
+    """Total degrees of the numerator and the denominator of e."""
+    num, den = e.frac.numer, e.frac.denom
+    return (_tdeg(num) if num else 0), _tdeg(den)
 
 
 # ---------------------------------------------------------------------------
@@ -936,17 +958,21 @@ class Potential:
 
 def _common_denominator(exprs):
     """lcm in Z[x], up to sign, of the canonical denominators of a nonempty
-    sequence of RationalExpr, so that each divides it exactly.  A constant
-    denominator takes no gcd: the integer lcm of those is folded in once,
-    at the end."""
+    sequence of RationalExpr, so that each divides it exactly.  Each
+    distinct non-constant denominator is folded in once, in order of first
+    appearance, with one gcd after the first; a constant denominator takes
+    no gcd: the integer lcm of those is folded in once, at the end."""
     den = exprs[0].frac.denom.ring.one
     scale = 1
+    distinct = {}
     for e in exprs:
         d = e.frac.denom
         if d.is_ground:
             scale = lcm(scale, d.LC)
-        elif d != den:
-            den = d if den.is_ground else den.exquo(den.gcd(d)) * d
+        else:
+            distinct[d] = None
+    for d in distinct:
+        den = d if den.is_ground else den.exquo(den.gcd(d)) * d
     return den * (scale // gcd(scale, den.content()))
 
 

@@ -3,9 +3,12 @@
 Solutions of the metrizability equation correspond to covariant constant
 sections of T = Sym^2 TM + TM + R.  The connection used here is the tractor
 connection modified by curvature terms (the W term in the middle slot, the
-Cotton-York term in the bottom slot).  It is stored as matrices A_a on
-packed components, read off Gamma, P, W and Y in closed form, and its
-curvature is F_ab = d_a A_b - d_b A_a + [A_a, A_b] of those matrices.
+Cotton-York term in the bottom slot).  Its matrices A_a on packed
+components are stored as one table of closed forms: each entry is a short
+sum of Gamma, P, W and Y components with rational scales, and each reader
+evaluates the distinct components once in its own arithmetic.  The
+curvature is F_ab = d_a A_b - d_b A_a + [A_a, A_b] of those matrices,
+taken over one common denominator.
 
 Sections are triples (sigma^{bc}, mu^b, rho).  Field-valued sections use
 TensorField components; point-valued sections are packed into vectors of
@@ -13,6 +16,8 @@ length N = n(n+1)/2 + n + 1 ordered as (upper-triangle sigma, mu, rho).
 """
 
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from .errors import NotSpecial, ShapeError
 from .projconn import _matrix_curvature, _over_common
@@ -25,6 +30,7 @@ __all__ = [
     "section_dim",
     "unpack_values",
     "tractor_curvature",
+    "ConnectionTable",
     "connection_matrices",
 ]
 
@@ -118,17 +124,67 @@ class TractorCurvature:
 def tractor_curvature(conn, data):
     """Curvature of the modified tractor connection as stored matrices."""
     return TractorCurvature(conn.chart, _matrix_curvature(
-        conn.chart, *_over_common(connection_matrices(conn, data))))
+        conn.chart, *_table_over_common(connection_matrices(conn, data))))
 
 
+class ConnectionTable(NamedTuple):
+    """The matrices A_a as closed forms in Gamma, P, W and Y.
+
+    `components` holds each distinct nonzero value among the Gamma^c_ae,
+    P_ab, W_acbd and Y_abc that the matrices read, and the constant 1
+    first, once each.  `entries[a]` maps (i, j), in row-major order, to a
+    tuple of (scale, k) pairs with an int or Fraction scale and
+    (A_a)_ij = sum of scale components[k]; an absent (i, j) is zero.  Each
+    reader evaluates the components once, in its own arithmetic, and sums
+    the entries from those values.
+    """
+
+    chart: object
+    size: int
+    components: list
+    entries: list
+
+    def matrices(self):
+        """A_a as N x N matrices of RationalExpr: the symbolic sum of
+        every entry."""
+        z = self.chart.zero
+        mats = []
+        for entries in self.entries:
+            A = [[z] * self.size for _ in range(self.size)]
+            for (i, j), terms in entries.items():
+                for scale, k in terms:
+                    A[i][j] = A[i][j] + self.components[k] * scale
+            mats.append(A)
+        return mats
+
+
+def _table_over_common(table):
+    """(N, D, [d_k D]) with A_a = N_a / D, as `_matrix_curvature` reads
+    them: D is the common denominator of the components (`_over_common`)
+    times the lcm L of the scale denominators, so every N_a is an integer
+    sum of component numerators and no fraction is added."""
+    [[nums]], D, dD = _over_common([[table.components]])
+    L = lcm(*(s.denominator for entries in table.entries
+              for terms in entries.values() for s, _ in terms))
+    zero = D.ring.zero
+    N = []
+    for entries in table.entries:
+        mat = [[zero] * table.size for _ in range(table.size)]
+        for (i, j), terms in entries.items():
+            for s, k in terms:
+                mat[i][j] += nums[k] * (s.numerator * (L // s.denominator))
+        N.append(mat)
+    return N, D * L, [d * L for d in dD]
 
 
 def connection_matrices(conn, data):
-    """Matrices A_a with (D_a s) = d_a s + A_a s on packed components.
+    """The matrices A_a with (D_a s) = d_a s + A_a s on packed components,
+    as a `ConnectionTable`.
 
     Column j of A_a is the covariant derivative of the j-th constant basis
     section.  A constant section has no derivative term, so every entry is
-    read off Gamma^c_ae = gamma[c][a][e], P, W and Y:
+    a short sum of Gamma^c_ae = gamma[c][a][e], P, W and Y entries and the
+    constant 1, with rational scales:
 
         sigma^{bc}:  Gamma^b_ae sigma^{ec} + Gamma^c_ae sigma^{be}
                      - delta_a^b mu^c - delta_a^c mu^b
@@ -137,6 +193,8 @@ def connection_matrices(conn, data):
         rho:         2 P_ab mu^b - (4/n) Y_abc sigma^{bc}
 
     A term in sigma^{cd} lands in the column of the unordered pair {c, d}.
+    Equal values share one component, and the scales of one component in
+    one entry are added; no RationalExpr is added.
     """
     _check_special(conn)
     chart = conn.chart
@@ -148,37 +206,47 @@ def connection_matrices(conn, data):
     m = len(pairs)
     N = m + n + 1
     P, W, Y = data.schouten, data.weyl, data.cotton_york
+    one = chart.one
+    components = [one]
+    index = {one: 0}
     w_scale, y_scale = Fraction(-1, n), Fraction(-4, n)
 
-    def add(A, i, j, x):
-        if x:
-            A[i][j] = A[i][j] + x
+    def add(A, i, j, scale, x):
+        if not x:
+            return
+        k = index.get(x)
+        if k is None:
+            k = index[x] = len(components)
+            components.append(x)
+        terms = A.setdefault((i, j), {})
+        terms[k] = terms.get(k, 0) + scale
 
-    mats = []
+    tables = []
     for a in range(n):
-        A = [[chart.zero] * N for _ in range(N)]
+        A = {}
         G = [conn.gamma[c][a] for c in range(n)]  # G[c][e] = Gamma^c_ae
         for k, (b, c) in enumerate(pairs):
             for e in range(n):
-                add(A, k, col[e, c], G[b][e])
-                add(A, k, col[b, e], G[c][e])
+                add(A, k, col[e, c], 1, G[b][e])
+                add(A, k, col[b, e], 1, G[c][e])
             if b == a:
-                add(A, k, m + c, -1)
+                add(A, k, m + c, -1, one)
             if c == a:
-                add(A, k, m + b, -1)
+                add(A, k, m + b, -1, one)
         for b in range(n):
             if b == a:
-                add(A, m + b, N - 1, -1)
-            add(A, N - 1, m + b, 2 * P.get(a, b))
+                add(A, m + b, N - 1, -1, one)
+            add(A, N - 1, m + b, 2, P.get(a, b))
             for c in range(n):
-                add(A, m + b, m + c, G[b][c])
-                add(A, m + b, col[b, c], P.get(a, c))
-                y = Y.get(a, b, c)
-                if y:
-                    add(A, N - 1, col[b, c], y * y_scale)
+                add(A, m + b, m + c, 1, G[b][c])
+                add(A, m + b, col[b, c], 1, P.get(a, c))
+                add(A, N - 1, col[b, c], y_scale, Y.get(a, b, c))
                 for d in range(n):
-                    w = W.get(a, c, b, d)
-                    if w:
-                        add(A, m + b, col[c, d], w * w_scale)
-        mats.append(A)
-    return mats
+                    add(A, m + b, col[c, d], w_scale, W.get(a, c, b, d))
+        entries = {}
+        for ij in sorted(A):
+            terms = tuple((s, k) for k, s in A[ij].items() if s)
+            if terms:
+                entries[ij] = terms
+        tables.append(entries)
+    return ConnectionTable(chart, N, components, tables)

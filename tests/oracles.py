@@ -16,6 +16,7 @@ checks, and `jet_oracle.dense_jet_solve` builds its matrices with it.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from projmet.exprcore import DifferentialForm, RationalExpr
 from projmet.errors import ShapeError
@@ -390,3 +391,22 @@ def transform_values(n, values, upsilon_values):
     new_rho = rho + 2 * sum(ups[b] * mu[b] for b in range(n)) \
         + sum(ups[b] * ups[c] * sigma[b][c] for b in range(n) for c in range(n))
     return pack_values(n, sigma, new_mu, new_rho)
+
+
+# ---------------------------------------------------------------------------
+# common denominator
+# ---------------------------------------------------------------------------
+
+def common_denominator_by_running_lcm(exprs):
+    """The fold `exprcore._common_denominator` replaced: one gcd for every
+    non-constant denominator that differs from the running lcm, repeats
+    of earlier denominators included."""
+    den = exprs[0].frac.denom.ring.one
+    scale = 1
+    for e in exprs:
+        d = e.frac.denom
+        if d.is_ground:
+            scale = lcm(scale, d.LC)
+        elif d != den:
+            den = d if den.is_ground else den.exquo(den.gcd(d)) * d
+    return den * (scale // gcd(scale, den.content()))

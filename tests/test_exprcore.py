@@ -644,3 +644,56 @@ def test_potential_of_sparse_n3_ansatz():
     assert pot.poly_part == poly
     assert pot.rational_part.is_zero()
     assert set(pot.log_terms) == set(logs)
+
+
+def _sources_of_denominators():
+    """Denominator lists from crafted and real inputs: repeats that are not
+    the running lcm, constants, and the special symbols of the stereographic
+    sphere and of a curved n = 2 round trip."""
+    from projmet import levi_civita, specialize
+    from projmet.models import sphere_stereographic_connection
+
+    from conftest import rand_metric
+
+    chart = Chart(2)
+    x, y = chart.vars
+    d1, d2, d3 = 1 + x * x, 1 + x + y, (1 + x * x) * (2 - y)
+    crafted = [x / d1, chart.const(Fraction(1, 3)), y / d2, 1 / d1, x / d3,
+               (x + y) / d2, chart.const(Fraction(1, 4)) * x, 1 / d3]
+    out = [crafted]
+    for conn in (sphere_stereographic_connection(3),
+                 levi_civita(rand_metric(2, random.Random(7)))):
+        special = specialize(conn)[0]
+        out.append([e for plane in special.gamma for row in plane
+                    for e in row if e])
+    return out
+
+
+def test_common_denominator_takes_one_gcd_per_distinct_denominator(
+        monkeypatch):
+    """The common denominator is the one the running-lcm fold gave, and it
+    costs one gcd per distinct non-constant denominator after the first."""
+    from projmet.exprcore import _common_denominator
+
+    from oracles import common_denominator_by_running_lcm
+
+    sources = _sources_of_denominators()
+    expected = [common_denominator_by_running_lcm(exprs) for exprs in sources]
+    calls = []
+    poly_gcd = PolyElement.gcd
+
+    def counted(self, other):
+        calls.append(other)
+        return poly_gcd(self, other)
+
+    monkeypatch.setattr(PolyElement, "gcd", counted)
+    counts = []
+    for exprs, want in zip(sources, expected):
+        calls.clear()
+        assert _common_denominator(exprs) == want
+        distinct = {e.frac.denom for e in exprs if not e.frac.denom.is_ground}
+        assert len(calls) == len(distinct) - 1
+        counts.append(len(distinct))
+    # the crafted list repeats d1 and d2 after another denominator
+    assert counts[0] == 3
+    assert all(count > 1 for count in counts)

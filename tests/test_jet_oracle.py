@@ -1,6 +1,8 @@
 """The sparse integer jet solver against the dense Fraction recursion it
 replaced (tests/jet_oracle.py): identical dimensions, admissible basis and
-series, on flat, rational-matrix, curved and random inputs."""
+series, on flat, rational-matrix, curved and random inputs, at the origin
+and at a rational base point where every Taylor shift is a binomial
+expansion."""
 
 import random
 from fractions import Fraction
@@ -37,20 +39,30 @@ CASES = {
 RANDOM = [(2, 7), (2, 7), (2, 7), (3, 5), (3, 5), (3, 5), (4, 4), (4, 4)]
 
 
+# a base point off the origin, cut to the dimension
+POINT = (Fraction(1, 4), Fraction(-1, 8), Fraction(1, 5), Fraction(-1, 6))
+
+
 def _assert_same_as_oracle(conn, order):
+    """Same dims, basis and series as the oracle at the origin and at
+    POINT; returns the dims at the origin."""
     if not conn.is_special():
         conn = specialize(conn)[0]
-    point = [0] * conn.chart.dim
-    jets = degree_of_mobility(conn, point, order)
-    dims, basis, series = dense_jet_solve(conn, point, order)
-    assert jets.dims == dims
-    assert jets.admissible_basis == basis
-    assert jets.series == series
-    for vec in jets.admissible_basis:
-        assert all(type(v) is Fraction for v in vec)
-    for ser in jets.series:
-        assert all(type(v) is Fraction for vec in ser.values() for v in vec)
-    return dims
+    n = conn.chart.dim
+    out = []
+    for point in ([0] * n, list(POINT[:n])):
+        jets = degree_of_mobility(conn, point, order)
+        dims, basis, series = dense_jet_solve(conn, point, order)
+        assert jets.dims == dims
+        assert jets.admissible_basis == basis
+        assert jets.series == series
+        for vec in jets.admissible_basis:
+            assert all(type(v) is Fraction for v in vec)
+        for ser in jets.series:
+            assert all(type(v) is Fraction for vec in ser.values()
+                       for v in vec)
+        out.append(dims)
+    return out[0]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -68,3 +80,17 @@ def test_random_special_connections_match_dense_recursion(seed):
                                    entries=3)
     dims = _assert_same_as_oracle(conn, order)
     assert dims[0] == (n + 1) * (n + 2) // 2
+
+
+def test_only_nonzero_taylor_coefficients_are_stored():
+    """The jet solve stores exactly the monomials where some basis series
+    of the oracle is nonzero, and the origin: on the Klein model at order
+    12 the solutions are quadratic, so 15 of the 1820 monomials."""
+    special = specialize(klein_connection(4))[0]
+    jets = degree_of_mobility(special, [0] * 4, 12)
+    _, _, series = dense_jet_solve(special, [0] * 4, 12)
+    nonzero = {mono for ser in series for mono, vec in ser.items()
+               if any(vec)}
+    assert set(jets._coeff) == nonzero | {(0,) * 4}
+    assert len(nonzero) == 15
+    assert jets.series == series

@@ -178,37 +178,54 @@ def test_errors():
 
 
 def test_expand_matrices_inverts_each_denominator_once(monkeypatch):
-    """Entries sharing a denominator share its inverse series, and the
-    integer Taylor data, read as Fractions, is exactly the per-entry
-    expansion of the Fraction series oracle: per monomial one denominator
-    in lowest terms, lowest order first."""
+    """Each distinct component of the table is expanded once, components
+    sharing a denominator share its inverse series (one inversion per
+    distinct denominator), and the integer Taylor data, read as
+    Fractions, is exactly the per-entry expansion of the Fraction series
+    oracle on the table's symbolic sum: per monomial one denominator in
+    lowest terms, lowest order first."""
     from projmet import exactseries
+    import projmet.mobility as mobility
 
     special, _, _ = specialize(sphere_stereographic_connection(3))
-    mats = connection_matrices(special, decompose_curvature(special))
+    table = connection_matrices(special, decompose_curvature(special))
+    mats = table.matrices()
     point = [Fraction(1, 4), Fraction(-1, 8), Fraction(0)]
     expected = expand_matrices(mats, point, 6)
     calls = []
     inverse = exactseries.series_inverse
+    expanded = []
+    to_series = mobility.rational_to_series
 
     def counted(*args):
         calls.append(args)
         return inverse(*args)
 
+    def counted_expansion(expr, *args):
+        expanded.append(expr)
+        return to_series(expr, *args)
+
     monkeypatch.setattr(exactseries, "series_inverse", counted)
-    data = _expand_matrices(mats, point, 6)
+    monkeypatch.setattr(mobility, "rational_to_series", counted_expansion)
+    data = _expand_matrices(table, point, 6)
     assert [{mono: [(i, j, Fraction(c, den)) for i, j, c in coeffs]
-             for mono, _, den, coeffs in terms} for terms in data] == expected
-    for terms in data:
-        orders = [order for _, order, _, _ in terms]
+             for mono, den, coeffs in listed} for listed, _, _ in data] \
+        == expected
+    for listed, by_mono, upto in data:
+        orders = [sum(mono) for mono, _, _ in listed]
         assert orders == sorted(orders)
-        for mono, order, den, coeffs in terms:
-            assert order == sum(mono)
+        assert upto == [sum(k <= m for k in orders) for m in range(7)]
+        assert by_mono == {mono: (den, coeffs)
+                           for mono, den, coeffs in listed}
+        for mono, den, coeffs in listed:
             assert gcd(den, *(c for _, _, c in coeffs)) == 1
+    assert expanded == table.components
     entries = [e for mat in mats for row in mat for e in row
-               if not e.is_zero() and not e.is_polynomial()]
-    distinct = {tuple(e.denom_terms()) for e in entries}
-    assert len(calls) == len(distinct) < len(entries)
+               if not e.is_zero()]
+    assert len(expanded) < len(entries)
+    distinct = {tuple(c.denom_terms()) for c in table.components
+                if not c.is_polynomial()}
+    assert len(calls) == len(distinct) < len(expanded)
 
 
 def _counted_predictions(monkeypatch):
@@ -357,9 +374,11 @@ def test_klein_gauge_solutions_are_exact():
         assert residual(js, slots, pts) == 0
 
 
-def test_residual_evaluates_each_entry_once_per_point(monkeypatch):
-    """The matrix entries' values at a sample point are shared by every
-    candidate of one jet solve, and the residuals do not change."""
+def test_residual_evaluates_each_component_at_most_once_per_point(
+        monkeypatch):
+    """The values of the table's components at a sample point are shared
+    by every candidate of one jet solve: each component is evaluated at
+    most once per point, and the residuals do not change."""
     from projmet.exprcore import RationalExpr
 
     special, _, _ = specialize(sphere_stereographic_connection(2))
@@ -368,20 +387,43 @@ def test_residual_evaluates_each_entry_once_per_point(monkeypatch):
     fresh = []
     for slots in _basis_slots(js):
         fresh.append(residual(js, slots, pts))
-        js.entry_values.clear()
+        js.point_rows.clear()
     evaluate = RationalExpr.evaluate
     calls = []
 
     def counted(self, point):
-        calls.append(self)
+        calls.append((self, tuple(point)))
         return evaluate(self, point)
 
     monkeypatch.setattr(RationalExpr, "evaluate", counted)
     assert [residual(js, slots, pts) for slots in _basis_slots(js)] == fresh
-    nonzero = sum(not e.is_zero() for mat in js.matrices for row in mat
-                  for e in row)
-    assert 0 < len(calls) <= nonzero * len(pts)
+    assert 0 < len(calls) == len(set(calls)) <= (len(js.table.components)
+                                                 * len(pts))
     assert len(fresh) > 1
+
+
+def test_residual_matches_the_symbolic_defect(rng):
+    """The residual is the largest slot of d_a s + A_a(x) s, with the
+    slots' partials and the symbolic matrices evaluated independently:
+    through `series_diff`, `series_eval` and the table's symbolic sum."""
+    from projmet.exactseries import series_diff
+
+    special, _, _ = specialize(sphere_stereographic_connection(2))
+    js = degree_of_mobility(special, [Fraction(1, 5), 0], 5)
+    mats = js.table.matrices()
+    pts = [[Fraction(1, 4), Fraction(-1, 16)], [Fraction(1, 7), Fraction(1, 9)]]
+    for _ in range(3):
+        slots = js.combine([rand_fraction(rng) for _ in range(js.dim)])
+        want = Fraction(0)
+        for x in pts:
+            u = [xv - pv for xv, pv in zip(x, js.base_point)]
+            vals = [series_eval(s, u) for s in slots]
+            for a, mat in enumerate(mats):
+                for i, row in enumerate(mat):
+                    acc = series_eval(series_diff(slots[i], a), u) + sum(
+                        e.evaluate(x) * v for e, v in zip(row, vals) if v)
+                    want = max(want, abs(acc))
+        assert residual(js, slots, pts) == want > 0
 
 
 def test_zero_section_residual_zero():

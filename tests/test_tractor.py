@@ -296,9 +296,14 @@ def test_connection_matrices_sparsity_flat():
     chart = Chart(2)
     flat = flat_connection(2)
     data = decompose_curvature(flat)
-    mats = connection_matrices(flat, data)
-    # flat gauge: the only couplings are the Kronecker-delta blocks
-    assert mats[0][0][3] == -2  # d_1 sigma^{11} couples to mu^1
+    table = connection_matrices(flat, data)
+    # flat gauge: the only couplings are the Kronecker-delta blocks, and
+    # the only component is the constant 1
+    assert table.components == [chart.one]
+    assert table.entries[0][0, 3] == ((-2, 0),)  # d_1 sigma^{11} on mu^1
+    assert (section_dim(2) - 1, 4) not in table.entries[0]
+    mats = table.matrices()
+    assert mats[0][0][3] == -2
     assert mats[0][section_dim(2) - 1][4].is_zero()
 
 
@@ -364,14 +369,28 @@ CLOSED_FORM_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
 def test_closed_form_matrices_match_column_builder(name):
-    """The matrices read off Gamma, P, W and Y equal, entry by entry, the
-    columns of full covariant derivatives of the constant basis sections."""
+    """The table read off Gamma, P, W and Y, summed symbolically, equals
+    entry by entry the columns of full covariant derivatives of the
+    constant basis sections.  Its components are distinct, nonzero and
+    read from Gamma, P, W and Y (or the constant 1), and no entry is an
+    empty sum."""
     conn = CLOSED_FORM_CASES[name]()
     if not conn.is_special():
         conn = specialize(conn)[0]
     data = decompose_curvature(conn)
-    mats = connection_matrices(conn, data)
+    table = connection_matrices(conn, data)
+    mats = table.matrices()
     want = connection_matrices_by_columns(conn, data)
+    comps = table.components
+    assert comps[0] == 1 and len(set(comps)) == len(comps)
+    sources = {e for plane in conn.gamma for row in plane for e in row}
+    for field in (data.schouten, data.weyl, data.cotton_york):
+        sources.update(field.comps)
+    assert all(c and (c == 1 or c in sources) for c in comps)
+    for entries in table.entries:
+        for terms in entries.values():
+            assert terms and all(scale for scale, _ in terms)
+            assert len({k for _, k in terms}) == len(terms)
     N = section_dim(conn.dim)
     assert len(mats) == len(want) == conn.dim
     for mat, wmat in zip(mats, want):
