@@ -6,10 +6,12 @@ numerator and denominator are coprime polynomials with integer
 coefficients, their joint integer content is 1 and the denominator's
 leading coefficient under graded lex order is positive.  So equality of
 values is plain structural equality.  The polynomials live in sympy's
-sparse ring Z[x1..xn], which also supplies the polynomial gcd; rational
-numbers appear only as `Fraction` scalars (constants, points, values and
-coefficients handed in or out), and the rest of the package sees one
-small, immutable scalar type.
+sparse ring Z[x1..xn], which also supplies the polynomial gcd and the
+factorisation; rational numbers appear only as `Fraction` scalars
+(constants, points, values and coefficients handed in or out), and the
+rest of the package sees one small, immutable scalar type.  Its string,
+which every report prints, is written straight from the integer terms,
+in sympy's format with `^` for powers.
 
 The arithmetic keeps the pair reduced by Henrici's rules (Knuth, TAOCP
 vol. 2, 4.5.1), which hold in any UFD.  For a/b * c/d only gcd(a, d) and
@@ -35,8 +37,9 @@ cross-checks (geodesics, parallel transport) compile entries with
 from fractions import Fraction
 from math import gcd, lcm
 
-import sympy
 from sympy import ZZ
+from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.factortools import dmp_factor_list
 from sympy.polys.fields import field as _frac_field
 
 from .errors import (DegreeAboveCap, NotClosed, NotPolynomial, ParseError,
@@ -199,6 +202,7 @@ class Chart:
         self._field = objs[0]
         self._ring = objs[0].ring
         self._gens = tuple(RationalExpr(self, g) for g in objs[1:])
+        self._names = tuple(map(str, self._ring.symbols))
         cls._cache[dim] = self
         return self
 
@@ -228,8 +232,9 @@ class Chart:
 
     def parse(self, text, max_degree=None):
         """The expression `text`; with `max_degree`, DegreeAboveCap as soon
-        as a power, product or quotient as written would have a numerator
-        or denominator of higher total degree, before it is expanded."""
+        as a power, product, quotient or sum as written would have a
+        numerator or denominator of higher total degree, before it is
+        expanded."""
         return _Parser(self, _tokenize(text), max_degree).parse()
 
     def from_coeff_dict(self, coeffs):
@@ -458,10 +463,46 @@ class RationalExpr:
         return [(tuple(exps), c) for exps, c in self.frac.denom.terms()]
 
     def __str__(self):
-        return str(self.frac).replace("**", "^")
+        """sympy's str() of the fraction, with ^ for powers: `num/den`, the
+        numerator in parentheses when it has more than one term and the
+        denominator unless it is a constant or a bare variable."""
+        num, den = self.frac.numer, self.frac.denom
+        names = self.chart._names
+        text = _poly_str(num, names)
+        if len(den) == 1:
+            [(exps, coeff)] = den.items()
+            constant = not any(exps)
+            if constant and coeff == 1:
+                return text
+            bare = constant or (coeff == 1 and sum(exps) == 1)
+        else:
+            bare = False
+        if len(num) > 1:
+            text = f"({text})"
+        under = _poly_str(den, names)
+        return f"{text}/{under}" if bare else f"{text}/({under})"
 
     def __repr__(self):
         return f"RationalExpr({self})"
+
+
+def _poly_str(poly, names):
+    """The polynomial `poly` in Z[x] as sympy's printer writes it, with ^
+    for powers: terms in decreasing grlex order, joined by ` + ` and ` - `
+    with a leading `-`; a non-constant term leaves off a unit coefficient
+    and joins its factors with `*`."""
+    if not poly:
+        return "0"
+    parts = []
+    for exps, coeff in poly.terms():
+        parts.append(" - " if coeff < 0 else " + ")
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(names, exps) if e]
+        if not factors or abs(coeff) != 1:
+            factors.insert(0, str(abs(coeff)))
+        parts.append("*".join(factors))
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 def compile_numeric(expr):
@@ -597,8 +638,15 @@ class _Parser:
     def expr(self):
         e = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, line, col = self.advance()
             rhs = self.term()
+            if self.max_degree is not None:
+                # a/b + c/d lies over b when b = d, else over b d
+                (an, ad), (bn, bd) = _degrees(e), _degrees(rhs)
+                if e.frac.denom == rhs.frac.denom:
+                    self.cap(max(an, bn), ad, line, col)
+                else:
+                    self.cap(max(an + bd, bn + ad), ad + bd, line, col)
             e = e + rhs if op == "+" else e - rhs
         return e
 
@@ -793,8 +841,12 @@ def exterior_derivative(form):
     if form.degree == 0:
         return DifferentialForm(chart, 1, [form.components.diff(a + 1) for a in range(n)])
     if form.degree == 1:
-        comps = [[form.components[b].diff(a + 1) - form.components[a].diff(b + 1)
-                  for b in range(n)] for a in range(n)]
+        w = form.components
+        comps = [[chart.zero] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                v = w[b].diff(a + 1) - w[a].diff(b + 1)
+                comps[a][b], comps[b][a] = v, -v
         return DifferentialForm(chart, 2, comps)
     # degree 2 -> totally antisymmetric 3-index array, returned raw
     return _d_two_form(form)
@@ -1017,13 +1069,13 @@ def potential_of_closed_1form(omega):
     origin = [0] * n
     bases = []
     h = ring.one
-    for f, m in sympy.factor_list(den.as_expr())[1]:
-        base = RationalExpr(chart, chart._field.from_expr(f))
+    for f, m in _factor_list(den):
+        base = RationalExpr(chart, chart._field.raw_new(f, ring.one))
         if base.evaluate(origin) < 0:
             # same log-gradient, but exp() stays positive near the centre
             base = -base
         bases.append(base)
-        h *= base.frac.numer ** (int(m) - 1)
+        h *= base.frac.numer ** (m - 1)
 
     # the columns: each unknown's gradient times clear = den * h^2, and
     # omega times clear, all polynomials
@@ -1081,6 +1133,41 @@ def potential_of_closed_1form(omega):
         if g.components[a] != omega.components[a]:
             raise NotPolynomial("potential reconstruction failed the exactness audit")
     return pot
+
+
+def _factor_list(poly):
+    """[(irreducible factor, multiplicity)] of a polynomial in Z[x], in the
+    order of sympy.factor_list(poly.as_expr()), without that round trip
+    through expressions (whose generator sort prints every symbol).
+
+    As there, the monomial content x^low comes off first, each variable of
+    it its own factor, and the rest q is factored in its dense form in the
+    variables it has.  All factors are then sorted as sympy sorts them: by
+    the length of the dense form, the number of its variables, the
+    multiplicity and the dense coefficients.
+    """
+    ring = poly.ring
+    columns = list(zip(*poly.itermonoms()))
+    low = list(map(min, columns))
+    # a variable is its own dense form [1, 0] in one variable
+    keyed = [((2, 1, e, [1, 0]), x, e)
+             for x, e in zip(ring.gens, low) if e]
+    present = [i for i, (col, e) in enumerate(zip(columns, low))
+               if max(col) > e]
+    if present:
+        u = len(present) - 1
+        dense = dmp_from_dict({tuple(m[i] - low[i] for i in present): c
+                               for m, c in poly.items()}, u, ZZ)
+        for f, m in dmp_factor_list(dense, u, ZZ)[1]:
+            terms = {}
+            for exps, c in dmp_to_dict(f, u, ZZ).items():
+                full = [0] * ring.ngens
+                for i, e in zip(present, exps):
+                    full[i] = e
+                terms[tuple(full)] = c
+            keyed.append(((len(f), len(present), m, f),
+                          ring.from_dict(terms), m))
+    return [(f, m) for _, f, m in sorted(keyed, key=lambda t: t[0])]
 
 
 def _tdeg(poly):

@@ -22,8 +22,8 @@ from itertools import combinations, product
 
 from .errors import InternalError, NotEquivalent, NotSpecial, ShapeError
 from .exprcore import (DifferentialForm, Potential, RationalExpr,
-                       _common_denominator, homotopy_potential,
-                       potential_of_closed_1form)
+                       _common_denominator, exterior_derivative,
+                       homotopy_potential, potential_of_closed_1form)
 from .tensorfield import TensorField
 
 __all__ = [
@@ -43,12 +43,13 @@ class AffineConnection:
     """Torsion-free connection given by Christoffel symbols Gamma^c_{ab}.
 
     Storage is gamma[c][a][b] with the lower pair symmetric (checked).
-    The symbols over one common denominator (`common`) and the Ricci
-    tensor (`ricci`) are computed on first use and kept: every curvature
-    routine and the candidate proofs read the same copy.
+    The symbols over one common denominator (`common`), the trace form
+    and the Ricci tensor (`ricci`) are computed on first use and kept:
+    every curvature routine, gauge check and candidate proof reads the
+    same copy.
     """
 
-    __slots__ = ("chart", "gamma", "_common", "_ricci")
+    __slots__ = ("chart", "gamma", "_common", "_trace", "_ricci")
 
     def __init__(self, chart, gamma):
         n = chart.dim
@@ -63,7 +64,7 @@ class AffineConnection:
                             f"Christoffel symbols not symmetric at ^{c + 1}_({a + 1}{b + 1})")
         self.chart = chart
         self.gamma = tuple(tuple(tuple(row) for row in plane) for plane in g)
-        self._common = self._ricci = None
+        self._common = self._trace = self._ricci = None
 
     @classmethod
     def flat(cls, chart):
@@ -96,15 +97,17 @@ class AffineConnection:
         return self._common
 
     def trace_form(self):
-        """Christoffel trace t_a = Gamma^b_{ab} as a 1-form."""
-        n = self.dim
-        comps = []
-        for a in range(n):
-            s = self.chart.zero
-            for b in range(n):
-                s = s + self.gamma[b][a][b]
-            comps.append(s)
-        return DifferentialForm(self.chart, 1, comps)
+        """Christoffel trace t_a = Gamma^b_{ab} as a 1-form, built once."""
+        if self._trace is None:
+            n = self.dim
+            comps = []
+            for a in range(n):
+                s = self.chart.zero
+                for b in range(n):
+                    s = s + self.gamma[b][a][b]
+                comps.append(s)
+            self._trace = DifferentialForm(self.chart, 1, comps)
+        return self._trace
 
     def is_special(self):
         """Parallel coordinate volume: Christoffel trace identically zero."""
@@ -126,12 +129,11 @@ class AffineConnection:
 class ProjectiveData:
     """Derived curvature package of a special connection."""
 
-    __slots__ = ("connection", "ricci", "beta", "schouten", "weyl", "cotton_york")
+    __slots__ = ("connection", "ricci", "schouten", "weyl", "cotton_york")
 
-    def __init__(self, connection, ricci, beta, schouten, weyl, cotton_york):
+    def __init__(self, connection, ricci, schouten, weyl, cotton_york):
         self.connection = connection
         self.ricci = ricci
-        self.beta = beta
         self.schouten = schouten
         self.weyl = weyl
         self.cotton_york = cotton_york
@@ -233,19 +235,15 @@ def _ricci(conn):
 
 
 def beta_form(conn):
-    """Antisymmetric Ricci obstruction beta_ab = -2 R_[ab]/(n+1), a closed 2-form."""
-    return _beta_of_ricci(ricci(conn))
-
-
-def _beta_of_ricci(r):
-    chart = r.chart
-    n = chart.dim
-    frac = chart.const(Fraction(1, n + 1))
-    comps = [[-frac * (r.get(a, b) - r.get(b, a)) for b in range(n)] for a in range(n)]
-    beta = DifferentialForm(chart, 2, comps)
-    if not beta.d().is_zero():
-        raise InternalError("beta is not closed; curvature conventions broken")
-    return beta
+    """Antisymmetric Ricci obstruction beta_ab = -2 R_[ab]/(n+1), a closed
+    2-form.  For a torsion-free connection only the trace terms of the
+    Ricci tensor are antisymmetric: R_ab - R_ba = d_b t_a - d_a t_b for the
+    trace t_a = Gamma^c_ca, so beta = dt/(n+1), with no Ricci tensor."""
+    chart = conn.chart
+    frac = chart.const(Fraction(1, conn.dim + 1))
+    dt = exterior_derivative(conn.trace_form())
+    return DifferentialForm(chart, 2, [[frac * c for c in row]
+                                       for row in dt.components])
 
 
 def projective_change(conn, upsilon):
@@ -311,8 +309,8 @@ def specialize(conn, beta=None):
     Y1 = -t/(n+1); its potential f = -h/(n+1), with dh = t, is recovered in
     closed form.  Returns (special connection, total Y, f as a Potential).
     A caller that already has beta_form(conn) passes it as `beta`.  When
-    `conn` is already special it is returned itself, so its kept Ricci
-    tensor serves `decompose_curvature` too.
+    `conn` is already special it is returned itself, so its kept trace
+    form serves the gauge check of `decompose_curvature` too.
 
     Every metric candidate is a projective change of the special
     connection, so the 1-form relating it to `conn` is Y plus its own
@@ -437,16 +435,13 @@ def cotton_york(conn, schouten):
 def decompose_curvature(conn):
     """Full curvature package of a special connection.
 
-    Checks the gauge exactly (zero Christoffel trace, hence beta = 0 and a
-    parallel coordinate volume) and returns ProjectiveData with the Weyl
-    tensor, the symmetric Schouten tensor and the Cotton-York tensor.
+    Checks the gauge exactly (zero Christoffel trace, hence beta = dt/(n+1)
+    = 0, a symmetric Ricci tensor and a parallel coordinate volume) and
+    returns ProjectiveData with the Weyl tensor, the symmetric Schouten
+    tensor and the Cotton-York tensor.
     """
     if not conn.is_special():
         raise NotSpecial("connection does not preserve the coordinate volume")
-    ric = ricci(conn)
-    beta = _beta_of_ricci(ric)
-    if not beta.is_zero():
-        raise NotSpecial("Ricci tensor is not symmetric")
     schouten, weyl = _schouten_and_weyl(conn)
     yk = cotton_york(conn, schouten)
-    return ProjectiveData(conn, ric, beta, schouten, weyl, yk)
+    return ProjectiveData(conn, ricci(conn), schouten, weyl, yk)

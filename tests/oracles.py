@@ -4,10 +4,12 @@ Field-section forms of the prolonged connection, its transformation law and
 its curvature; the column-by-column builder of the connection matrices that
 `tractor.connection_matrices` replaced with a closed form; the contracted
 Bianchi identity; the Cotton-York tensor as the antisymmetrised
-covariant derivative of P over D DP^2 (`cotton_york_by_gradients`); and the
-tensor helpers `kron_delta`, `outer` and `reweight`.  Each was moved from
-`projmet` unchanged, apart from the `TractorSection` methods, which became
-functions of the section, and the renamed Cotton-York routine.
+covariant derivative of P over D DP^2 (`cotton_york_by_gradients`); beta
+from the antisymmetric part of the full Ricci tensor (`beta_of_ricci`); and
+the tensor helpers `kron_delta`, `outer` and `reweight`.  Each was moved
+from `projmet` unchanged, apart from the `TractorSection` methods, which
+became functions of the section, and the renamed Cotton-York and beta
+routines.
 
 The column builder takes full symbolic covariant derivatives of the N
 constant basis sections, so it shares no formula with the closed form it
@@ -94,6 +96,18 @@ def cotton_york_by_gradients(conn, schouten):
         num = cache[(a, b, c)] - cache[(b, a, c)]
         comps.append(RationalExpr(chart, field.new(num, den)) * half)
     return TensorField(chart, ("d", "d", "d"), comps)
+
+
+def beta_of_ricci(r):
+    """beta_ab = -2 R_[ab]/(n+1) from the Ricci tensor r, checked closed;
+    `projconn.beta_form` takes dt/(n+1) from the trace instead."""
+    chart = r.chart
+    n = chart.dim
+    frac = chart.const(Fraction(1, n + 1))
+    comps = [[-frac * (r.get(a, b) - r.get(b, a)) for b in range(n)] for a in range(n)]
+    beta = DifferentialForm(chart, 2, comps)
+    assert beta.d().is_zero(), "beta is not closed; curvature conventions broken"
+    return beta
 
 
 def bianchi_contracted_check(data, conn):

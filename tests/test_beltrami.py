@@ -20,7 +20,7 @@ from projmet.metricize import sampled_constant_curvature
 from projmet.models import (klein_connection, sphere_gnomonic_connection,
                             sphere_stereographic_connection)
 from projmet.pipeline import analyze_connection, fr_str
-from projmet.projconn import ricci
+from projmet.projconn import beta_form, ricci
 
 from conftest import warped_product_connection
 
@@ -104,15 +104,20 @@ def test_analyze_builds_no_curvature_field(monkeypatch):
     assert len(ccc) == 0 and len(scc) == 0
 
 
-def test_input_ricci_built_once(tmp_path, monkeypatch, capsys):
-    """`analyze` and `curvature` build the Ricci tensor of the input once;
-    specialize reuses the beta computed from it."""
-    calls = _count_calls(monkeypatch, ricci)
+def test_input_beta_from_trace_once(tmp_path, monkeypatch, capsys):
+    """`analyze` and `curvature` compute the beta of the input once, from
+    its trace, and never build its Ricci tensor; specialize reuses that
+    beta.  Only the special connection's Ricci tensor is built."""
+    betas = _count_calls(monkeypatch, beta_form)
+    riccis = _count_calls(monkeypatch, ricci)
     conn = klein_connection(3)
+    assert not conn.is_special()
     analyze_connection(conn, [Fraction(0)] * 3, _options(4))
-    assert len([c for c in calls if c[0] is conn]) == 1
+    assert len([c for c in betas if c[0] is conn]) == 1
+    assert riccis and all(c[0].is_special() for c in riccis)
 
-    calls.clear()
+    betas.clear()
+    riccis.clear()
     chris = {f"{c + 1},{a + 1},{b + 1}": str(conn.gamma[c][a][b])
              for c in range(3) for a in range(3) for b in range(a, 3)
              if not conn.gamma[c][a][b].is_zero()}
@@ -120,4 +125,5 @@ def test_input_ricci_built_once(tmp_path, monkeypatch, capsys):
     spec.write_text(json.dumps({"dimension": 3, "christoffel": chris}))
     assert main(["curvature", str(spec)]) == 0
     capsys.readouterr()
-    assert len([c for c in calls if c[0] == conn]) == 1
+    assert len([c for c in betas if c[0] == conn]) == 1
+    assert riccis and all(c[0].is_special() for c in riccis)

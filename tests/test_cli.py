@@ -458,15 +458,16 @@ def test_degree_above_the_cap_is_an_input_error(tmp_path, capsys, command,
     ("(1 + x1 + x2)^2000", 2000),
     ("*".join(["(1 + x1 + x2)^30"] * 10), 60),
     ("x1^20/(1/x2^13)", 33),
-], ids=["power", "product", "quotient"])
+    (" + ".join(f"1/({j} + x1 + {j + 1}*x2)^30" for j in range(1, 6)), 60),
+], ids=["power", "product", "quotient", "sum"])
 def test_power_or_product_above_the_cap_is_refused_before_expansion(
         tmp_path, capsys, entry, degree):
-    """The parser refuses a power, product or quotient as written as soon
-    as its numerator or denominator would pass cli.MAX_DEGREE, before it
-    expands it: (1 + x1 + x2)^2000 took about 20 s and ten factors
-    (1 + x1 + x2)^30 about 28 s to reach the same exit code.  The message
-    names the entry and the cap, with the degree of the refused power or
-    product."""
+    """The parser refuses a power, product, quotient or sum as written as
+    soon as its numerator or denominator would pass cli.MAX_DEGREE, before
+    it expands it: (1 + x1 + x2)^2000 took about 20 s, ten factors
+    (1 + x1 + x2)^30 about 28 s and the sum of five 1/(j + x1 + (j+1) x2)^30
+    about 24 s to reach the same exit code.  The message names the entry
+    and the cap, with the degree of the refused power, product or sum."""
     import time
 
     spec = _write(tmp_path, "big.json",
@@ -477,6 +478,28 @@ def test_power_or_product_above_the_cap_is_refused_before_expansion(
     _assert_input_error(capsys, code,
                         f'christoffel "1,1,2" has total degree {degree}, '
                         f"above the cap of 32")
+
+
+def test_sum_within_the_cap_still_parses(tmp_path, capsys):
+    """A sum is bounded by the degrees of the denominator it lies over: b
+    when both terms share it or one is a polynomial, b d otherwise."""
+    from projmet.errors import DegreeAboveCap
+    from projmet.exprcore import Chart
+
+    entry = "x1/(1+x2)^20 + 1/(1+x2)^20"
+    spec = _write(tmp_path, "sum.json",
+                  {"dimension": 2, "christoffel": {"1,2,2": entry}})
+    assert main(["mobility", spec, "--max-order", "3"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    chart = Chart(2)
+    x1, x2 = chart.vars
+    assert out["input"]["christoffel"] == {"1,2,2": str((x1 + 1) / (x2 + 1) ** 20)}
+    for text, want in [("x1^30 - 1/(1+x2)^2", x1 ** 30 - 1 / (1 + x2) ** 2),
+                       ("1/(1+x1)^16 + 1/(1+x2)^16",
+                        1 / (1 + x1) ** 16 + 1 / (1 + x2) ** 16)]:
+        assert chart.parse(text, 32) == want
+    with pytest.raises(DegreeAboveCap):
+        chart.parse("1/(1+x1)^16 + 1/(1+x2)^17", 32)
 
 
 def test_non_integer_max_order_option_is_an_input_error(tmp_path, capsys):

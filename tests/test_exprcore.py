@@ -556,6 +556,45 @@ def _irreducible(expr):
     return len(factors) == 1 and factors[0][1] == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factor_list_matches_sympy_order(n):
+    """The potential's log bases come from `_factor_list` in Z[x], in the
+    order sympy.factor_list gives for the expression: monomial content,
+    absent coordinates, repeated factors and integer content included."""
+    from projmet.exprcore import _factor_list
+
+    rng = random.Random(f"factor-list-{n}")
+    chart = Chart(n)
+    ring, field = chart._ring, chart._field
+    x = ring.gens
+    checked = 0
+    for _ in range(40):
+        den = ring.one * rng.choice([1, 2, -1, 6])
+        for _ in range(rng.randint(1, 3)):
+            f = ring.zero
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(0, 2) if rng.random() < 0.6 else 0
+                          for _ in range(n))
+                f += ring.term_new(e, rng.choice([-3, -2, -1, 1, 2, 5]))
+            if f and not f.is_ground:
+                den *= f ** rng.randint(1, 2)
+        if den.is_ground:
+            continue
+        want = [(field.from_expr(f), int(m))
+                for f, m in factor_list(den.as_expr())[1]]
+        assert [(field.raw_new(f, ring.one), m)
+                for f, m in _factor_list(den)] == want
+        checked += 1
+    assert checked >= 20
+    # monomial content beside a factor free of x1, and a single term
+    if n >= 2:
+        for den in (x[0] * x[1] ** 2 * (x[1] + 1) ** 2, 3 * x[1] ** 2 * x[0]):
+            want = [(field.from_expr(f), int(m))
+                    for f, m in factor_list(den.as_expr())[1]]
+            assert [(field.raw_new(f, ring.one), m)
+                    for f, m in _factor_list(den)] == want
+
+
 def _log_bases(chart, rng, count):
     """Distinct irreducible integer polynomials with a positive constant
     term, each of degree one in some coordinate."""

@@ -20,7 +20,8 @@ from projmet.projconn import _schouten_and_weyl, cotton_york
 from conftest import (rand_exact_oneform, rand_metric, rand_poly,
                       rand_special_connection, rand_vector_field,
                       ricci_by_commutator, warped_product_connection)
-from oracles import bianchi_contracted_check, cotton_york_by_gradients
+from oracles import (beta_of_ricci, bianchi_contracted_check,
+                     cotton_york_by_gradients)
 
 DATA = Path(__file__).parent / "data"
 
@@ -324,6 +325,27 @@ def _rand_rational_connection(n, rng, entries=3):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_beta_from_trace_matches_the_ricci_oracle(n, rng):
+    """beta = dt/(n+1) from the Christoffel trace equals -2 R_[ab]/(n+1)
+    from the full Ricci tensor (`oracles.beta_of_ricci`) on random
+    non-special connections, polynomial and rational, most with beta != 0,
+    and on the Klein model, whose trace is exact."""
+    chart = Chart(n)
+    conns = [_rand_rational_connection(n, rng) for _ in range(4)]
+    conns += [AffineConnection.from_components(chart, {
+        (c, a, b): rand_poly(chart, rng) for c in range(1, n + 1)
+        for a in range(1, n + 1) for b in range(a, n + 1)}) for _ in range(3)]
+    conns.append(klein_connection(n))
+    assert not any(conn.is_special() for conn in conns)
+    nonzero = 0
+    for conn in conns:
+        beta = beta_form(conn)
+        assert beta == beta_of_ricci(ricci(conn))
+        nonzero += not beta.is_zero()
+    assert nonzero >= 4
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_cotton_york_matches_the_gradient_oracle(n, rng):
     """Y from the numerators over DP lcm(D, DP), one cancellation per
     component with a < b, equals the old assembly of grad P over D DP^2
@@ -353,10 +375,11 @@ def test_common_form_and_ricci_built_once_per_connection(command, rng,
                                                         monkeypatch):
     """Each connection's symbols are put over their common denominator
     once, and its Ricci tensor built once, however many curvature
-    routines and proofs read them.  A special input is its own special
-    connection (flat, and random special ones like the bench's `jets`
-    inputs), so beta and the curvature decomposition share one Ricci
-    tensor; the Klein input is not."""
+    routines and proofs read them.  Only the special connection has
+    either: beta comes from the input's trace, so a non-special input
+    (Klein) has no Ricci tensor built, and a special input (flat, and
+    random special ones like the bench's `jets` inputs) is its own
+    special connection."""
     from projmet import projconn
     from projmet.cli import main
 
@@ -395,7 +418,8 @@ def test_common_form_and_ricci_built_once_per_connection(command, rng,
                   if isinstance(arrays, tuple)]
         assert len(gammas) == len(set(gammas)) == len(riccis)
         assert set(gammas) == {id(c.gamma) for c in riccis}
-        assert len(riccis) == (2 if i == 2 else 1)
+        assert len(riccis) == 1 and riccis[0].is_special()
+        assert conn.is_special() == (i != 2)
 
 
 # Special connections whose Christoffel symbols have constant, non-unit
