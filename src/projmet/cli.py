@@ -11,7 +11,6 @@ Exit codes: 0 METRIZABLE, 10 NOT_METRIZABLE_AT_ORDER, 11 INDEFINITE_ONLY,
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -21,11 +20,10 @@ from .errors import DegreeAboveCap, NotEquivalent, ParseError, ProjmetError
 from .exactlinalg import nullspace  # noqa: F401
 from .exprcore import Chart
 from .metricize import geodesic_compare, projective_equivalence
-from .mobility import degree_of_mobility
 from .pipeline import (EXIT_INDEFINITE_ONLY, EXIT_NOT_METRIZABLE,  # noqa: F401
                        EXIT_OBSTRUCTED, EXIT_OK, SCHEMA_VERSION,
-                       add_gauge_blocks, analyze_connection,
-                       check_base_point, fr_str, specialize_or_obstructed)
+                       add_gauge_blocks, analyze_connection, fr_str,
+                       run_to_jets, specialize_or_obstructed)
 from .projconn import AffineConnection, beta_form, decompose_curvature
 
 __all__ = ["run_analysis", "main"]
@@ -36,19 +34,6 @@ EXIT_INPUT = 2
 # ---------------------------------------------------------------------------
 # spec loading
 # ---------------------------------------------------------------------------
-
-def _rewrite_vars(text, names):
-    """Replace each custom variable name with the canonical x<k>.
-
-    Two passes (mark, then substitute) so names such as 'x2'/'x1' or
-    overlapping custom names cannot clobber each other.
-    """
-    marked = text
-    for i in sorted(range(len(names)), key=lambda k: -len(names[k])):
-        marked = re.sub(rf"(?<!\w){re.escape(names[i])}(?!\w)",
-                        f"\x00{i + 1}\x01", marked)
-    return marked.replace("\x00", "x").replace("\x01", "")
-
 
 def load_spec(path):
     """Parse a connection spec file into (connection, base_point, options, echo)."""
@@ -70,7 +55,7 @@ def parse_spec(doc):
         raise ParseError(f"dimension must be between 2 and 6, got {n}")
     chart = Chart(n)
     names = doc.get("variables") or [f"x{i}" for i in range(1, n + 1)]
-    # the rewrite to x<k> needs distinct names that `\w` matches whole
+    # names[k - 1] names coordinate k, so each must read as one name token
     if not (isinstance(names, list) and len(names) == n
             and all(isinstance(v, str) and v.isidentifier() for v in names)
             and len(set(names)) == n):
@@ -92,15 +77,11 @@ def parse_spec(doc):
             if not 1 <= idx <= n:
                 raise ParseError(f"index {idx} out of range in key {key!r}")
         try:
-            expr = chart.parse(_rewrite_vars(str(text), names), MAX_DEGREE)
+            expr = chart.parse(str(text), MAX_DEGREE, names)
         except DegreeAboveCap as exc:
-            degree = exc.degree
-        else:
-            degree = max((sum(e) for e, _ in
-                          expr.numer_terms() + expr.denom_terms()), default=0)
-        if degree > MAX_DEGREE:
-            raise ParseError(f'christoffel "{key}" has total degree {degree}, '
-                             f"above the cap of {MAX_DEGREE}")
+            raise ParseError(f'christoffel "{key}" has total degree '
+                             f"{exc.degree}, above the cap of {MAX_DEGREE}"
+                             ) from None
         prev = entries.get((c, min(a, b), max(a, b)))
         if prev is not None and prev != expr:
             raise ParseError(f"conflicting symmetric entries for {key!r}")
@@ -154,12 +135,19 @@ def _check_order(options):
                          f"got {options['max_order']}")
 
 
+def _load_checked(spec_path, options_override):
+    """load_spec, with the options the command line sets (None: unset)
+    merged in and the order checked."""
+    conn, base_point, options, echo = load_spec(spec_path)
+    options.update({k: v for k, v in (options_override or {}).items()
+                    if v is not None})
+    _check_order(options)
+    return conn, base_point, options, echo
+
+
 def run_analysis(spec_path, options_override=None, report_path=None):
     """Spec file in, report dict and exit code out; optionally writes JSON."""
-    conn, base_point, options, echo = load_spec(spec_path)
-    if options_override:
-        options.update({k: v for k, v in options_override.items() if v is not None})
-    _check_order(options)
+    conn, base_point, options, echo = _load_checked(spec_path, options_override)
     report, code = analyze_connection(conn, base_point, options, echo)
     if report_path:
         with open(report_path, "w") as fh:
@@ -193,22 +181,12 @@ def _cmd_analyze(args):
 
 
 def _cmd_mobility(args):
-    conn, base_point, options, echo = load_spec(args.spec)
-    if args.max_order is not None:
-        options["max_order"] = args.max_order
-    _check_order(options)
-    check_base_point(conn, base_point)
+    conn, base_point, options, echo = _load_checked(
+        args.spec, {"max_order": args.max_order})
     report = {"schema": SCHEMA_VERSION, "input": echo, "warnings": []}
-    gauge = specialize_or_obstructed(conn, report)
-    if gauge is None:
-        _write(report, args.report)
-        return EXIT_OBSTRUCTED
-    special, upsilon, f_pot = gauge
-    data = decompose_curvature(special)
-    jets = degree_of_mobility(special, base_point, options["max_order"], data)
-    add_gauge_blocks(report, upsilon, f_pot, jets)
+    stages = run_to_jets(conn, base_point, options["max_order"], report)
     _write(report, args.report)
-    return EXIT_OK
+    return EXIT_OBSTRUCTED if stages is None else EXIT_OK
 
 
 def _cmd_curvature(args):

@@ -2,7 +2,8 @@
 
 Rank decisions for the jet solver must not depend on floating point, so
 `rank`, `nullspace` and `solve_linear_system` all read one exact reduced
-row echelon form, computed by sparse Gauss-Jordan over Fraction, and
+row echelon form, computed by Gauss-Jordan over Fraction on sparse rows
+{column: value} (the only row format taken), and
 signatures of symmetric matrices come from congruence diagonalisation
 (Sylvester's law of inertia).
 
@@ -24,15 +25,17 @@ __all__ = [
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form of dense rows over Q, by sparse Gauss-Jordan.
+    """Reduced row echelon form of sparse rows {column: value} over Q, by
+    Gauss-Jordan.
 
     Pivot columns go strictly left to right, and each pivot row is the
     shortest remaining row holding the column, to limit fill-in.  Returns
     {pivot column: row} in column order, each row a dict {column: Fraction}
     with 1 at its pivot and 0 at every other pivot.  The reduced form is
-    unique, so it does not depend on which rows were chosen.
+    unique, so it does not depend on which rows were chosen.  The rows
+    given are not changed.
     """
-    todo = [r for r in ({c: Fraction(x) for c, x in enumerate(row) if x}
+    todo = [r for r in ({c: Fraction(x) for c, x in row.items() if x}
                         for row in rows) if r]
     reduced = {}
     for c in range(ncols):
@@ -57,15 +60,14 @@ def _rref(rows, ncols):
     return reduced
 
 
-def rank(rows):
-    return len(_rref(rows, len(rows[0]) if rows else 0))
+def rank(rows, ncols):
+    return len(_rref(rows, ncols))
 
 
-def nullspace(rows, ncols=None):
-    """Exact basis of the right nullspace as lists of Fractions: one vector
-    per free column, 1 there, 0 at the other free columns."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def nullspace(rows, ncols):
+    """Exact basis of the right nullspace of sparse rows over `ncols`
+    columns, as lists of Fractions: one vector per free column, 1 there,
+    0 at the other free columns."""
     reduced = _rref(rows, ncols)
     basis = []
     for free in range(ncols):
@@ -80,14 +82,14 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def solve_linear_system(matrix, rhs):
-    """One exact solution of M x = b, or None when inconsistent.
+def solve_linear_system(rows, ncols):
+    """One exact solution x of the sparse rows over `ncols` unknowns, each
+    row holding its right-hand side in column `ncols`; None when
+    inconsistent.
 
     Underdetermined systems return the solution with free variables zero.
     """
-    ncols = len(matrix[0]) if matrix else 0
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced = _rref(aug, ncols + 1)
+    reduced = _rref(rows, ncols + 1)
     if ncols in reduced:
         return None
     x = [Fraction(0)] * ncols

@@ -230,12 +230,14 @@ class Chart:
     def one(self):
         return self.const(1)
 
-    def parse(self, text, max_degree=None):
-        """The expression `text`; with `max_degree`, DegreeAboveCap as soon
-        as a power, product, quotient or sum as written would have a
-        numerator or denominator of higher total degree, before it is
-        expanded."""
-        return _Parser(self, _tokenize(text), max_degree).parse()
+    def parse(self, text, max_degree=None, names=None):
+        """The expression `text`, whose k-th coordinate is written
+        `names[k - 1]` (x1..xn by default); any other name is a
+        ParseError.  With `max_degree`, DegreeAboveCap as soon as a power,
+        product, quotient or sum as written would have a numerator or
+        denominator of higher total degree, before it is expanded."""
+        coords = dict(zip(names or self._names, self._gens))
+        return _Parser(self, coords, _tokenize(text), max_degree).parse()
 
     def from_coeff_dict(self, coeffs):
         """Polynomial from {exponent tuple: rational coefficient}; the
@@ -554,7 +556,7 @@ def _rk4_step(rhs, t, y, h):
 
 
 # ---------------------------------------------------------------------------
-# expression parser: literals, x1..xn, + - * / ^, parentheses
+# expression parser: literals, coordinate names, + - * / ^, parentheses
 # ---------------------------------------------------------------------------
 
 def _tokenize(text):
@@ -572,17 +574,17 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+        if ch.isidentifier():  # names are identifiers, as spec variables are
+            j = i + 1
+            while j < len(text) and ("_" + text[j]).isidentifier():
                 j += 1
             tokens.append(("name", text[i:j], line, col))
             col += j - i
@@ -601,8 +603,9 @@ def _tokenize(text):
 class _Parser:
     """Pratt parser for the chart expression grammar."""
 
-    def __init__(self, chart, tokens, max_degree=None):
+    def __init__(self, chart, coords, tokens, max_degree=None):
         self.chart = chart
+        self.coords = coords
         self.tokens = tokens
         self.pos = 0
         self.max_degree = max_degree
@@ -684,6 +687,9 @@ class _Parser:
         if self.peek()[0] == "^":
             _, _, line, col = self.advance()
             k = self.int_exponent()
+            if k <= 0 and base.is_zero():
+                raise ParseError("division by zero" if k else "0^0 is undefined",
+                                 line, col)
             if self.max_degree is not None:
                 self.cap(*(abs(k) * v for v in _degrees(base)), line, col)
             return base ** k
@@ -708,13 +714,8 @@ class _Parser:
         if kind == "int":
             return self.chart.const(int(text))
         if kind == "name":
-            if text.startswith("x") and text[1:].isdigit():
-                k = int(text[1:])
-                if 1 <= k <= self.chart.dim:
-                    return self.chart.var(k)
-                raise ParseError(
-                    f"variable {text} out of range for dimension {self.chart.dim}",
-                    line, col)
+            if text in self.coords:
+                return self.coords[text]
             raise ParseError(f"unknown name {text!r}", line, col)
         if kind == "(":
             e = self.expr()
@@ -1102,15 +1103,14 @@ def potential_of_closed_1form(omega):
     cols.append([c.frac.numer * clear.exquo(c.frac.denom)
                  for c in omega.components])
 
+    # one sparse row per (component, monomial), omega in column ncols
     rows = {}
     for a in range(n):
         for j, col in enumerate(cols):
             for exps, coeff in col[a].items():
-                row = rows.setdefault((a,) + exps, [Fraction(0)] * (ncols + 1))
-                row[j] += coeff
-    matrix = [r[:ncols] for r in rows.values()]
-    rhs = [r[ncols] for r in rows.values()]
-    sol = solve_linear_system(matrix, rhs)
+                row = rows.setdefault((a,) + exps, {})
+                row[j] = row.get(j, 0) + coeff
+    sol = solve_linear_system(list(rows.values()), ncols)
     if sol is None:
         if not omega.d().is_zero():
             raise NotClosed("1-form is not closed")

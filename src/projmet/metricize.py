@@ -115,8 +115,7 @@ class MetricCandidate:
 
     __slots__ = ("sigma", "det_sigma", "f", "g_up", "base_point", "signature",
                  "definite", "warnings", "_t", "_special", "_log_coeff",
-                 "_upsilon", "_connection", "_g_down", "_t_cache",
-                 "_table_cache")
+                 "_upsilon", "_connection", "_g_down", "_t_cache")
 
     def __init__(self, t, from_sigma, det, log_coeff, special, g_up,
                  base_point):
@@ -133,7 +132,6 @@ class MetricCandidate:
         self._log_coeff = log_coeff
         self._upsilon = self._connection = self._g_down = None
         self._t_cache = {}
-        self._table_cache = {}
 
     @property
     def upsilon(self):
@@ -221,22 +219,17 @@ class MetricCandidate:
     def jets_at(self, pt):
         """(gamma, dgamma, g, dg) at the rational point `pt`: exact values
         and first partials of the candidate connection and of g^{ab}
-        (`_point_table`), cached per point.
+        (`_point_table`).
 
         Where a factor has a pole or D vanishes, the symbolic pair
         (`connection`, `g_up`) is evaluated instead: it either raises the
         PoleError of its own pole there or, where its poles cancel, gives
         the values.
         """
-        key = tuple(pt)
-        table = self._table_cache.get(key)
-        if table is None:
-            try:
-                table = self._point_table(pt)
-            except PoleError:
-                table = _pair_table(self.connection, self.g_up, pt)
-            self._table_cache[key] = table
-        return table
+        try:
+            return self._point_table(pt)
+        except PoleError:
+            return _pair_table(self.connection, self.g_up, pt)
 
     def _point_table(self, pt):
         """The candidate connection Gamma' = Gamma + delta^c_a Y_b +

@@ -182,10 +182,10 @@ def _normalised(den, rows):
     return den // g, [{t: v // g for t, v in row.items()} for row in rows]
 
 
-def _difference_rows(first, second, d):
-    """Dense integer rows spanning the differences of two candidates for
-    the same Taylor coefficient, None reading as zero; rows that agree
-    give nothing."""
+def _difference_rows(first, second):
+    """Sparse integer rows {basis index: value} spanning the differences
+    of two candidates for the same Taylor coefficient, None reading as
+    zero; rows that agree give nothing."""
     if first is None:
         first, second = second, first
     if first is None:
@@ -198,12 +198,14 @@ def _difference_rows(first, second, d):
     for r1, r2 in zip(rows1, rows2):
         if f1 == f2 == 1 and r1 == r2:
             continue
-        diff = [0] * d
-        for t, v in r1.items():
-            diff[t] = v * f1
+        diff = {t: v * f1 for t, v in r1.items()}
         for t, v in r2.items():
-            diff[t] -= v * f2
-        if any(diff):
+            x = diff.get(t, 0) - v * f2
+            if x:
+                diff[t] = x
+            else:
+                del diff[t]
+        if diff:
             out.append(diff)
     return out
 
@@ -319,7 +321,7 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
                     cand[tau] = _predict(tdata[a], coeff, alpha, a, N)
                 elif not flat:
                     rows += _difference_rows(
-                        cand[tau], _predict(tdata[a], coeff, alpha, a, N), d)
+                        cand[tau], _predict(tdata[a], coeff, alpha, a, N))
         coeff.update((tau, c) for tau, c in cand.items() if c is not None)
         if rows:
             kernel = nullspace(rows, d)

@@ -59,16 +59,14 @@ def check_base_point(conn, base_point):
                 f"at base point ({', '.join(map(fr_str, base_point))})") from None
 
 
-def specialize_or_obstructed(conn, report, beta=None):
+def specialize_or_obstructed(conn, report, beta):
     """specialize(conn), or None after marking the report OBSTRUCTED_BY_BETA.
 
     specialize fails with NotPolynomial when the trace potential leaves the
-    supported class.  With a nonzero beta that is the obstruction; with
-    beta zero it is an input error and propagates.  `beta` is computed here
-    only when the caller has not already done so, and specialize reuses it.
+    supported class.  With a nonzero beta (`beta_form(conn)`, which
+    specialize reuses) that is the obstruction; with beta zero it is an
+    input error and propagates.
     """
-    if beta is None:
-        beta = beta_form(conn)
     try:
         return specialize(conn, beta=beta)
     except NotPolynomial as exc:
@@ -77,6 +75,25 @@ def specialize_or_obstructed(conn, report, beta=None):
         report["verdict"] = "OBSTRUCTED_BY_BETA"
         report["warnings"].append(str(exc))
         return None
+
+
+def run_to_jets(conn, base_point, max_order, report, flag_beta=False):
+    """The stages `analyze` and `mobility` share, from the base-point check
+    to the jet solve, adding the gauge and mobility blocks to the report
+    (and `beta_nonzero` with `flag_beta`).  Returns (special, upsilon,
+    data, jets), or None when the report is OBSTRUCTED_BY_BETA."""
+    check_base_point(conn, base_point)
+    beta = beta_form(conn)
+    if flag_beta:
+        report["beta_nonzero"] = not beta.is_zero()
+    gauge = specialize_or_obstructed(conn, report, beta)
+    if gauge is None:
+        return None
+    special, upsilon, f_pot = gauge
+    data = decompose_curvature(special)
+    jets = degree_of_mobility(special, base_point, max_order, data)
+    add_gauge_blocks(report, upsilon, f_pot, jets)
+    return special, upsilon, data, jets
 
 
 def add_gauge_blocks(report, upsilon, f_pot, jets=None):
@@ -152,21 +169,29 @@ def _candidate_vectors(jets, n):
     for l, col in enumerate(basis):
         push(list(col), [Fraction(int(k == l)) for k in range(d)])
 
+    # slot i of the basis combination as a sparse row over the d
+    # coordinates; a target value for it goes in column d
+    rows = [{l: basis[l][i] for l in range(d) if basis[l][i]}
+            for i in range(N)]
+
+    def solve(rows, target):
+        return solve_linear_system(
+            [{**row, d: v} for row, v in zip(rows, target)], d)
+
     # sigma(p) = identity, mu(p) = 0, rho(p) scanned
-    full_rows = [[basis[l][i] for l in range(d)] for i in range(N)]
     ident = [Fraction(1) if i == j else Fraction(0) for i, j in pairs]
     for rho in (0, 1, -1, 2, -2):
         vec = ident + [Fraction(0)] * n + [Fraction(rho)]
-        coords = solve_linear_system(full_rows, vec)
+        coords = solve(rows, vec)
         if coords is not None:
             push(vec, coords)
 
     # sigma(p) = identity with the solver's choice of the remaining slots,
     # plus single-direction offsets
-    rows = [[basis[l][k] for l in range(d)] for k in range(len(pairs))]
-    part = solve_linear_system(rows, ident)
+    sigma_rows = rows[:len(pairs)]
+    part = solve(sigma_rows, ident)
     if part is not None:
-        kern = nullspace(rows, d)
+        kern = nullspace(sigma_rows, d)
         offsets = [[Fraction(0)] * d]
         for kv in kern[:4]:
             for t in (1, -1):
@@ -273,19 +298,13 @@ def analyze_connection(conn, base_point, options, echo=None):
     if options["samples"] < 1:  # the sampled checks would pass unseen
         raise ParseError(
             f"samples must be at least 1, got {options['samples']}")
-    check_base_point(conn, base_point)
-    chart = conn.chart
-    n = chart.dim
+    n = conn.chart.dim
     report = {"schema": SCHEMA_VERSION, "input": echo or {}, "warnings": []}
-    beta = beta_form(conn)
-    report["beta_nonzero"] = not beta.is_zero()
-    gauge = specialize_or_obstructed(conn, report, beta)
-    if gauge is None:
+    stages = run_to_jets(conn, base_point, options["max_order"], report,
+                         flag_beta=True)
+    if stages is None:
         return report, EXIT_OBSTRUCTED
-    special, upsilon, f_pot = gauge
-    data = decompose_curvature(special)
-    jets = degree_of_mobility(special, base_point, options["max_order"], data)
-    add_gauge_blocks(report, upsilon, f_pot, jets)
+    special, upsilon, data, jets = stages
     if not jets.stabilized:
         report["warnings"].append(
             "jet dimension did not stabilize; the mobility value is an upper bound")

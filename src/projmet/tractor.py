@@ -16,7 +16,6 @@ length N = n(n+1)/2 + n + 1 ordered as (upper-triangle sigma, mu, rho).
 """
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .errors import NotSpecial, ShapeError
@@ -124,7 +123,7 @@ class TractorCurvature:
 def tractor_curvature(conn, data):
     """Curvature of the modified tractor connection as stored matrices."""
     return TractorCurvature(conn.chart, _matrix_curvature(
-        conn.chart, *_table_over_common(connection_matrices(conn, data))))
+        conn.chart, *_over_common(connection_matrices(conn, data).matrices())))
 
 
 class ConnectionTable(NamedTuple):
@@ -156,25 +155,6 @@ class ConnectionTable(NamedTuple):
                     A[i][j] = A[i][j] + self.components[k] * scale
             mats.append(A)
         return mats
-
-
-def _table_over_common(table):
-    """(N, D, [d_k D]) with A_a = N_a / D, as `_matrix_curvature` reads
-    them: D is the common denominator of the components (`_over_common`)
-    times the lcm L of the scale denominators, so every N_a is an integer
-    sum of component numerators and no fraction is added."""
-    [[nums]], D, dD = _over_common([[table.components]])
-    L = lcm(*(s.denominator for entries in table.entries
-              for terms in entries.values() for s, _ in terms))
-    zero = D.ring.zero
-    N = []
-    for entries in table.entries:
-        mat = [[zero] * table.size for _ in range(table.size)]
-        for (i, j), terms in entries.items():
-            for s, k in terms:
-                mat[i][j] += nums[k] * (s.numerator * (L // s.denominator))
-        N.append(mat)
-    return N, D * L, [d * L for d in dD]
 
 
 def connection_matrices(conn, data):

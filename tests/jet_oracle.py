@@ -1,8 +1,9 @@
 """Reference jet solver: the dense Fraction recursion that
 `mobility.degree_of_mobility` used before it moved to sparse integer rows.
 
-Kept verbatim (apart from the argument checks and returning plain data) as
-an independent oracle: every Taylor coefficient is a dense N x d matrix of
+Kept verbatim (apart from the argument checks, returning plain data and
+handing its dense rows to the eliminator through `linalg_oracle.sparse`)
+as an independent oracle: every Taylor coefficient is a dense N x d matrix of
 Fractions, every (alpha, a) product is accumulated entry by entry, and the
 Taylor data of the connection matrices comes from one `rational_to_series`
 of the Fraction series oracle (`series_oracle`) per entry.  The matrices
@@ -17,6 +18,7 @@ from projmet.exactseries import monomials_of_order
 from projmet.projconn import decompose_curvature
 from projmet.tractor import section_dim
 
+from linalg_oracle import sparse
 from oracles import connection_matrices_by_columns
 from series_oracle import rational_to_series
 
@@ -96,7 +98,7 @@ def dense_jet_solve(conn, base_point, max_order):
                     cand[tau] = candidate
         coeff.update(cand)
         if rows:
-            kernel = nullspace(rows, d)
+            kernel = nullspace(*sparse(rows, d))
             if len(kernel) < d:
                 restrict(kernel)
         dims.append(d)

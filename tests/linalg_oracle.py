@@ -8,10 +8,26 @@ eliminated fraction-free to row echelon form, and `nullspace` and
 Also the signature of a symmetric matrix as the package read it before it
 moved to congruence diagonalisation: `char_poly` by Faddeev-LeVerrier and
 Descartes' rule of signs on it, which counts exactly for a real spectrum.
+
+`sparse` turns dense rows into the sparse rows {column: value} that
+`projmet.exactlinalg` takes.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def sparse(rows, ncols=None, rhs=None):
+    """(sparse rows, column count) of dense rows, as `projmet.exactlinalg`
+    takes them: the count is the rows' length unless given, and a
+    right-hand side `rhs` goes in column ncols."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    out = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    for row, b in zip(out, rhs or ()):
+        if b:
+            row[ncols] = b
+    return out, ncols
 
 
 def _to_integer_rows(rows):

@@ -47,6 +47,101 @@ def test_parse_spec_custom_variables():
     assert conn.gamma[0][1][1] == chart.parse("x1^2 + x2")
 
 
+def test_custom_variables_refuse_the_default_names(tmp_path, capsys):
+    """The parser reads the spec's own names: under u, v the name x1 is
+    unknown, not coordinate 1 (it used to be rewritten, so "x1 + u" read
+    as 2*x1)."""
+    doc = {"dimension": 2, "variables": ["u", "v"],
+           "christoffel": {"1,1,2": "x1 + u"}}
+    code = main(["curvature", _write(tmp_path, "uv.json", doc)])
+    _assert_input_error(capsys, code,
+                        "unknown name 'x1' (line 1, column 1)")
+
+
+def test_parse_error_columns_count_the_text_as_written(tmp_path, capsys):
+    """Columns count the entry as the spec wrote it, not a rewrite of it
+    (which reported column 11 here)."""
+    doc = {"dimension": 2, "variables": ["u", "v"],
+           "christoffel": {"1,1,2": "u + v + $"}}
+    code = main(["mobility", _write(tmp_path, "uv.json", doc)])
+    _assert_input_error(capsys, code,
+                        "unexpected character '$' (line 1, column 9)")
+
+
+def test_swapped_default_names_still_name_their_coordinates(tmp_path, capsys):
+    """Under ["x2", "x1"], x2 is coordinate 1 and x1 coordinate 2."""
+    doc = {"dimension": 2, "variables": ["x2", "x1"],
+           "christoffel": {"1,2,2": "x2^2 + 3*x1", "2,1,1": "x1/(1 + x2)"}}
+    conn = parse_spec(doc)[0]
+    chart = conn.chart
+    assert conn.gamma[0][1][1] == chart.parse("x1^2 + 3*x2")
+    assert conn.gamma[1][0][0] == chart.parse("x2/(1 + x1)")
+    reports = []
+    for name, spec in [("swapped", doc), ("plain", {
+            "dimension": 2, "christoffel": {"1,2,2": "x1^2 + 3*x2",
+                                            "2,1,1": "x2/(1 + x1)"}})]:
+        assert main(["curvature", _write(tmp_path, f"{name}.json", spec)]) \
+            == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        del report["input"]["variables"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("names", [["\u2118", "a\u0301"], ["\u00e9", "_v2"]],
+                         ids=["other-id-start-and-combining-mark", "latin"])
+def test_any_identifier_names_a_coordinate(names):
+    """Every name the spec check accepts (`str.isidentifier`) reads as one
+    name token, as the rewrite to x<k> read it."""
+    doc = {"dimension": 2, "variables": names,
+           "christoffel": {"1,2,2": f"{names[0]}^2 + 3*{names[1]}"}}
+    conn = parse_spec(doc)[0]
+    assert conn.gamma[0][1][1] == conn.chart.parse("x1^2 + 3*x2")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("x1 + \u00b2", "unexpected character '\u00b2' (line 1, column 6)"),
+    ("0^-1", "division by zero (line 1, column 2)"),
+    ("(x1 - x1)^-2", "division by zero (line 1, column 10)"),
+    ("0^0", "0^0 is undefined (line 1, column 2)"),
+], ids=["superscript-digit", "zero-inverse", "cancelled-zero",
+        "zero-to-zero"])
+def test_entries_that_raised_are_input_errors(tmp_path, capsys, entry,
+                                              message):
+    """A digit that int() does not read, and a zero base with an exponent
+    of at most 0, used to end in a ValueError or ZeroDivisionError
+    traceback."""
+    doc = {"dimension": 2, "christoffel": {"1,2,2": entry}}
+    code = main(["curvature", _write(tmp_path, "zero.json", doc)])
+    _assert_input_error(capsys, code, message)
+
+
+def test_trace_potential_rows_stay_sparse(tmp_path, capsys, monkeypatch):
+    """Every exact solve hands the eliminator sparse rows: the trace
+    potential of Gamma^1_12 = x1^12 has a row per (component, monomial)
+    and a column per monomial up to degree 13, but each row has at most a
+    few entries.  Dense rows would give rows x columns entries."""
+    import projmet.exactlinalg as exactlinalg
+
+    calls = []
+    rref = exactlinalg._rref
+
+    def spy(rows, ncols):
+        rows = list(rows)
+        calls.append((rows, ncols))
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(exactlinalg, "_rref", spy)
+    doc = {"dimension": 3, "christoffel": {"1,1,2": "x1^12"}}
+    spec = _write(tmp_path, "x1^12.json", doc)
+    assert main(["mobility", spec, "--max-order", "3"]) == EXIT_OK
+    capsys.readouterr()
+    rows = [row for call_rows, _ in calls for row in call_rows]
+    assert max(ncols for _, ncols in calls) > 400
+    assert all(type(row) is dict for row in rows)
+    assert sum(map(len, rows)) <= 4 * len(rows)
+
+
 def test_parse_spec_symmetry_and_errors():
     from projmet import ParseError
     doc = {"dimension": 2, "christoffel": {"1,1,2": "x1", "1,2,1": "x1"}}

@@ -18,7 +18,8 @@ from projmet import Chart, PoleAtBasePoint
 from conftest import rand_poly
 import linalg_oracle
 from series_oracle import as_fractions
-from linalg_oracle import char_poly, descartes_signature, fraction_free_rref
+from linalg_oracle import (char_poly, descartes_signature, fraction_free_rref,
+                           sparse)
 
 
 def test_monomials_of_order_counts():
@@ -108,30 +109,30 @@ def test_series_diff_and_coeff_dict_roundtrip(rng):
 
 def test_fraction_free_rank_and_nullspace():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert rank(rows) == 2
-    ker = nullspace(rows, 3)
+    assert rank(*sparse(rows)) == 2
+    ker = nullspace(*sparse(rows, 3))
     assert len(ker) == 1
     v = ker[0]
     for row in rows:
         assert sum(Fraction(e) * x for e, x in zip(row, v)) == 0
     # fractions in, exact echelon out
     rowsf = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]
-    assert rank(rowsf) == 1
+    assert rank(*sparse(rowsf)) == 1
     ech, pivots = fraction_free_rref(rowsf)
     assert pivots == [0]
 
 
 def test_nullspace_of_empty_and_full():
     assert len(nullspace([], 4)) == 4
-    assert nullspace([[1, 0], [0, 1]], 2) == []
+    assert nullspace(*sparse([[1, 0], [0, 1]], 2)) == []
 
 
 def test_solve_linear_system_cases():
-    assert solve_linear_system([[2, 0], [0, 4]], [1, 1]) == \
+    assert solve_linear_system(*sparse([[2, 0], [0, 4]], rhs=[1, 1])) == \
         [Fraction(1, 2), Fraction(1, 4)]
-    assert solve_linear_system([[1, 1], [1, 1]], [1, 2]) is None
+    assert solve_linear_system(*sparse([[1, 1], [1, 1]], rhs=[1, 2])) is None
     # underdetermined: free variables pinned to zero
-    sol = solve_linear_system([[1, 1, 0]], [3])
+    sol = solve_linear_system(*sparse([[1, 1, 0]], rhs=[3]))
     assert sol[0] == 3 and sol[1] == 0
 
 
@@ -179,12 +180,12 @@ def test_elimination_matches_bareiss_oracle():
     rng = random.Random(11)
     cases = fixed + [_oracle_system(rng) for _ in range(3000)]
     for rows, ncols, rhs in cases:
-        assert rank(rows) == linalg_oracle.rank(rows)
+        assert rank(*sparse(rows)) == linalg_oracle.rank(rows)
         for nc in (ncols, None):
-            kernel = nullspace(rows, nc)
+            kernel = nullspace(*sparse(rows, nc))
             assert kernel == linalg_oracle.nullspace(rows, nc)
             assert all(type(v) is Fraction for vec in kernel for v in vec)
-        sol = solve_linear_system(rows, rhs)
+        sol = solve_linear_system(*sparse(rows, rhs=rhs))
         assert sol == linalg_oracle.solve_linear_system(rows, rhs)
         assert sol is None or all(type(v) is Fraction for v in sol)
 

@@ -22,6 +22,7 @@ from projmet.tractor import (connection_matrices, section_dim, sym_pairs,
 
 from conftest import rand_fraction
 from jet_oracle import dense_jet_solve, expand_matrices
+from linalg_oracle import sparse
 
 DATA = Path(__file__).parent / "data"
 
@@ -85,7 +86,7 @@ def test_flat_solution_space_is_the_quadratic_family(n, rng):
         assert predicted == have
     # reverse inclusion: random family members solve the accumulated system
     basis_rows = [list(v) for v in js.admissible_basis]
-    assert rank(basis_rows) == N
+    assert rank(*sparse(basis_rows)) == N
     for _ in range(5):
         s = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
@@ -94,7 +95,7 @@ def test_flat_solution_space_is_the_quadratic_family(n, rng):
         m = [rand_fraction(rng) for _ in range(n)]
         r = rand_fraction(rng)
         init = [s[i][j] for i, j in pairs] + m + [r]
-        assert rank(basis_rows + [init]) == N
+        assert rank(*sparse(basis_rows + [init])) == N
 
 
 def test_witness_dimension_zero_and_stabilized():
@@ -148,7 +149,8 @@ def test_order2_constraints_match_curvature_kernel():
         js = degree_of_mobility(conn, [0, 0], 4, data)
         cur = tractor_curvature(conn, data)
         mat = cur.evaluate(0, 1, [0, 0])
-        ker = nullspace([[Fraction(v) for v in row] for row in mat], section_dim(2))
+        ker = nullspace(*sparse([[Fraction(v) for v in row] for row in mat],
+                                section_dim(2)))
         assert js.dims[2] == len(ker)
 
 
@@ -323,7 +325,7 @@ def test_input_metric_solution_lies_in_admissible_space():
     js = degree_of_mobility(conn, [0, 0], 6, data)
     init = values_at(sec, [0, 0])
     rows = [list(v) for v in js.admissible_basis]
-    assert rank(rows + [init]) == rank(rows)
+    assert rank(*sparse(rows + [init])) == rank(*sparse(rows))
 
 
 # -- residuals ----------------------------------------------------------------
@@ -466,8 +468,8 @@ def test_stereo_round_metric_solution_matches_binomial_series():
     basis = js.admissible_basis
     rows = [[basis[l][i] for l in range(d)] for i in range(5)]
     target = [Fraction(1, 4), Fraction(0), Fraction(1, 4), Fraction(0), Fraction(0)]
-    part = solve_linear_system(rows, target)
-    kern = nullspace(rows, d)
+    part = solve_linear_system(*sparse(rows, rhs=target))
+    kern = nullspace(*sparse(rows, d))
     assert part is not None and len(kern) == 1
 
     def sigma_series(coords):
