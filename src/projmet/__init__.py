@@ -10,8 +10,7 @@ and every solution is reconstructed into a candidate metric and verified.
 
 from .errors import *  # noqa: F401,F403
 from .exprcore import (Chart, DifferentialForm, Potential, RationalExpr,
-                       exterior_derivative, homotopy_potential,
-                       potential_of_closed_1form)
+                       exterior_derivative, potential_of_closed_1form)
 from .tensorfield import (TensorField, contract, covariant_derivative,
                           trace_free_part)
 from .projconn import (AffineConnection, ProjectiveData, beta_form,

@@ -6,7 +6,7 @@ The analysis itself lives in `pipeline`.  Reports are deterministic JSON
 exact.
 
 Exit codes: 0 METRIZABLE, 10 NOT_METRIZABLE_AT_ORDER, 11 INDEFINITE_ONLY,
-12 OBSTRUCTED_BY_BETA, 2 input errors.
+2 input errors.
 """
 
 import argparse
@@ -21,10 +21,10 @@ from .exactlinalg import nullspace  # noqa: F401
 from .exprcore import Chart
 from .metricize import geodesic_compare, projective_equivalence
 from .pipeline import (EXIT_INDEFINITE_ONLY, EXIT_NOT_METRIZABLE,  # noqa: F401
-                       EXIT_OBSTRUCTED, EXIT_OK, SCHEMA_VERSION,
-                       add_gauge_blocks, analyze_connection, fr_str,
-                       run_to_jets, specialize_or_obstructed)
-from .projconn import AffineConnection, beta_form, decompose_curvature
+                       EXIT_OK, SCHEMA_VERSION, add_gauge_blocks,
+                       analyze_connection, fr_str, run_to_jets)
+from .projconn import (AffineConnection, beta_form, decompose_curvature,
+                       specialize)
 
 __all__ = ["run_analysis", "main"]
 
@@ -184,9 +184,9 @@ def _cmd_mobility(args):
     conn, base_point, options, echo = _load_checked(
         args.spec, {"max_order": args.max_order})
     report = {"schema": SCHEMA_VERSION, "input": echo, "warnings": []}
-    stages = run_to_jets(conn, base_point, options["max_order"], report)
+    run_to_jets(conn, base_point, options["max_order"], report)
     _write(report, args.report)
-    return EXIT_OBSTRUCTED if stages is None else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_curvature(args):
@@ -196,11 +196,7 @@ def _cmd_curvature(args):
     report = {"schema": SCHEMA_VERSION, "input": echo, "warnings": []}
     report["beta"] = [[str(beta.components[a][b]) for b in range(n)]
                       for a in range(n)]
-    gauge = specialize_or_obstructed(conn, report, beta)
-    if gauge is None:
-        _write(report, args.report)
-        return EXIT_OBSTRUCTED
-    special, upsilon, f_pot = gauge
+    special, upsilon, f_pot = specialize(conn)
     data = decompose_curvature(special)
     add_gauge_blocks(report, upsilon, f_pot)
     report["weyl"] = {

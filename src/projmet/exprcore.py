@@ -25,11 +25,10 @@ evaluator serves `evaluate`, `jet` (value and first partials) and
 `exactseries.series_eval`: it scales the point to integers over the lcm L
 of its denominators and lifts every term to one common degree in `int`.
 
-Also provides low-degree differential forms, exterior differentiation, the
-radial homotopy operator that trivialises closed polynomial forms on a
-star-shaped chart, and the potentials of exact rational 1-forms: one exact
-linear solve for a rational part, a polynomial and the logarithms of the
-denominator's irreducible factors, sized by total degrees.  The float
+Also provides low-degree differential forms, exterior differentiation and
+the potentials of exact rational 1-forms: one exact linear solve for a
+rational part, a polynomial and the logarithms of the denominator's
+irreducible factors, sized by total degrees.  The float
 cross-checks (geodesics, parallel transport) compile entries with
 `compile_numeric` and share one Runge-Kutta step.
 """
@@ -51,7 +50,6 @@ __all__ = [
     "DifferentialForm",
     "Potential",
     "exterior_derivative",
-    "homotopy_potential",
     "potential_of_closed_1form",
 ]
 
@@ -791,13 +789,6 @@ class DifferentialForm:
             return all(c.is_zero() for c in self.components)
         return all(c.is_zero() for row in self.components for c in row)
 
-    def is_polynomial(self):
-        if self.degree == 0:
-            return self.components.is_polynomial()
-        if self.degree == 1:
-            return all(c.is_polynomial() for c in self.components)
-        return all(c.is_polynomial() for row in self.components for c in row)
-
     def d(self):
         return exterior_derivative(self)
 
@@ -875,48 +866,6 @@ def _d_two_form(form):
                        + form.components[a][b].diff(c + 1))
                 comps[(a, b, c)] = val
     return _ThreeForm(comps)
-
-
-def homotopy_potential(form):
-    """Radial homotopy potential of a closed polynomial 1- or 2-form.
-
-    For a k-form w the potential is H(w)_{b..}(x) = int_0^1 t^(k-1) w_{ab..}(tx) x^a dt,
-    which is again polynomial; d(H(w)) = w holds exactly on the star-shaped chart.
-    """
-    chart = form.chart
-    n = chart.dim
-    if form.degree not in (1, 2):
-        raise ValueError("homotopy potential is defined for degrees 1 and 2")
-    if not form.is_polynomial():
-        raise NotPolynomial("homotopy operator needs polynomial components")
-    if not _closed_ok(form):
-        raise NotClosed("form is not closed")
-    if form.degree == 1:
-        acc = {}
-        for a in range(n):
-            for exps, coeff in form.components[a].poly_terms():
-                d = sum(exps)
-                e = list(exps)
-                e[a] += 1
-                key = tuple(e)
-                acc[key] = acc.get(key, Fraction(0)) + coeff / (d + 1)
-        return DifferentialForm(chart, 0, chart.from_coeff_dict(acc))
-    pots = []
-    for b in range(n):
-        acc = {}
-        for a in range(n):
-            for exps, coeff in form.components[a][b].poly_terms():
-                d = sum(exps)
-                e = list(exps)
-                e[a] += 1
-                key = tuple(e)
-                acc[key] = acc.get(key, Fraction(0)) + coeff / (d + 2)
-        pots.append(chart.from_coeff_dict(acc))
-    return DifferentialForm(chart, 1, pots)
-
-
-def _closed_ok(form):
-    return form.d().is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -1054,8 +1003,7 @@ def potential_of_closed_1form(omega):
 
     A solution is an exact identity df = omega, so omega is closed; only
     when the system has none is closedness tested, to raise NotClosed
-    rather than NotPolynomial.  The gradient of the solution is audited
-    against omega.
+    rather than NotPolynomial.
     """
     from .exactlinalg import solve_linear_system
 
@@ -1125,14 +1073,8 @@ def potential_of_closed_1form(omega):
     elif acc:
         rational_part = chart.from_coeff_dict(acc) / RationalExpr(
             chart, chart._field.raw_new(h, ring.one))
-    pot = Potential(chart, poly_part=poly_part, rational_part=rational_part,
-                    log_terms=logs)
-    # exactness audit: the match is only accepted if the gradient reproduces omega
-    g = pot.grad()
-    for a in range(n):
-        if g.components[a] != omega.components[a]:
-            raise NotPolynomial("potential reconstruction failed the exactness audit")
-    return pot
+    return Potential(chart, poly_part=poly_part, rational_part=rational_part,
+                     log_terms=logs)
 
 
 def _factor_list(poly):

@@ -39,8 +39,8 @@ from .errors import (DegenerateMetric, DegenerateSigma, DimensionTooSmall,
 from .exactlinalg import adjugate, leibniz_det, symmetric_signature
 from .exprcore import (DifferentialForm, Potential, _compile_nonzero,
                        _rk4_step)
-# projective_equivalence lives in projconn, where specialize checks it; it
-# stays importable from here with the other verification checks
+# projective_equivalence lives in projconn; it stays importable from here
+# with the other verification checks
 from .projconn import (AffineConnection, _schouten_and_weyl, _trace_upsilon,
                        full_curvature, projective_change,
                        projective_equivalence, ricci)

@@ -9,8 +9,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .errors import (DegenerateSigma, NotPolynomial, ParseError, PoleAtBasePoint,
-                     PoleError)
+from .errors import DegenerateSigma, ParseError, PoleAtBasePoint, PoleError
 from .exactlinalg import (adjugate, leibniz_det, nullspace, solve_linear_system,
                           symmetric_signature)
 from .exactseries import (Series, series_add, series_inverse, series_mul,
@@ -28,7 +27,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_NOT_METRIZABLE = 10
 EXIT_INDEFINITE_ONLY = 11
-EXIT_OBSTRUCTED = 12
 
 
 def _symmetric_strings(t):
@@ -59,37 +57,15 @@ def check_base_point(conn, base_point):
                 f"at base point ({', '.join(map(fr_str, base_point))})") from None
 
 
-def specialize_or_obstructed(conn, report, beta):
-    """specialize(conn), or None after marking the report OBSTRUCTED_BY_BETA.
-
-    specialize fails with NotPolynomial when the trace potential leaves the
-    supported class.  With a nonzero beta (`beta_form(conn)`, which
-    specialize reuses) that is the obstruction; with beta zero it is an
-    input error and propagates.
-    """
-    try:
-        return specialize(conn, beta=beta)
-    except NotPolynomial as exc:
-        if beta.is_zero():
-            raise
-        report["verdict"] = "OBSTRUCTED_BY_BETA"
-        report["warnings"].append(str(exc))
-        return None
-
-
 def run_to_jets(conn, base_point, max_order, report, flag_beta=False):
     """The stages `analyze` and `mobility` share, from the base-point check
     to the jet solve, adding the gauge and mobility blocks to the report
     (and `beta_nonzero` with `flag_beta`).  Returns (special, upsilon,
-    data, jets), or None when the report is OBSTRUCTED_BY_BETA."""
+    data, jets)."""
     check_base_point(conn, base_point)
-    beta = beta_form(conn)
     if flag_beta:
-        report["beta_nonzero"] = not beta.is_zero()
-    gauge = specialize_or_obstructed(conn, report, beta)
-    if gauge is None:
-        return None
-    special, upsilon, f_pot = gauge
+        report["beta_nonzero"] = not beta_form(conn).is_zero()
+    special, upsilon, f_pot = specialize(conn)
     data = decompose_curvature(special)
     jets = degree_of_mobility(special, base_point, max_order, data)
     add_gauge_blocks(report, upsilon, f_pot, jets)
@@ -97,10 +73,11 @@ def run_to_jets(conn, base_point, max_order, report, flag_beta=False):
 
 
 def add_gauge_blocks(report, upsilon, f_pot, jets=None):
-    """The `special_gauge` block, and the `mobility` block when jets are given."""
+    """The `special_gauge` block, with f null when the gauge potential has
+    no closed form, and the `mobility` block when jets are given."""
     report["special_gauge"] = {
         "upsilon": [str(c) for c in upsilon.components],
-        "f": f_pot.describe(),
+        "f": None if f_pot is None else f_pot.describe(),
     }
     if jets is not None:
         report["mobility"] = {
@@ -300,11 +277,8 @@ def analyze_connection(conn, base_point, options, echo=None):
             f"samples must be at least 1, got {options['samples']}")
     n = conn.chart.dim
     report = {"schema": SCHEMA_VERSION, "input": echo or {}, "warnings": []}
-    stages = run_to_jets(conn, base_point, options["max_order"], report,
-                         flag_beta=True)
-    if stages is None:
-        return report, EXIT_OBSTRUCTED
-    special, upsilon, data, jets = stages
+    special, upsilon, data, jets = run_to_jets(
+        conn, base_point, options["max_order"], report, flag_beta=True)
     if not jets.stabilized:
         report["warnings"].append(
             "jet dimension did not stabilize; the mobility value is an upper bound")
@@ -355,8 +329,7 @@ def analyze_connection(conn, base_point, options, echo=None):
     report["metrics"] = metrics
 
     # every candidate connection is projectively equivalent to the input by
-    # construction (specialize checks the one step that is not), so a
-    # verified definite candidate is a complete witness
+    # construction, so a verified definite candidate is a complete witness
     if any(m.get("verified") and m["definite"] for m in metrics):
         report["verdict"] = "METRIZABLE"
         return report, EXIT_OK

@@ -20,10 +20,11 @@ are the unique solution of those linear conventions.
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import InternalError, NotEquivalent, NotSpecial, ShapeError
+from .errors import (NotClosed, NotEquivalent, NotPolynomial, NotSpecial,
+                     ShapeError)
 from .exprcore import (DifferentialForm, Potential, RationalExpr,
                        _common_denominator, exterior_derivative,
-                       homotopy_potential, potential_of_closed_1form)
+                       potential_of_closed_1form)
 from .tensorfield import TensorField
 
 __all__ = [
@@ -235,7 +236,7 @@ def _ricci(conn):
 
 
 def beta_form(conn):
-    """Antisymmetric Ricci obstruction beta_ab = -2 R_[ab]/(n+1), a closed
+    """Antisymmetric Ricci part beta_ab = -2 R_[ab]/(n+1), a closed
     2-form.  For a torsion-free connection only the trace terms of the
     Ricci tensor are antisymmetric: R_ab - R_ba = d_b t_a - d_a t_b for the
     trace t_a = Gamma^c_ca, so beta = dt/(n+1), with no Ricci tensor."""
@@ -299,58 +300,29 @@ def projective_equivalence(c1, c2):
     return DifferentialForm(chart, 1, ups)
 
 
-def specialize(conn, beta=None):
+def specialize(conn):
     """Projectively change into the volume-preserving gauge.
 
-    Stage one removes the antisymmetric Ricci part: a 1-form Y0 with
-    dY0 = -beta comes from the radial homotopy, which raises NotPolynomial
-    when beta is not polynomial.  Stage two kills the resulting
-    Christoffel trace t_a, which is then closed, by the exact change
-    Y1 = -t/(n+1); its potential f = -h/(n+1), with dh = t, is recovered in
-    closed form.  Returns (special connection, total Y, f as a Potential).
-    A caller that already has beta_form(conn) passes it as `beta`.  When
-    `conn` is already special it is returned itself, so its kept trace
-    form serves the gauge check of `decompose_curvature` too.
-
-    Every metric candidate is a projective change of the special
-    connection, so the 1-form relating it to `conn` is Y plus its own
-    gradient.  That makes this the one place where equivalence with the
-    input is checked: `projective_equivalence(conn, special)` must recover
-    exactly Y, or InternalError is raised.
+    The projective class holds exactly one connection with zero Christoffel
+    trace: the change by Y = -t/(n+1), for the trace t_a = Gamma^b_ab, which
+    adds (n+1) Y to the trace.  Returns (special connection, Y, f), where
+    f = -h/(n+1) is the gauge potential when t = dh has a closed-form
+    potential (`potential_of_closed_1form`), and None otherwise: when
+    beta = dt/(n+1) is not zero, or when h leaves the supported class.
+    When `conn` is already special it is returned itself, so its kept
+    trace form serves the gauge check of `decompose_curvature` too.
     """
     chart = conn.chart
     n = chart.dim
-    if beta is None:
-        beta = beta_form(conn)
-    if beta.is_zero():
-        ups0 = DifferentialForm.zero(chart, 1)
-        stage1 = conn
-    else:
-        ups0 = homotopy_potential(-beta)
-        stage1 = projective_change(conn, ups0)
-
-    trace = stage1.trace_form()
+    trace = conn.trace_form()
     if trace.is_zero():
-        special, total, f = stage1, ups0, Potential.zero(chart)
-    else:
-        h = potential_of_closed_1form(trace)
-        f = h.scale(Fraction(-1, n + 1))
-        ups1 = DifferentialForm(chart, 1, [
-            -c / (n + 1) for c in trace.components])
-        special = projective_change(stage1, ups1)
-        if not special.is_special():
-            raise InternalError(
-                "specialization failed to kill the Christoffel trace")
-        total = ups0 + ups1
+        return conn, DifferentialForm.zero(chart, 1), Potential.zero(chart)
+    ups = DifferentialForm(chart, 1, [-c / (n + 1) for c in trace.components])
     try:
-        recovered = projective_equivalence(conn, special)
-    except NotEquivalent as exc:
-        raise InternalError(
-            f"special connection not equivalent to the input: {exc}") from exc
-    if recovered != total:
-        raise InternalError(
-            "recovered 1-form differs from the specialization 1-form")
-    return special, total, f
+        f = potential_of_closed_1form(trace).scale(Fraction(-1, n + 1))
+    except (NotClosed, NotPolynomial):
+        f = None
+    return projective_change(conn, ups), ups, f
 
 
 def full_curvature(conn):

@@ -106,8 +106,8 @@ def test_analyze_builds_no_curvature_field(monkeypatch):
 
 def test_input_beta_from_trace_once(tmp_path, monkeypatch, capsys):
     """`analyze` and `curvature` compute the beta of the input once, from
-    its trace, and never build its Ricci tensor; specialize reuses that
-    beta.  Only the special connection's Ricci tensor is built."""
+    its trace, and never build its Ricci tensor; specialize does not need
+    it.  Only the special connection's Ricci tensor is built."""
     betas = _count_calls(monkeypatch, beta_form)
     riccis = _count_calls(monkeypatch, ricci)
     conn = klein_connection(3)

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from projmet.cli import (EXIT_INPUT, EXIT_NOT_METRIZABLE, EXIT_OK, main,
-                         parse_spec, render_report, run_analysis)
+from projmet import models
+from projmet.cli import (EXIT_INPUT, EXIT_NOT_METRIZABLE, EXIT_OK,
+                         analyze_connection, main, parse_spec, render_report,
+                         run_analysis)
 
 import series_oracle
 from series_oracle import as_fractions
@@ -409,9 +411,9 @@ def test_compare_subcommand(tmp_path, capsys):
 
 
 def test_nonsymmetric_ricci_polynomial_beta_is_recovered(tmp_path):
-    """Polynomial beta obstruction is removable by the homotopy stage: a
-    flat connection pushed out of the symmetric-Ricci gauge still comes
-    back METRIZABLE with full mobility."""
+    """A nonzero beta leaves the projective class alone: a flat connection
+    pushed out of the symmetric-Ricci gauge still comes back METRIZABLE
+    with full mobility."""
     # the flat connection changed by the non-closed 1-form (x2^2, x1 x2)
     doc = {"dimension": 2, "christoffel": {
         "1,1,1": "2*x2^2", "1,1,2": "x1*x2",
@@ -626,7 +628,7 @@ def test_pole_at_base_point_is_an_input_error(tmp_path, capsys):
 def test_pole_of_christoffel_at_base_point_names_the_entry(
         tmp_path, capsys, command, entry, base_point, shown):
     """The input is undefined at p: an input error naming the entry, not
-    OBSTRUCTED_BY_BETA from the gauge step that would fail on it."""
+    an error from a later stage that would fail on it."""
     doc = {"dimension": 2, "christoffel": {"1,1,2": entry}}
     if base_point is not None:
         doc["base_point"] = base_point
@@ -659,17 +661,60 @@ def test_indefinite_only(tmp_path):
     assert verified[0]["signature"] == [1, 1]
 
 
-def test_obstructed_by_beta(tmp_path, capsys):
-    # non-symmetric Ricci with a rational beta: the homotopy path cannot
-    # produce a potential, so the run reports the obstruction
+def test_rational_beta_gets_the_verdict_of_its_class(tmp_path, capsys):
+    # non-symmetric Ricci with a rational beta: the trace has no potential,
+    # so the gauge potential f is null, but the class is analysed all the
+    # same; the admissible space dies by order 5, an exact rank
     doc = {"dimension": 2,
            "christoffel": {"1,1,1": "x2/(1 + x1^2)"}}
-    spec = _write(tmp_path, "obstructed.json", doc)
+    spec = _write(tmp_path, "rational_beta.json", doc)
     code = main(["analyze", spec])
     data = json.loads(capsys.readouterr().out)
-    assert data["verdict"] == "OBSTRUCTED_BY_BETA"
+    assert code == EXIT_NOT_METRIZABLE
+    assert data["verdict"] == "NOT_METRIZABLE_AT_ORDER(8)"
+    assert data["mobility"]["dims_by_order"] == [6, 6, 5, 3, 0, 0, 0, 0, 0]
     assert data["beta_nonzero"] is True
-    assert code == 12
+    assert data["special_gauge"]["f"] is None
+
+
+@pytest.mark.parametrize("conn", [
+    lambda: models.flat_connection(2),
+    lambda: models.klein_connection(2),
+    lambda: models.sphere_gnomonic_connection(2),
+    models.nonmetrizable_witness,
+], ids=["flat2", "klein2", "gnomonic2", "witness"])
+def test_analysis_is_projectively_invariant(conn):
+    """The analysis depends only on the projective class: moving the input
+    by a 1-form with rational beta != 0 changes no outcome but the 1-form
+    relating each candidate to the input, and the moved input's gauge
+    potential has no closed form."""
+    from projmet import (projective_change, projective_equivalence,
+                         specialize)
+
+    conn = conn()
+    x1, x2 = conn.chart.vars
+    moved = projective_change(conn, [x2 / (1 + x1 ** 2), x1 ** 2 / (2 - x2)])
+    special, ups, f = specialize(moved)
+    assert f is None
+    assert special.is_special()
+    assert projective_change(moved, ups) == special
+    assert projective_equivalence(moved, special) == ups
+
+    options = {"max_order": 8, "samples": 4, "tolerance": 1e-8}
+    base = [Fraction(0)] * 2
+    report, code = analyze_connection(conn, base, options)
+    moved_report, moved_code = analyze_connection(moved, base, options)
+    assert moved_code == code
+    assert moved_report["beta_nonzero"] is True
+    assert moved_report["special_gauge"]["f"] is None
+
+    def invariant(report):
+        metrics = [{k: v for k, v in m.items() if k != "equivalence_upsilon"}
+                   for m in report["metrics"]]
+        return (report["verdict"], report["mobility"], report["solutions"],
+                metrics)
+
+    assert invariant(moved_report) == invariant(report)
 
 
 def test_trace_potential_with_polynomial_part_in_x2(capsys):
@@ -698,4 +743,18 @@ def test_negative_exponent_spec_matches_quotient_spec(tmp_path, capsys):
         code = main(["mobility", _write(tmp_path, f"{name}.json", doc)])
         outputs.append((code, capsys.readouterr().out))
     assert outputs[0] == outputs[1]
-    assert outputs[0][0] == 12
+    assert outputs[0][0] == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["mobility", "curvature"])
+def test_trace_without_closed_form_potential_is_analysed(tmp_path, capsys,
+                                                         command):
+    # t = 3 dx1/(1 + x1^2) is closed, with potential 3 arctan(x1): outside
+    # the supported class, so f is null, and the class is analysed all the
+    # same
+    doc = {"dimension": 2, "christoffel": {"1,1,1": "3/(1 + x1^2)"}}
+    code = main([command, _write(tmp_path, "arctan.json", doc)])
+    data = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert data["special_gauge"] == {"f": None,
+                                     "upsilon": ["-1/(x1^2 + 1)", "0"]}

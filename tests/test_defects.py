@@ -22,22 +22,33 @@ from pathlib import Path
 import pytest
 
 from projmet.cli import (EXIT_INDEFINITE_ONLY, EXIT_INPUT, EXIT_NOT_METRIZABLE,
-                         EXIT_OBSTRUCTED, EXIT_OK, main, run_analysis)
+                         EXIT_OK, main, run_analysis)
 
 DATA = Path(__file__).parent / "data"
 D1_D2 = str(DATA / "liouville_d1_d2.json")
 D3 = str(DATA / "liouville_d3.json")
 WITNESS = {"dimension": 2, "christoffel": {"1,2,2": "x1^2", "2,1,1": "x2"}}
+# a closed trace whose potential 3 arctan(x1) has no closed form
+ARCTAN_TRACE = {"dimension": 2, "christoffel": {"1,1,1": "3/(1 + x1^2)"}}
 DOCUMENTED_EXITS = (EXIT_OK, EXIT_NOT_METRIZABLE, EXIT_INDEFINITE_ONLY,
-                    EXIT_OBSTRUCTED, EXIT_INPUT)
+                    EXIT_INPUT)
+
+
+def _arctan_trace_spec(tmp_path):
+    spec = tmp_path / "arctan.json"
+    spec.write_text(json.dumps(ARCTAN_TRACE))
+    return str(spec)
 
 
 @pytest.mark.xfail(strict=True, raises=TypeError,
                    reason="D1: a truncated candidate stores numpy.bool_ in "
                           "the report, which json cannot serialize")
-def test_d1_analyze_prints_json_with_a_documented_exit_code(capsys):
+@pytest.mark.parametrize("spec", [lambda _: D1_D2, _arctan_trace_spec],
+                         ids=["liouville", "arctan-trace"])
+def test_d1_analyze_prints_json_with_a_documented_exit_code(capsys, tmp_path,
+                                                            spec):
     # order 2 already gives truncated candidates
-    code = main(["analyze", D1_D2, "--max-order", "2"])
+    code = main(["analyze", spec(tmp_path), "--max-order", "2"])
     assert code in DOCUMENTED_EXITS
     json.loads(capsys.readouterr().out)
 

@@ -618,8 +618,6 @@ def test_candidate_connection_is_built_only_for_the_g_built_proof(
     assert diffs == []
     exact = [e["exact"] for e in report["metrics"] if "exact" in e]
     g_built = [c for _, c, _ in built if c.sigma is None]
-    # specialize takes the gradient of its own potential once
-    grads = [f for f in grads if any(f is c.f for _, c, _ in built)]
     if name in ("stereo2-o10", "d2-o8"):
         assert exact and not any(exact)
         assert changes == [] and grads == []

@@ -205,9 +205,9 @@ def test_specialize_roundtrip_from_flat(n, rng):
 @pytest.mark.parametrize("n", [2, 3])
 def test_specialize_kills_nonzero_beta(n, rng):
     """A change by a non-closed 1-form leaves the projective class but
-    breaks Ricci symmetry; both specialization stages together must land
-    back on the unique volume-preserving representative, the flat
-    connection itself."""
+    breaks Ricci symmetry; the one change by -t/(n+1) must land back on
+    the unique volume-preserving representative, the flat connection
+    itself, and the trace, which is not closed, has no potential."""
     chart = Chart(n)
     for _ in range(3):
         ups = [rand_poly(chart, rng, 2, 2) for _ in range(n)]
@@ -216,6 +216,7 @@ def test_specialize_kills_nonzero_beta(n, rng):
             continue  # the random 1-form happened to be closed
         special, total, f = specialize(moved)
         assert special == flat_connection(n)
+        assert f is None
 
 
 def test_specialize_klein_reaches_flat_gauge():
