@@ -17,10 +17,9 @@ from projmet.models import klein_connection
 
 def main():
     conn = klein_connection(2)
-    special, upsilon, f = specialize(conn)
+    special, upsilon = specialize(conn)
     print("special gauge reached:", "flat" if special.is_special() else "?")
     print("gauge 1-form:", [str(c) for c in upsilon.components])
-    print("exact part f:", f.describe())
 
     report, code = analyze_connection(
         conn, [Fraction(0), Fraction(0)],

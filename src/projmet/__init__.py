@@ -9,8 +9,8 @@ and every solution is reconstructed into a candidate metric and verified.
 """
 
 from .errors import *  # noqa: F401,F403
-from .exprcore import (Chart, DifferentialForm, Potential, RationalExpr,
-                       exterior_derivative, potential_of_closed_1form)
+from .exprcore import (Chart, DifferentialForm, RationalExpr,
+                       exterior_derivative)
 from .tensorfield import (TensorField, contract, covariant_derivative,
                           trace_free_part)
 from .projconn import (AffineConnection, ProjectiveData, beta_form,

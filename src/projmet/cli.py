@@ -2,7 +2,7 @@
 report.
 
 The analysis itself lives in `pipeline`.  Reports are deterministic JSON
-(schema 1) with exact rational strings wherever the computation stayed
+(schema 2) with exact rational strings wherever the computation stayed
 exact.
 
 Exit codes: 0 METRIZABLE, 10 NOT_METRIZABLE_AT_ORDER, 11 INDEFINITE_ONLY,
@@ -108,7 +108,7 @@ def parse_spec(doc):
     echo = {
         "dimension": n,
         "variables": list(names),
-        "christoffel": {k: str(v) for k, v in sorted(
+        "christoffel": {k: v.to_str(names) for k, v in sorted(
             (f"{c},{a},{b}", e) for (c, a, b), e in entries.items())},
         "base_point": [fr_str(v) for v in base_point],
         "options": options,
@@ -119,8 +119,8 @@ def parse_spec(doc):
 MAX_ORDER = 64
 # Largest total degree of a Christoffel numerator or denominator, and of
 # each power, product and quotient as the entry writes it (checked by the
-# parser before it expands one): the jet solve and the trace potential are
-# sized by it, and the pinned inputs use at most 5.
+# parser before it expands one): the jet solve is sized by it, and the
+# pinned inputs use at most 5.
 MAX_DEGREE = 32
 
 
@@ -196,9 +196,9 @@ def _cmd_curvature(args):
     report = {"schema": SCHEMA_VERSION, "input": echo, "warnings": []}
     report["beta"] = [[str(beta.components[a][b]) for b in range(n)]
                       for a in range(n)]
-    special, upsilon, f_pot = specialize(conn)
+    special, upsilon = specialize(conn)
     data = decompose_curvature(special)
-    add_gauge_blocks(report, upsilon, f_pot)
+    add_gauge_blocks(report, upsilon)
     report["weyl"] = {
         f"{a + 1},{b + 1},{c + 1},{d + 1}": str(data.weyl.get(a, b, c, d))
         for a in range(n) for b in range(n) for c in range(n) for d in range(n)

@@ -27,10 +27,6 @@ class PoleError(ProjmetError):
     """Denominator vanishes at the requested point."""
 
 
-class NotClosed(ProjmetError):
-    """Form fails the exact closedness check."""
-
-
 class NotPolynomial(ProjmetError):
     """Operation restricted to polynomial components got a rational one."""
 

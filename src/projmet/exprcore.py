@@ -6,10 +6,10 @@ numerator and denominator are coprime polynomials with integer
 coefficients, their joint integer content is 1 and the denominator's
 leading coefficient under graded lex order is positive.  So equality of
 values is plain structural equality.  The polynomials live in sympy's
-sparse ring Z[x1..xn], which also supplies the polynomial gcd and the
-factorisation; rational numbers appear only as `Fraction` scalars
-(constants, points, values and coefficients handed in or out), and the
-rest of the package sees one small, immutable scalar type.  Its string,
+sparse ring Z[x1..xn], which also supplies the polynomial gcd; rational
+numbers appear only as `Fraction` scalars (constants, points, values and
+coefficients handed in or out), and the rest of the package sees one
+small, immutable scalar type.  Its string,
 which every report prints, is written straight from the integer terms,
 in sympy's format with `^` for powers.
 
@@ -25,10 +25,9 @@ evaluator serves `evaluate`, `jet` (value and first partials) and
 `exactseries.series_eval`: it scales the point to integers over the lcm L
 of its denominators and lifts every term to one common degree in `int`.
 
-Also provides low-degree differential forms, exterior differentiation and
-the potentials of exact rational 1-forms: one exact linear solve for a
-rational part, a polynomial and the logarithms of the denominator's
-irreducible factors, sized by total degrees.  The float
+Also provides low-degree differential forms and exterior differentiation,
+which gives beta = dt/(n+1).  No closed 1-form is ever integrated to a
+potential: the special gauge needs only the 1-form itself.  The float
 cross-checks (geodesics, parallel transport) compile entries with
 `compile_numeric` and share one Runge-Kutta step.
 """
@@ -37,20 +36,15 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from sympy import ZZ
-from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
-from sympy.polys.factortools import dmp_factor_list
 from sympy.polys.fields import field as _frac_field
 
-from .errors import (DegreeAboveCap, NotClosed, NotPolynomial, ParseError,
-                     PoleError)
+from .errors import DegreeAboveCap, NotPolynomial, ParseError, PoleError
 
 __all__ = [
     "Chart",
     "RationalExpr",
     "DifferentialForm",
-    "Potential",
     "exterior_derivative",
-    "potential_of_closed_1form",
 ]
 
 
@@ -466,8 +460,12 @@ class RationalExpr:
         """sympy's str() of the fraction, with ^ for powers: `num/den`, the
         numerator in parentheses when it has more than one term and the
         denominator unless it is a constant or a bare variable."""
+        return self.to_str(self.chart._names)
+
+    def to_str(self, names):
+        """str() with coordinate k written `names[k - 1]`, so that
+        `chart.parse(e.to_str(names), names=names) == e`."""
         num, den = self.frac.numer, self.frac.denom
-        names = self.chart._names
         text = _poly_str(num, names)
         if len(den) == 1:
             [(exps, coeff)] = den.items()
@@ -869,94 +867,8 @@ def _d_two_form(form):
 
 
 # ---------------------------------------------------------------------------
-# potentials of exact rational 1-forms: polynomial + rational + log parts
+# common denominators and total degrees in Z[x]
 # ---------------------------------------------------------------------------
-
-class Potential:
-    """Scalar potential f = poly_part + rational_part + sum c_i * log(base_i).
-
-    Only the gradient (always a rational 1-form) and exp(k*f) for suitable
-    integer multiples are ever needed, so the log terms stay formal.
-    """
-
-    def __init__(self, chart, poly_part=None, rational_part=None, log_terms=()):
-        self.chart = chart
-        self.poly_part = poly_part if poly_part is not None else chart.zero
-        self.rational_part = rational_part if rational_part is not None else chart.zero
-        terms = []
-        for base, coeff in log_terms:
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                terms.append((base, coeff))
-        self.log_terms = tuple(terms)
-
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart)
-
-    def is_zero(self):
-        return (self.poly_part.is_zero() and self.rational_part.is_zero()
-                and not self.log_terms)
-
-    def grad(self):
-        """Exact gradient as a rational 1-form."""
-        chart = self.chart
-        n = chart.dim
-        comps = []
-        for a in range(1, n + 1):
-            g = self.poly_part.diff(a) + self.rational_part.diff(a)
-            for base, coeff in self.log_terms:
-                g = g + base.diff(a) * Fraction(coeff) / base
-            comps.append(g)
-        return DifferentialForm(chart, 1, comps)
-
-    def __add__(self, other):
-        if not isinstance(other, Potential):
-            return NotImplemented
-        return Potential(self.chart, self.poly_part + other.poly_part,
-                         self.rational_part + other.rational_part,
-                         self.log_terms + other.log_terms)
-
-    def scale(self, k):
-        k = Fraction(k)
-        return Potential(self.chart, self.poly_part * k, self.rational_part * k,
-                         [(b, c * k) for b, c in self.log_terms])
-
-    def exp(self):
-        """exp(f) as a RationalExpr; defined when the non-log parts vanish and
-        every log coefficient is an integer."""
-        if not self.poly_part.is_zero() or not self.rational_part.is_zero():
-            raise ValueError("exp of a non-log potential is not rational")
-        out = self.chart.one
-        for base, coeff in self.log_terms:
-            if coeff.denominator != 1:
-                raise ValueError("exp needs integer log coefficients")
-            out = out * base ** int(coeff)
-        return out
-
-    def describe(self):
-        parts = []
-        if not self.poly_part.is_zero():
-            parts.append(str(self.poly_part))
-        if not self.rational_part.is_zero():
-            parts.append(str(self.rational_part))
-        for base, coeff in self.log_terms:
-            if coeff == 1:
-                parts.append(f"log({base})")
-            elif coeff == -1:
-                parts.append(f"-log({base})")
-            else:
-                parts.append(f"{coeff}*log({base})")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __repr__(self):
-        return f"Potential({self.describe()})"
-
 
 def _common_denominator(exprs):
     """lcm in Z[x], up to sign, of the canonical denominators of a nonempty
@@ -978,148 +890,6 @@ def _common_denominator(exprs):
     return den * (scale // gcd(scale, den.content()))
 
 
-def potential_of_closed_1form(omega):
-    """Scalar potential of an exact rational 1-form on the star-shaped chart.
-
-    One exact ansatz covers every form: the split of an integral into a
-    rational and a logarithmic part (Bronstein, Symbolic Integration I,
-    ch. 2).  Let D = prod D_i^m_i be the irreducible factorisation of the
-    lcm of the component denominators and h = prod D_i^(m_i - 1).  The
-    potential is sought as f = P/h + Q + sum c_i log D_i.  Cleared of the
-    denominator D h^2, df = omega is one linear system over Q in the
-    coefficients of P and Q and the c_i.
-
-    The ansatz is sized from the form by total degrees.  Let top be the
-    largest deg(numerator) - deg(denominator) of a nonzero component, plus
-    one, and at least 0.  A rational part of degree d >= 1 has a top
-    homogeneous part F with x . grad F = d F (Euler), so its gradient has
-    degree d - 1, while each d log D_i is O(1/|x|) as |x| -> infinity: the
-    two cannot cancel, and d <= top.  Hence:
-
-    - h constant (squarefree D): Q has the monomials of degree 1..top and
-      P is absent.  The representation is then unique.
-    - h not constant: P has the monomials of degree <= top + deg h and Q is
-      absent, since Q = Q h / h is already a P.
-
-    A solution is an exact identity df = omega, so omega is closed; only
-    when the system has none is closedness tested, to raise NotClosed
-    rather than NotPolynomial.
-    """
-    from .exactlinalg import solve_linear_system
-
-    chart = omega.chart
-    n = chart.dim
-    ring = chart._ring
-    gens = ring.gens
-
-    # lcm of the component denominators and its irreducible factors, each a
-    # primitive integer polynomial (canonical denominator 1)
-    den = _common_denominator(omega.components)
-    origin = [0] * n
-    bases = []
-    h = ring.one
-    for f, m in _factor_list(den):
-        base = RationalExpr(chart, chart._field.raw_new(f, ring.one))
-        if base.evaluate(origin) < 0:
-            # same log-gradient, but exp() stays positive near the centre
-            base = -base
-        bases.append(base)
-        h *= base.frac.numer ** (m - 1)
-
-    # the columns: each unknown's gradient times clear = den * h^2, and
-    # omega times clear, all polynomials
-    top = max([_tdeg(c.frac.numer) - _tdeg(c.frac.denom) + 1
-               for c in omega.components if c] + [0])
-    clear = den * h ** 2
-    if h.is_ground:
-        monos = [m for m in _monomials_upto(n, top) if sum(m) > 0]
-        cols = [[ring.term_new(m, 1).diff(x) * clear for x in gens]
-                for m in monos]
-    else:
-        monos = _monomials_upto(n, top + _tdeg(h))
-        dh = [h.diff(x) for x in gens]
-        cols = []
-        for m in monos:
-            p = ring.term_new(m, 1)
-            cols.append([(p.diff(x) * h - p * dhx) * den
-                         for x, dhx in zip(gens, dh)])
-    for base in bases:
-        b = base.frac.numer
-        rest = clear.exquo(b)
-        cols.append([b.diff(x) * rest for x in gens])
-    ncols = len(cols)
-    cols.append([c.frac.numer * clear.exquo(c.frac.denom)
-                 for c in omega.components])
-
-    # one sparse row per (component, monomial), omega in column ncols
-    rows = {}
-    for a in range(n):
-        for j, col in enumerate(cols):
-            for exps, coeff in col[a].items():
-                row = rows.setdefault((a,) + exps, {})
-                row[j] = row.get(j, 0) + coeff
-    sol = solve_linear_system(list(rows.values()), ncols)
-    if sol is None:
-        if not omega.d().is_zero():
-            raise NotClosed("1-form is not closed")
-        raise NotPolynomial("closed 1-form has no potential in the supported class")
-
-    acc = {m: value for m, value in zip(monos, sol) if value}
-    logs = [(base, value) for base, value in zip(bases, sol[len(monos):])
-            if value]
-    poly_part = rational_part = chart.zero
-    if acc and h.is_ground:
-        poly_part = chart.from_coeff_dict(acc)
-    elif acc:
-        rational_part = chart.from_coeff_dict(acc) / RationalExpr(
-            chart, chart._field.raw_new(h, ring.one))
-    return Potential(chart, poly_part=poly_part, rational_part=rational_part,
-                     log_terms=logs)
-
-
-def _factor_list(poly):
-    """[(irreducible factor, multiplicity)] of a polynomial in Z[x], in the
-    order of sympy.factor_list(poly.as_expr()), without that round trip
-    through expressions (whose generator sort prints every symbol).
-
-    As there, the monomial content x^low comes off first, each variable of
-    it its own factor, and the rest q is factored in its dense form in the
-    variables it has.  All factors are then sorted as sympy sorts them: by
-    the length of the dense form, the number of its variables, the
-    multiplicity and the dense coefficients.
-    """
-    ring = poly.ring
-    columns = list(zip(*poly.itermonoms()))
-    low = list(map(min, columns))
-    # a variable is its own dense form [1, 0] in one variable
-    keyed = [((2, 1, e, [1, 0]), x, e)
-             for x, e in zip(ring.gens, low) if e]
-    present = [i for i, (col, e) in enumerate(zip(columns, low))
-               if max(col) > e]
-    if present:
-        u = len(present) - 1
-        dense = dmp_from_dict({tuple(m[i] - low[i] for i in present): c
-                               for m, c in poly.items()}, u, ZZ)
-        for f, m in dmp_factor_list(dense, u, ZZ)[1]:
-            terms = {}
-            for exps, c in dmp_to_dict(f, u, ZZ).items():
-                full = [0] * ring.ngens
-                for i, e in zip(present, exps):
-                    full[i] = e
-                terms[tuple(full)] = c
-            keyed.append(((len(f), len(present), m, f),
-                          ring.from_dict(terms), m))
-    return [(f, m) for _, f, m in sorted(keyed, key=lambda t: t[0])]
-
-
 def _tdeg(poly):
     """Total degree of a nonzero polynomial."""
     return max(map(sum, poly))
-
-
-def _monomials_upto(n, deg):
-    """Exponent tuples of total degree <= deg, in lexicographic order."""
-    if n == 0:
-        return [()]
-    return [(e,) + rest for e in range(deg + 1)
-            for rest in _monomials_upto(n - 1, deg - e)]

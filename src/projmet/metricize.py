@@ -37,8 +37,7 @@ from math import prod
 from .errors import (DegenerateMetric, DegenerateSigma, DimensionTooSmall,
                      PoleError, PoleOnPath, ShapeError, StepUnderflow)
 from .exactlinalg import adjugate, leibniz_det, symmetric_signature
-from .exprcore import (DifferentialForm, Potential, _compile_nonzero,
-                       _rk4_step)
+from .exprcore import DifferentialForm, _compile_nonzero, _rk4_step
 # projective_equivalence lives in projconn; it stays importable from here
 # with the other verification checks
 from .projconn import (AffineConnection, _schouten_and_weyl, _trace_upsilon,
@@ -105,12 +104,12 @@ class MetricCandidate:
 
     `sigma` is None for a candidate built from its metric g^{ab}.  The
     candidate is built from the tensor t (sigma, or g^{ab}), the special
-    connection and D = det t: `det_sigma` is D, `f` the log potential
-    k log D.  `upsilon` = grad f, `connection` (the special connection
-    changed by `upsilon`) and `g_down` (the symbolic inverse of `g_up`) are
-    built on first access and kept.  The checks at points read `jets_at`
-    and the exact proof is `solves_metrizability`; neither builds any of
-    them.
+    connection and D = det t: `det_sigma` is D, `f` the report string of
+    the log potential k log D.  `upsilon` = grad f = k dD/D, `connection`
+    (the special connection changed by `upsilon`) and `g_down` (the
+    symbolic inverse of `g_up`) are built on first access and kept.  The
+    checks at points read `jets_at` and the exact proof is
+    `solves_metrizability`; neither builds any of them.
     """
 
     __slots__ = ("sigma", "det_sigma", "f", "g_up", "base_point", "signature",
@@ -121,7 +120,7 @@ class MetricCandidate:
                  base_point):
         self.sigma = t if from_sigma else None
         self.det_sigma = det
-        self.f = Potential(t.chart, log_terms=[(det, log_coeff)])
+        self.f = f"{log_coeff}*log({det})"
         self.g_up = g_up
         self.base_point = base_point
         self.signature = None
@@ -136,7 +135,9 @@ class MetricCandidate:
     @property
     def upsilon(self):
         if self._upsilon is None:
-            self._upsilon = self.f.grad()
+            D, k = self.det_sigma, self._log_coeff
+            self._upsilon = DifferentialForm(D.chart, 1, [
+                D.diff(a) * k / D for a in range(1, D.chart.dim + 1)])
         return self._upsilon
 
     @property

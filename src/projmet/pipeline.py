@@ -23,7 +23,7 @@ from .tractor import section_dim, sym_pairs, unpack_values
 
 __all__ = ["analyze_connection"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_NOT_METRIZABLE = 10
 EXIT_INDEFINITE_ONLY = 11
@@ -65,20 +65,18 @@ def run_to_jets(conn, base_point, max_order, report, flag_beta=False):
     check_base_point(conn, base_point)
     if flag_beta:
         report["beta_nonzero"] = not beta_form(conn).is_zero()
-    special, upsilon, f_pot = specialize(conn)
+    special, upsilon = specialize(conn)
     data = decompose_curvature(special)
     jets = degree_of_mobility(special, base_point, max_order, data)
-    add_gauge_blocks(report, upsilon, f_pot, jets)
+    add_gauge_blocks(report, upsilon, jets)
     return special, upsilon, data, jets
 
 
-def add_gauge_blocks(report, upsilon, f_pot, jets=None):
-    """The `special_gauge` block, with f null when the gauge potential has
-    no closed form, and the `mobility` block when jets are given."""
+def add_gauge_blocks(report, upsilon, jets=None):
+    """The `special_gauge` block, the 1-form that changes the input into
+    the special connection, and the `mobility` block when jets are given."""
     report["special_gauge"] = {
-        "upsilon": [str(c) for c in upsilon.components],
-        "f": None if f_pot is None else f_pot.describe(),
-    }
+        "upsilon": [str(c) for c in upsilon.components]}
     if jets is not None:
         report["mobility"] = {
             "dimension": jets.dim,
@@ -320,7 +318,7 @@ def analyze_connection(conn, base_point, options, echo=None):
             "definite": cand.definite,
             "warnings": cand.warnings,
             "g_upper": _symmetric_strings(cand.g_up),
-            "f": cand.f.describe(),
+            "f": cand.f,
         }
         entry["verified"] = _verify_candidate(upsilon, cand, slots, jets,
                                               samples, tol, flat, exact,

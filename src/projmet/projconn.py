@@ -20,11 +20,9 @@ are the unique solution of those linear conventions.
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import (NotClosed, NotEquivalent, NotPolynomial, NotSpecial,
-                     ShapeError)
-from .exprcore import (DifferentialForm, Potential, RationalExpr,
-                       _common_denominator, exterior_derivative,
-                       potential_of_closed_1form)
+from .errors import NotEquivalent, NotSpecial, ShapeError
+from .exprcore import (DifferentialForm, RationalExpr, _common_denominator,
+                       exterior_derivative)
 from .tensorfield import TensorField
 
 __all__ = [
@@ -305,24 +303,20 @@ def specialize(conn):
 
     The projective class holds exactly one connection with zero Christoffel
     trace: the change by Y = -t/(n+1), for the trace t_a = Gamma^b_ab, which
-    adds (n+1) Y to the trace.  Returns (special connection, Y, f), where
-    f = -h/(n+1) is the gauge potential when t = dh has a closed-form
-    potential (`potential_of_closed_1form`), and None otherwise: when
-    beta = dt/(n+1) is not zero, or when h leaves the supported class.
-    When `conn` is already special it is returned itself, so its kept
-    trace form serves the gauge check of `decompose_curvature` too.
+    adds (n+1) Y to the trace.  Returns (special connection, Y).  Y is
+    rational for every input, closed or not; no potential f with df = Y is
+    sought, since the metrizability system is projectively invariant and
+    nothing downstream reads one.  When `conn` is already special it is
+    returned itself, so its kept trace form serves the gauge check of
+    `decompose_curvature` too.
     """
     chart = conn.chart
     n = chart.dim
     trace = conn.trace_form()
     if trace.is_zero():
-        return conn, DifferentialForm.zero(chart, 1), Potential.zero(chart)
+        return conn, DifferentialForm.zero(chart, 1)
     ups = DifferentialForm(chart, 1, [-c / (n + 1) for c in trace.components])
-    try:
-        f = potential_of_closed_1form(trace).scale(Fraction(-1, n + 1))
-    except (NotClosed, NotPolynomial):
-        f = None
-    return projective_change(conn, ups), ups, f
+    return projective_change(conn, ups), ups
 
 
 def full_curvature(conn):

@@ -162,14 +162,14 @@ def test_criterion_3_space_form_models():
         for n in (2, 3):
             for conn in (klein_connection(n), sphere_gnomonic_connection(n),
                          sphere_stereographic_connection(n)):
-                special, _, _ = specialize(conn)
+                special, _ = specialize(conn)
                 data = decompose_curvature(special)
                 assert tractor_curvature(special, data).is_zero()
         # full mobility bound
         for n, bound in ((2, 6), (3, 10)):
             for conn in (klein_connection(n),
                          sphere_stereographic_connection(n)):
-                special, _, _ = specialize(conn)
+                special, _ = specialize(conn)
                 js = degree_of_mobility(special, [0] * n, 5)
                 assert js.dim == bound and js.stabilized
         # reconstructed reference curvatures, exactly (candidates are
@@ -489,7 +489,7 @@ def test_criterion_9_specialization():
                 conn = levi_civita(g)
                 f, df = rand_exact_oneform(chart, rng)
                 moved = projective_change(conn, df)
-                special, ups, fpot = specialize(moved)
+                special, _ = specialize(moved)
                 assert special.is_special()
                 assert beta_form(special).is_zero()
         chart = Chart(2)

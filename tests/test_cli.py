@@ -71,7 +71,8 @@ def test_parse_error_columns_count_the_text_as_written(tmp_path, capsys):
 
 
 def test_swapped_default_names_still_name_their_coordinates(tmp_path, capsys):
-    """Under ["x2", "x1"], x2 is coordinate 1 and x1 coordinate 2."""
+    """Under ["x2", "x1"], x2 is coordinate 1 and x1 coordinate 2, and the
+    echo writes each entry in those names."""
     doc = {"dimension": 2, "variables": ["x2", "x1"],
            "christoffel": {"1,2,2": "x2^2 + 3*x1", "2,1,1": "x1/(1 + x2)"}}
     conn = parse_spec(doc)[0]
@@ -84,9 +85,12 @@ def test_swapped_default_names_still_name_their_coordinates(tmp_path, capsys):
                                             "2,1,1": "x2/(1 + x1)"}})]:
         assert main(["curvature", _write(tmp_path, f"{name}.json", spec)]) \
             == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        del report["input"]["variables"]
-        reports.append(report)
+        reports.append(json.loads(capsys.readouterr().out))
+    swapped, plain = (report.pop("input") for report in reports)
+    assert swapped["christoffel"] == {"1,2,2": "x2^2 + 3*x1",
+                                      "2,1,1": "x1/(x2 + 1)"}
+    assert plain["christoffel"] == {"1,2,2": "x1^2 + 3*x2",
+                                    "2,1,1": "x2/(x1 + 1)"}
     assert reports[0] == reports[1]
 
 
@@ -118,11 +122,10 @@ def test_entries_that_raised_are_input_errors(tmp_path, capsys, entry,
     _assert_input_error(capsys, code, message)
 
 
-def test_trace_potential_rows_stay_sparse(tmp_path, capsys, monkeypatch):
-    """Every exact solve hands the eliminator sparse rows: the trace
-    potential of Gamma^1_12 = x1^12 has a row per (component, monomial)
-    and a column per monomial up to degree 13, but each row has at most a
-    few entries.  Dense rows would give rows x columns entries."""
+def test_jet_solve_rows_stay_sparse(capsys, monkeypatch):
+    """Every exact solve hands the eliminator sparse rows: the jet solve's
+    `nullspace` on a curved input gets dict rows with at most a few
+    entries each.  Dense rows would give rows x columns entries."""
     import projmet.exactlinalg as exactlinalg
 
     calls = []
@@ -134,14 +137,42 @@ def test_trace_potential_rows_stay_sparse(tmp_path, capsys, monkeypatch):
         return rref(rows, ncols)
 
     monkeypatch.setattr(exactlinalg, "_rref", spy)
-    doc = {"dimension": 3, "christoffel": {"1,1,2": "x1^12"}}
-    spec = _write(tmp_path, "x1^12.json", doc)
-    assert main(["mobility", spec, "--max-order", "3"]) == EXIT_OK
+    assert main(["mobility", str(DATA / "liouville_d3.json")]) == EXIT_OK
     capsys.readouterr()
     rows = [row for call_rows, _ in calls for row in call_rows]
-    assert max(ncols for _, ncols in calls) > 400
+    assert rows
     assert all(type(row) is dict for row in rows)
     assert sum(map(len, rows)) <= 4 * len(rows)
+
+
+def test_mobility_solves_no_system_wider_than_a_section(tmp_path, capsys,
+                                                       monkeypatch):
+    """`mobility` on a one-term entry at the degree cap in n = 4 ends at
+    once: no exact solve is wider than the prolonged bundle, whose
+    section_dim(4) = 15 coordinates are the jet solve's columns.  The spy
+    raises on a wider call instead of letting it run."""
+    import time
+
+    import projmet.exactlinalg as exactlinalg
+    from projmet.tractor import section_dim
+
+    width = section_dim(4)
+    assert width == 15
+    rref = exactlinalg._rref
+
+    def spy(rows, ncols):
+        if ncols > width:
+            raise AssertionError(f"exact solve with {ncols} columns")
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(exactlinalg, "_rref", spy)
+    doc = {"dimension": 4, "christoffel": {"1,1,2": "x1^32"}}
+    spec = _write(tmp_path, "x1^32.json", doc)
+    start = time.perf_counter()
+    assert main(["mobility", spec, "--max-order", "3"]) == EXIT_OK
+    assert time.perf_counter() - start < 5
+    data = json.loads(capsys.readouterr().out)
+    assert data["special_gauge"] == {"upsilon": ["0", "-x1^32/5", "0", "0"]}
 
 
 def test_parse_spec_symmetry_and_errors():
@@ -343,7 +374,7 @@ def test_report_written(tmp_path):
     spec = _write(tmp_path, "flat.json", FLAT2)
     out = tmp_path / "report.json"
     report, _ = run_analysis(spec, report_path=str(out))
-    assert json.loads(out.read_text())["schema"] == 1
+    assert json.loads(out.read_text())["schema"] == 2
 
 
 def test_main_analyze_exit_codes(tmp_path, capsys):
@@ -532,8 +563,8 @@ def test_degree_above_the_cap_is_an_input_error(tmp_path, capsys, command,
                                                 entry, degree):
     """The total degree of each Christoffel numerator and denominator is
     capped (cli.MAX_DEGREE), and the entry is named; the check runs while
-    the spec is read, so `x1^400` returns at once instead of sizing the
-    trace potential's ansatz by its degree."""
+    the spec is read, so `x1^400` returns at once instead of expanding
+    the power."""
     import time
 
     from projmet.cli import MAX_DEGREE
@@ -662,9 +693,9 @@ def test_indefinite_only(tmp_path):
 
 
 def test_rational_beta_gets_the_verdict_of_its_class(tmp_path, capsys):
-    # non-symmetric Ricci with a rational beta: the trace has no potential,
-    # so the gauge potential f is null, but the class is analysed all the
-    # same; the admissible space dies by order 5, an exact rank
+    # non-symmetric Ricci with a rational beta: the trace is not closed,
+    # and the class is analysed all the same through its gauge 1-form; the
+    # admissible space dies by order 5, an exact rank
     doc = {"dimension": 2,
            "christoffel": {"1,1,1": "x2/(1 + x1^2)"}}
     spec = _write(tmp_path, "rational_beta.json", doc)
@@ -674,7 +705,7 @@ def test_rational_beta_gets_the_verdict_of_its_class(tmp_path, capsys):
     assert data["verdict"] == "NOT_METRIZABLE_AT_ORDER(8)"
     assert data["mobility"]["dims_by_order"] == [6, 6, 5, 3, 0, 0, 0, 0, 0]
     assert data["beta_nonzero"] is True
-    assert data["special_gauge"]["f"] is None
+    assert set(data["special_gauge"]) == {"upsilon"}
 
 
 @pytest.mark.parametrize("conn", [
@@ -686,16 +717,14 @@ def test_rational_beta_gets_the_verdict_of_its_class(tmp_path, capsys):
 def test_analysis_is_projectively_invariant(conn):
     """The analysis depends only on the projective class: moving the input
     by a 1-form with rational beta != 0 changes no outcome but the 1-form
-    relating each candidate to the input, and the moved input's gauge
-    potential has no closed form."""
+    relating each candidate to the input."""
     from projmet import (projective_change, projective_equivalence,
                          specialize)
 
     conn = conn()
     x1, x2 = conn.chart.vars
     moved = projective_change(conn, [x2 / (1 + x1 ** 2), x1 ** 2 / (2 - x2)])
-    special, ups, f = specialize(moved)
-    assert f is None
+    special, ups = specialize(moved)
     assert special.is_special()
     assert projective_change(moved, ups) == special
     assert projective_equivalence(moved, special) == ups
@@ -706,7 +735,6 @@ def test_analysis_is_projectively_invariant(conn):
     moved_report, moved_code = analyze_connection(moved, base, options)
     assert moved_code == code
     assert moved_report["beta_nonzero"] is True
-    assert moved_report["special_gauge"]["f"] is None
 
     def invariant(report):
         metrics = [{k: v for k, v in m.items() if k != "equivalence_upsilon"}
@@ -717,21 +745,18 @@ def test_analysis_is_projectively_invariant(conn):
     assert invariant(moved_report) == invariant(report)
 
 
-def test_trace_potential_with_polynomial_part_in_x2(capsys):
+def test_flat_change_by_log_and_polynomial_potential_is_metrizable(capsys):
     # the flat connection changed by psi = omega/3, with omega =
-    # d(1/2 log(x1 + 8) + 1/2 log(x2 + 8) + x2^5): the trace potential has a
-    # polynomial part of degree 5 in x2 and none in x1
-    from projmet import Chart, DifferentialForm, potential_of_closed_1form
-
+    # d(1/2 log(x1 + 8) + 1/2 log(x2 + 8) + x2^5): the gauge 1-form is
+    # -omega/3 exactly, and no potential of it is sought
     assert main(["analyze", str(DATA / "flat_log_poly_change.json")]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "METRIZABLE"
-    ch = Chart(2)
-    x1, x2 = ch.vars
-    omega = DifferentialForm(ch, 1, [1 / (2 * x1 + 16),
-                                     1 / (2 * x2 + 16) + 5 * x2 ** 4])
-    assert (potential_of_closed_1form(omega).describe()
-            == "x2^5 + 1/2*log(x2 + 8) + 1/2*log(x1 + 8)")
+    from projmet import Chart
+
+    x1, x2 = Chart(2).vars
+    omega = [1 / (2 * x1 + 16), 1 / (2 * x2 + 16) + 5 * x2 ** 4]
+    assert data["special_gauge"] == {"upsilon": [str(-w / 3) for w in omega]}
 
 
 def test_negative_exponent_spec_matches_quotient_spec(tmp_path, capsys):
@@ -749,12 +774,10 @@ def test_negative_exponent_spec_matches_quotient_spec(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["mobility", "curvature"])
 def test_trace_without_closed_form_potential_is_analysed(tmp_path, capsys,
                                                          command):
-    # t = 3 dx1/(1 + x1^2) is closed, with potential 3 arctan(x1): outside
-    # the supported class, so f is null, and the class is analysed all the
-    # same
+    # t = 3 dx1/(1 + x1^2) is closed, with potential 3 arctan(x1), which
+    # is not rational: the class is analysed through its gauge 1-form
     doc = {"dimension": 2, "christoffel": {"1,1,1": "3/(1 + x1^2)"}}
     code = main([command, _write(tmp_path, "arctan.json", doc)])
     data = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
-    assert data["special_gauge"] == {"f": None,
-                                     "upsilon": ["-1/(x1^2 + 1)", "0"]}
+    assert data["special_gauge"] == {"upsilon": ["-1/(x1^2 + 1)", "0"]}

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic, the parser, forms and potentials."""
+"""Exact scalar arithmetic, the parser and forms."""
 
 import random
 from fractions import Fraction
@@ -6,11 +6,10 @@ from math import gcd
 
 import pytest
 import sympy
-from sympy import QQ, ZZ, factor_list
+from sympy import QQ, ZZ
 from sympy.polys.rings import PolyElement
 
-from projmet import (Chart, DifferentialForm, NotClosed, NotPolynomial,
-                     ParseError, PoleError, potential_of_closed_1form)
+from projmet import Chart, DifferentialForm, ParseError, PoleError
 from projmet.exprcore import RationalExpr
 
 from conftest import rand_poly
@@ -460,186 +459,7 @@ def test_d_squared_is_zero(n, rng):
         assert w.d().d().is_zero()
 
 
-# -- rational potentials ------------------------------------------------------
-
-def test_polynomial_potential(ch2):
-    x, y = ch2.vars
-    f = x ** 2 * y + y
-    w = DifferentialForm(ch2, 0, f).d()
-    pot = potential_of_closed_1form(w)
-    assert pot.poly_part == f
-    assert not pot.log_terms
-
-
-def test_log_potential(ch2):
-    x, y = ch2.vars
-    base = 1 + x ** 2 + y ** 2
-    w = DifferentialForm(ch2, 1, [base.diff(1) / base, base.diff(2) / base])
-    pot = potential_of_closed_1form(w)
-    grad = pot.grad()
-    assert (grad - w).is_zero()
-    assert pot.log_terms
-
-
-def test_mixed_rational_potential(ch2):
-    x, y = ch2.vars
-    # f = x/(1+y^2) + 3 log(1+x^2) + x*y
-    base = 1 + x ** 2
-    f_rat = x / (1 + y ** 2)
-    comps = [f_rat.diff(1) + 3 * base.diff(1) / base + y,
-             f_rat.diff(2) + x]
-    w = DifferentialForm(ch2, 1, comps)
-    pot = potential_of_closed_1form(w)
-    assert (pot.grad() - w).is_zero()
-
-
-def test_potential_exp_and_scale(ch2):
-    x, y = ch2.vars
-    base = 1 + x ** 2 + y ** 2
-    from projmet import Potential
-    pot = Potential(ch2, log_terms=[(base, Fraction(-1, 2))])
-    assert pot.scale(-2).exp() == base
-    with pytest.raises(ValueError):
-        pot.exp()
-    for k in (1, 2, 3):
-        inv = Potential(ch2, log_terms=[(1 - x, -k)]).exp()
-        assert inv == 1 / (1 - x) ** k
-        assert hash(inv) == hash(1 / (1 - x) ** k)
-
-
-def _irreducible(expr):
-    _, factors = factor_list(expr.frac.numer.as_expr())
-    return len(factors) == 1 and factors[0][1] == 1
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_factor_list_matches_sympy_order(n):
-    """The potential's log bases come from `_factor_list` in Z[x], in the
-    order sympy.factor_list gives for the expression: monomial content,
-    absent coordinates, repeated factors and integer content included."""
-    from projmet.exprcore import _factor_list
-
-    rng = random.Random(f"factor-list-{n}")
-    chart = Chart(n)
-    ring, field = chart._ring, chart._field
-    x = ring.gens
-    checked = 0
-    for _ in range(40):
-        den = ring.one * rng.choice([1, 2, -1, 6])
-        for _ in range(rng.randint(1, 3)):
-            f = ring.zero
-            for _ in range(rng.randint(1, 3)):
-                e = tuple(rng.randint(0, 2) if rng.random() < 0.6 else 0
-                          for _ in range(n))
-                f += ring.term_new(e, rng.choice([-3, -2, -1, 1, 2, 5]))
-            if f and not f.is_ground:
-                den *= f ** rng.randint(1, 2)
-        if den.is_ground:
-            continue
-        want = [(field.from_expr(f), int(m))
-                for f, m in factor_list(den.as_expr())[1]]
-        assert [(field.raw_new(f, ring.one), m)
-                for f, m in _factor_list(den)] == want
-        checked += 1
-    assert checked >= 20
-    # monomial content beside a factor free of x1, and a single term
-    if n >= 2:
-        for den in (x[0] * x[1] ** 2 * (x[1] + 1) ** 2, 3 * x[1] ** 2 * x[0]):
-            want = [(field.from_expr(f), int(m))
-                    for f, m in factor_list(den.as_expr())[1]]
-            assert [(field.raw_new(f, ring.one), m)
-                    for f, m in _factor_list(den)] == want
-
-
-def _log_bases(chart, rng, count):
-    """Distinct irreducible integer polynomials with a positive constant
-    term, each of degree one in some coordinate."""
-    n = chart.dim
-    bases = [1 + sum((x ** 2 for x in chart.vars), chart.zero)]
-    while len(bases) < count:
-        k = rng.randint(1, n)
-        rest = sum((rng.randint(-2, 2) * x ** rng.randint(1, 3)
-                    for j, x in enumerate(chart.vars, 1) if j != k),
-                   chart.zero)
-        base = rng.randint(1, 9) + rng.choice([-1, 1]) * chart.var(k) + rest
-        if base not in bases:
-            bases.append(base)
-    return bases
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_potential_recovers_log_and_polynomial_parts(n):
-    chart = Chart(n)
-    rng = random.Random(8 + n)
-    last = chart.var(n)
-    for trial in range(3):
-        # Q has no constant term and a part free of x1 of higher degree
-        poly = rand_poly(chart, rng, 3, 3)
-        poly = (poly - poly.evaluate([0] * n)
-                + rng.randint(1, 3) * last ** (3 + trial))
-        bases = _log_bases(chart, rng, 1 + trial)
-        for base in bases:
-            assert _irreducible(base)
-            assert base.evaluate([0] * n) > 0
-        coeffs = [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
-                  for _ in bases]
-        omega = DifferentialForm(chart, 1, [
-            poly.diff(a) + sum((c * b.diff(a) / b for b, c in zip(bases, coeffs)),
-                               chart.zero)
-            for a in range(1, n + 1)])
-        pot = potential_of_closed_1form(omega)
-        # a squarefree denominator makes the representation unique
-        assert pot.poly_part == poly
-        assert pot.rational_part.is_zero()
-        assert set(pot.log_terms) == set(zip(bases, coeffs))
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_potential_repeated_factor_polynomial_and_zero(n):
-    chart = Chart(n)
-    rng = random.Random(30 + n)
-    x1, last = chart.var(1), chart.var(n)
-    base = 2 + x1 - last ** 2
-    f = (x1 + 1) / base ** 2 + Fraction(3, 2) * last ** 2
-    omega = DifferentialForm(chart, 1, [
-        f.diff(a) - base.diff(a) / base for a in range(1, n + 1)])
-    assert (potential_of_closed_1form(omega).grad() - omega).is_zero()
-
-    gen = rand_poly(chart, rng, 4, 4) + last ** 5
-    pot = potential_of_closed_1form(DifferentialForm(chart, 0, gen).d())
-    # the potential has no constant term
-    assert pot.poly_part == gen - gen.evaluate([0] * n)
-    assert pot.rational_part.is_zero() and not pot.log_terms
-
-    assert potential_of_closed_1form(DifferentialForm.zero(chart, 1)).is_zero()
-
-    zero = [chart.zero] * (n - 1)
-    for comp in (last, last / (1 + x1)):
-        with pytest.raises(NotClosed):
-            potential_of_closed_1form(DifferentialForm(chart, 1, [comp] + zero))
-    # closed, but its potential is arctan(x1)
-    with pytest.raises(NotPolynomial):
-        potential_of_closed_1form(
-            DifferentialForm(chart, 1, [1 / (1 + x1 ** 2)] + zero))
-
-
-def test_potential_of_sparse_n3_ansatz():
-    # 122 unknowns against 1173 equations with 5.9% nonzeros: the exact
-    # solve must stay sparse
-    chart = Chart(3)
-    x1, x2, x3 = chart.vars
-    poly = 2 * x3 ** 7 + x1 * x2 ** 3 - x2 * x3
-    logs = [(1 + x1 ** 2 + x2 ** 2 + x3 ** 2, Fraction(1, 2)),
-            (3 - x2 + 2 * x1 ** 2, Fraction(1)),
-            (5 + x3 - x1 * x2, Fraction(3, 2))]
-    omega = DifferentialForm(chart, 1, [
-        poly.diff(a) + sum((c * b.diff(a) / b for b, c in logs), chart.zero)
-        for a in (1, 2, 3)])
-    pot = potential_of_closed_1form(omega)
-    assert pot.poly_part == poly
-    assert pot.rational_part.is_zero()
-    assert set(pot.log_terms) == set(logs)
-
+# -- common denominators -----------------------------------------------------
 
 def _sources_of_denominators():
     """Denominator lists from crafted and real inputs: repeats that are not

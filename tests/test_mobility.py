@@ -158,10 +158,10 @@ def test_base_point_independence():
     pts2 = [[0, 0], [Fraction(1, 4), Fraction(-1, 8)], [Fraction(-1, 3), 0]]
     for p in pts2:
         assert degree_of_mobility(flat_connection(2), p, 4).dim == 6
-    special, _, _ = specialize(klein_connection(2))
+    special, _ = specialize(klein_connection(2))
     for p in pts2:
         assert degree_of_mobility(special, p, 4).dim == 6
-    stereo, _, _ = specialize(sphere_stereographic_connection(2))
+    stereo, _ = specialize(sphere_stereographic_connection(2))
     for p in pts2:
         assert degree_of_mobility(stereo, p, 4).dim == 6
 
@@ -189,7 +189,7 @@ def test_expand_matrices_inverts_each_denominator_once(monkeypatch):
     from projmet import exactseries
     import projmet.mobility as mobility
 
-    special, _, _ = specialize(sphere_stereographic_connection(3))
+    special, _ = specialize(sphere_stereographic_connection(3))
     table = connection_matrices(special, decompose_curvature(special))
     mats = table.matrices()
     point = [Fraction(1, 4), Fraction(-1, 8), Fraction(0)]
@@ -257,7 +257,7 @@ def test_flat_structure_predicts_each_coefficient_once(monkeypatch):
     monkeypatch.setattr(mobility, "_difference_rows", forbidden)
     monkeypatch.setattr(mobility, "nullspace", forbidden)
     predicted = _counted_predictions(monkeypatch)
-    special, _, _ = specialize(klein_connection(4))
+    special, _ = specialize(klein_connection(4))
     js = degree_of_mobility(special, [0] * 4, 6)
     assert js.dims == [15] * 7
     # every monomial of order 1..6 in four variables, once
@@ -280,7 +280,7 @@ def test_curved_structure_compares_predictions(monkeypatch):
 
     monkeypatch.setattr(mobility, "_difference_rows", counted)
     predicted = _counted_predictions(monkeypatch)
-    special, _, _ = specialize(load_spec(str(DATA / "liouville_d3.json"))[0])
+    special, _ = specialize(load_spec(str(DATA / "liouville_d3.json"))[0])
     js = degree_of_mobility(special, [0, 0], 6)
     assert made
     assert len(predicted) > len(set(predicted))
@@ -341,7 +341,7 @@ def test_combine_matches_the_fraction_series(rng):
     """`combine` reads a combination of the basis solutions off the
     integer rows; it equals the combination of the Fraction series, slot
     by slot, in lowest terms."""
-    special, _, _ = specialize(sphere_stereographic_connection(2))
+    special, _ = specialize(sphere_stereographic_connection(2))
     js = degree_of_mobility(special, [Fraction(1, 3), 0], 6)
     N = section_dim(2)
     for _ in range(4):
@@ -368,7 +368,7 @@ def test_klein_gauge_solutions_are_exact():
     """The Klein model's volume gauge is the flat connection, so its
     solutions are exact quadratics with identically zero residual, well
     inside the truncation tolerance."""
-    special, _, _ = specialize(klein_connection(2))
+    special, _ = specialize(klein_connection(2))
     data = decompose_curvature(special)
     js = degree_of_mobility(special, [0, 0], 8, data)
     pts = [[Fraction(1, 2), 0], [Fraction(-1, 4), Fraction(1, 4)]]
@@ -383,7 +383,7 @@ def test_residual_evaluates_each_component_at_most_once_per_point(
     most once per point, and the residuals do not change."""
     from projmet.exprcore import RationalExpr
 
-    special, _, _ = specialize(sphere_stereographic_connection(2))
+    special, _ = specialize(sphere_stereographic_connection(2))
     js = degree_of_mobility(special, [0, 0], 6)
     pts = [[Fraction(1, 8), Fraction(-1, 16)], [Fraction(-1, 16), 0]]
     fresh = []
@@ -410,7 +410,7 @@ def test_residual_matches_the_symbolic_defect(rng):
     through `series_diff`, `series_eval` and the table's symbolic sum."""
     from projmet.exactseries import series_diff
 
-    special, _, _ = specialize(sphere_stereographic_connection(2))
+    special, _ = specialize(sphere_stereographic_connection(2))
     js = degree_of_mobility(special, [Fraction(1, 5), 0], 5)
     mats = js.table.matrices()
     pts = [[Fraction(1, 4), Fraction(-1, 16)], [Fraction(1, 7), Fraction(1, 9)]]
@@ -440,7 +440,7 @@ def test_stereo_round_metric_solution_matches_binomial_series():
     (1 + r^2)^(2/3) delta / 4, whose Taylor coefficients are binomial
     numbers.  The jet solver must reproduce them exactly once the initial
     values are matched."""
-    special, _, _ = specialize(sphere_stereographic_connection(2))
+    special, _ = specialize(sphere_stereographic_connection(2))
     data = decompose_curvature(special)
     js = degree_of_mobility(special, [0, 0], 8, data)
     assert js.dim == 6
@@ -494,7 +494,7 @@ def test_stereo_round_metric_solution_matches_binomial_series():
 
 
 def test_stereo_series_residual_decays_with_order():
-    special, _, _ = specialize(sphere_stereographic_connection(2))
+    special, _ = specialize(sphere_stereographic_connection(2))
     data = decompose_curvature(special)
     pts = [[Fraction(1, 8), Fraction(-1, 16)]]
     js8 = degree_of_mobility(special, [0, 0], 8, data)
@@ -516,7 +516,7 @@ def test_flat_loop_transport_is_identity():
 
 
 def test_transport_matches_taylor_endpoint():
-    special, _, _ = specialize(sphere_stereographic_connection(2))
+    special, _ = specialize(sphere_stereographic_connection(2))
     data = decompose_curvature(special)
     js = degree_of_mobility(special, [0, 0], 12, data)
     end = [Fraction(1, 8), 0]

@@ -167,10 +167,9 @@ def test_projective_change_group_law(rng):
 
 def test_specialize_fixed_points():
     flat = flat_connection(2)
-    out, ups, f = specialize(flat)
-    assert out == flat
-    assert all(c.is_zero() for c in ups.components)
-    assert f.is_zero()
+    out, ups = specialize(flat)
+    assert out is flat
+    assert ups.is_zero()
     # Levi-Civita connection of a unimodular metric is already special
     chart = Chart(2)
     x = chart.var(1)
@@ -179,27 +178,26 @@ def test_specialize_fixed_points():
     g = TensorField(chart, ("d", "d"), [1 + x * x, x, x, chart.one])
     assert det_field(g) == chart.one
     lc = levi_civita(g)
-    out2, ups2, f2 = specialize(lc)
-    assert out2 == lc
-    assert f2.is_zero()
+    out2, ups2 = specialize(lc)
+    assert out2 is lc
+    assert ups2.is_zero()
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_specialize_roundtrip_from_flat(n, rng):
-    """An exact projective change of the flat connection specializes back to
-    the flat connection, with symmetric Ricci and zero trace throughout."""
+    """An exact projective change of the flat connection by df specializes
+    back to the flat connection, with symmetric Ricci and zero trace
+    throughout, and the gauge 1-form undoes df."""
     chart = Chart(n)
     for _ in range(4):
         f, df = rand_exact_oneform(chart, rng)
         moved = projective_change(flat_connection(n), df)
-        out, ups, fpot = specialize(moved)
+        out, ups = specialize(moved)
         assert out == flat_connection(n)
         assert out.is_special()
         assert beta_form(out).is_zero()
-        # recovered exact part undoes f up to a constant
-        grad = fpot.grad()
         for k in range(n):
-            assert grad.components[k] == -f.diff(k + 1)
+            assert ups.components[k] == -f.diff(k + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -207,26 +205,25 @@ def test_specialize_kills_nonzero_beta(n, rng):
     """A change by a non-closed 1-form leaves the projective class but
     breaks Ricci symmetry; the one change by -t/(n+1) must land back on
     the unique volume-preserving representative, the flat connection
-    itself, and the trace, which is not closed, has no potential."""
+    itself, by the opposite of the 1-form that moved it."""
     chart = Chart(n)
     for _ in range(3):
         ups = [rand_poly(chart, rng, 2, 2) for _ in range(n)]
         moved = projective_change(flat_connection(n), ups)
         if beta_form(moved).is_zero():
             continue  # the random 1-form happened to be closed
-        special, total, f = specialize(moved)
+        special, total = specialize(moved)
         assert special == flat_connection(n)
-        assert f is None
+        assert list(total.components) == [-u for u in ups]
 
 
 def test_specialize_klein_reaches_flat_gauge():
-    out, ups, f = specialize(klein_connection(2))
+    out, ups = specialize(klein_connection(2))
     assert out == flat_connection(2)
     chart = Chart(2)
     x1, x2 = chart.vars
     r2 = x1 * x1 + x2 * x2
     assert ups.components[0] == -x1 / (1 - r2)
-    assert f.log_terms
 
 
 def test_decompose_flat_zero():

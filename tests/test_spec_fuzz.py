@@ -5,9 +5,10 @@ Specs of dimension 2 or 3 with random identifier names (or none) and
 Christoffel entries that are either valid expressions in those names, of
 total degree at most 8, or garbage built from the same tokens, go through
 `main(["curvature", spec])` and `main(["mobility", spec, "--max-order",
-"3"])`.  Each run must exit 0 or 2 and print valid JSON or nothing.
-`analyze` is left out: its truncated candidates end in the D1 crash
-(test_defects.py).
+"3"])`.  Each run must exit 0 or 2 and print valid JSON or nothing, and
+the `input` echo of a run that exits 0 must parse back, under its own
+`variables`, to the same connection.  `analyze` is left out: its
+truncated candidates end in the D1 crash (test_defects.py).
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from projmet.cli import main
+from projmet.cli import main, parse_spec
 
 NAME = st.one_of(
     st.builds(lambda head, tail: head + tail,
@@ -95,7 +96,10 @@ def test_random_specs_exit_with_documented_codes(tmp_path_factory):
                 code = main(argv)
             assert code in (0, 2), (argv[0], doc, code, err.getvalue())
             if out.getvalue():
-                json.loads(out.getvalue())
+                report = json.loads(out.getvalue())
+                if code == 0:
+                    echoed = parse_spec(report["input"])[0]
+                    assert echoed == parse_spec(doc)[0], (doc, report["input"])
             else:
                 assert code == 2 and err.getvalue()
 

@@ -113,7 +113,7 @@ def test_projectively_flat_models_have_zero_curvature(n):
     # Klein and both sphere charts specialize into the projectively flat
     # class, so the prolonged connection is flat on all of them
     for conn in (klein_connection(n), sphere_stereographic_connection(n)):
-        special, _, _ = specialize(conn)
+        special, _ = specialize(conn)
         data = decompose_curvature(special)
         assert tractor_curvature(special, data).is_zero()
 
@@ -322,7 +322,7 @@ def test_tractor_curvature_is_curvature_of_the_matrices(monkeypatch):
     taken, and the gauge is checked once for all N basis sections."""
     from projmet.exprcore import RationalExpr
 
-    special, _, _ = specialize(sphere_stereographic_connection(2))
+    special, _ = specialize(sphere_stereographic_connection(2))
     data = decompose_curvature(special)
     conn = nonmetrizable_witness()
     conn_data = decompose_curvature(conn)
