@@ -25,6 +25,6 @@ from .metricize import (MetricCandidate, RiemannSplit, candidate_from_metric,
                         geodesic_compare, is_levi_civita, levi_civita,
                         metric_inverse, projective_equivalence,
                         reconstruct_metric, riemann_split, write_trace_csv)
-from .cli import analyze_connection, run_analysis
+from .pipeline import analyze_connection
 
 __version__ = "0.1.0"

@@ -625,6 +625,30 @@ class RiemannSplit:
         return self._phi
 
 
+def _scalar_and_lowered_riemann(conn, g_down, g_up):
+    """(Ric, g^{ad} Ric_ad, R_abcd = g_ce R_ab{}^e{}_d): the Ricci tensor
+    and scalar curvature of the connection, and its Riemann tensor with the
+    upper slot lowered."""
+    chart = g_down.chart
+    n = chart.dim
+    riem = full_curvature(conn)  # R_ab{}^c{}_d
+    ric = ricci(conn)
+    scalar = chart.zero
+    for a, d in product(range(n), repeat=2):
+        gu = g_up.get(a, d)
+        if not gu.is_zero():
+            scalar = scalar + gu * ric.get(a, d)
+    low = []
+    for a, b, c, d in product(range(n), repeat=4):
+        val = chart.zero
+        for e in range(n):
+            gc = g_down.get(c, e)
+            if not gc.is_zero():
+                val = val + gc * riem.get(a, b, e, d)
+        low.append(val)
+    return ric, scalar, TensorField(chart, ("d",) * 4, low)
+
+
 def riemann_split(g_down):
     """Split the Riemann tensor of g into conformal Weyl, trace-free Ricci,
     scalar and metric Schouten parts; reassembly is verified exactly, and so
@@ -634,24 +658,7 @@ def riemann_split(g_down):
     n = chart.dim
     conn = levi_civita(g_down)
     g_up = metric_inverse(g_down)
-    riem = full_curvature(conn)  # R_ab{}^c{}_d
-    ric = ricci(conn)
-    scalar = chart.zero
-    for a, d in product(range(n), repeat=2):
-        gu = g_up.get(a, d)
-        if not gu.is_zero():
-            scalar = scalar + gu * ric.get(a, d)
-
-    # lower the upper slot: R_abcd = g_ce R_ab{}^e{}_d
-    low = []
-    for a, b, c, d in product(range(n), repeat=4):
-        val = chart.zero
-        for e in range(n):
-            gc = g_down.get(c, e)
-            if not gc.is_zero():
-                val = val + gc * riem.get(a, b, e, d)
-        low.append(val)
-    riem_low = TensorField(chart, ("d",) * 4, low)
+    ric, scalar, riem_low = _scalar_and_lowered_riemann(conn, g_down, g_up)
 
     if n == 2:
         quarter = chart.const(Fraction(1, 4))
@@ -750,31 +757,19 @@ def constant_curvature_check(g_down, samples=(), conn=None, g_up=None):
     The Levi-Civita connection and the inverse metric may be passed in when
     the caller already has them.  Returns (flag, kappa, deviation).
     """
-    chart = g_down.chart
-    n = chart.dim
+    n = g_down.chart.dim
     if conn is None:
         conn = levi_civita(g_down)
     if g_up is None:
         g_up = metric_inverse(g_down)
-    riem = full_curvature(conn)
-    ric = ricci(conn)
-    scalar = chart.zero
-    for a, d in product(range(n), repeat=2):
-        gu = g_up.get(a, d)
-        if not gu.is_zero():
-            scalar = scalar + gu * ric.get(a, d)
+    _, scalar, low = _scalar_and_lowered_riemann(conn, g_down, g_up)
     kappa_expr = scalar / (n * (n - 1))
 
     deviations = []
     for a, b, c, d in product(range(n), repeat=4):
-        low = chart.zero
-        for e in range(n):
-            gc = g_down.get(c, e)
-            if not gc.is_zero():
-                low = low + gc * riem.get(a, b, e, d)
         model = kappa_expr * (g_down.get(a, c) * g_down.get(b, d)
                               - g_down.get(a, d) * g_down.get(b, c))
-        deviations.append(low - model)
+        deviations.append(low.get(a, b, c, d) - model)
 
     if kappa_expr.is_constant() and all(e.is_zero() for e in deviations):
         return True, kappa_expr.constant_value(), Fraction(0)

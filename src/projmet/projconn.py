@@ -19,6 +19,7 @@ are the unique solution of those linear conventions.
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import NotEquivalent, NotSpecial, ShapeError
 from .exprcore import (DifferentialForm, RationalExpr, _common_denominator,
@@ -43,12 +44,12 @@ class AffineConnection:
 
     Storage is gamma[c][a][b] with the lower pair symmetric (checked).
     The symbols over one common denominator (`common`), the trace form
-    and the Ricci tensor (`ricci`) are computed on first use and kept:
-    every curvature routine, gauge check and candidate proof reads the
-    same copy.
+    and the Riemann and Ricci numerators (`_riemann`) are computed on
+    first use and kept: every curvature routine, gauge check and
+    candidate proof reads the same copy.
     """
 
-    __slots__ = ("chart", "gamma", "_common", "_trace", "_ricci")
+    __slots__ = ("chart", "gamma", "_common", "_trace", "_riemann")
 
     def __init__(self, chart, gamma):
         n = chart.dim
@@ -63,7 +64,7 @@ class AffineConnection:
                             f"Christoffel symbols not symmetric at ^{c + 1}_({a + 1}{b + 1})")
         self.chart = chart
         self.gamma = tuple(tuple(tuple(row) for row in plane) for plane in g)
-        self._common = self._trace = self._ricci = None
+        self._common = self._trace = self._riemann = None
 
     @classmethod
     def flat(cls, chart):
@@ -125,17 +126,13 @@ class AffineConnection:
         return f"AffineConnection(dim={self.dim})"
 
 
-class ProjectiveData:
+class ProjectiveData(NamedTuple):
     """Derived curvature package of a special connection."""
 
-    __slots__ = ("connection", "ricci", "schouten", "weyl", "cotton_york")
-
-    def __init__(self, connection, ricci, schouten, weyl, cotton_york):
-        self.connection = connection
-        self.ricci = ricci
-        self.schouten = schouten
-        self.weyl = weyl
-        self.cotton_york = cotton_york
+    connection: AffineConnection
+    schouten: TensorField
+    weyl: TensorField
+    cotton_york: TensorField
 
     def is_flat(self):
         """Projectively flat: W and Y vanish, so the prolonged connection is
@@ -175,62 +172,76 @@ def _matmul(X, Y):
     return out
 
 
-def _matrix_curvature(chart, N, D, dD):
-    """F_ab = d_a A_b - d_b A_a + A_a A_b - A_b A_a of the square matrices
-    A_a = N_a / D, one per coordinate, given over their common denominator
-    as `_over_common` returns them; as {(a, b): F_ab} for a < b (0-based).
+def _matrix_curvature(N, D, dD):
+    """Numerators over D^2 of F_ab = d_a A_b - d_b A_a + A_a A_b - A_b A_a
+    for the square matrices A_a = N_a / D, one per coordinate, given over
+    their common denominator as `_over_common` returns them; as
+    {(a, b): numerator matrix of F_ab} for a < b (0-based).
 
     With (A_a)^c_d = Gamma^c_ad this is R_ab{}^c{}_d; with the matrices of
     the prolonged connection it is that connection's curvature.  Over D,
 
         F_ab = (D (d_a N_b - d_b N_a) - N_b d_a D + N_a d_b D
-                + N_a N_b - N_b N_a) / D^2,
-
-    so each entry costs one cancellation against D^2.
+                + N_a N_b - N_b N_a) / D^2.
     """
     gens = D.ring.gens
-    field = chart._field
-    D2 = D * D
     size = range(len(N[0]))
     out = {}
     for a, b in combinations(range(len(N)), 2):
         Na, Nb = N[a], N[b]
         ab, ba = _matmul(Na, Nb), _matmul(Nb, Na)
-        out[(a, b)] = [[RationalExpr(chart, field.new(
+        out[(a, b)] = [[
             D * (Nb[i][j].diff(gens[a]) - Na[i][j].diff(gens[b]))
-            - Nb[i][j] * dD[a] + Na[i][j] * dD[b] + ab[i][j] - ba[i][j], D2))
+            - Nb[i][j] * dD[a] + Na[i][j] * dD[b] + ab[i][j] - ba[i][j]
             for j in size] for i in size]
     return out
 
 
-def ricci(conn):
-    """Ricci tensor R_ab = d_c G^c_ab - d_a G^c_cb + G^c_cd G^d_ab - G^c_ad G^d_cb,
-    assembled over the common denominator of the Christoffel symbols;
-    built once per connection and kept."""
-    if conn._ricci is None:
-        conn._ricci = _ricci(conn)
-    return conn._ricci
+def _over(chart, num, den):
+    """The RationalExpr num/den for num, den in Z[x]: one cancellation."""
+    return RationalExpr(chart, chart._field.new(num, den))
 
 
-def _ricci(conn):
-    chart = conn.chart
+def _riemann(conn):
+    """(R, Ric, D^2): the numerators R[a][b][c][d] of R_ab{}^c{}_d and
+    Ric[a][d] = sum_b R[b][a][b][d] of the Ricci tensor R_ba{}^b{}_d, both
+    over D^2 for the common denominator D of the symbols; built once per
+    connection and kept.  Every curvature component is read off them with
+    one cancellation."""
+    if conn._riemann is None:
+        n = conn.dim
+        N, D, dD = conn.common
+        F = _matrix_curvature([[[N[c][a][d] for d in range(n)]
+                                for c in range(n)] for a in range(n)], D, dD)
+        zero = [[D.ring.zero] * n for _ in range(n)]
+        R = [[F[(a, b)] if a < b else
+              [[-e for e in row] for row in F[(b, a)]] if a > b else zero
+              for b in range(n)] for a in range(n)]
+        ric = [[sum((R[b][a][b][d] for b in range(n)), D.ring.zero)
+                for d in range(n)] for a in range(n)]
+        conn._riemann = (R, ric, D * D)
+    return conn._riemann
+
+
+def _antisymmetric(chart, variance, entry):
+    """TensorField antisymmetric in its first two indices from
+    entry(a, b, *rest) for a < b only: a component with a > b is the
+    negative of its partner, and one with a == b is zero."""
     n = chart.dim
-    N, D, dD = conn.common
-    ring = chart._ring
-    gens = ring.gens
-    field = chart._field
-    D2 = D * D
-    comps = []
-    for a in range(n):
-        for b in range(n):
-            num = ring.zero
-            for c in range(n):
-                num = num + N[c][a][b].diff(gens[c]) * D - N[c][a][b] * dD[c]
-                num = num - N[c][c][b].diff(gens[a]) * D + N[c][c][b] * dD[a]
-                for d in range(n):
-                    num = num + N[c][c][d] * N[d][a][b] - N[c][a][d] * N[d][c][b]
-            comps.append(RationalExpr(chart, field.new(num, D2)))
-    return TensorField(chart, ("d", "d"), comps)
+    rest = list(product(range(n), repeat=len(variance) - 2))
+    upper = {(a, b) + r: entry(a, b, *r)
+             for a, b in combinations(range(n), 2) for r in rest}
+    return TensorField(chart, variance, [
+        upper[(a, b) + r] if a < b else -upper[(b, a) + r] if a > b
+        else chart.zero for a, b in product(range(n), repeat=2) for r in rest])
+
+
+def ricci(conn):
+    """Ricci tensor R_ad = R_ba{}^b{}_d: the Ricci numerators over D^2."""
+    chart = conn.chart
+    _, ric, D2 = _riemann(conn)
+    return TensorField.from_function(chart, ("d", "d"),
+                                     lambda a, d: _over(chart, ric[a][d], D2))
 
 
 def beta_form(conn):
@@ -320,82 +331,69 @@ def specialize(conn):
 
 
 def full_curvature(conn):
-    """R_ab{}^c{}_d with the package's sign convention: the matrix
-    curvature of A_a = (Gamma^c_ad)."""
+    """R_ab{}^c{}_d with the package's sign convention: the Riemann
+    numerators over D^2."""
     chart = conn.chart
-    n = chart.dim
-    N, D, dD = conn.common
-    F = _matrix_curvature(chart, [[[N[c][a][d] for d in range(n)]
-                                   for c in range(n)] for a in range(n)],
-                          D, dD)
-    comps = []
-    for a, b, c, d in product(range(n), repeat=4):
-        if a < b:
-            comps.append(F[(a, b)][c][d])
-        elif a > b:
-            comps.append(-F[(b, a)][c][d])
-        else:
-            comps.append(chart.zero)
-    return TensorField(chart, ("d", "d", "u", "d"), comps)
+    R, _, D2 = _riemann(conn)
+    return _antisymmetric(chart, ("d", "d", "u", "d"),
+                          lambda a, b, c, d: _over(chart, R[a][b][c][d], D2))
 
 
 def _schouten_and_weyl(conn):
-    """P and W of a symmetric-Ricci connection (gauge not required)."""
+    """P and W of a symmetric-Ricci connection (gauge not required).
+
+    P = Ric/(n-1) and W_ab{}^c{}_d = R_ab{}^c{}_d - delta_a^c P_bd
+    + delta_b^c P_ad both lie over (n-1) D^2, with numerators Ric and
+    (n-1) R - delta_a^c Ric_bd + delta_b^c Ric_ad: one cancellation per
+    component of P, and per component of W with a < b.
+    """
     chart = conn.chart
     n = chart.dim
-    riem = full_curvature(conn)
-    ric = ricci(conn)
-    frac = chart.const(Fraction(1, n - 1))
-    p_comps = [frac * ric.get(a, b) for a in range(n) for b in range(n)]
-    schouten = TensorField(chart, ("d", "d"), p_comps)
-    w_comps = []
-    for a, b, c, d in product(range(n), repeat=4):
-        val = riem.get(a, b, c, d)
+    R, ric, D2 = _riemann(conn)
+    den = (n - 1) * D2
+    schouten = TensorField.from_function(
+        chart, ("d", "d"), lambda a, b: _over(chart, ric[a][b], den))
+
+    def weyl(a, b, c, d):
+        num = (n - 1) * R[a][b][c][d]
         if a == c:
-            val = val - schouten.get(b, d)
+            num = num - ric[b][d]
         if b == c:
-            val = val + schouten.get(a, d)
-        w_comps.append(val)
-    weyl = TensorField(chart, ("d", "d", "u", "d"), w_comps)
-    return schouten, weyl
+            num = num + ric[a][d]
+        return _over(chart, num, den)
+
+    return schouten, _antisymmetric(chart, ("d", "d", "u", "d"), weyl)
 
 
-def cotton_york(conn, schouten):
+def cotton_york(conn):
     """Y_abc = (grad_a P_bc - grad_b P_ac)/2
-             = (d_a P_bc - d_b P_ac - G^e_ac P_be + G^e_bc P_ae)/2,
-    since the terms G^e_ab P_ec cancel for a torsion-free connection.
+             = (d_a P_bc - d_b P_ac - G^e_ac P_be + G^e_bc P_ae)/2
+    for P = Ric/(n-1), since the terms G^e_ab P_ec cancel for a
+    torsion-free connection.
 
-    With G = N/D and P = PN/DP over their common denominators and
-    L = lcm(D, DP), every term lies over DP L: each component with a < b
-    is one numerator and one cancellation, and Y_bac = -Y_abc.
+    With G = N/D and Ric over D^2, each component with a < b is one
+    numerator over 2(n-1) D^3 and one cancellation:
+
+        D (d_a Ric_bc - d_b Ric_ac) - 2 (Ric_bc d_a D - Ric_ac d_b D)
+        + sum_e (N^e_bc Ric_ae - N^e_ac Ric_be),
+
+    and Y_bac = -Y_abc.
     """
     chart = conn.chart
     n = chart.dim
     gens = chart._ring.gens
-    field = chart._field
-    N, D, _ = conn.common
-    (PN,), DP, dDP = _over_common([[[schouten.get(a, b) for b in range(n)]
-                                    for a in range(n)]])
-    L = D.lcm(DP)
-    over_p, over_g = L.exquo(DP), L.exquo(D)
-    den = 2 * DP * L
-    upper = {}
-    for a, b in combinations(range(n), 2):
-        for c in range(n):
-            dp = (PN[b][c].diff(gens[a]) - PN[a][c].diff(gens[b])) * DP \
-                - PN[b][c] * dDP[a] + PN[a][c] * dDP[b]
-            gp = DP.ring.zero
-            for e in range(n):
-                gp = gp + N[e][b][c] * PN[a][e] - N[e][a][c] * PN[b][e]
-            upper[(a, b, c)] = field.new(dp * over_p + gp * over_g, den)
-    comps = []
-    for a, b, c in product(range(n), repeat=3):
-        if a == b:
-            comps.append(chart.zero)
-        else:
-            y = upper[(min(a, b), max(a, b), c)]
-            comps.append(RationalExpr(chart, y if a < b else -y))
-    return TensorField(chart, ("d", "d", "d"), comps)
+    N, D, dD = conn.common
+    _, ric, D2 = _riemann(conn)
+    den = 2 * (n - 1) * D2 * D
+
+    def entry(a, b, c):
+        num = D * (ric[b][c].diff(gens[a]) - ric[a][c].diff(gens[b])) \
+            - 2 * (ric[b][c] * dD[a] - ric[a][c] * dD[b])
+        for e in range(n):
+            num = num + N[e][b][c] * ric[a][e] - N[e][a][c] * ric[b][e]
+        return _over(chart, num, den)
+
+    return _antisymmetric(chart, ("d", "d", "d"), entry)
 
 
 def decompose_curvature(conn):
@@ -408,6 +406,4 @@ def decompose_curvature(conn):
     """
     if not conn.is_special():
         raise NotSpecial("connection does not preserve the coordinate volume")
-    schouten, weyl = _schouten_and_weyl(conn)
-    yk = cotton_york(conn, schouten)
-    return ProjectiveData(conn, ricci(conn), schouten, weyl, yk)
+    return ProjectiveData(conn, *_schouten_and_weyl(conn), cotton_york(conn))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NotSpecial, ShapeError
-from .projconn import _matrix_curvature, _over_common
+from .projconn import _matrix_curvature, _over, _over_common
 from .tensorfield import TensorField
 
 __all__ = [
@@ -121,9 +121,15 @@ class TractorCurvature:
 
 
 def tractor_curvature(conn, data):
-    """Curvature of the modified tractor connection as stored matrices."""
-    return TractorCurvature(conn.chart, _matrix_curvature(
-        conn.chart, *_over_common(connection_matrices(conn, data).matrices())))
+    """Curvature of the modified tractor connection as stored matrices:
+    the numerators of `_matrix_curvature` over D^2, one cancellation per
+    entry."""
+    chart = conn.chart
+    N, D, dD = _over_common(connection_matrices(conn, data).matrices())
+    D2 = D * D
+    return TractorCurvature(chart, {
+        ab: [[_over(chart, e, D2) for e in row] for row in F]
+        for ab, F in _matrix_curvature(N, D, dD).items()})
 
 
 class ConnectionTable(NamedTuple):

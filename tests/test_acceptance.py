@@ -280,11 +280,11 @@ def test_criterion_5_invariance_suite():
                 data = decompose_curvature(conn)
                 f, df = rand_exact_oneform(chart, rng)
                 changed = projective_change(conn, df)
-                p_hat, w_hat = _schouten_and_weyl(changed)
+                _, w_hat = _schouten_and_weyl(changed)
                 # Weyl is projectively invariant
                 assert w_hat == data.weyl
                 # Cotton-York transformation law
-                y_hat = cotton_york(changed, p_hat)
+                y_hat = cotton_york(changed)
                 half = chart.const(Fraction(1, 2))
                 for a, b, c in product(range(n), repeat=3):
                     corr = chart.zero

@@ -20,7 +20,7 @@ from projmet.metricize import sampled_constant_curvature
 from projmet.models import (klein_connection, sphere_gnomonic_connection,
                             sphere_stereographic_connection)
 from projmet.pipeline import analyze_connection, fr_str
-from projmet.projconn import beta_form, ricci
+from projmet.projconn import _riemann, beta_form
 
 from conftest import warped_product_connection
 
@@ -107,9 +107,10 @@ def test_analyze_builds_no_curvature_field(monkeypatch):
 def test_input_beta_from_trace_once(tmp_path, monkeypatch, capsys):
     """`analyze` and `curvature` compute the beta of the input once, from
     its trace, and never build its Ricci tensor; specialize does not need
-    it.  Only the special connection's Ricci tensor is built."""
+    it.  Only the special connection's Riemann and Ricci numerators, which
+    every curvature component is read from, are built or read."""
     betas = _count_calls(monkeypatch, beta_form)
-    riccis = _count_calls(monkeypatch, ricci)
+    riccis = _count_calls(monkeypatch, _riemann)
     conn = klein_connection(3)
     assert not conn.is_special()
     analyze_connection(conn, [Fraction(0)] * 3, _options(4))

@@ -1,6 +1,9 @@
 """Spec parsing, the pipeline driver, subcommands and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +34,20 @@ KLEIN2 = {"dimension": 2, "christoffel": {
 WITNESS = {"dimension": 2,
            "christoffel": {"1,2,2": "x1^2", "2,1,1": "x2"},
            "options": {"max_order": 8}}
+
+
+def test_module_entry_point_writes_nothing_to_stderr(tmp_path):
+    """`python -m projmet.cli` runs without a warning: the package does not
+    import `projmet.cli`, so runpy finds no copy of it in sys.modules."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "projmet.cli", "mobility",
+         _write(tmp_path, "flat.json", FLAT2), "--max-order", "3"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == EXIT_OK
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["mobility"]["dimension"] == 6
 
 
 def test_parse_spec_defaults():

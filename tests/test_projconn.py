@@ -345,7 +345,7 @@ def test_beta_from_trace_matches_the_ricci_oracle(n, rng):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cotton_york_matches_the_gradient_oracle(n, rng):
-    """Y from the numerators over DP lcm(D, DP), one cancellation per
+    """Y from the Ricci numerators over 2(n-1) D^3, one cancellation per
     component with a < b, equals the old assembly of grad P over D DP^2
     (`oracles.cotton_york_by_gradients`) exactly: on random rational
     connections (special or not, P from their Ricci tensor), on the
@@ -363,8 +363,38 @@ def test_cotton_york_matches_the_gradient_oracle(n, rng):
         r = ricci(conn)
         schouten = TensorField(conn.chart, ("d", "d"), [
             r.get(a, b) / (n - 1) for a in range(n) for b in range(n)])
-        assert cotton_york(conn, schouten) == \
+        assert cotton_york(conn) == \
             cotton_york_by_gradients(conn, schouten)
+
+
+@pytest.mark.parametrize("special", ["klein", "random"])
+def test_curvature_package_adds_and_multiplies_no_rational_expr(special, rng,
+                                                               monkeypatch):
+    """P, W and Y are read off the Riemann numerators with one cancellation
+    per component: `decompose_curvature` calls no RationalExpr sum,
+    difference or product.  The gauge check reads the trace form that the
+    connection keeps; `is_special` builds it before the spy is on."""
+    from projmet.exprcore import RationalExpr
+
+    if special == "klein":
+        conn = specialize(klein_connection(3))[0]
+    else:
+        conn = rand_special_connection(3, rng)
+    assert conn.is_special()
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__"):
+        def spy(self, other, name=name, method=getattr(RationalExpr, name)):
+            calls.append(name)
+            return method(self, other)
+        monkeypatch.setattr(RationalExpr, name, spy)
+    data = decompose_curvature(conn)
+    assert calls == []
+    monkeypatch.undo()
+    r = ricci(conn)
+    assert data.schouten == TensorField(conn.chart, ("d", "d"), [
+        r.get(a, b) / 2 for a in range(3) for b in range(3)])
+    assert data.cotton_york == cotton_york_by_gradients(conn, data.schouten)
 
 
 @pytest.mark.parametrize("command", ["analyze", "mobility", "curvature"])
@@ -372,9 +402,9 @@ def test_common_form_and_ricci_built_once_per_connection(command, rng,
                                                         tmp_path, capsys,
                                                         monkeypatch):
     """Each connection's symbols are put over their common denominator
-    once, and its Ricci tensor built once, however many curvature
-    routines and proofs read them.  Only the special connection has
-    either: beta comes from the input's trace, so a non-special input
+    once, and its Riemann and Ricci numerators built once, however many
+    curvature routines and proofs read them.  Only the special connection
+    has either: beta comes from the input's trace, so a non-special input
     (Klein) has no Ricci tensor built, and a special input (flat, and
     random special ones like the bench's `jets` inputs) is its own
     special connection."""
@@ -382,18 +412,19 @@ def test_common_form_and_ricci_built_once_per_connection(command, rng,
     from projmet.cli import main
 
     commons, riccis = [], []
-    over_common, build_ricci = projconn._over_common, projconn._ricci
+    over_common, riemann = projconn._over_common, projconn._riemann
 
     def counted_common(arrays):
         commons.append(arrays)
         return over_common(arrays)
 
-    def counted_ricci(conn):
-        riccis.append(conn)
-        return build_ricci(conn)
+    def counted_riemann(conn):
+        if conn._riemann is None:  # a build, not a read of the kept copy
+            riccis.append(conn)
+        return riemann(conn)
 
     monkeypatch.setattr(projconn, "_over_common", counted_common)
-    monkeypatch.setattr(projconn, "_ricci", counted_ricci)
+    monkeypatch.setattr(projconn, "_riemann", counted_riemann)
     inputs = [flat_connection(2), rand_special_connection(3, rng),
               klein_connection(2)]
     for i, conn in enumerate(inputs):
@@ -470,7 +501,7 @@ def test_curvature_with_constant_denominators(n, rng, tmp_path, capsys):
         x = rand_vector_field(chart, rng)
         lhs = ricci_by_commutator(conn, x)
         for a in range(n):
-            assert lhs[a] == sum((data.ricci.get(a, b) * x.get(b)
+            assert lhs[a] == sum((ricci(conn).get(a, b) * x.get(b)
                                   for b in range(n)), chart.zero)
         lhs = riemann_by_commutator(conn, x)
         for a, b, c in product(range(n), repeat=3):
@@ -500,9 +531,9 @@ def test_weyl_projective_invariance_and_cotton_york_law(rng):
             data = decompose_curvature(conn)
             f, df = rand_exact_oneform(chart, rng)
             changed = projective_change(conn, df)
-            p_hat, w_hat = _schouten_and_weyl(changed)
+            _, w_hat = _schouten_and_weyl(changed)
             assert w_hat == data.weyl
-            y_hat = cotton_york(changed, p_hat)
+            y_hat = cotton_york(changed)
             half = chart.const(Fraction(1, 2))
             for a, b, c in product(range(n), repeat=3):
                 corr = chart.zero

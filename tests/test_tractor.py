@@ -14,7 +14,7 @@ from projmet.cli import load_spec
 from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness, sphere_gnomonic_connection,
                             sphere_stereographic_connection)
-from projmet.projconn import _schouten_and_weyl, cotton_york
+from projmet.projconn import cotton_york
 from projmet.tractor import (TractorSection, connection_matrices,
                              section_dim, sym_pairs, tractor_curvature)
 
@@ -269,8 +269,7 @@ def test_correction_terms_transform_consistently(rng):
             data = decompose_curvature(conn)
             f, df = rand_exact_oneform(chart, rng)
             changed = projective_change(conn, df)
-            p_hat, w_hat = _schouten_and_weyl(changed)
-            y_hat = cotton_york(changed, p_hat)
+            y_hat = cotton_york(changed)
             sig = [[None] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
