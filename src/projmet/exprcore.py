@@ -5,13 +5,13 @@ over Q in the chart coordinates x1..xn.  The representation is canonical:
 numerator and denominator are coprime polynomials with integer
 coefficients, their joint integer content is 1 and the denominator's
 leading coefficient under graded lex order is positive.  So equality of
-values is plain structural equality.  The polynomials live in sympy's
-sparse ring Z[x1..xn], which also supplies the polynomial gcd; rational
-numbers appear only as `Fraction` scalars (constants, points, values and
-coefficients handed in or out), and the rest of the package sees one
-small, immutable scalar type.  Its string,
-which every report prints, is written straight from the integer terms,
-in sympy's format with `^` for powers.
+values is plain structural equality.  The polynomials are `Poly`, sparse
+dicts {exponent tuple: nonzero int}, with the heuristic gcd (`_heugcd`);
+rational numbers appear only as `Fraction` scalars (constants, points,
+values and coefficients handed in or out), and the rest of the package
+sees one small, immutable scalar type.  Its string, which every report
+prints, is written straight from the integer terms, in sympy's format
+with `^` for powers.
 
 The arithmetic keeps the pair reduced by Henrici's rules (Knuth, TAOCP
 vol. 2, 4.5.1), which hold in any UFD.  For a/b * c/d only gcd(a, d) and
@@ -33,10 +33,8 @@ cross-checks (geodesics, parallel transport) compile entries with
 """
 
 from fractions import Fraction
-from math import gcd, lcm
-
-from sympy import ZZ
-from sympy.polys.fields import field as _frac_field
+from math import gcd, isqrt, lcm
+from operator import add, sub
 
 from .errors import DegreeAboveCap, NotPolynomial, ParseError, PoleError
 
@@ -49,58 +47,322 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# sparse polynomials in Z[x1..xn] and their gcd
+# ---------------------------------------------------------------------------
+
+def _grlex(monom):
+    return sum(monom), monom
+
+
+class Poly(dict):
+    """Polynomial in Z[x1..xn] as {exponent tuple: nonzero int}, never
+    changed once built; zero is the empty dict.  An `int` operand of + or -
+    is a constant, with the variables of the other operand."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def _ground(self, c):
+        if not self:
+            raise ValueError("a nonzero constant needs a nonzero polynomial")
+        return Poly({(0,) * len(next(iter(self))): c})
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.items()})
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self._ground(other) if other else Poly()
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        if not other:
+            return self
+        if not self:
+            return other
+        out = Poly(self)
+        get = out.get
+        for m, c in other.items():
+            c += get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, (int, Poly)) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return Poly({m: c * other for m, c in self.items()} if other else ())
+        if not isinstance(other, Poly):
+            return NotImplemented
+        out = Poly()
+        get = out.get
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        for m in [m for m, c in out.items() if not c]:
+            del out[m]
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        """self^k for an int k >= 1, by repeated squaring."""
+        out, base = None, self
+        while True:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
+
+    @property
+    def is_ground(self):
+        return not self or (len(self) == 1 and not any(next(iter(self))))
+
+    @property
+    def LC(self):
+        """Leading coefficient in grlex order; 0 for the zero polynomial."""
+        return self[max(self, key=_grlex)] if self else 0
+
+    def terms(self):
+        """[(exponent tuple, coefficient)] in decreasing grlex order."""
+        return sorted(self.items(), key=lambda t: _grlex(t[0]), reverse=True)
+
+    def content(self):
+        return gcd(*self.values())
+
+    def quo_ground(self, c):
+        """Quotient by an int that divides every coefficient."""
+        return Poly({m: v // c for m, v in self.items()})
+
+    def diff(self, i):
+        """Partial derivative by the variable of 0-based index i."""
+        return Poly({m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                     for m, c in self.items() if m[i]})
+
+    def exquo(self, other):
+        """The quotient self / other; ArithmeticError unless it is exact."""
+        q = _exact_quotient(self, other)
+        if q is None:
+            raise ArithmeticError("polynomial division is not exact")
+        return q
+
+    def gcd(self, other):
+        return self.cofactors(other)[0]
+
+    def cofactors(self, other):
+        """(h, self / h, other / h) for h = gcd(self, other), up to sign."""
+        f, g = self, other
+        if not (f and g):
+            h = f or g
+            if not h:
+                return h, h, h
+            sign = -1 if h.LC < 0 else 1
+            one = h._ground(sign)
+            return (h * sign, one, Poly()) if f else (h * sign, Poly(), one)
+        if len(f) == 1:
+            return _gcd_monom(f, g)
+        if len(g) == 1:
+            h, cfg, cff = _gcd_monom(g, f)
+            return h, cff, cfg
+        return _heugcd(f, g)
+
+
+def _exact_quotient(f, g):
+    """f / g if g divides f in Z[x], else None.  Long division by leading
+    terms, which stops at the first term that the leading term of g does
+    not divide: in an exact division none is ever left over."""
+    if len(g) == 1:
+        [(mg, cg)] = g.items()
+        q = Poly()
+        for m, c in f.items():
+            e = tuple(map(sub, m, mg))
+            if c % cg or min(e) < 0:
+                return None
+            q[e] = c // cg
+        return q
+    lm = max(g, key=_grlex)
+    lc = g[lm]
+    rest = [(m, c) for m, c in g.items() if m != lm]
+    p = dict(f)
+    q = Poly()
+    while p:
+        m = max(p, key=_grlex)
+        c = p.pop(m)
+        e = tuple(map(sub, m, lm))
+        if c % lc or min(e) < 0:
+            return None
+        k = q[e] = c // lc
+        for mg, cg in rest:
+            mm = tuple(map(add, e, mg))
+            v = p.get(mm, 0) - k * cg
+            if v:
+                p[mm] = v
+            else:
+                del p[mm]
+    return q
+
+
+def _gcd_monom(f, g):
+    """cofactors for a single-term f: the gcd is the componentwise minimum
+    of the exponents times the gcd of the coefficients."""
+    [(mf, cf)] = f.items()
+    mh, ch = tuple(map(min, mf, *g)), gcd(cf, *g.values())
+    return (Poly({mh: ch}), Poly({tuple(map(sub, mf, mh)): cf // ch}),
+            Poly({tuple(map(sub, m, mh)): c // ch for m, c in g.items()}))
+
+
+HEU_GCD_MAX = 6  # evaluation points tried, as in sympy/polys/heuristicgcd.py
+
+
+def _heugcd(f, g):
+    """(h, f / h, g / h) for nonzero f, g in Z[x], h = gcd(f, g) up to
+    sign: a port of sympy's `heugcd` (Liao and Fateman 1995), which
+    evaluates at a large integer, takes the gcd there and reads h back off
+    its digits; ArithmeticError where it gives up."""
+    common = gcd(f.content(), g.content())
+    f, g = f.quo_ground(common), g.quo_ground(common)
+    f_norm, g_norm = (max(map(abs, p.values())) for p in (f, g))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
+    for _ in range(HEU_GCD_MAX):
+        ff, gg = _eval_first(f, x), _eval_first(g, x)
+        if ff and gg:
+            if isinstance(ff, int):
+                h = gcd(ff, gg)
+                cff, cfg = ff // h, gg // h
+            else:
+                h, cff, cfg = _heugcd(ff, gg)
+            h = _interpolate(h, x)
+            h = h.quo_ground(h.content())
+            cff_ = _exact_quotient(f, h)
+            if cff_ is not None:
+                cfg_ = _exact_quotient(g, h)
+                if cfg_ is not None:
+                    return h * common, cff_, cfg_
+            cff = _interpolate(cff, x)
+            h = _exact_quotient(f, cff)
+            if h is not None:
+                cfg_ = _exact_quotient(g, h)
+                if cfg_ is not None:
+                    return h * common, cff, cfg_
+            cfg = _interpolate(cfg, x)
+            h = _exact_quotient(g, cfg)
+            if h is not None:
+                cff_ = _exact_quotient(f, h)
+                if cff_ is not None:
+                    return h * common, cff_, cfg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    raise ArithmeticError("heuristic gcd failed")
+
+
+def _eval_first(f, x):
+    """f at x1 = x: an int for one variable, else a Poly in the rest."""
+    power = {e: x ** e for e in {m[0] for m in f}}
+    if len(next(iter(f))) == 1:
+        return sum(c * power[m[0]] for m, c in f.items())
+    out = Poly()
+    get = out.get
+    for m, c in f.items():
+        rest = m[1:]
+        out[rest] = get(rest, 0) + c * power[m[0]]
+    for m in [m for m, c in out.items() if not c]:
+        del out[m]
+    return out
+
+
+def _interpolate(h, x):
+    """The polynomial whose coefficient of x1^i is the i-th balanced digit
+    in base x of h (an int, or a Poly in the remaining variables), with
+    its leading coefficient made positive."""
+    out = Poly()
+    half = x // 2
+    for rest, c in (h.items() if isinstance(h, Poly) else [((), h)]):
+        i = 0
+        while c:
+            d = c % x
+            if d > half:
+                d -= x
+            c = (c - d) // x
+            if d:
+                out[(i,) + rest] = d
+            i += 1
+    return -out if out.LC < 0 else out
+
+
+# ---------------------------------------------------------------------------
 # Henrici arithmetic on coprime pairs (numer, denom) in Z[x1..xn]
 # ---------------------------------------------------------------------------
 
-def _reduced(field, num, den):
+def _reduced(chart, num, den):
     """The canonical fraction num/den, for num and den in Z[x] with no
     common factor of positive degree: divides out the joint integer content
     and makes the leading coefficient of den (grlex) positive."""
     if not num:
-        return field.zero
+        return chart.zero
     content = gcd(*num.values(), *den.values())
     if den.LC < 0:
         content = -content
     if content == 1:
-        return field.raw_new(num, den)
-    return field.raw_new(num.quo_ground(content), den.quo_ground(content))
+        return RationalExpr(chart, num, den)
+    return RationalExpr(chart, num.quo_ground(content), den.quo_ground(content))
 
 
-def _frac_add(f, g):
-    """f + g for canonical fractions (Henrici): a gcd only of the
+def _cancelled(chart, num, den):
+    """The RationalExpr num/den for any num and nonzero den in Z[x]: one
+    gcd cancellation."""
+    if not num:
+        return chart.zero
+    _, num, den = num.cofactors(den)
+    return _reduced(chart, num, den)
+
+
+def _frac_add(chart, a, b, c, d):
+    """a/b + c/d for canonical pairs (Henrici): a gcd only of the
     denominators, and of the new numerator with their common factor."""
-    if not g:
-        return f
-    if not f:
-        return g
-    field = f.field
-    a, b, c, d = f.numer, f.denom, g.numer, g.denom
+    if not c:
+        return RationalExpr(chart, a, b)
+    if not a:
+        return RationalExpr(chart, c, d)
     if b == d:
         t = a + c
         if t and not b.is_ground:
             _, t, b = t.cofactors(b)
-        return _reduced(field, t, b)
+        return _reduced(chart, t, b)
     if not (b.is_ground or d.is_ground):
         h, b1, d1 = b.cofactors(d)
         if not h.is_ground:
             t = a * d1 + c * b1
             if not t:
-                return field.zero
+                return chart.zero
             _, t, h = t.cofactors(h)
-            return _reduced(field, t, b1 * d1 * h)
-    return _reduced(field, a * d + c * b, b * d)
+            return _reduced(chart, t, b1 * d1 * h)
+    return _reduced(chart, a * d + c * b, b * d)
 
 
-def _frac_mul(field, a, b, c, d):
+def _frac_mul(chart, a, b, c, d):
     """(a/b) * (c/d) for coprime pairs (Henrici): cancel a against d and c
     against b, skipping a gcd whenever one side is a constant."""
     if not a or not c:
-        return field.zero
+        return chart.zero
     if not (a.is_ground or d.is_ground):
         _, a, d = a.cofactors(d)
     if not (c.is_ground or b.is_ground):
         _, c, b = c.cofactors(b)
-    return _reduced(field, a * c, b * d)
+    return _reduced(chart, a * c, b * d)
 
 
 def _powers(x, top):
@@ -177,7 +439,7 @@ class Chart:
     """Coordinate chart of dimension n with variables x1..xn.
 
     Instances are cached per dimension so scalars from independent call
-    sites share the same underlying field and interoperate.
+    sites share one chart and interoperate.
     """
 
     _cache = {}
@@ -188,13 +450,14 @@ class Chart:
         if dim in cls._cache:
             return cls._cache[dim]
         self = super().__new__(cls)
-        names = ",".join(f"x{i}" for i in range(1, dim + 1))
-        objs = _frac_field(names, ZZ, order="grlex")
         self.dim = dim
-        self._field = objs[0]
-        self._ring = objs[0].ring
-        self._gens = tuple(RationalExpr(self, g) for g in objs[1:])
-        self._names = tuple(map(str, self._ring.symbols))
+        self._one = one = Poly({(0,) * dim: 1})
+        self.zero = RationalExpr(self, Poly(), one)
+        self.one = RationalExpr(self, one, one)
+        self._gens = tuple(
+            RationalExpr(self, Poly({tuple(int(i == k) for i in range(dim)): 1}),
+                         one) for k in range(dim))
+        self._names = tuple(f"x{k}" for k in range(1, dim + 1))
         cls._cache[dim] = self
         return self
 
@@ -210,17 +473,8 @@ class Chart:
 
     def const(self, value):
         q = Fraction(value)
-        ground = self._ring.ground_new
-        return RationalExpr(self, self._field.raw_new(
-            ground(q.numerator), ground(q.denominator)))
-
-    @property
-    def zero(self):
-        return self.const(0)
-
-    @property
-    def one(self):
-        return self.const(1)
+        return RationalExpr(self, self._one * q.numerator,
+                            self._one * q.denominator)
 
     def parse(self, text, max_degree=None, names=None):
         """The expression `text`, whose k-th coordinate is written
@@ -236,23 +490,24 @@ class Chart:
         coefficient denominators are cleared into an integer denominator."""
         d = {tuple(e): Fraction(c) for e, c in coeffs.items()}
         scale = lcm(*[c.denominator for c in d.values()])
-        num = self._ring.from_dict({e: c.numerator * (scale // c.denominator)
-                                    for e, c in d.items()})
-        return RationalExpr(self, _reduced(self._field, num,
-                                           self._ring.ground_new(scale)))
+        num = Poly({e: c.numerator * (scale // c.denominator)
+                    for e, c in d.items() if c})
+        return _reduced(self, num, self._one * scale)
 
     def __repr__(self):
         return f"Chart(dim={self.dim})"
 
 
 class RationalExpr:
-    """Immutable exact rational function on a chart."""
+    """Immutable exact rational function on a chart: the canonical pair
+    (num, den) of `Poly`."""
 
-    __slots__ = ("chart", "frac")
+    __slots__ = ("chart", "num", "den")
 
-    def __init__(self, chart, frac):
+    def __init__(self, chart, num, den):
         self.chart = chart
-        self.frac = frac
+        self.num = num
+        self.den = den
 
     def _coerce(self, other):
         if isinstance(other, RationalExpr):
@@ -267,7 +522,7 @@ class RationalExpr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalExpr(self.chart, _frac_add(self.frac, o.frac))
+        return _frac_add(self.chart, self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
@@ -275,21 +530,19 @@ class RationalExpr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalExpr(self.chart, _frac_add(self.frac, -o.frac))
+        return _frac_add(self.chart, self.num, self.den, -o.num, o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalExpr(self.chart, _frac_add(o.frac, -self.frac))
+        return _frac_add(self.chart, o.num, o.den, -self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        f, g = self.frac, o.frac
-        return RationalExpr(self.chart, _frac_mul(f.field, f.numer, f.denom,
-                                                  g.numer, g.denom))
+        return _frac_mul(self.chart, self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -297,37 +550,32 @@ class RationalExpr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not o.frac:
+        if not o.num:
             raise ZeroDivisionError("division by the zero expression")
-        f, g = self.frac, o.frac
-        return RationalExpr(self.chart, _frac_mul(f.field, f.numer, f.denom,
-                                                  g.denom, g.numer))
+        return _frac_mul(self.chart, self.num, self.den, o.den, o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not self.frac:
+        if not self.num:
             raise ZeroDivisionError("division by the zero expression")
-        f, g = o.frac, self.frac
-        return RationalExpr(self.chart, _frac_mul(f.field, f.numer, f.denom,
-                                                  g.denom, g.numer))
+        return _frac_mul(self.chart, o.num, o.den, self.den, self.num)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        if k < 0 and not self.frac:
+        if k < 0 and not self.num:
             raise ZeroDivisionError("division by the zero expression")
-        # sympy's PolyElement.square caches the hash of its result before
-        # the result is complete; a copy drops that stale hash
-        num = (self.frac.numer ** abs(k)).copy()
-        den = (self.frac.denom ** abs(k)).copy()
+        if k == 0:
+            return self.chart.one
+        num, den = self.num ** abs(k), self.den ** abs(k)
         if k < 0:
             num, den = den, num
-        return RationalExpr(self.chart, _reduced(self.frac.field, num, den))
+        return _reduced(self.chart, num, den)
 
     def __neg__(self):
-        return RationalExpr(self.chart, -self.frac)
+        return RationalExpr(self.chart, -self.num, self.den)
 
     def __pos__(self):
         return self
@@ -337,38 +585,37 @@ class RationalExpr:
             other = self.chart.const(other)
         if not isinstance(other, RationalExpr):
             return NotImplemented
-        return self.chart is other.chart and self.frac == other.frac
+        return (self.chart is other.chart and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.chart.dim, self.frac))
+        return hash((self.chart.dim, self.num, self.den))
 
     def __bool__(self):
-        return bool(self.frac)
+        return bool(self.num)
 
     def is_zero(self):
-        return not self.frac
+        return not self.num
 
     def is_constant(self):
-        return self.frac.numer.is_ground and self.frac.denom.is_ground
+        return self.num.is_ground and self.den.is_ground
 
     def is_polynomial(self):
         """True when the canonical denominator is a constant."""
-        return self.frac.denom.is_ground
+        return self.den.is_ground
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("expression is not constant")
-        return Fraction(self.frac.numer.LC, self.frac.denom.LC)
+        return Fraction(self.num.LC, self.den.LC)
 
     @property
     def numerator(self):
-        return RationalExpr(self.chart, self.chart._field.raw_new(
-            self.frac.numer, self.chart._ring.one))
+        return RationalExpr(self.chart, self.num, self.chart._one)
 
     @property
     def denominator(self):
-        return RationalExpr(self.chart, self.chart._field.raw_new(
-            self.frac.denom, self.chart._ring.one))
+        return RationalExpr(self.chart, self.den, self.chart._one)
 
     def diff(self, k):
         """Exact partial derivative with respect to x^k (1-based).
@@ -380,19 +627,17 @@ class RationalExpr:
         """
         if not 1 <= k <= self.chart.dim:
             raise ValueError(f"coordinate index {k} out of range 1..{self.chart.dim}")
-        x = self.chart._ring.gens[k - 1]
-        field = self.frac.field
-        a, b = self.frac.numer, self.frac.denom
+        a, b = self.num, self.den
         if b.is_ground:
-            return RationalExpr(self.chart, _reduced(field, a.diff(x), b))
-        t = a.diff(x) * b - a * b.diff(x)
+            return _reduced(self.chart, a.diff(k - 1), b)
+        t = a.diff(k - 1) * b - a * b.diff(k - 1)
         if not t:
-            return RationalExpr(self.chart, field.zero)
+            return self.chart.zero
         h, t, b1 = t.cofactors(b)
         if h.is_ground:
-            return RationalExpr(self.chart, _reduced(field, t, b1 * b))
+            return _reduced(self.chart, t, b1 * b)
         _, t, h = t.cofactors(h)
-        return RationalExpr(self.chart, _reduced(field, t, b1 * b1 * h))
+        return _reduced(self.chart, t, b1 * b1 * h)
 
     def _tables(self, point):
         """Power tables of `point` for the numerator and denominator."""
@@ -400,13 +645,13 @@ class RationalExpr:
             raise ValueError(f"point must have {self.chart.dim} coordinates")
         vals = [v if isinstance(v, (int, Fraction)) else Fraction(v)
                 for v in point]
-        return _scaled_point(vals, [*self.frac.numer, *self.frac.denom])
+        return _scaled_point(vals, [*self.num, *self.den])
 
     def evaluate(self, point):
         """Exact value at a rational point; PoleError if the denominator vanishes."""
         powers, lpow = self._tables(point)
-        num, _, _ = _scaled_value(self.frac.numer, powers, lpow)
-        den, _, _ = _scaled_value(self.frac.denom, powers, lpow)
+        num, _, _ = _scaled_value(self.num, powers, lpow)
+        den, _, _ = _scaled_value(self.den, powers, lpow)
         if not den:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
         return Fraction(num, den)
@@ -418,8 +663,8 @@ class RationalExpr:
         denominator vanishes."""
         powers, lpow = self._tables(point)
         order = 2 if hessian else 1
-        num, dnum, hnum = _scaled_value(self.frac.numer, powers, lpow, order)
-        den, dden, hden = _scaled_value(self.frac.denom, powers, lpow, order)
+        num, dnum, hnum = _scaled_value(self.num, powers, lpow, order)
+        den, dden, hden = _scaled_value(self.den, powers, lpow, order)
         if not den:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
         # (N/D)' = (N'D - ND') / D^2; every sum is over the same L^deg
@@ -444,28 +689,20 @@ class RationalExpr:
         """[(exponent tuple, Fraction coeff)] of a polynomial expression."""
         if not self.is_polynomial():
             raise NotPolynomial("expression has a nontrivial denominator")
-        if not self.frac:
-            return []
-        den = self.frac.denom.LC
-        return [(tuple(exps), Fraction(c, den))
-                for exps, c in self.frac.numer.terms()]
-
-    def numer_terms(self):
-        return [(tuple(exps), c) for exps, c in self.frac.numer.terms()]
-
-    def denom_terms(self):
-        return [(tuple(exps), c) for exps, c in self.frac.denom.terms()]
+        den = self.den.LC
+        return [(exps, Fraction(c, den)) for exps, c in self.num.terms()]
 
     def __str__(self):
-        """sympy's str() of the fraction, with ^ for powers: `num/den`, the
-        numerator in parentheses when it has more than one term and the
-        denominator unless it is a constant or a bare variable."""
+        """The fraction as sympy's printer writes it, with ^ for powers:
+        `num/den`, the numerator in parentheses when it has more than one
+        term and the denominator unless it is a constant or a bare
+        variable."""
         return self.to_str(self.chart._names)
 
     def to_str(self, names):
         """str() with coordinate k written `names[k - 1]`, so that
         `chart.parse(e.to_str(names), names=names) == e`."""
-        num, den = self.frac.numer, self.frac.denom
+        num, den = self.num, self.den
         text = _poly_str(num, names)
         if len(den) == 1:
             [(exps, coeff)] = den.items()
@@ -505,8 +742,8 @@ def _poly_str(poly, names):
 
 def compile_numeric(expr):
     """RationalExpr -> fast float callable raising PoleError on zero denominators."""
-    num = [(exps, float(c)) for exps, c in expr.numer_terms()]
-    den = [(exps, float(c)) for exps, c in expr.denom_terms()]
+    num = [(exps, float(c)) for exps, c in expr.num.terms()]
+    den = [(exps, float(c)) for exps, c in expr.den.terms()]
 
     def ev_terms(terms, x):
         total = 0.0
@@ -642,7 +879,7 @@ class _Parser:
             if self.max_degree is not None:
                 # a/b + c/d lies over b when b = d, else over b d
                 (an, ad), (bn, bd) = _degrees(e), _degrees(rhs)
-                if e.frac.denom == rhs.frac.denom:
+                if e.den == rhs.den:
                     self.cap(max(an, bn), ad, line, col)
                 else:
                     self.cap(max(an + bd, bn + ad), ad + bd, line, col)
@@ -722,8 +959,7 @@ class _Parser:
 
 def _degrees(e):
     """Total degrees of the numerator and the denominator of e."""
-    num, den = e.frac.numer, e.frac.denom
-    return (_tdeg(num) if num else 0), _tdeg(den)
+    return (_tdeg(e.num) if e.num else 0), _tdeg(e.den)
 
 
 # ---------------------------------------------------------------------------
@@ -876,11 +1112,11 @@ def _common_denominator(exprs):
     distinct non-constant denominator is folded in once, in order of first
     appearance, with one gcd after the first; a constant denominator takes
     no gcd: the integer lcm of those is folded in once, at the end."""
-    den = exprs[0].frac.denom.ring.one
+    den = exprs[0].chart._one
     scale = 1
     distinct = {}
     for e in exprs:
-        d = e.frac.denom
+        d = e.den
         if d.is_ground:
             scale = lcm(scale, d.LC)
         else:

@@ -37,7 +37,7 @@ from math import prod
 from .errors import (DegenerateMetric, DegenerateSigma, DimensionTooSmall,
                      PoleError, PoleOnPath, ShapeError, StepUnderflow)
 from .exactlinalg import adjugate, leibniz_det, symmetric_signature
-from .exprcore import DifferentialForm, _compile_nonzero, _rk4_step
+from .exprcore import DifferentialForm, Poly, _compile_nonzero, _rk4_step
 # projective_equivalence lives in projconn; it stays importable from here
 # with the other verification checks
 from .projconn import (AffineConnection, _schouten_and_weyl, _trace_upsilon,
@@ -179,29 +179,27 @@ class MetricCandidate:
         """
         n = self._t.chart.dim
         N, DG, _ = self._special.common
-        ring = DG.ring
-        gens = ring.gens
         T, E = _numerators_over_product(self._t)
-        dE = [E.diff(x) for x in gens]
+        dE = [E.diff(k) for k in range(n)]
         if self.sigma is None:
-            Dn, Dd = self.det_sigma.frac.numer, self.det_sigma.frac.denom
+            Dn, Dd = self.det_sigma.num, self.det_sigma.den
             DnDd = (n + 1) * Dn * Dd
-            dlog = [DG * E * (Dd * Dn.diff(x) - Dn * Dd.diff(x))
-                    for x in gens]
+            dlog = [DG * E * (Dd * Dn.diff(k) - Dn * Dd.diff(k))
+                    for k in range(n)]
         Q = [[[None] * n for _ in range(n)] for _ in range(n)]
         for a in range(n):
             for b in range(n):
                 for c in range(b, n):
-                    acc = ring.zero
+                    acc = Poly()
                     for e in range(n):
                         acc = acc + N[b][a][e] * T[e][c] + N[c][a][e] * T[b][e]
-                    m = DG * (E * T[b][c].diff(gens[a]) - T[b][c] * dE[a]) \
+                    m = DG * (E * T[b][c].diff(a) - T[b][c] * dE[a]) \
                         + E * acc
                     if self.sigma is None:
                         m = DnDd * m - dlog[a] * T[b][c]
                     Q[a][b][c] = Q[a][c][b] = m
         # tf(Q)_a^{bc} = Q_a^{bc} - (delta_a^b S^c + delta_a^c S^b) / (n+1)
-        S = [sum((Q[d][d][c] for d in range(n)), ring.zero) for c in range(n)]
+        S = [sum((Q[d][d][c] for d in range(n)), Poly()) for c in range(n)]
         return not any(
             (n + 1) * Q[a][b][c] - (S[c] if a == b else 0)
             - (S[b] if a == c else 0)
@@ -271,14 +269,14 @@ def _numerators_over_product(t):
     Z[x]: E is the product of the distinct denominators of the entries, a
     common multiple found without a gcd."""
     n = t.chart.dim
-    fracs = {(b, c): t.get(b, c).frac for b in range(n) for c in range(b, n)}
+    entries = {(b, c): t.get(b, c) for b in range(n) for c in range(b, n)}
     dens = []
-    for f in fracs.values():
-        if f.denom not in dens:
-            dens.append(f.denom)
+    for f in entries.values():
+        if f.den not in dens:
+            dens.append(f.den)
     T = [[None] * n for _ in range(n)]
-    for (b, c), f in fracs.items():
-        T[b][c] = T[c][b] = f.numer * prod(d for d in dens if d != f.denom)
+    for (b, c), f in entries.items():
+        T[b][c] = T[c][b] = f.num * prod(d for d in dens if d != f.den)
     return T, prod(dens)
 
 

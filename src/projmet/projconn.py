@@ -22,7 +22,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .errors import NotEquivalent, NotSpecial, ShapeError
-from .exprcore import (DifferentialForm, RationalExpr, _common_denominator,
+from .exprcore import (DifferentialForm, Poly, _cancelled, _common_denominator,
                        exterior_derivative)
 from .tensorfield import TensorField
 
@@ -110,8 +110,11 @@ class AffineConnection:
         return self._trace
 
     def is_special(self):
-        """Parallel coordinate volume: Christoffel trace identically zero."""
-        return all(c.is_zero() for c in self.trace_form().components)
+        """Parallel coordinate volume: the Christoffel trace, read off the
+        numerators over D (`common`) as sum_b N^b_ab, is identically zero."""
+        N, n = self.common[0], self.dim
+        return not any(sum((N[b][a][b] for b in range(n)), Poly())
+                       for a in range(n))
 
     def __eq__(self, other):
         if not isinstance(other, AffineConnection):
@@ -144,25 +147,23 @@ def _over_common(arrays):
     """Entries of nested n x m x k arrays of RationalExpr over one common
     polynomial denominator D in Z[x], the lcm of theirs up to sign.
 
-    Returns (numerators N[i][j][l] as ring elements, D, [d_k D]), so that a
+    Returns (numerators N[i][j][l] as `Poly`, D, [d_k D]), so that a
     curvature component assembled from the numerators costs a single gcd
     cancellation against a power of D instead of one per operation.  Each
-    quotient D / denominator is exact, or ExactQuotientFailed is raised.
+    quotient D / denominator is exact, or ArithmeticError is raised.
     """
-    D = _common_denominator([e for plane in arrays for row in plane
-                             for e in row])
-    zero = D.ring.zero
-    N = [[[e.frac.numer * D.exquo(e.frac.denom) if e else zero for e in row]
+    entries = [e for plane in arrays for row in plane for e in row]
+    D = _common_denominator(entries)
+    N = [[[e.num * D.exquo(e.den) if e else Poly() for e in row]
           for row in plane] for plane in arrays]
-    return N, D, [D.diff(x) for x in D.ring.gens]
+    return N, D, [D.diff(k) for k in range(entries[0].chart.dim)]
 
 
 def _matmul(X, Y):
     """Product of two matrices of polynomials, skipping zero entries."""
-    zero = X[0][0].ring.zero
     out = []
     for row in X:
-        acc = [zero] * len(Y[0])
+        acc = [Poly()] * len(Y[0])
         for k, x in enumerate(row):
             if x:
                 for j, y in enumerate(Y[k]):
@@ -184,22 +185,16 @@ def _matrix_curvature(N, D, dD):
         F_ab = (D (d_a N_b - d_b N_a) - N_b d_a D + N_a d_b D
                 + N_a N_b - N_b N_a) / D^2.
     """
-    gens = D.ring.gens
     size = range(len(N[0]))
     out = {}
     for a, b in combinations(range(len(N)), 2):
         Na, Nb = N[a], N[b]
         ab, ba = _matmul(Na, Nb), _matmul(Nb, Na)
         out[(a, b)] = [[
-            D * (Nb[i][j].diff(gens[a]) - Na[i][j].diff(gens[b]))
+            D * (Nb[i][j].diff(a) - Na[i][j].diff(b))
             - Nb[i][j] * dD[a] + Na[i][j] * dD[b] + ab[i][j] - ba[i][j]
             for j in size] for i in size]
     return out
-
-
-def _over(chart, num, den):
-    """The RationalExpr num/den for num, den in Z[x]: one cancellation."""
-    return RationalExpr(chart, chart._field.new(num, den))
 
 
 def _riemann(conn):
@@ -213,11 +208,11 @@ def _riemann(conn):
         N, D, dD = conn.common
         F = _matrix_curvature([[[N[c][a][d] for d in range(n)]
                                 for c in range(n)] for a in range(n)], D, dD)
-        zero = [[D.ring.zero] * n for _ in range(n)]
+        zero = [[Poly()] * n for _ in range(n)]
         R = [[F[(a, b)] if a < b else
               [[-e for e in row] for row in F[(b, a)]] if a > b else zero
               for b in range(n)] for a in range(n)]
-        ric = [[sum((R[b][a][b][d] for b in range(n)), D.ring.zero)
+        ric = [[sum((R[b][a][b][d] for b in range(n)), Poly())
                 for d in range(n)] for a in range(n)]
         conn._riemann = (R, ric, D * D)
     return conn._riemann
@@ -240,8 +235,8 @@ def ricci(conn):
     """Ricci tensor R_ad = R_ba{}^b{}_d: the Ricci numerators over D^2."""
     chart = conn.chart
     _, ric, D2 = _riemann(conn)
-    return TensorField.from_function(chart, ("d", "d"),
-                                     lambda a, d: _over(chart, ric[a][d], D2))
+    return TensorField.from_function(
+        chart, ("d", "d"), lambda a, d: _cancelled(chart, ric[a][d], D2))
 
 
 def beta_form(conn):
@@ -318,8 +313,7 @@ def specialize(conn):
     rational for every input, closed or not; no potential f with df = Y is
     sought, since the metrizability system is projectively invariant and
     nothing downstream reads one.  When `conn` is already special it is
-    returned itself, so its kept trace form serves the gauge check of
-    `decompose_curvature` too.
+    returned itself, with whatever it has kept.
     """
     chart = conn.chart
     n = chart.dim
@@ -336,7 +330,8 @@ def full_curvature(conn):
     chart = conn.chart
     R, _, D2 = _riemann(conn)
     return _antisymmetric(chart, ("d", "d", "u", "d"),
-                          lambda a, b, c, d: _over(chart, R[a][b][c][d], D2))
+                          lambda a, b, c, d: _cancelled(chart, R[a][b][c][d],
+                                                        D2))
 
 
 def _schouten_and_weyl(conn):
@@ -352,7 +347,7 @@ def _schouten_and_weyl(conn):
     R, ric, D2 = _riemann(conn)
     den = (n - 1) * D2
     schouten = TensorField.from_function(
-        chart, ("d", "d"), lambda a, b: _over(chart, ric[a][b], den))
+        chart, ("d", "d"), lambda a, b: _cancelled(chart, ric[a][b], den))
 
     def weyl(a, b, c, d):
         num = (n - 1) * R[a][b][c][d]
@@ -360,7 +355,7 @@ def _schouten_and_weyl(conn):
             num = num - ric[b][d]
         if b == c:
             num = num + ric[a][d]
-        return _over(chart, num, den)
+        return _cancelled(chart, num, den)
 
     return schouten, _antisymmetric(chart, ("d", "d", "u", "d"), weyl)
 
@@ -381,17 +376,16 @@ def cotton_york(conn):
     """
     chart = conn.chart
     n = chart.dim
-    gens = chart._ring.gens
     N, D, dD = conn.common
     _, ric, D2 = _riemann(conn)
     den = 2 * (n - 1) * D2 * D
 
     def entry(a, b, c):
-        num = D * (ric[b][c].diff(gens[a]) - ric[a][c].diff(gens[b])) \
+        num = D * (ric[b][c].diff(a) - ric[a][c].diff(b)) \
             - 2 * (ric[b][c] * dD[a] - ric[a][c] * dD[b])
         for e in range(n):
             num = num + N[e][b][c] * ric[a][e] - N[e][a][c] * ric[b][e]
-        return _over(chart, num, den)
+        return _cancelled(chart, num, den)
 
     return _antisymmetric(chart, ("d", "d", "d"), entry)
 

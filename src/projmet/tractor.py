@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NotSpecial, ShapeError
-from .projconn import _matrix_curvature, _over, _over_common
+from .exprcore import _cancelled
+from .projconn import _matrix_curvature, _over_common
 from .tensorfield import TensorField
 
 __all__ = [
@@ -128,7 +129,7 @@ def tractor_curvature(conn, data):
     N, D, dD = _over_common(connection_matrices(conn, data).matrices())
     D2 = D * D
     return TractorCurvature(chart, {
-        ab: [[_over(chart, e, D2) for e in row] for row in F]
+        ab: [[_cancelled(chart, e, D2) for e in row] for row in F]
         for ab, F in _matrix_curvature(N, D, dD).items()})
 
 

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
+import sympy.polys.fields
+from sympy import ZZ
 
 from projmet import (AffineConnection, Chart, TensorField,
                      covariant_derivative, levi_civita)
@@ -126,3 +129,19 @@ def riemann_by_commutator(conn, x_field):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@cache
+def _sympy_field(n):
+    names = ",".join(f"x{k}" for k in range(1, n + 1))
+    return sympy.polys.fields.field(names, ZZ, order="grlex")[0]
+
+
+def sympy_frac(e):
+    """The RationalExpr `e` as an element of sympy's field ZZ(x1..xn) in
+    grlex order, with the same numerator and denominator: the oracle of
+    the tests that compare the arithmetic with sympy's.  Its `.field`
+    gives the field."""
+    qf = _sympy_field(e.chart.dim)
+    return qf.raw_new(qf.ring.from_dict(dict(e.num)),
+                      qf.ring.from_dict(dict(e.den)))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from projmet.exprcore import DifferentialForm, RationalExpr
+from projmet.exprcore import DifferentialForm, _cancelled
 from projmet.errors import ShapeError
 from projmet.projconn import _over_common
 from projmet.tensorfield import TensorField, covariant_derivative
@@ -71,8 +71,6 @@ def cotton_york_by_gradients(conn, schouten):
     n = chart.dim
     # assemble grad P over the product of the two common denominators so
     # each component cancels once
-    gens = chart._ring.gens
-    field = chart._field
     N, D, _ = _over_common(conn.gamma)
     (PN,), DP, dDP = _over_common([[[schouten.get(a, b) for b in range(n)]
                                     for a in range(n)]])
@@ -80,7 +78,7 @@ def cotton_york_by_gradients(conn, schouten):
 
     def grad_num(a, b, c):
         # (d_a PN - PN dlog DP) D DP - sum_e (N PN + N PN) DP over D DP^2
-        num = (PN[b][c].diff(gens[a]) * DP - PN[b][c] * dDP[a]) * D
+        num = (PN[b][c].diff(a) * DP - PN[b][c] * dDP[a]) * D
         for e in range(n):
             num = num - (N[e][a][b] * PN[e][c] + N[e][a][c] * PN[b][e]) * DP
         return num
@@ -94,7 +92,7 @@ def cotton_york_by_gradients(conn, schouten):
         if (b, a, c) not in cache:
             cache[(b, a, c)] = grad_num(b, a, c)
         num = cache[(a, b, c)] - cache[(b, a, c)]
-        comps.append(RationalExpr(chart, field.new(num, den)) * half)
+        comps.append(_cancelled(chart, num, den) * half)
     return TensorField(chart, ("d", "d", "d"), comps)
 
 
@@ -415,10 +413,10 @@ def common_denominator_by_running_lcm(exprs):
     """The fold `exprcore._common_denominator` replaced: one gcd for every
     non-constant denominator that differs from the running lcm, repeats
     of earlier denominators included."""
-    den = exprs[0].frac.denom.ring.one
+    den = exprs[0].chart._one
     scale = 1
     for e in exprs:
-        d = e.frac.denom
+        d = e.den
         if d.is_ground:
             scale = lcm(scale, d.LC)
         elif d != den:

@@ -139,11 +139,11 @@ def rational_to_series(expr, point, max_order, reciprocals=None):
     """
     nvars = expr.chart.dim
     zero = (0,) * nvars
-    num = poly_to_series(expr.numer_terms(), point, max_order)
-    key = tuple(expr.denom_terms())
+    num = poly_to_series(expr.num.terms(), point, max_order)
+    key = expr.den
     recip = None if reciprocals is None else reciprocals.get(key)
     if recip is None:
-        den = poly_to_series(key, point, max_order)
+        den = poly_to_series(key.terms(), point, max_order)
         if not den.get(zero):
             raise PoleAtBasePoint(
                 f"denominator vanishes at base point {tuple(point)}")

@@ -6,13 +6,12 @@ from math import gcd
 
 import pytest
 import sympy
-from sympy import QQ, ZZ
-from sympy.polys.rings import PolyElement
+from sympy import QQ
 
 from projmet import Chart, DifferentialForm, ParseError, PoleError
-from projmet.exprcore import RationalExpr
+from projmet.exprcore import Poly, RationalExpr
 
-from conftest import rand_poly
+from conftest import rand_poly, sympy_frac
 
 
 @pytest.fixture
@@ -110,19 +109,20 @@ def _kernel_operands(chart, rng):
 
 
 def _same_frac(result, oracle):
-    assert result.frac.numer == oracle.numer
-    assert result.frac.denom == oracle.denom
+    got = sympy_frac(result)
+    assert got.numer == oracle.numer
+    assert got.denom == oracle.denom
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernel_matches_sympy_field(n):
     chart = Chart(n)
-    field = chart._field
+    field = sympy_frac(chart.zero).field
     rng = random.Random(1000 + n)
     scalars = [3, -1, 0, Fraction(-2, 3), Fraction(5, 7)]
     for _ in range(6):
         for a, b in _kernel_operands(chart, rng):
-            f, g = a.frac, b.frac
+            f, g = sympy_frac(a), sympy_frac(b)
             _same_frac(a + b, f + g)
             _same_frac(a - b, f - g)
             _same_frac(a * b, f * g)
@@ -147,19 +147,21 @@ def test_kernel_matches_sympy_field(n):
 
 def _rational_field(chart):
     """sympy's own field Q(x1..xn), the oracle for the kernel over Z[x]."""
-    return sympy.polys.fields.field(chart._ring.symbols, QQ, order="grlex")[0]
+    symbols = sympy_frac(chart.zero).field.symbols
+    return sympy.polys.fields.field(symbols, QQ, order="grlex")[0]
 
 
 def _in_rational_field(qf, e):
-    return qf.raw_new(e.frac.numer.set_ring(qf.ring),
-                      e.frac.denom.set_ring(qf.ring))
+    f = sympy_frac(e)
+    return qf.raw_new(f.numer.set_ring(qf.ring), f.denom.set_ring(qf.ring))
 
 
 def _assert_integer_canonical(qf, e, want):
     """e is kept over Z[x] in canonical form and has the value `want`, an
     element of the field Q(x)."""
-    num, den = e.frac.numer, e.frac.denom
-    assert num.ring.domain == ZZ and den.ring.domain == ZZ
+    num, den = e.num, e.den
+    assert type(num) is Poly and type(den) is Poly
+    assert all(type(c) is int and c for c in [*num.values(), *den.values()])
     assert gcd(*num.values(), *den.values()) == 1
     assert den.LC > 0
     got = _in_rational_field(qf, e)
@@ -187,7 +189,7 @@ def test_kernel_stays_in_integer_ring(n):
     coeffs = {(2,) + (0,) * (n - 1): Fraction(3, 4), (0,) * n: Fraction(-5, 6),
               (0,) * (n - 1) + (1,): 2}
     want = sum((q(c) * qf.from_expr(sympy.Mul(*[g ** k for g, k in
-                                               zip(chart._ring.symbols, e)]))
+                                               zip(qf.symbols, e)]))
                 for e, c in coeffs.items()), qf.zero)
     _assert_integer_canonical(qf, chart.from_coeff_dict(coeffs), want)
     _assert_integer_canonical(qf, chart.from_coeff_dict({}), qf.zero)
@@ -216,11 +218,12 @@ def test_kernel_stays_in_integer_ring(n):
 
 def _sympy_value(expr, point):
     """The value by sympy's own substitution, in the ring over Q."""
-    ring = expr.chart._ring.clone(domain=QQ)
+    frac = sympy_frac(expr)
+    ring = frac.field.ring.clone(domain=QQ)
     pairs = list(zip(ring.gens, [QQ(Fraction(v).numerator, Fraction(v).denominator)
                                  for v in point]))
-    num = expr.frac.numer.set_ring(ring).evaluate(pairs)
-    den = expr.frac.denom.set_ring(ring).evaluate(pairs)
+    num = frac.numer.set_ring(ring).evaluate(pairs)
+    den = frac.denom.set_ring(ring).evaluate(pairs)
     return None if not den else Fraction(int(num.numerator), int(num.denominator)) / \
         Fraction(int(den.numerator), int(den.denominator))
 
@@ -228,13 +231,12 @@ def _sympy_value(expr, point):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_evaluate_matches_sympy(n):
     chart = Chart(n)
-    ring = chart._ring
     rng = random.Random(2000 + n)
     # a raw, non-canonical fraction: x1/3 - 5/2 stored as (4 x1 - 30)/12,
     # with a joint integer content of 2 left in
-    thirds = RationalExpr(chart, chart._field.raw_new(
-        ring.from_dict({(1,) + (0,) * (n - 1): 4, (0,) * n: -30}),
-        ring.ground_new(12)))
+    thirds = RationalExpr(chart,
+                          Poly({(1,) + (0,) * (n - 1): 4, (0,) * n: -30}),
+                          Poly({(0,) * n: 12}))
     for _ in range(6):
         exprs = [thirds]
         for a, b in _kernel_operands(chart, rng):
@@ -273,13 +275,13 @@ def test_kernel_fast_paths_skip_the_gcd(monkeypatch):
     p, q, r = x ** 2 + 3 * y - 1, 2 * x * y + y ** 2 + 5, x - y + 7
     rat, rat2 = p / q, r / q
     calls = []
-    cofactors = PolyElement.cofactors
+    cofactors = Poly.cofactors
 
     def counting(self, other):
         calls.append(1)
         return cofactors(self, other)
 
-    monkeypatch.setattr(PolyElement, "cofactors", counting)
+    monkeypatch.setattr(Poly, "cofactors", counting)
     for value in (p + q, p - q, p * q, rat * 3, rat * Fraction(-2, 5),
                   Fraction(1, 3) * rat, rat / 4, rat * chart.const(7)):
         assert not value.is_zero()
@@ -316,17 +318,17 @@ def test_jet_matches_sympy_differentiation(n):
     differentiation and substitution of the same expression; the second
     partials of `hessian` against `diff` twice, then `evaluate`."""
     chart = Chart(n)
-    syms = chart._ring.symbols
+    syms = sympy_frac(chart.zero).field.symbols
     rng = random.Random(3000 + n)
     checked = 0
     for _ in range(2):
         for e in _jet_operands(chart, rng):
-            expr = e.frac.as_expr()
+            expr = sympy_frac(e).as_expr()
             for _ in range(2):
                 point = _distinct_denominator_point(rng, n)
                 sub = {s: sympy.Rational(v.numerator, v.denominator)
                        for s, v in zip(syms, point)}
-                den = e.frac.denom.as_expr().subs(sub)
+                den = sympy_frac(e).denom.as_expr().subs(sub)
                 if den == 0:
                     with pytest.raises(PoleError, match="denominator vanishes"):
                         e.jet(point)
@@ -372,11 +374,14 @@ def test_diff_matches_sympy_field_diff(n):
     rng = random.Random(4000 + n)
     for _ in range(4):
         for e in _jet_operands(chart, rng):
-            for k, gen in enumerate(chart._field.gens, start=1):
-                got, want = e.diff(k).frac, e.frac.diff(gen)
-                assert got.numer == want.numer and got.denom == want.denom
-                assert str(got) == str(want)
-                assert hash(got) == hash(want)
+            f = sympy_frac(e)
+            for k, gen in enumerate(f.field.gens, start=1):
+                got, want = e.diff(k), f.diff(gen)
+                assert sympy_frac(got).numer == want.numer
+                assert sympy_frac(got).denom == want.denom
+                assert str(got) == str(want).replace("**", "^")
+                assert hash(got) == hash(RationalExpr(
+                    chart, Poly(dict(want.numer)), Poly(dict(want.denom))))
 
 
 def test_diff_gcd_count(monkeypatch):
@@ -386,13 +391,13 @@ def test_diff_gcd_count(monkeypatch):
     chart = Chart(2)
     x, y = chart.vars
     calls = []
-    cofactors = PolyElement.cofactors
+    cofactors = Poly.cofactors
 
     def counting(self, other):
         calls.append(1)
         return cofactors(self, other)
 
-    monkeypatch.setattr(PolyElement, "cofactors", counting)
+    monkeypatch.setattr(Poly, "cofactors", counting)
     cases = [((x ** 2 * y + 3) / 5, 0),
              (x / (1 + x ** 2 + y ** 2), 1),
              ((x + y) / (x - 2 * y), 1),
@@ -402,9 +407,8 @@ def test_diff_gcd_count(monkeypatch):
         calls.clear()
         got = e.diff(1)
         assert len(calls) == count, e
-        monkeypatch.setattr(PolyElement, "cofactors", cofactors)
-        assert got.frac == e.frac.diff(chart._field.gens[0])
-        monkeypatch.setattr(PolyElement, "cofactors", counting)
+        f = sympy_frac(e)
+        assert sympy_frac(got) == f.diff(f.field.gens[0])
     assert ((x + y) / (y * (x + 2 * y))).diff(1) == 1 / (x + 2 * y) ** 2
 
 
@@ -495,18 +499,18 @@ def test_common_denominator_takes_one_gcd_per_distinct_denominator(
     sources = _sources_of_denominators()
     expected = [common_denominator_by_running_lcm(exprs) for exprs in sources]
     calls = []
-    poly_gcd = PolyElement.gcd
+    poly_gcd = Poly.gcd
 
     def counted(self, other):
         calls.append(other)
         return poly_gcd(self, other)
 
-    monkeypatch.setattr(PolyElement, "gcd", counted)
+    monkeypatch.setattr(Poly, "gcd", counted)
     counts = []
     for exprs, want in zip(sources, expected):
         calls.clear()
         assert _common_denominator(exprs) == want
-        distinct = {e.frac.denom for e in exprs if not e.frac.denom.is_ground}
+        distinct = {e.den for e in exprs if not e.den.is_ground}
         assert len(calls) == len(distinct) - 1
         counts.append(len(distinct))
     # the crafted list repeats d1 and d2 after another denominator

@@ -225,7 +225,7 @@ def test_expand_matrices_inverts_each_denominator_once(monkeypatch):
     entries = [e for mat in mats for row in mat for e in row
                if not e.is_zero()]
     assert len(expanded) < len(entries)
-    distinct = {tuple(c.denom_terms()) for c in table.components
+    distinct = {c.den for c in table.components
                 if not c.is_polynomial()}
     assert len(calls) == len(distinct) < len(expanded)
 

@@ -372,8 +372,9 @@ def test_curvature_package_adds_and_multiplies_no_rational_expr(special, rng,
                                                                monkeypatch):
     """P, W and Y are read off the Riemann numerators with one cancellation
     per component: `decompose_curvature` calls no RationalExpr sum,
-    difference or product.  The gauge check reads the trace form that the
-    connection keeps; `is_special` builds it before the spy is on."""
+    difference or product.  The gauge check reads the numerators over D
+    that the connection keeps; `is_special` builds them before the spy is
+    on."""
     from projmet.exprcore import RationalExpr
 
     if special == "klein":
@@ -395,6 +396,33 @@ def test_curvature_package_adds_and_multiplies_no_rational_expr(special, rng,
     assert data.schouten == TensorField(conn.chart, ("d", "d"), [
         r.get(a, b) / 2 for a in range(3) for b in range(3)])
     assert data.cotton_york == cotton_york_by_gradients(conn, data.schouten)
+
+
+def test_gauge_check_takes_no_rational_expr_arithmetic(monkeypatch):
+    """`decompose_curvature` checks the special gauge on the numerators of
+    the symbols over their common denominator, which the curvature reads
+    anyway: no RationalExpr sum, product, quotient or power runs, with no
+    trace form built beforehand.  Negation is not spied on: it takes no
+    gcd, and the a > b curvature components are their partners negated.
+    A non-special input still raises NotSpecial."""
+    from projmet.exprcore import RationalExpr
+
+    conn = specialize(klein_connection(3))[0]
+    assert conn._trace is None
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__"):
+        def spy(*args, name=name, method=getattr(RationalExpr, name)):
+            calls.append(name)
+            return method(*args)
+        monkeypatch.setattr(RationalExpr, name, spy)
+    data = decompose_curvature(conn)
+    assert calls == []
+    with pytest.raises(NotSpecial):
+        decompose_curvature(klein_connection(3))
+    monkeypatch.undo()
+    assert conn.is_special()
+    assert data.weyl.is_zero() and data.cotton_york.is_zero()
 
 
 @pytest.mark.parametrize("command", ["analyze", "mobility", "curvature"])
