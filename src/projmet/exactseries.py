@@ -21,7 +21,7 @@ from .exprcore import _powers, _scaled_point, _scaled_value
 
 __all__ = [
     "Series", "monomials_of_order", "series_from_coeffs", "series_add",
-    "series_scale", "series_combination", "series_mul", "series_inverse",
+    "series_scale", "series_mul", "series_inverse",
     "series_diff", "series_eval", "poly_to_series", "rational_to_series",
     "series_to_coeff_dict",
 ]
@@ -81,20 +81,6 @@ def series_scale(a, c):
     c = Fraction(c)
     terms = {m: v * c.numerator for m, v in a.terms.items()} if c else {}
     return _lowest(a.den * c.denominator, terms)
-
-
-def series_combination(pairs):
-    """The sum of scale * series over (scale, Series) pairs with rational
-    scales: added in int over the lcm of the scaled denominators and
-    reduced once."""
-    pairs = [(Fraction(c), a) for c, a in pairs if c and a]
-    den = lcm(*(c.denominator * a.den for c, a in pairs))
-    out = {}
-    for c, (da, ta) in pairs:
-        f = c.numerator * (den // (c.denominator * da))
-        for m, v in ta.items():
-            out[m] = out.get(m, 0) + f * v
-    return _lowest(den, {m: v for m, v in out.items() if v})
 
 
 def series_mul(a, b, max_order):
@@ -210,29 +196,25 @@ def poly_to_series(terms, point, max_order):
                                    for m, v in out.items() if v})
 
 
-def rational_to_series(expr, point, max_order, reciprocals=None):
+def rational_to_series(expr, point, max_order):
     """Taylor series of a RationalExpr at a rational point.
 
-    Raises PoleAtBasePoint when the denominator vanishes there.  Callers
-    expanding many entries pass one `reciprocals` dict: each distinct
-    denominator is then expanded and inverted once.
+    Raises PoleAtBasePoint when the denominator vanishes there.  A
+    polynomial (constant denominator) is only scaled, not inverted.
     """
     zero = (0,) * expr.chart.dim
     num = poly_to_series(expr.num.terms(), point, max_order)
-    key = expr.den
-    recip = None if reciprocals is None else reciprocals.get(key)
-    if recip is None:
-        den = poly_to_series(key.terms(), point, max_order)
-        if not den.terms.get(zero):
-            raise PoleAtBasePoint(
-                f"denominator vanishes at base point {tuple(point)}")
-        recip = (Fraction(den.den, den.terms[zero]) if len(den.terms) == 1
-                 else series_inverse(den, len(zero), max_order))
-        if reciprocals is not None:
-            reciprocals[key] = recip
-    if isinstance(recip, Fraction):
-        return series_scale(num, recip)
-    return series_mul(num, recip, max_order)
+    if expr.den.is_ground:
+        c = expr.den.LC
+        return num if c == 1 else series_scale(num, Fraction(1, c))
+    den = poly_to_series(expr.den.terms(), point, max_order)
+    if not den.terms.get(zero):
+        raise PoleAtBasePoint(
+            f"denominator vanishes at base point {tuple(point)}")
+    if len(den.terms) == 1:
+        return series_scale(num, Fraction(den.den, den.terms[zero]))
+    return series_mul(num, series_inverse(den, len(zero), max_order),
+                      max_order)
 
 
 def series_to_coeff_dict(a, point):

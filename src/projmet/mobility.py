@@ -1,25 +1,30 @@
 """Covariant constant sections by exact Taylor-jet recursion.
 
 The covariant constancy condition on packed components reads
-d_a s = -A_a(x) s with A_a the connection matrices.  Expanding A at a base
-point and matching Taylor coefficients determines every jet coefficient of
-s linearly from s(p); equality of mixed partials imposes exact linear
-constraints on s(p).  The surviving initial values form the admissible
-space, whose dimension is the degree of mobility (an upper bound until the
-dimension repeats for two consecutive orders).
+d_a s = -A_a(x) s with A_a the connection matrices.  Every entry of A_a
+is a numerator over a power of the common denominator D of the symbols,
+so the recursion solves the cleared system L_i d_a s_i = -(B_a s)_i
+(`tractor.cleared_matrices`), whose L_i (a constant times D, D^2 or D^3)
+and B_a = L_i A_a are polynomials.  Matching Taylor coefficients at a base
+point determines every jet coefficient of s linearly from s(p); equality
+of mixed partials imposes exact linear constraints on s(p).  The
+surviving initial values form the admissible space, whose dimension is
+the degree of mobility (an upper bound until the dimension repeats for
+two consecutive orders).
 
 The recursion works on integer rows over one denominator per monomial:
 every nonzero Taylor coefficient of the basis solutions is an integer
 denominator and N sparse integer rows {basis index: numerator}, in lowest
-terms, and only those are stored (the initial value always).  The integer
-Taylor data of the A_a has one denominator per monomial: each distinct
-Gamma, P, W or Y component of the connection table is expanded once by
-exactseries, and an entry is an integer combination of those series.  A
-prediction multiplies only pairs of a Taylor term of A_a and a stored
+terms, and only those are stored (the initial value always).  The Taylor
+data of B_a and L_i, each row divided by L_i(p), is integer over one
+denominator per monomial: each distinct polynomial of the cleared system
+is expanded once by exactseries, and no series is inverted.  A prediction
+multiplies only pairs of a Taylor term of B_a or L_i and a stored
 coefficient, found from the shorter side, so products accumulate in int
-and zeros cost nothing.  Two predictions of the same coefficient are
-compared in that normal form; only rows that differ become (integer)
-constraint rows.  On a projectively flat structure the comparison cannot
+and zeros cost nothing; a polynomial Gamma makes D and L_i constant, and
+the recursion is that of A_a itself.  Two predictions of the same
+coefficient are compared in that normal form; only rows that differ
+become (integer) constraint rows.  On a projectively flat structure the comparison cannot
 fail, so each coefficient is predicted once.  Rank decisions still go
 through the exact sparse Gauss-Jordan elimination in exactlinalg.  The
 basis becomes Fractions at the end; a combination of the basis solutions
@@ -30,14 +35,16 @@ float cross-check only.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 
-from .errors import NotSpecial, PoleError, PoleOnPath, StepUnderflow
+from .errors import (NotSpecial, PoleAtBasePoint, PoleError, PoleOnPath,
+                     StepUnderflow)
 from .exactlinalg import nullspace
-from .exactseries import (_lowest, monomials_of_order, rational_to_series,
-                          series_combination)
-from .exprcore import _rk4_step, _scaled_point, _scaled_value, compile_numeric
+from .exactseries import _lowest, monomials_of_order, rational_to_series
+from .exprcore import (RationalExpr, _rk4_step, _scaled_point, _scaled_value,
+                       compile_numeric)
 from .projconn import decompose_curvature
-from .tractor import connection_matrices, section_dim
+from .tractor import cleared_matrices, connection_matrices, section_dim
 
 __all__ = [
     "JetSolution",
@@ -132,40 +139,72 @@ def _columns(den, rows, d):
     return columns
 
 
-def _expand_matrices(table, point, max_order):
-    """Per coordinate the int Taylor coefficients of the A_a entries at
-    each monomial u^mono, over one denominator per monomial in lowest
-    terms: ([(mono, den, [(i, j, coeff)])] lowest order first,
+def _listed(by_mono, max_order):
+    """{mono: [(i, j, numerator, denominator)]} summed per (i, j) and
+    monomial as ([(mono, den, [(i, j, coeff)])] lowest order first,
     {mono: (den, [(i, j, coeff)])}, [number of monomials through order k
-    for k = 0..max_order]).  Each distinct component of the table is
-    expanded once, components sharing a denominator share the expansion
-    of its inverse, and an entry is the integer combination of its
-    components' series."""
-    reciprocals = {}
-    comps = [rational_to_series(c, point, max_order, reciprocals)
-             for c in table.components]
+    for k = 0..max_order]), over one positive denominator per monomial in
+    lowest terms; monomials whose sums all vanish are left out."""
+    listed = []
+    upto = [0] * (max_order + 1)
+    for mono, entries in sorted(by_mono.items(),
+                                key=lambda item: sum(item[0])):
+        den = lcm(*(q for _, _, _, q in entries))
+        acc = {}
+        for i, j, v, q in entries:
+            acc[i, j] = acc.get((i, j), 0) + v * (den // q)
+        coeffs = [(i, j, c) for (i, j), c in acc.items() if c]
+        if not coeffs:
+            continue
+        g = gcd(den, *(c for _, _, c in coeffs))
+        listed.append((mono, den // g, [(i, j, c // g) for i, j, c in coeffs]))
+        upto[sum(mono)] += 1
+    for k in range(max_order):
+        upto[k + 1] += upto[k]
+    return listed, {mono: (den, coeffs) for mono, den, coeffs in listed}, upto
+
+
+def _expand_system(conn, data, point, max_order):
+    """Per coordinate a, the integer Taylor data at `point` through
+    max_order of the cleared system L_i d_a s_i = -(B_a s)_i of
+    `cleared_matrices`, each row divided by L_i(p): the pair of `_listed`
+    of the entries (i, j, coeff) of B_a / L_i(p) and `_listed` of the
+    terms (i, i, coeff) of L_i / L_i(p) beyond its constant term 1, the
+    latter the same for every coordinate.  Each component of the cleared
+    system is expanded once by `rational_to_series`, as a polynomial
+    RationalExpr, so no series is inverted.  Raises PoleAtBasePoint when
+    D, and with it every L_i, vanishes at the point.
+    """
+    chart = conn.chart
+    one = chart.one.num
+    zero = (0,) * chart.dim
+    components, L, entries = cleared_matrices(conn, data)
+    series = [rational_to_series(RationalExpr(chart, c, one), point,
+                                 max_order) for c in components]
+    factors = []  # per slot i, 1 / L_i(p) as (p, q)
+    steps = {}
+    for i, (scale, k) in enumerate(L):
+        den, terms = series[k]
+        c = terms.get(zero)
+        if not c:
+            raise PoleAtBasePoint(
+                f"denominator vanishes at base point {tuple(point)}")
+        factors.append((den, scale * c))
+        for mono, v in terms.items():
+            if mono != zero:
+                steps.setdefault(mono, []).append((i, i, v, c))
+    steps = _listed(steps, max_order)
     out = []
-    for entries in table.entries:
+    for table in entries:
         by_mono = {}
-        for (i, j), terms in entries.items():
-            den, series = series_combination(
-                [(scale, comps[k]) for scale, k in terms])
-            for mono, v in series.items():
-                by_mono.setdefault(mono, []).append((i, j, v, den))
-        listed = []
-        upto = [0] * (max_order + 1)
-        for mono, entries in sorted(by_mono.items(),
-                                    key=lambda item: sum(item[0])):
-            den = lcm(*(q for _, _, _, q in entries))
-            coeffs = [(i, j, v * (den // q)) for i, j, v, q in entries]
-            g = gcd(den, *(c for _, _, c in coeffs))
-            listed.append((mono, den // g,
-                           [(i, j, c // g) for i, j, c in coeffs]))
-            upto[sum(mono)] += 1
-        for k in range(max_order):
-            upto[k + 1] += upto[k]
-        out.append((listed, {mono: (den, coeffs)
-                             for mono, den, coeffs in listed}, upto))
+        for (i, j), terms in table.items():
+            p, q = factors[i]
+            for scale, k in terms:
+                den, ser = series[k]
+                f, fq = scale * p, den * q
+                for mono, v in ser.items():
+                    by_mono.setdefault(mono, []).append((i, j, v * f, fq))
+        out.append((_listed(by_mono, max_order), steps))
     return out
 
 
@@ -210,38 +249,65 @@ def _difference_rows(first, second):
     return out
 
 
-def _predict(terms, coeff, alpha, a, N):
-    """Taylor coefficient at alpha + e_a of the basis solutions, from
-    d_a s = -A_a s: the coefficient of u^alpha in -A_a s over alpha_a + 1,
-    normalised, or None when it is zero.  `terms` is the integer Taylor
-    data of A_a as `_expand_matrices` gives it.  `coeff` stores only the
-    nonzero coefficients, so only pairs of a term u^mono and a stored
-    coefficient u^rem with mono + rem = alpha contribute; they are found
-    from whichever side is shorter, the terms through the order of alpha
+def _pairs(terms, coeff, target, a=None):
+    """The products of a Taylor term u^mono of `terms`, as `_listed` gives
+    them, and a stored coefficient u^rem with mono + rem = target, as
+    (term den * rem den, step, term entries, rem rows) with step 1, or
+    rem_a when `a` is given (a zero step drops the pair).  They are found
+    from whichever side is shorter: the terms through the order of target,
     or the stored coefficients."""
     listed, by_mono, upto = terms
-    order = sum(alpha)
-    count = upto[order]
-    products = []
+    count = upto[sum(target)]
+    out = []
     if count <= len(coeff):
         for k in range(count):
-            mono, mono_den, entries = listed[k]
-            stored = coeff.get(tuple(x - y for x, y in zip(alpha, mono)))
+            mono, den, entries = listed[k]
+            rem = tuple(map(sub, target, mono))
+            stored = coeff.get(rem)
             if stored is not None:
-                products.append((mono_den * stored[0], entries, stored[1]))
+                step = 1 if a is None else rem[a]
+                if step:
+                    out.append((den * stored[0], step, entries, stored[1]))
     else:
         for rem, (rem_den, rem_rows) in coeff.items():
-            mono = tuple(x - y for x, y in zip(alpha, rem))
+            mono = tuple(map(sub, target, rem))
             if min(mono) >= 0:
                 term = by_mono.get(mono)
-                if term is not None:
-                    products.append((term[0] * rem_den, term[1], rem_rows))
+                step = 1 if a is None else rem[a]
+                if term is not None and step:
+                    out.append((term[0] * rem_den, step, term[1], rem_rows))
+    return out
+
+
+def _predict(terms, coeff, alpha, a, N):
+    """Taylor coefficient at alpha + e_a of the basis solutions, from the
+    cleared system L_i d_a s_i = -(B_a s)_i with each row divided by
+    L_i(p), so that l_(i,0) = 1:
+
+        (alpha_a + 1) s_(alpha+e_a),i = -[B_a s]_alpha,i
+            - sum over beta != 0 of l_(i,beta) ((alpha - beta)_a + 1)
+              s_(alpha-beta+e_a),i,
+
+    normalised, or None when it is zero.  `terms` is the integer Taylor
+    data of B_a and L as `_expand_system` gives them.  Every stored
+    coefficient through the order of alpha satisfies the system in every
+    direction, so this is the coefficient that d_a s = -A_a s predicts
+    from the series of A_a, at the cost of the few Taylor terms of B_a and
+    L.  `coeff` stores only the nonzero coefficients, so only the `_pairs`
+    of a term and a stored coefficient contribute: u^mono of B_a with
+    u^rem at alpha - mono, and u^beta of L with u^rem at
+    alpha - beta + e_a, times rem_a.  A constant L has no such terms."""
+    b_terms, l_terms = terms
+    products = _pairs(b_terms, coeff, alpha)
+    if l_terms[0]:
+        products += _pairs(l_terms, coeff,
+                           alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:], a)
     if not products:
         return None
-    den = lcm(*(q for q, _, _ in products))
+    den = lcm(*(q for q, _, _, _ in products))
     acc = [{} for _ in range(N)]
-    for q, entries, brows in products:
-        scale = den // q
+    for q, step, entries, brows in products:
+        scale = den // q * step
         for i, j, c in entries:
             brow = brows[j]
             if not brow:
@@ -276,7 +342,7 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
     flat = data.is_flat()
     point = [Fraction(p) for p in base_point]
     table = connection_matrices(conn, data)
-    tdata = _expand_matrices(table, point, max_order)
+    tdata = _expand_system(conn, data, point, max_order)
     N = section_dim(n)
 
     # coeff[mono] = (den, rows): slot i of basis solution t has Taylor

@@ -130,17 +130,26 @@ class AffineConnection:
 
 
 class ProjectiveData(NamedTuple):
-    """Derived curvature package of a special connection."""
+    """Derived curvature package of a special connection.
+
+    `weyl_num` and `york_num` are the numerators that W and Y are cancelled
+    from, over (n-1) D^2 and 2(n-1) D^3 for the common denominator D of
+    the symbols (`AffineConnection.common`): {index tuple: Poly}, nonzero
+    ones only, as `_antisymmetric_numerators` gives them.
+    """
 
     connection: AffineConnection
     schouten: TensorField
     weyl: TensorField
     cotton_york: TensorField
+    weyl_num: dict
+    york_num: dict
 
     def is_flat(self):
-        """Projectively flat: W and Y vanish, so the prolonged connection is
-        flat and every initial value extends to a solution."""
-        return self.weyl.is_zero() and self.cotton_york.is_zero()
+        """Projectively flat: the W and Y numerators vanish, so the
+        prolonged connection is flat and every initial value extends to a
+        solution."""
+        return not (self.weyl_num or self.york_num)
 
 
 def _over_common(arrays):
@@ -229,6 +238,27 @@ def _antisymmetric(chart, variance, entry):
     return TensorField(chart, variance, [
         upper[(a, b) + r] if a < b else -upper[(b, a) + r] if a > b
         else chart.zero for a, b in product(range(n), repeat=2) for r in rest])
+
+
+def _antisymmetric_numerators(n, rank, entry):
+    """{index tuple: Poly} of the nonzero numerators entry(a, b, *rest),
+    computed for a < b only, with the partner (b, a, *rest) negated."""
+    out = {}
+    for a, b in combinations(range(n), 2):
+        for r in product(range(n), repeat=rank - 2):
+            num = entry(a, b, *r)
+            if num:
+                out[(a, b) + r] = num
+                out[(b, a) + r] = -num
+    return out
+
+
+def _cancelled_field(chart, variance, nums, den):
+    """The TensorField of `_antisymmetric_numerators` over den: one
+    cancellation per component with a < b."""
+    zero = Poly()
+    return _antisymmetric(chart, variance, lambda *idx: _cancelled(
+        chart, nums.get(idx, zero), den))
 
 
 def ricci(conn):
@@ -334,40 +364,70 @@ def full_curvature(conn):
                                                         D2))
 
 
-def _schouten_and_weyl(conn):
-    """P and W of a symmetric-Ricci connection (gauge not required).
+def _weyl_numerators(conn):
+    """The numerators (n-1) R_ab{}^c{}_d - delta_a^c Ric_bd
+    + delta_b^c Ric_ad of W over (n-1) D^2, as
+    `_antisymmetric_numerators`."""
+    n = conn.dim
+    R, ric, _ = _riemann(conn)
 
-    P = Ric/(n-1) and W_ab{}^c{}_d = R_ab{}^c{}_d - delta_a^c P_bd
-    + delta_b^c P_ad both lie over (n-1) D^2, with numerators Ric and
-    (n-1) R - delta_a^c Ric_bd + delta_b^c Ric_ad: one cancellation per
-    component of P, and per component of W with a < b.
-    """
-    chart = conn.chart
-    n = chart.dim
-    R, ric, D2 = _riemann(conn)
-    den = (n - 1) * D2
-    schouten = TensorField.from_function(
-        chart, ("d", "d"), lambda a, b: _cancelled(chart, ric[a][b], den))
-
-    def weyl(a, b, c, d):
+    def entry(a, b, c, d):
         num = (n - 1) * R[a][b][c][d]
         if a == c:
             num = num - ric[b][d]
         if b == c:
             num = num + ric[a][d]
-        return _cancelled(chart, num, den)
+        return num
 
-    return schouten, _antisymmetric(chart, ("d", "d", "u", "d"), weyl)
+    return _antisymmetric_numerators(n, 4, entry)
 
 
-def cotton_york(conn):
+def _schouten_and_weyl(conn, weyl_num=None):
+    """P and W of a symmetric-Ricci connection (gauge not required).
+
+    P = Ric/(n-1) and W_ab{}^c{}_d = R_ab{}^c{}_d - delta_a^c P_bd
+    + delta_b^c P_ad both lie over (n-1) D^2, with numerators Ric and
+    `_weyl_numerators` (built here unless given): one cancellation per
+    component of P, and per component of W with a < b.
+    """
+    chart = conn.chart
+    n = chart.dim
+    _, ric, D2 = _riemann(conn)
+    den = (n - 1) * D2
+    schouten = TensorField.from_function(
+        chart, ("d", "d"), lambda a, b: _cancelled(chart, ric[a][b], den))
+    if weyl_num is None:
+        weyl_num = _weyl_numerators(conn)
+    return schouten, _cancelled_field(chart, ("d", "d", "u", "d"), weyl_num,
+                                      den)
+
+
+def _york_numerators(conn):
+    """The numerators of Y over 2(n-1) D^3 (see `cotton_york`), as
+    `_antisymmetric_numerators`."""
+    n = conn.dim
+    N, D, dD = conn.common
+    _, ric, _ = _riemann(conn)
+
+    def entry(a, b, c):
+        num = D * (ric[b][c].diff(a) - ric[a][c].diff(b)) \
+            - 2 * (ric[b][c] * dD[a] - ric[a][c] * dD[b])
+        for e in range(n):
+            num = num + N[e][b][c] * ric[a][e] - N[e][a][c] * ric[b][e]
+        return num
+
+    return _antisymmetric_numerators(n, 3, entry)
+
+
+def cotton_york(conn, york_num=None):
     """Y_abc = (grad_a P_bc - grad_b P_ac)/2
              = (d_a P_bc - d_b P_ac - G^e_ac P_be + G^e_bc P_ae)/2
     for P = Ric/(n-1), since the terms G^e_ab P_ec cancel for a
     torsion-free connection.
 
     With G = N/D and Ric over D^2, each component with a < b is one
-    numerator over 2(n-1) D^3 and one cancellation:
+    numerator over 2(n-1) D^3 (`_york_numerators`, built here unless
+    given) and one cancellation:
 
         D (d_a Ric_bc - d_b Ric_ac) - 2 (Ric_bc d_a D - Ric_ac d_b D)
         + sum_e (N^e_bc Ric_ae - N^e_ac Ric_be),
@@ -376,18 +436,11 @@ def cotton_york(conn):
     """
     chart = conn.chart
     n = chart.dim
-    N, D, dD = conn.common
-    _, ric, D2 = _riemann(conn)
-    den = 2 * (n - 1) * D2 * D
-
-    def entry(a, b, c):
-        num = D * (ric[b][c].diff(a) - ric[a][c].diff(b)) \
-            - 2 * (ric[b][c] * dD[a] - ric[a][c] * dD[b])
-        for e in range(n):
-            num = num + N[e][b][c] * ric[a][e] - N[e][a][c] * ric[b][e]
-        return _cancelled(chart, num, den)
-
-    return _antisymmetric(chart, ("d", "d", "d"), entry)
+    D = conn.common[1]
+    if york_num is None:
+        york_num = _york_numerators(conn)
+    return _cancelled_field(chart, ("d", "d", "d"), york_num,
+                            2 * (n - 1) * _riemann(conn)[2] * D)
 
 
 def decompose_curvature(conn):
@@ -396,8 +449,11 @@ def decompose_curvature(conn):
     Checks the gauge exactly (zero Christoffel trace, hence beta = dt/(n+1)
     = 0, a symmetric Ricci tensor and a parallel coordinate volume) and
     returns ProjectiveData with the Weyl tensor, the symmetric Schouten
-    tensor and the Cotton-York tensor.
+    tensor and the Cotton-York tensor, and the W and Y numerators they are
+    cancelled from.
     """
     if not conn.is_special():
         raise NotSpecial("connection does not preserve the coordinate volume")
-    return ProjectiveData(conn, *_schouten_and_weyl(conn), cotton_york(conn))
+    weyl_num, york_num = _weyl_numerators(conn), _york_numerators(conn)
+    return ProjectiveData(conn, *_schouten_and_weyl(conn, weyl_num),
+                          cotton_york(conn, york_num), weyl_num, york_num)

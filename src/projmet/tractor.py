@@ -6,9 +6,11 @@ connection modified by curvature terms (the W term in the middle slot, the
 Cotton-York term in the bottom slot).  Its matrices A_a on packed
 components are stored as one table of closed forms: each entry is a short
 sum of Gamma, P, W and Y components with rational scales, and each reader
-evaluates the distinct components once in its own arithmetic.  The
-curvature is F_ab = d_a A_b - d_b A_a + [A_a, A_b] of those matrices,
-taken over one common denominator.
+evaluates the distinct components once in its own arithmetic.  The jet
+solve reads the same layout with the denominators cleared: one
+polynomial L_i per slot and B_a = L_i A_a in Z[x], from the numerators of
+Gamma, Ric, W and Y.  The curvature is F_ab = d_a A_b - d_b A_a +
+[A_a, A_b] of those matrices, taken over one common denominator.
 
 Sections are triples (sigma^{bc}, mu^b, rho).  Field-valued sections use
 TensorField components; point-valued sections are packed into vectors of
@@ -16,11 +18,12 @@ length N = n(n+1)/2 + n + 1 ordered as (upper-triangle sigma, mu, rho).
 """
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .errors import NotSpecial, ShapeError
 from .exprcore import _cancelled
-from .projconn import _matrix_curvature, _over_common
+from .projconn import _matrix_curvature, _over_common, _riemann
 from .tensorfield import TensorField
 
 __all__ = [
@@ -32,6 +35,7 @@ __all__ = [
     "tractor_curvature",
     "ConnectionTable",
     "connection_matrices",
+    "cleared_matrices",
 ]
 
 
@@ -164,14 +168,13 @@ class ConnectionTable(NamedTuple):
         return mats
 
 
-def connection_matrices(conn, data):
-    """The matrices A_a with (D_a s) = d_a s + A_a s on packed components,
-    as a `ConnectionTable`.
-
-    Column j of A_a is the covariant derivative of the j-th constant basis
-    section.  A constant section has no derivative term, so every entry is
-    a short sum of Gamma^c_ae = gamma[c][a][e], P, W and Y entries and the
-    constant 1, with rational scales:
+@cache
+def _layout(n):
+    """Where the terms of the matrices A_a go, for every coordinate a:
+    [(i, j, scale, kind, index)] in one fixed order, with kind "1" (the
+    constant 1, index ()), "G" (Gamma^c_ae, index (c, a, e)), "P" (P_ab),
+    "W" (W_ac{}^b{}_d, index (a, c, b, d)) or "Y" (Y_abc), and the term
+    scale times that component in entry (i, j) of A_a:
 
         sigma^{bc}:  Gamma^b_ae sigma^{ec} + Gamma^c_ae sigma^{be}
                      - delta_a^b mu^c - delta_a^c mu^b
@@ -180,60 +183,158 @@ def connection_matrices(conn, data):
         rho:         2 P_ab mu^b - (4/n) Y_abc sigma^{bc}
 
     A term in sigma^{cd} lands in the column of the unordered pair {c, d}.
-    Equal values share one component, and the scales of one component in
-    one entry are added; no RationalExpr is added.
+    Built once per dimension.
     """
-    _check_special(conn)
-    chart = conn.chart
-    n = chart.dim
     pairs = sym_pairs(n)
     col = {}
     for k, (i, j) in enumerate(pairs):
         col[i, j] = col[j, i] = k
     m = len(pairs)
     N = m + n + 1
-    P, W, Y = data.schouten, data.weyl, data.cotton_york
-    one = chart.one
-    components = [one]
-    index = {one: 0}
     w_scale, y_scale = Fraction(-1, n), Fraction(-4, n)
-
-    def add(A, i, j, scale, x):
-        if not x:
-            return
-        k = index.get(x)
-        if k is None:
-            k = index[x] = len(components)
-            components.append(x)
-        terms = A.setdefault((i, j), {})
-        terms[k] = terms.get(k, 0) + scale
-
-    tables = []
+    out = []
     for a in range(n):
-        A = {}
-        G = [conn.gamma[c][a] for c in range(n)]  # G[c][e] = Gamma^c_ae
+        terms = []
+        add = terms.append
         for k, (b, c) in enumerate(pairs):
             for e in range(n):
-                add(A, k, col[e, c], 1, G[b][e])
-                add(A, k, col[b, e], 1, G[c][e])
+                add((k, col[e, c], 1, "G", (b, a, e)))
+                add((k, col[b, e], 1, "G", (c, a, e)))
             if b == a:
-                add(A, k, m + c, -1, one)
+                add((k, m + c, -1, "1", ()))
             if c == a:
-                add(A, k, m + b, -1, one)
+                add((k, m + b, -1, "1", ()))
         for b in range(n):
             if b == a:
-                add(A, m + b, N - 1, -1, one)
-            add(A, N - 1, m + b, 2, P.get(a, b))
+                add((m + b, N - 1, -1, "1", ()))
+            add((N - 1, m + b, 2, "P", (a, b)))
             for c in range(n):
-                add(A, m + b, m + c, 1, G[b][c])
-                add(A, m + b, col[b, c], 1, P.get(a, c))
-                add(A, N - 1, col[b, c], y_scale, Y.get(a, b, c))
+                add((m + b, m + c, 1, "G", (b, a, c)))
+                add((m + b, col[b, c], 1, "P", (a, c)))
+                add((N - 1, col[b, c], y_scale, "Y", (a, b, c)))
                 for d in range(n):
-                    add(A, m + b, col[c, d], w_scale, W.get(a, c, b, d))
+                    add((m + b, col[c, d], w_scale, "W", (a, c, b, d)))
+        out.append(tuple(terms))
+    return tuple(out)
+
+
+def connection_matrices(conn, data):
+    """The matrices A_a with (D_a s) = d_a s + A_a s on packed components,
+    as a `ConnectionTable`.
+
+    Column j of A_a is the covariant derivative of the j-th constant basis
+    section.  A constant section has no derivative term, so every entry is
+    a short sum of Gamma^c_ae = gamma[c][a][e], P, W and Y entries and the
+    constant 1, with rational scales, laid out by `_layout`.  Equal values
+    share one component, and the scales of one component in one entry are
+    added; no RationalExpr is added.
+    """
+    _check_special(conn)
+    chart = conn.chart
+    n = chart.dim
+    gamma = conn.gamma
+    one = chart.one
+    read = {"1": lambda: one, "G": lambda c, a, e: gamma[c][a][e],
+            "P": data.schouten.get, "W": data.weyl.get,
+            "Y": data.cotton_york.get}
+    components = [one]
+    index = {one: 0}
+    tables = []
+    for layout in _layout(n):
+        A = {}
+        for i, j, scale, kind, idx in layout:
+            x = read[kind](*idx)
+            if not x:
+                continue
+            k = index.get(x)
+            if k is None:
+                k = index[x] = len(components)
+                components.append(x)
+            terms = A.setdefault((i, j), {})
+            terms[k] = terms.get(k, 0) + scale
         entries = {}
         for ij in sorted(A):
             terms = tuple((s, k) for k, s in A[ij].items() if s)
             if terms:
                 entries[ij] = terms
         tables.append(entries)
-    return ConnectionTable(chart, N, components, tables)
+    return ConnectionTable(chart, section_dim(n), components, tables)
+
+
+def cleared_matrices(conn, data):
+    """The system d_a s = -A_a s with its denominators cleared:
+    L_i d_a s_i = -(B_a s)_i with one polynomial L_i per packed slot and
+    B_a = L_i A_a row by row, every entry in Z[x].
+
+    With Gamma = N/D (`AffineConnection.common`), Ric over D^2 and the
+    numerators of W over (n-1) D^2 and of Y over 2(n-1) D^3 that
+    `ProjectiveData` keeps, L_i is D on the sigma slots, n(n-1) D^2 on the
+    mu slots and 2n(n-1) D^3 on the rho slot.  So each term of `_layout`
+    is an integer times a numerator times a power of D:
+
+        sigma rows:  N^b_ae and -D;
+        mu rows:     n(n-1) N D, -n(n-1) D^2, n Ric and -W numerator;
+        rho row:     4n Ric D and -4 Y numerator.
+
+    Returned as (components, L, entries), in the manner of
+    `ConnectionTable`: `components` holds each numerator times its power
+    of D once (a power of a constant D goes into the scales instead);
+    L[i] = (c, k) with L_i = c components[k]; entries[a] maps (i, j) to a
+    tuple of (scale, k) pairs with int scales and (B_a)_ij = sum of scale
+    components[k].  No gcd is taken and nothing is divided.
+    """
+    _check_special(conn)
+    n = conn.dim
+    N, D = conn.common[:2]
+    ric = _riemann(conn)[1]
+    w_num, y_num = data.weyl_num, data.york_num
+    one = conn.chart.one.num
+    ground = D.is_ground
+    d = D.LC if ground else D
+    powers = [1, d, d * d, d * d * d]
+    nn = n * (n - 1)
+    m = n * (n + 1) // 2
+    group_of = [0] * m + [1] * n + [2]  # sigma, mu and rho rows
+    # (row group, kind) -> (power of D, integer) of the terms listed above
+    cleared = {(0, "G"): (0, 1), (0, "1"): (1, -1), (1, "G"): (1, nn),
+               (1, "1"): (2, -nn), (1, "P"): (0, n), (1, "W"): (0, -1),
+               (2, "P"): (1, 4 * n), (2, "Y"): (0, -4)}
+    read = {"1": lambda: one, "G": lambda c, a, e: N[c][a][e],
+            "P": lambda a, b: ric[a][b], "W": lambda *idx: w_num.get(idx),
+            "Y": lambda *idx: y_num.get(idx)}
+    components = []
+    # equal numerators share one component; each object is hashed once
+    by_id, by_value = {}, {}
+
+    def component(num, h):
+        """(scale, k) with num D^h = scale components[k]."""
+        scale = 1
+        if ground:
+            scale, h = powers[h], 0
+        k = by_id.get((id(num), h))
+        if k is None:
+            k = by_value.get((num, h))
+            if k is None:
+                k = by_value[num, h] = len(components)
+                components.append(num * powers[h] if h else num)
+            by_id[id(num), h] = k
+        return scale, k
+
+    L = []
+    for g, c in ((1, 1), (2, nn), (3, 2 * nn)):
+        scale, k = component(one, g)
+        L.append((c * scale, k))
+    entries = []
+    for layout in _layout(n):
+        acc = {}
+        for i, j, _, kind, idx in layout:
+            num = read[kind](*idx)
+            if num:
+                h, f = cleared[group_of[i], kind]
+                scale, k = component(num, h)
+                terms = acc.setdefault((i, j), {})
+                terms[k] = terms.get(k, 0) + f * scale
+        entries.append({ij: tuple((s, k) for k, s in terms.items() if s)
+                        for ij, terms in acc.items()
+                        if any(terms.values())})
+    return components, [L[g] for g in group_of], entries

@@ -130,27 +130,18 @@ def poly_to_series(terms, point, max_order):
     return out
 
 
-def rational_to_series(expr, point, max_order, reciprocals=None):
+def rational_to_series(expr, point, max_order):
     """Taylor series of a RationalExpr at a rational point.
 
-    Raises PoleAtBasePoint when the denominator vanishes there.  Callers
-    expanding many entries pass one `reciprocals` dict: each distinct
-    denominator is then expanded and inverted once.
+    Raises PoleAtBasePoint when the denominator vanishes there.
     """
     nvars = expr.chart.dim
     zero = (0,) * nvars
     num = poly_to_series(expr.num.terms(), point, max_order)
-    key = expr.den
-    recip = None if reciprocals is None else reciprocals.get(key)
-    if recip is None:
-        den = poly_to_series(key.terms(), point, max_order)
-        if not den.get(zero):
-            raise PoleAtBasePoint(
-                f"denominator vanishes at base point {tuple(point)}")
-        recip = ({zero: Fraction(1) / den[zero]} if len(den) == 1
-                 else series_inverse(den, nvars, max_order))
-        if reciprocals is not None:
-            reciprocals[key] = recip
-    if len(recip) == 1:
-        return series_scale(num, recip[zero])
-    return series_mul(num, recip, max_order)
+    den = poly_to_series(expr.den.terms(), point, max_order)
+    if not den.get(zero):
+        raise PoleAtBasePoint(
+            f"denominator vanishes at base point {tuple(point)}")
+    if len(den) == 1:
+        return series_scale(num, Fraction(1) / den[zero])
+    return series_mul(num, series_inverse(den, nvars, max_order), max_order)

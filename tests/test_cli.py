@@ -291,21 +291,51 @@ def test_mobility_never_reads_the_series(tmp_path, monkeypatch):
     assert combined and not reads
 
 
-def _pinned_analyze_inputs():
-    """The benchmark's 49 pinned `analyze` inputs: the fixed cases of both
-    analyze workloads and every member of the round-trip pools."""
+def _bench_corpus():
+    """The benchmark's corpus module, read from perfbench/corpus.py."""
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    cases = [c for w in ("analyze-exact", "analyze-truncated")
-             for c in corpus.fixed_cases(w)]
+    return corpus
+
+
+def _pinned_inputs(workloads, pools):
+    """The benchmark's fixed cases of `workloads` and every member of the
+    pools whose name starts with `pools`, with their pinned dims."""
+    corpus = _bench_corpus()
+    pins = corpus.load_pins()
+    cases = [c for w in workloads for c in corpus.fixed_cases(w)]
     cases += [corpus.generated_case(pool, m)
-              for pool, members in corpus.load_pins()["pools"].items()
-              if pool.startswith("roundtrip") for m in members]
+              for pool, members in pins["pools"].items()
+              if pool.startswith(pools) for m in members]
+    for case in cases:
+        case.dims = pins["dims"].get(corpus.pin_key(case))
     return cases
+
+
+def _pinned_analyze_inputs():
+    """The benchmark's 49 pinned `analyze` inputs: the fixed cases of both
+    analyze workloads and every member of the round-trip pools."""
+    return _pinned_inputs(("analyze-exact", "analyze-truncated"),
+                          "roundtrip")
+
+
+def test_mobility_gives_the_pinned_dims(tmp_path, capsys):
+    """Every pinned `mobility` input of the benchmark, the fixed `jets`
+    cases and every member of the random4 pool, gives its pinned
+    dims_by_order through `main`."""
+    cases = _pinned_inputs(("jets",), "random4")
+    assert len(cases) == 18
+    for case in cases:
+        path = tmp_path / f"{case.cid}.json"
+        path.write_text(case.spec_text())
+        capsys.readouterr()
+        assert main(case.argv(str(path))) == case.exit_code == 0, case.cid
+        report = json.loads(capsys.readouterr().out)
+        assert report["mobility"]["dims_by_order"] == case.dims, case.cid
 
 
 def _adjugate_over_det(g_ser, n, max_order):

@@ -13,6 +13,7 @@ import pytest
 from projmet import degree_of_mobility, specialize
 from projmet.cli import load_spec
 from projmet.models import (klein_connection, nonmetrizable_witness,
+                            sphere_gnomonic_connection,
                             sphere_stereographic_connection)
 
 from conftest import rand_special_connection
@@ -31,7 +32,12 @@ CASES = {
     "klein4": (lambda: klein_connection(4), 4),
     "stereo2": (lambda: sphere_stereographic_connection(2), 8),
     "stereo3": (lambda: sphere_stereographic_connection(3), 5),
+    "gnomonic3": (lambda: sphere_gnomonic_connection(3), 6),
     "liouville-d2": (lambda: _spec_connection("liouville_d1_d2.json"), 7),
+    # a rational connection through many orders: the terms of L_i in the
+    # cleared recursion meet many stored coefficients
+    "liouville-d2-o12": (lambda: _spec_connection("liouville_d1_d2.json"),
+                         12),
     "liouville-d3": (lambda: _spec_connection("liouville_d3.json"), 7),
     "witness": (nonmetrizable_witness, 8),
 }

@@ -13,15 +13,15 @@ from projmet import (AffineConnection, Chart, NotSpecial, PoleAtBasePoint,
 from projmet.exactlinalg import nullspace, rank
 from projmet.cli import load_spec
 from projmet.exactseries import series_eval, series_from_coeffs
-from projmet.mobility import _expand_matrices
+from projmet.mobility import _expand_system
 from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness,
                             sphere_stereographic_connection)
-from projmet.tractor import (connection_matrices, section_dim, sym_pairs,
-                             tractor_curvature)
+from projmet.tractor import (cleared_matrices, connection_matrices,
+                             section_dim, sym_pairs, tractor_curvature)
 
 from conftest import rand_fraction
-from jet_oracle import dense_jet_solve, expand_matrices
+from jet_oracle import dense_jet_solve
 from linalg_oracle import sparse
 
 DATA = Path(__file__).parent / "data"
@@ -179,55 +179,106 @@ def test_errors():
         degree_of_mobility(conn, [1, 0], 4)
 
 
-def test_expand_matrices_inverts_each_denominator_once(monkeypatch):
-    """Each distinct component of the table is expanded once, components
-    sharing a denominator share its inverse series (one inversion per
-    distinct denominator), and the integer Taylor data, read as
-    Fractions, is exactly the per-entry expansion of the Fraction series
-    oracle on the table's symbolic sum: per monomial one denominator in
-    lowest terms, lowest order first."""
-    from projmet import exactseries
+def test_pole_with_vanishing_numerator_is_reported():
+    """Gamma^3_12 = x1/x2 is coprime but 0/0 at the origin: still a pole."""
+    chart = Chart(3)
+    conn = AffineConnection.from_components(
+        chart, {(3, 1, 2): chart.var(1) / chart.var(2)})
+    assert conn.is_special()
+    message = ("denominator vanishes at base point "
+               "(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))")
+    with pytest.raises(PoleAtBasePoint, match=re.escape(message)):
+        degree_of_mobility(conn, [0, 0, 0], 4)
+
+
+def _as_fractions(listed):
+    return {mono: {(i, j): Fraction(c, den) for i, j, c in coeffs}
+            for mono, den, coeffs in listed}
+
+
+@pytest.mark.parametrize("point", [[0, 0, 0],
+                                   [Fraction(1, 4), Fraction(-1, 8), 0]])
+def test_expand_system_expands_each_component_once(monkeypatch, point):
+    """Each component of the cleared system (the numerators times powers
+    of D that make up the L_i and the entries of B_a = L_i A_a) is
+    expanded once, and the integer Taylor data, read as Fractions, is
+    L_i A_a / L_i(p) and L_i / L_i(p) beyond its constant term, as the
+    Fraction series oracle expands A_a and L_i: per monomial one
+    denominator in lowest terms, lowest order first."""
     import projmet.mobility as mobility
+    import series_oracle
 
     special, _ = specialize(sphere_stereographic_connection(3))
-    table = connection_matrices(special, decompose_curvature(special))
-    mats = table.matrices()
-    point = [Fraction(1, 4), Fraction(-1, 8), Fraction(0)]
-    expected = expand_matrices(mats, point, 6)
-    calls = []
-    inverse = exactseries.series_inverse
+    data = decompose_curvature(special)
+    mats = connection_matrices(special, data).matrices()
+    components, L, _ = cleared_matrices(special, data)
+    order = 6
     expanded = []
     to_series = mobility.rational_to_series
 
-    def counted(*args):
-        calls.append(args)
-        return inverse(*args)
-
     def counted_expansion(expr, *args):
-        expanded.append(expr)
+        assert expr.is_polynomial()
+        expanded.append(expr.num)
         return to_series(expr, *args)
 
-    monkeypatch.setattr(exactseries, "series_inverse", counted)
     monkeypatch.setattr(mobility, "rational_to_series", counted_expansion)
-    data = _expand_matrices(table, point, 6)
-    assert [{mono: [(i, j, Fraction(c, den)) for i, j, c in coeffs]
-             for mono, den, coeffs in listed} for listed, _, _ in data] \
-        == expected
-    for listed, by_mono, upto in data:
-        orders = [sum(mono) for mono, _, _ in listed]
-        assert orders == sorted(orders)
-        assert upto == [sum(k <= m for k in orders) for m in range(7)]
-        assert by_mono == {mono: (den, coeffs)
-                           for mono, den, coeffs in listed}
-        for mono, den, coeffs in listed:
-            assert gcd(den, *(c for _, _, c in coeffs)) == 1
-    assert expanded == table.components
-    entries = [e for mat in mats for row in mat for e in row
-               if not e.is_zero()]
-    assert len(expanded) < len(entries)
-    distinct = {c.den for c in table.components
-                if not c.is_polynomial()}
-    assert len(calls) == len(distinct) < len(expanded)
+    data_by_coord = _expand_system(special, data, point, order)
+    assert expanded == components
+    assert len(set(components)) == len(components)
+    assert len(set(L)) == 3
+
+    zero = (0, 0, 0)
+    l_series = [series_oracle.series_scale(series_oracle.poly_to_series(
+        components[k].terms(), point, order), scale) for scale, k in L]
+    l_at_p = [Fraction(ser[zero]) for ser in l_series]
+    steps = {}
+    for i, ser in enumerate(l_series):
+        for mono, v in ser.items():
+            if mono != zero:
+                steps.setdefault(mono, {})[i, i] = v / l_at_p[i]
+    for a, ((listed, by_mono, upto), lsteps) in enumerate(data_by_coord):
+        want = {}
+        for i, row in enumerate(mats[a]):
+            for j, entry in enumerate(row):
+                if entry.is_zero():
+                    continue
+                ser = series_oracle.series_mul(
+                    l_series[i],
+                    series_oracle.rational_to_series(entry, point, order),
+                    order)
+                for mono, v in ser.items():
+                    want.setdefault(mono, {})[i, j] = v / l_at_p[i]
+        assert _as_fractions(listed) == want
+        assert _as_fractions(lsteps[0]) == steps
+        for listing, index, counts in ((listed, by_mono, upto), lsteps):
+            orders = [sum(mono) for mono, _, _ in listing]
+            assert orders == sorted(orders)
+            assert counts == [sum(k <= m for k in orders)
+                              for m in range(order + 1)]
+            assert index == {mono: (den, coeffs)
+                             for mono, den, coeffs in listing}
+            for mono, den, coeffs in listing:
+                assert den > 0
+                assert gcd(den, *(c for _, _, c in coeffs)) == 1
+
+
+def test_jet_solve_inverts_no_series_and_takes_no_gcd(monkeypatch):
+    """On the D2 input, whose symbols have a nonconstant denominator, the
+    jet solve neither inverts a series nor cancels a fraction."""
+    from projmet import exactseries
+    from projmet.exprcore import Poly
+
+    special, _ = specialize(load_spec(str(DATA / "liouville_d1_d2.json"))[0])
+    data = decompose_curvature(special)
+    assert not special.common[1].is_ground
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("series inverse or gcd in the jet solve")
+
+    monkeypatch.setattr(exactseries, "series_inverse", forbidden)
+    monkeypatch.setattr(Poly, "cofactors", forbidden)
+    js = degree_of_mobility(special, [0, 0], 12, data)
+    assert js.dims == [6, 6, 5] + [4] * 10
 
 
 def _counted_predictions(monkeypatch):

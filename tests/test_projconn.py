@@ -233,6 +233,35 @@ def test_decompose_flat_zero():
     assert data.cotton_york.is_zero()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_projective_data_keeps_the_w_and_y_numerators(n, rng):
+    """W and Y are their kept numerators over (n-1) D^2 and 2(n-1) D^3,
+    each stored with its antisymmetric partner, and `is_flat` (a test of
+    the numerators) agrees with the cancelled fields."""
+    from projmet.exprcore import Poly, _cancelled
+
+    chart = Chart(n)
+    conns = [specialize(klein_connection(n))[0], _curved_rational_special(n),
+             rand_special_connection(n, rng)]
+    flags = []
+    for conn in conns:
+        data = decompose_curvature(conn)
+        D = conn.common[1]
+        for nums, field, den in (
+                (data.weyl_num, data.weyl, (n - 1) * D * D),
+                (data.york_num, data.cotton_york, 2 * (n - 1) * D * D * D)):
+            assert all(nums.values())
+            for idx in product(range(n), repeat=field.rank):
+                num = nums.get(idx, Poly())
+                assert _cancelled(chart, num, den) == field.get(*idx)
+                if idx in nums:
+                    assert nums[idx[1::-1] + idx[2:]] == -num
+        flags.append(data.is_flat())
+        assert data.is_flat() == (data.weyl.is_zero()
+                                  and data.cotton_york.is_zero())
+    assert flags == [True, False, False]
+
+
 def test_decompose_requires_special():
     with pytest.raises(NotSpecial):
         decompose_curvature(klein_connection(2))

@@ -145,10 +145,9 @@ def test_rational_expansion_matches_fraction_oracle(seed):
         num, den = poly(3), poly(2)
         if not den or den.evaluate(point) == 0:
             den = den + 1 - den.evaluate(point)
-        expr = num / den
-        reciprocals = {}
-        for _ in range(2):  # the second call reads the shared reciprocal
-            got = rational_to_series(expr, point, order, reciprocals)
+        # the quotient, and the polynomial num over its integer denominator
+        for expr in (num / den, num):
+            got = rational_to_series(expr, point, order)
             _check_normal(got)
             assert as_fractions(got) == _oracle_nonzero(
                 series_oracle.rational_to_series(expr, point, order))
