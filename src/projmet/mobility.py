@@ -8,9 +8,10 @@ so the recursion solves the cleared system L_i d_a s_i = -(B_a s)_i
 and B_a = L_i A_a are polynomials.  Matching Taylor coefficients at a base
 point determines every jet coefficient of s linearly from s(p); equality
 of mixed partials imposes exact linear constraints on s(p).  The
-surviving initial values form the admissible space, whose dimension is
-the degree of mobility (an upper bound until the dimension repeats for
-two consecutive orders).
+surviving initial values form the admissible space.  Its dimension at
+every order is an upper bound on the degree of mobility, since a higher
+order can only add constraints; two equal dimensions in a row
+(`stabilized`) suggest that the bound is reached but do not prove it.
 
 The recursion works on integer rows over one denominator per monomial:
 every nonzero Taylor coefficient of the basis solutions is an integer
@@ -29,8 +30,9 @@ fail, so each coefficient is predicted once.  Rank decisions still go
 through the exact sparse Gauss-Jordan elimination in exactlinalg.  The
 basis becomes Fractions at the end; a combination of the basis solutions
 is read straight off the integer rows as one integer series per slot, and
-the Fraction series only when read.  Numeric parallel transport is a
-float cross-check only.
+the Fraction series only when read.  The exact residual and the numeric
+parallel transport, a float cross-check only, read the same cleared
+system and divide row i by L_i(x).
 """
 
 from fractions import Fraction
@@ -44,7 +46,7 @@ from .exactseries import _lowest, monomials_of_order, rational_to_series
 from .exprcore import (RationalExpr, _rk4_step, _scaled_point, _scaled_value,
                        compile_numeric)
 from .projconn import decompose_curvature
-from .tractor import cleared_matrices, connection_matrices, section_dim
+from .tractor import cleared_matrices, section_dim
 
 __all__ = [
     "JetSolution",
@@ -64,16 +66,17 @@ class JetSolution:
     recursion to Fractions on first access.  `combine` reads a combination
     of the basis solutions off those rows instead.
     dims: admissible dimension after imposing consistency order by order.
-    table: the `ConnectionTable` the recursion was solved with.
+    system: the cleared system (components, L, entries) of
+    `tractor.cleared_matrices` the recursion was solved with.
     point_rows: the A_a at each point where `residual` has evaluated them,
     {point: per coordinate, per row (R, [(column, r)])} as `_rows_at`
     gives them, shared by every candidate.
     """
 
     __slots__ = ("base_point", "order", "dims", "admissible_basis", "_coeff",
-                 "_series", "table", "stabilized", "dim", "point_rows")
+                 "_series", "system", "stabilized", "dim", "point_rows")
 
-    def __init__(self, base_point, order, dims, coeff, table):
+    def __init__(self, base_point, order, dims, coeff, system):
         self.base_point = tuple(Fraction(p) for p in base_point)
         self.order = order
         self.dims = list(dims)
@@ -82,7 +85,7 @@ class JetSolution:
         self._series = None
         self.admissible_basis = _columns(*coeff[(0,) * len(base_point)],
                                          self.dim)
-        self.table = table
+        self.system = system
         self.point_rows = {}
         self.stabilized = len(dims) >= 2 and dims[-1] == dims[-2]
 
@@ -164,21 +167,20 @@ def _listed(by_mono, max_order):
     return listed, {mono: (den, coeffs) for mono, den, coeffs in listed}, upto
 
 
-def _expand_system(conn, data, point, max_order):
+def _expand_system(chart, system, point, max_order):
     """Per coordinate a, the integer Taylor data at `point` through
-    max_order of the cleared system L_i d_a s_i = -(B_a s)_i of
-    `cleared_matrices`, each row divided by L_i(p): the pair of `_listed`
-    of the entries (i, j, coeff) of B_a / L_i(p) and `_listed` of the
-    terms (i, i, coeff) of L_i / L_i(p) beyond its constant term 1, the
-    latter the same for every coordinate.  Each component of the cleared
-    system is expanded once by `rational_to_series`, as a polynomial
-    RationalExpr, so no series is inverted.  Raises PoleAtBasePoint when
-    D, and with it every L_i, vanishes at the point.
+    max_order of the cleared system L_i d_a s_i = -(B_a s)_i, as
+    `cleared_matrices` gives it, each row divided by L_i(p): the pair of
+    `_listed` of the entries (i, j, coeff) of B_a / L_i(p) and `_listed`
+    of the terms (i, i, coeff) of L_i / L_i(p) beyond its constant term 1,
+    the latter the same for every coordinate.  Each component of the
+    cleared system is expanded once by `rational_to_series`, as a
+    polynomial RationalExpr, so no series is inverted.  Raises
+    PoleAtBasePoint when D, and with it every L_i, vanishes at the point.
     """
-    chart = conn.chart
     one = chart.one.num
     zero = (0,) * chart.dim
-    components, L, entries = cleared_matrices(conn, data)
+    components, L, entries = system
     series = [rational_to_series(RationalExpr(chart, c, one), point,
                                  max_order) for c in components]
     factors = []  # per slot i, 1 / L_i(p) as (p, q)
@@ -322,8 +324,10 @@ def _predict(terms, coeff, alpha, a, N):
 def degree_of_mobility(conn, base_point, max_order=None, data=None):
     """Exact jet solve of the closed system at base_point up to max_order.
 
-    The default truncation order is 2n + 4; the reported dimension is an
-    upper bound whenever `stabilized` is False.  On a projectively flat
+    The default truncation order is 2n + 4.  The reported dimension is
+    always an upper bound on the degree of mobility; `stabilized`, the
+    last two orders giving the same dimension, is a heuristic, not a proof
+    that the bound is reached.  On a projectively flat
     structure the prolonged curvature vanishes identically, so every
     prediction of a coefficient agrees: each is computed once, from the
     first (alpha, a) that reaches it, and no constraint rows arise.  Only
@@ -341,8 +345,8 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
         data = decompose_curvature(conn)
     flat = data.is_flat()
     point = [Fraction(p) for p in base_point]
-    table = connection_matrices(conn, data)
-    tdata = _expand_system(conn, data, point, max_order)
+    system = cleared_matrices(conn, data)
+    tdata = _expand_system(chart, system, point, max_order)
     N = section_dim(n)
 
     # coeff[mono] = (den, rows): slot i of basis solution t has Taylor
@@ -398,30 +402,31 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
             # every later jet is zero, so the remaining orders hold trivially
             dims.extend([0] * (max_order - 1 - order))
             break
-    return JetSolution(point, max_order, dims, coeff, table)
+    return JetSolution(point, max_order, dims, coeff, system)
 
 
-def _rows_at(table, x):
+def _rows_at(system, x):
     """The A_a at the rational point x, per coordinate and row as
-    (R, [(column, r)]) over one positive integer R: entry (i, j) is the
-    sum of r / R over the pairs of row i with column j, one pair per
-    nonzero term.  Each component of the table is evaluated once, and the
-    terms are added in int."""
-    values = [c.evaluate(x) for c in table.components]
+    (R, [(column, r)]) over one positive integer R: entry (i, j) is r / R.
+    Row i is (B_a)_i / L_i of the cleared system, so R is L_i(x) and r is
+    (B_a)_ij(x), both over the same power of the lcm of the coordinate
+    denominators, which cancels.  Each component is evaluated once, from
+    one power table, and the terms are added in int.  PoleError where
+    L_i(x), and with it D(x), is zero."""
+    components, L, entries = system
+    powers, lpow = _scaled_point(x, [m for c in components for m in c])
+    values = [_scaled_value(c, powers, lpow)[0] for c in components]
+    dens = [c * values[k] for c, k in L]
+    if not all(dens):
+        raise PoleError(f"denominator vanishes at {x}")
     out = []
-    for entries in table.entries:
-        rows = [[] for _ in range(table.size)]
-        for (i, j), terms in entries.items():
-            for scale, k in terms:
-                v = values[k]
-                if v:
-                    rows[i].append((j, scale.numerator * v.numerator,
-                                    scale.denominator * v.denominator))
-        mat = []
-        for row in rows:
-            R = lcm(*(q for _, _, q in row))
-            mat.append((R, [(j, p * (R // q)) for j, p, q in row]))
-        out.append(mat)
+    for table in entries:
+        rows = [[] for _ in L]
+        for (i, j), terms in table.items():
+            r = sum(s * values[k] for s, k in terms)
+            if r:
+                rows[i].append((j, r if dens[i] > 0 else -r))
+        out.append([(abs(R), row) for R, row in zip(dens, rows)])
     return out
 
 
@@ -431,15 +436,16 @@ def residual(jets, slots, sample_points):
     `slots` holds one Series per packed slot, shifted to
     `jets.base_point`, as `jets.combine` gives them.  Evaluates
     d_a s + A_a(x) s exactly at each rational sample point, with
-    the table of the jet solve, and returns the maximum absolute slot
-    value as a Fraction.  Exact polynomial solutions give exactly zero.
-    Each slot's value and first partials come from one integer pass over
-    one power table per point, over one denominator S for all slots; the
+    the cleared system of the jet solve, and returns the maximum absolute
+    slot value as a Fraction; PoleError at a pole of the connection.
+    Exact polynomial solutions give exactly zero.  Each slot's value and
+    first partials come from one integer pass over one power table per
+    point, over one denominator S for all slots; the
     A_a are evaluated once per point and kept in `jets.point_rows` for the
     next candidate, each row over one denominator R.  So every defect is
     one integer sum over S R, and the maximum is kept as an integer pair.
     """
-    n = len(jets.table.entries)
+    n = len(jets.system[2])
     point = jets.base_point
     monoms = [m for s in slots for m in s.terms]
     zero = [0] * n
@@ -448,7 +454,7 @@ def residual(jets, slots, sample_points):
         x = tuple(Fraction(v) for v in x)
         rows = jets.point_rows.get(x)
         if rows is None:
-            rows = jets.point_rows[x] = _rows_at(jets.table, x)
+            rows = jets.point_rows[x] = _rows_at(jets.system, x)
         values, grads = [0] * len(slots), [zero] * len(slots)
         S = 1
         if monoms:
@@ -475,26 +481,32 @@ def residual(jets, slots, sample_points):
 # numeric parallel transport
 # ---------------------------------------------------------------------------
 
-def _apply(compiled, entries, N, x, velocity, s):
-    """-(sum_a v_a A_a(x)) s for float state s, with every component
-    evaluated once at x."""
+def _apply(compiled, L, entries, x, velocity, s):
+    """-(sum_a v_a A_a(x)) s for float state s, as -(sum_a v_a B_a(x)) s
+    divided row by row by L_i(x), with every component evaluated once at
+    x."""
     values = [fn(x) for fn in compiled]
-    out = [0.0] * N
+    out = [0.0] * len(L)
     for v, mat in zip(velocity, entries):
         if v == 0.0:
             continue
         for i, j, terms in mat:
             if s[j] != 0.0:
                 out[i] -= v * sum(c * values[k] for c, k in terms) * s[j]
+    for i, (c, k) in enumerate(L):
+        den = c * values[k]
+        if den == 0.0:
+            raise PoleError(f"denominator vanishes near {tuple(x)}")
+        out[i] /= den
     return out
 
 
-def _rk4_segment(compiled, entries, N, start, end, s, steps):
+def _rk4_segment(compiled, L, entries, start, end, s, steps):
     delta = [e - b for e, b in zip(end, start)]
 
     def rhs(t, state):
         x = [b + t * d for b, d in zip(start, delta)]
-        return _apply(compiled, entries, N, x, delta, state)
+        return _apply(compiled, L, entries, x, delta, state)
 
     h = 1.0 / steps
     state = list(s)
@@ -509,21 +521,23 @@ def parallel_transport(conn, data, path, s0, rel_tol=1e-10):
     Classical fourth-order Runge-Kutta with step doubling per segment until
     successive refinements agree to rel_tol; raises StepUnderflow when the
     doubling limit is hit and PoleOnPath when the connection blows up on a
-    vertex or sampled point.
+    vertex or sampled point.  The right-hand side is the cleared system:
+    its components compiled once, and each row divided by L_i(x).
     """
-    table = connection_matrices(conn, data)
-    N = table.size
+    system = cleared_matrices(conn, data)
+    components, L, _ = system
     # exact pole check at the vertices
     for x in path:
-        xq = [Fraction(v) for v in x]
-        for c in table.components:
-            try:
-                c.evaluate(xq)
-            except PoleError as exc:
-                raise PoleOnPath(str(exc)) from exc
-    compiled = [compile_numeric(c) for c in table.components]
+        try:
+            _rows_at(system, tuple(Fraction(v) for v in x))
+        except PoleError as exc:
+            raise PoleOnPath(str(exc)) from exc
+    one = conn.chart.one.num
+    compiled = [compile_numeric(RationalExpr(conn.chart, c, one))
+                for c in components]
     entries = [[(i, j, [(float(c), k) for c, k in terms])
-                for (i, j), terms in mat.items()] for mat in table.entries]
+                for (i, j), terms in mat.items()] for mat in system[2]]
+    args = compiled, [(float(c), k) for c, k in L], entries
     state = [float(v) for v in s0]
     scale = max(1.0, max(abs(v) for v in state))
     for seg in range(len(path) - 1):
@@ -531,12 +545,12 @@ def parallel_transport(conn, data, path, s0, rel_tol=1e-10):
         end = [float(v) for v in path[seg + 1]]
         steps = 8
         try:
-            prev = _rk4_segment(compiled, entries, N, start, end, state, steps)
+            prev = _rk4_segment(*args, start, end, state, steps)
         except PoleError as exc:
             raise PoleOnPath(str(exc)) from exc
         while True:
             steps *= 2
-            cur = _rk4_segment(compiled, entries, N, start, end, state, steps)
+            cur = _rk4_segment(*args, start, end, state, steps)
             err = max(abs(a - b) for a, b in zip(cur, prev))
             ref = max(scale, max(abs(v) for v in cur))
             if err <= rel_tol * ref:

@@ -18,8 +18,8 @@ are the unique solution of those linear conventions.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
-from typing import NamedTuple
 
 from .errors import NotEquivalent, NotSpecial, ShapeError
 from .exprcore import (DifferentialForm, Poly, _cancelled, _common_denominator,
@@ -129,21 +129,37 @@ class AffineConnection:
         return f"AffineConnection(dim={self.dim})"
 
 
-class ProjectiveData(NamedTuple):
+class ProjectiveData:
     """Derived curvature package of a special connection.
 
-    `weyl_num` and `york_num` are the numerators that W and Y are cancelled
-    from, over (n-1) D^2 and 2(n-1) D^3 for the common denominator D of
-    the symbols (`AffineConnection.common`): {index tuple: Poly}, nonzero
-    ones only, as `_antisymmetric_numerators` gives them.
+    `weyl_num` and `york_num` are the numerators of W and Y, over (n-1) D^2
+    and 2(n-1) D^3 for the common denominator D of the symbols
+    (`AffineConnection.common`): {index tuple: Poly}, nonzero ones only, as
+    `_antisymmetric_numerators` gives them.  The prolonged connection reads
+    only these and the Ricci numerators; the TensorFields `schouten`,
+    `weyl` and `cotton_york` are cancelled from them on first access, once.
     """
 
-    connection: AffineConnection
-    schouten: TensorField
-    weyl: TensorField
-    cotton_york: TensorField
-    weyl_num: dict
-    york_num: dict
+    def __init__(self, connection, weyl_num, york_num):
+        self.connection = connection
+        self.weyl_num = weyl_num
+        self.york_num = york_num
+
+    @cached_property
+    def _schouten_weyl(self):
+        return _schouten_and_weyl(self.connection, self.weyl_num)
+
+    @property
+    def schouten(self):
+        return self._schouten_weyl[0]
+
+    @property
+    def weyl(self):
+        return self._schouten_weyl[1]
+
+    @cached_property
+    def cotton_york(self):
+        return cotton_york(self.connection, self.york_num)
 
     def is_flat(self):
         """Projectively flat: the W and Y numerators vanish, so the
@@ -448,12 +464,10 @@ def decompose_curvature(conn):
 
     Checks the gauge exactly (zero Christoffel trace, hence beta = dt/(n+1)
     = 0, a symmetric Ricci tensor and a parallel coordinate volume) and
-    returns ProjectiveData with the Weyl tensor, the symmetric Schouten
-    tensor and the Cotton-York tensor, and the W and Y numerators they are
-    cancelled from.
+    returns ProjectiveData with the W and Y numerators; the Weyl, the
+    symmetric Schouten and the Cotton-York tensor are cancelled from them
+    when first read.
     """
     if not conn.is_special():
         raise NotSpecial("connection does not preserve the coordinate volume")
-    weyl_num, york_num = _weyl_numerators(conn), _york_numerators(conn)
-    return ProjectiveData(conn, *_schouten_and_weyl(conn, weyl_num),
-                          cotton_york(conn, york_num), weyl_num, york_num)
+    return ProjectiveData(conn, _weyl_numerators(conn), _york_numerators(conn))

@@ -4,13 +4,13 @@ Solutions of the metrizability equation correspond to covariant constant
 sections of T = Sym^2 TM + TM + R.  The connection used here is the tractor
 connection modified by curvature terms (the W term in the middle slot, the
 Cotton-York term in the bottom slot).  Its matrices A_a on packed
-components are stored as one table of closed forms: each entry is a short
-sum of Gamma, P, W and Y components with rational scales, and each reader
-evaluates the distinct components once in its own arithmetic.  The jet
-solve reads the same layout with the denominators cleared: one
-polynomial L_i per slot and B_a = L_i A_a in Z[x], from the numerators of
-Gamma, Ric, W and Y.  The curvature is F_ab = d_a A_b - d_b A_a +
-[A_a, A_b] of those matrices, taken over one common denominator.
+components are stored once, with the denominators cleared: one
+polynomial L_i per slot and B_a = L_i A_a in Z[x], each entry a short
+sum of the numerators of Gamma, Ric, W and Y with integer scales
+(`cleared_matrices`).  Each reader evaluates the distinct numerators once
+in its own arithmetic and divides row i by L_i.  The curvature is F_ab =
+d_a A_b - d_b A_a + [A_a, A_b] of the cancelled matrices, taken over one
+common denominator.
 
 Sections are triples (sigma^{bc}, mu^b, rho).  Field-valued sections use
 TensorField components; point-valued sections are packed into vectors of
@@ -19,10 +19,9 @@ length N = n(n+1)/2 + n + 1 ordered as (upper-triangle sigma, mu, rho).
 
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
 
 from .errors import NotSpecial, ShapeError
-from .exprcore import _cancelled
+from .exprcore import Poly, _cancelled
 from .projconn import _matrix_curvature, _over_common, _riemann
 from .tensorfield import TensorField
 
@@ -33,7 +32,6 @@ __all__ = [
     "section_dim",
     "unpack_values",
     "tractor_curvature",
-    "ConnectionTable",
     "connection_matrices",
     "cleared_matrices",
 ]
@@ -130,51 +128,20 @@ def tractor_curvature(conn, data):
     the numerators of `_matrix_curvature` over D^2, one cancellation per
     entry."""
     chart = conn.chart
-    N, D, dD = _over_common(connection_matrices(conn, data).matrices())
+    N, D, dD = _over_common(connection_matrices(conn, data))
     D2 = D * D
     return TractorCurvature(chart, {
         ab: [[_cancelled(chart, e, D2) for e in row] for row in F]
         for ab, F in _matrix_curvature(N, D, dD).items()})
 
 
-class ConnectionTable(NamedTuple):
-    """The matrices A_a as closed forms in Gamma, P, W and Y.
-
-    `components` holds each distinct nonzero value among the Gamma^c_ae,
-    P_ab, W_acbd and Y_abc that the matrices read, and the constant 1
-    first, once each.  `entries[a]` maps (i, j), in row-major order, to a
-    tuple of (scale, k) pairs with an int or Fraction scale and
-    (A_a)_ij = sum of scale components[k]; an absent (i, j) is zero.  Each
-    reader evaluates the components once, in its own arithmetic, and sums
-    the entries from those values.
-    """
-
-    chart: object
-    size: int
-    components: list
-    entries: list
-
-    def matrices(self):
-        """A_a as N x N matrices of RationalExpr: the symbolic sum of
-        every entry."""
-        z = self.chart.zero
-        mats = []
-        for entries in self.entries:
-            A = [[z] * self.size for _ in range(self.size)]
-            for (i, j), terms in entries.items():
-                for scale, k in terms:
-                    A[i][j] = A[i][j] + self.components[k] * scale
-            mats.append(A)
-        return mats
-
-
 @cache
 def _layout(n):
     """Where the terms of the matrices A_a go, for every coordinate a:
-    [(i, j, scale, kind, index)] in one fixed order, with kind "1" (the
-    constant 1, index ()), "G" (Gamma^c_ae, index (c, a, e)), "P" (P_ab),
-    "W" (W_ac{}^b{}_d, index (a, c, b, d)) or "Y" (Y_abc), and the term
-    scale times that component in entry (i, j) of A_a:
+    [(i, j, kind, index)] in one fixed order, with kind "1" (the constant
+    1, index ()), "G" (Gamma^c_ae, index (c, a, e)), "P" (P_ab), "W"
+    (W_ac{}^b{}_d, index (a, c, b, d)) or "Y" (Y_abc), for a term in
+    entry (i, j) of A_a of
 
         sigma^{bc}:  Gamma^b_ae sigma^{ec} + Gamma^c_ae sigma^{be}
                      - delta_a^b mu^c - delta_a^c mu^b
@@ -182,7 +149,8 @@ def _layout(n):
                      - (1/n) W_ac{}^b{}_d sigma^{cd}
         rho:         2 P_ab mu^b - (4/n) Y_abc sigma^{bc}
 
-    A term in sigma^{cd} lands in the column of the unordered pair {c, d}.
+    `cleared_matrices` holds the scales, with the denominators cleared.  A
+    term in sigma^{cd} lands in the column of the unordered pair {c, d}.
     Built once per dimension.
     """
     pairs = sym_pairs(n)
@@ -191,74 +159,52 @@ def _layout(n):
         col[i, j] = col[j, i] = k
     m = len(pairs)
     N = m + n + 1
-    w_scale, y_scale = Fraction(-1, n), Fraction(-4, n)
     out = []
     for a in range(n):
         terms = []
         add = terms.append
         for k, (b, c) in enumerate(pairs):
             for e in range(n):
-                add((k, col[e, c], 1, "G", (b, a, e)))
-                add((k, col[b, e], 1, "G", (c, a, e)))
+                add((k, col[e, c], "G", (b, a, e)))
+                add((k, col[b, e], "G", (c, a, e)))
             if b == a:
-                add((k, m + c, -1, "1", ()))
+                add((k, m + c, "1", ()))
             if c == a:
-                add((k, m + b, -1, "1", ()))
+                add((k, m + b, "1", ()))
         for b in range(n):
             if b == a:
-                add((m + b, N - 1, -1, "1", ()))
-            add((N - 1, m + b, 2, "P", (a, b)))
+                add((m + b, N - 1, "1", ()))
+            add((N - 1, m + b, "P", (a, b)))
             for c in range(n):
-                add((m + b, m + c, 1, "G", (b, a, c)))
-                add((m + b, col[b, c], 1, "P", (a, c)))
-                add((N - 1, col[b, c], y_scale, "Y", (a, b, c)))
+                add((m + b, m + c, "G", (b, a, c)))
+                add((m + b, col[b, c], "P", (a, c)))
+                add((N - 1, col[b, c], "Y", (a, b, c)))
                 for d in range(n):
-                    add((m + b, col[c, d], w_scale, "W", (a, c, b, d)))
+                    add((m + b, col[c, d], "W", (a, c, b, d)))
         out.append(tuple(terms))
     return tuple(out)
 
 
 def connection_matrices(conn, data):
     """The matrices A_a with (D_a s) = d_a s + A_a s on packed components,
-    as a `ConnectionTable`.
+    as N x N matrices of RationalExpr: entry (i, j) of A_a is
+    (B_a)_ij / L_i of `cleared_matrices`, with one cancellation.
 
     Column j of A_a is the covariant derivative of the j-th constant basis
-    section.  A constant section has no derivative term, so every entry is
-    a short sum of Gamma^c_ae = gamma[c][a][e], P, W and Y entries and the
-    constant 1, with rational scales, laid out by `_layout`.  Equal values
-    share one component, and the scales of one component in one entry are
-    added; no RationalExpr is added.
+    section, so no symbolic derivative is taken and no RationalExpr is
+    added.
     """
-    _check_special(conn)
     chart = conn.chart
-    n = chart.dim
-    gamma = conn.gamma
-    one = chart.one
-    read = {"1": lambda: one, "G": lambda c, a, e: gamma[c][a][e],
-            "P": data.schouten.get, "W": data.weyl.get,
-            "Y": data.cotton_york.get}
-    components = [one]
-    index = {one: 0}
-    tables = []
-    for layout in _layout(n):
-        A = {}
-        for i, j, scale, kind, idx in layout:
-            x = read[kind](*idx)
-            if not x:
-                continue
-            k = index.get(x)
-            if k is None:
-                k = index[x] = len(components)
-                components.append(x)
-            terms = A.setdefault((i, j), {})
-            terms[k] = terms.get(k, 0) + scale
-        entries = {}
-        for ij in sorted(A):
-            terms = tuple((s, k) for k, s in A[ij].items() if s)
-            if terms:
-                entries[ij] = terms
-        tables.append(entries)
-    return ConnectionTable(chart, section_dim(n), components, tables)
+    components, L, entries = cleared_matrices(conn, data)
+    dens = [c * components[k] for c, k in L]
+    mats = []
+    for table in entries:
+        A = [[chart.zero] * len(L) for _ in L]
+        for (i, j), terms in table.items():
+            A[i][j] = _cancelled(chart, sum(
+                (s * components[k] for s, k in terms), Poly()), dens[i])
+        mats.append(A)
+    return mats
 
 
 def cleared_matrices(conn, data):
@@ -276,12 +222,12 @@ def cleared_matrices(conn, data):
         mu rows:     n(n-1) N D, -n(n-1) D^2, n Ric and -W numerator;
         rho row:     4n Ric D and -4 Y numerator.
 
-    Returned as (components, L, entries), in the manner of
-    `ConnectionTable`: `components` holds each numerator times its power
-    of D once (a power of a constant D goes into the scales instead);
-    L[i] = (c, k) with L_i = c components[k]; entries[a] maps (i, j) to a
-    tuple of (scale, k) pairs with int scales and (B_a)_ij = sum of scale
-    components[k].  No gcd is taken and nothing is divided.
+    Returned as (components, L, entries): `components` holds each
+    numerator times its power of D once (a power of a constant D goes into
+    the scales instead); L[i] = (c, k) with L_i = c components[k];
+    entries[a] maps (i, j) to a tuple of (scale, k) pairs with int scales
+    and (B_a)_ij = sum of scale components[k].  No gcd is taken and
+    nothing is divided.
     """
     _check_special(conn)
     n = conn.dim
@@ -327,7 +273,7 @@ def cleared_matrices(conn, data):
     entries = []
     for layout in _layout(n):
         acc = {}
-        for i, j, _, kind, idx in layout:
+        for i, j, kind, idx in layout:
             num = read[kind](*idx)
             if num:
                 h, f = cleared[group_of[i], kind]

@@ -43,6 +43,8 @@ def test_tracer_install_records_spans_and_uninstall_restores(tmp_path):
     recorded = {span[0] for span in tracer.spans}
     assert {"cli", "cli.parse_spec", "cli.render_report",
             "projconn.specialize", "mobility.degree_of_mobility"} <= recorded
+    # the jet solve reads the cleared system, not the cancelled matrices
+    assert "tractor.connection_matrices" not in recorded
 
 
 def test_traced_truncated_analysis_records_the_series_kernel():

@@ -232,29 +232,55 @@ def test_klein_analysis(tmp_path):
     assert all("equivalence_upsilon" in m for m in hits)
 
 
-def test_analyze_builds_connection_matrices_once(tmp_path, monkeypatch):
-    """Every candidate's closure residual reuses the matrices of the jet
-    solve, on the exact path (Klein) and the truncated-series path (the
-    D1/D2 Liouville input at a low order)."""
+@pytest.mark.parametrize("command", ["mobility", "analyze"])
+def test_jet_path_reads_only_the_cleared_system(tmp_path, monkeypatch, capsys,
+                                                command):
+    """`mobility` and `analyze` build the cleared system once, on the exact
+    path (Klein) and the truncated-series path (the D1/D2 Liouville input
+    at order 3), and every candidate's closure residual reuses it: neither
+    builds the cancelled connection matrices nor cancels a P, W or Y
+    component.  `curvature` still prints P, W and Y."""
     import projmet.mobility as mobility
+    import projmet.projconn as projconn
+    import projmet.tractor as tractor
 
-    calls = []
-    build = mobility.connection_matrices
+    builds = []
+    build = tractor.cleared_matrices
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(mobility, "connection_matrices", counted)
-    report, _ = run_analysis(_write(tmp_path, "klein.json", KLEIN2))
-    assert len([m for m in report["metrics"] if "verified" in m]) > 1
-    assert len(calls) == 1
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cancelled connection matrices or P, W, Y")
 
-    calls.clear()
-    report, _ = run_analysis(str(DATA / "liouville_d1_d2.json"),
-                             {"max_order": 3})
-    assert any(m.get("exact") is False for m in report["metrics"])
-    assert len(calls) == 1
+    monkeypatch.setattr(mobility, "cleared_matrices", counted)
+    monkeypatch.setattr(tractor, "cleared_matrices", counted)
+    monkeypatch.setattr(tractor, "connection_matrices", forbidden)
+    monkeypatch.setattr(projconn, "_schouten_and_weyl", forbidden)
+    monkeypatch.setattr(projconn, "cotton_york", forbidden)
+    liouville = str(DATA / "liouville_d1_d2.json")
+    for spec, order in ((_write(tmp_path, "klein.json", KLEIN2), None),
+                        (liouville, 3)):
+        builds.clear()
+        if command == "mobility":
+            extra = ["--max-order", str(order)] if order else []
+            assert main(["mobility", spec, *extra]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["mobility"]
+        else:
+            report, _ = run_analysis(spec, order and {"max_order": order})
+            metrics = report["metrics"]
+            if order:
+                assert any(m.get("exact") is False for m in metrics)
+            else:
+                assert len([m for m in metrics if "verified" in m]) > 1
+        assert len(builds) == 1
+
+    monkeypatch.undo()
+    assert main(["curvature", liouville]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["schouten"]) == 2 and report["weyl"] == {}
+    assert report["cotton_york"] and "0" not in report["cotton_york"].values()
 
 
 def test_mobility_never_reads_the_series(tmp_path, monkeypatch):

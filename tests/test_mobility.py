@@ -17,12 +17,13 @@ from projmet.mobility import _expand_system
 from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness,
                             sphere_stereographic_connection)
-from projmet.tractor import (cleared_matrices, connection_matrices,
-                             section_dim, sym_pairs, tractor_curvature)
+from projmet.tractor import (cleared_matrices, section_dim, sym_pairs,
+                             tractor_curvature)
 
 from conftest import rand_fraction
 from jet_oracle import dense_jet_solve
 from linalg_oracle import sparse
+from oracles import connection_matrices_by_columns
 
 DATA = Path(__file__).parent / "data"
 
@@ -203,15 +204,16 @@ def test_expand_system_expands_each_component_once(monkeypatch, point):
     of D that make up the L_i and the entries of B_a = L_i A_a) is
     expanded once, and the integer Taylor data, read as Fractions, is
     L_i A_a / L_i(p) and L_i / L_i(p) beyond its constant term, as the
-    Fraction series oracle expands A_a and L_i: per monomial one
-    denominator in lowest terms, lowest order first."""
+    Fraction series oracle expands L_i and the A_a of the column builder:
+    per monomial one denominator in lowest terms, lowest order first."""
     import projmet.mobility as mobility
     import series_oracle
 
     special, _ = specialize(sphere_stereographic_connection(3))
     data = decompose_curvature(special)
-    mats = connection_matrices(special, data).matrices()
-    components, L, _ = cleared_matrices(special, data)
+    mats = connection_matrices_by_columns(special, data)
+    system = cleared_matrices(special, data)
+    components, L, _ = system
     order = 6
     expanded = []
     to_series = mobility.rational_to_series
@@ -222,7 +224,7 @@ def test_expand_system_expands_each_component_once(monkeypatch, point):
         return to_series(expr, *args)
 
     monkeypatch.setattr(mobility, "rational_to_series", counted_expansion)
-    data_by_coord = _expand_system(special, data, point, order)
+    data_by_coord = _expand_system(special.chart, system, point, order)
     assert expanded == components
     assert len(set(components)) == len(components)
     assert len(set(L)) == 3
@@ -429,54 +431,107 @@ def test_klein_gauge_solutions_are_exact():
 
 def test_residual_evaluates_each_component_at_most_once_per_point(
         monkeypatch):
-    """The values of the table's components at a sample point are shared
-    by every candidate of one jet solve: each component is evaluated at
-    most once per point, and the residuals do not change."""
+    """The values of the cleared components at a sample point are shared
+    by every candidate of one jet solve: the rows of a point are built
+    once, from one value of each component of the jet solve's cleared
+    system and no RationalExpr, and the residuals do not change."""
+    import projmet.mobility as mobility
     from projmet.exprcore import RationalExpr
 
     special, _ = specialize(sphere_stereographic_connection(2))
     js = degree_of_mobility(special, [0, 0], 6)
+    components = js.system[0]
+    assert any(not c.is_ground for c in components)
     pts = [[Fraction(1, 8), Fraction(-1, 16)], [Fraction(-1, 16), 0]]
     fresh = []
     for slots in _basis_slots(js):
         fresh.append(residual(js, slots, pts))
         js.point_rows.clear()
-    evaluate = RationalExpr.evaluate
-    calls = []
+    points, evaluated = [], []
+    rows_at, value = mobility._rows_at, mobility._scaled_value
 
-    def counted(self, point):
-        calls.append((self, tuple(point)))
-        return evaluate(self, point)
+    def counted_rows(system, x):
+        points.append(x)
+        return rows_at(system, x)
 
-    monkeypatch.setattr(RationalExpr, "evaluate", counted)
+    def counted_value(terms, *args):
+        evaluated.extend(k for k, c in enumerate(components) if c is terms)
+        return value(terms, *args)
+
+    def forbidden(*args):
+        raise AssertionError("RationalExpr evaluated in the residual")
+
+    monkeypatch.setattr(mobility, "_rows_at", counted_rows)
+    monkeypatch.setattr(mobility, "_scaled_value", counted_value)
+    monkeypatch.setattr(RationalExpr, "evaluate", forbidden)
     assert [residual(js, slots, pts) for slots in _basis_slots(js)] == fresh
-    assert 0 < len(calls) == len(set(calls)) <= (len(js.table.components)
-                                                 * len(pts))
+    assert points == [tuple(map(Fraction, x)) for x in pts]
+    assert evaluated == list(range(len(components))) * len(pts)
     assert len(fresh) > 1
+
+
+def _pole_connection():
+    """A special connection with the common denominator D = x1 - 1, which
+    is negative near the origin and vanishes on x1 = 1."""
+    chart = Chart(2)
+    x = chart.var(1)
+    return AffineConnection.from_components(
+        chart, {(1, 2, 2): x ** 2 / (1 - x)})
+
+
+def test_residual_raises_pole_error_where_d_vanishes():
+    """A sample point where the common denominator D of the symbols
+    vanishes is a pole of every L_i: the residual raises PoleError, as the
+    connection's own entries do there.  Where D < 0 it is still the
+    symbolic defect."""
+    from projmet.errors import PoleError
+
+    conn = _pole_connection()
+    D = conn.common[1]
+    assert conn.is_special() and D.LC > 0 > D[(0, 0)]
+    data = decompose_curvature(conn)
+    js = degree_of_mobility(conn, [0, 0], 3, data)
+    mats = connection_matrices_by_columns(conn, data)
+    pts = [[Fraction(1, 2), 0], [Fraction(-1, 3), Fraction(1, 5)]]
+    slots = js.combine([1] * js.dim)
+    assert residual(js, slots, pts) == _symbolic_defect(js, mats, slots,
+                                                        pts) > 0
+    with pytest.raises(PoleError, match="denominator vanishes"):
+        residual(js, slots, [[1, Fraction(1, 3)]])
+    with pytest.raises(PoleError):
+        conn.gamma[0][1][1].evaluate([1, Fraction(1, 3)])
+
+
+def _symbolic_defect(js, mats, slots, pts):
+    """The largest slot of d_a s + A_a(x) s over the points, through
+    `series_diff`, `series_eval` and the entries of the matrices mats."""
+    from projmet.exactseries import series_diff
+
+    want = Fraction(0)
+    for x in pts:
+        u = [xv - pv for xv, pv in zip(x, js.base_point)]
+        vals = [series_eval(s, u) for s in slots]
+        for a, mat in enumerate(mats):
+            for i, row in enumerate(mat):
+                acc = series_eval(series_diff(slots[i], a), u) + sum(
+                    e.evaluate(x) * v for e, v in zip(row, vals) if v)
+                want = max(want, abs(acc))
+    return want
 
 
 def test_residual_matches_the_symbolic_defect(rng):
     """The residual is the largest slot of d_a s + A_a(x) s, with the
-    slots' partials and the symbolic matrices evaluated independently:
-    through `series_diff`, `series_eval` and the table's symbolic sum."""
-    from projmet.exactseries import series_diff
-
+    slots' partials and the matrices evaluated independently: through
+    `series_diff`, `series_eval` and the column builder's matrices."""
     special, _ = specialize(sphere_stereographic_connection(2))
-    js = degree_of_mobility(special, [Fraction(1, 5), 0], 5)
-    mats = js.table.matrices()
+    data = decompose_curvature(special)
+    js = degree_of_mobility(special, [Fraction(1, 5), 0], 5, data)
+    mats = connection_matrices_by_columns(special, data)
     pts = [[Fraction(1, 4), Fraction(-1, 16)], [Fraction(1, 7), Fraction(1, 9)]]
     for _ in range(3):
         slots = js.combine([rand_fraction(rng) for _ in range(js.dim)])
-        want = Fraction(0)
-        for x in pts:
-            u = [xv - pv for xv, pv in zip(x, js.base_point)]
-            vals = [series_eval(s, u) for s in slots]
-            for a, mat in enumerate(mats):
-                for i, row in enumerate(mat):
-                    acc = series_eval(series_diff(slots[i], a), u) + sum(
-                        e.evaluate(x) * v for e, v in zip(row, vals) if v)
-                    want = max(want, abs(acc))
-        assert residual(js, slots, pts) == want > 0
+        assert residual(js, slots, pts) == _symbolic_defect(js, mats, slots,
+                                                            pts) > 0
 
 
 def test_zero_section_residual_zero():

@@ -15,8 +15,9 @@ from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness, sphere_gnomonic_connection,
                             sphere_stereographic_connection)
 from projmet.projconn import cotton_york
-from projmet.tractor import (TractorSection, connection_matrices,
-                             section_dim, sym_pairs, tractor_curvature)
+from projmet.tractor import (TractorSection, cleared_matrices,
+                             connection_matrices, section_dim, sym_pairs,
+                             tractor_curvature)
 
 from conftest import rand_exact_oneform, rand_fraction, rand_metric, \
     rand_poly, rand_special_connection
@@ -295,15 +296,19 @@ def test_connection_matrices_sparsity_flat():
     chart = Chart(2)
     flat = flat_connection(2)
     data = decompose_curvature(flat)
-    table = connection_matrices(flat, data)
-    # flat gauge: the only couplings are the Kronecker-delta blocks, and
-    # the only component is the constant 1
-    assert table.components == [chart.one]
-    assert table.entries[0][0, 3] == ((-2, 0),)  # d_1 sigma^{11} on mu^1
-    assert (section_dim(2) - 1, 4) not in table.entries[0]
-    mats = table.matrices()
-    assert mats[0][0][3] == -2
-    assert mats[0][section_dim(2) - 1][4].is_zero()
+    # flat gauge: the only couplings are the Kronecker-delta blocks, the
+    # only cleared component is the constant 1, and L_i is 1, n(n-1) or
+    # 2n(n-1) on the sigma, mu and rho slots
+    components, L, entries = cleared_matrices(flat, data)
+    assert components == [chart.one.num]
+    assert L == [(1, 0)] * 3 + [(2, 0)] * 2 + [(4, 0)]
+    assert entries[0][0, 3] == ((-2, 0),)  # d_1 sigma^{11} on mu^1
+    assert entries[0][3, 5] == ((-2, 0),)  # d_1 mu^1 on rho, times 2
+    assert (section_dim(2) - 1, 4) not in entries[0]
+    mats = connection_matrices(flat, data)
+    assert mats[0][0][3] == -2 and mats[0][1][4] == -1
+    assert mats[0][3][5] == -1
+    assert sum(not e.is_zero() for row in mats[0] for e in row) == 3
 
 
 def test_section_basis_roundtrip():
@@ -368,28 +373,15 @@ CLOSED_FORM_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
 def test_closed_form_matrices_match_column_builder(name):
-    """The table read off Gamma, P, W and Y, summed symbolically, equals
-    entry by entry the columns of full covariant derivatives of the
-    constant basis sections.  Its components are distinct, nonzero and
-    read from Gamma, P, W and Y (or the constant 1), and no entry is an
-    empty sum."""
+    """The matrices cancelled from the cleared system B_a / L_i equal
+    entry by entry, and print as, the columns of full covariant
+    derivatives of the constant basis sections."""
     conn = CLOSED_FORM_CASES[name]()
     if not conn.is_special():
         conn = specialize(conn)[0]
     data = decompose_curvature(conn)
-    table = connection_matrices(conn, data)
-    mats = table.matrices()
+    mats = connection_matrices(conn, data)
     want = connection_matrices_by_columns(conn, data)
-    comps = table.components
-    assert comps[0] == 1 and len(set(comps)) == len(comps)
-    sources = {e for plane in conn.gamma for row in plane for e in row}
-    for field in (data.schouten, data.weyl, data.cotton_york):
-        sources.update(field.comps)
-    assert all(c and (c == 1 or c in sources) for c in comps)
-    for entries in table.entries:
-        for terms in entries.values():
-            assert terms and all(scale for scale, _ in terms)
-            assert len({k for _, k in terms}) == len(terms)
     N = section_dim(conn.dim)
     assert len(mats) == len(want) == conn.dim
     for mat, wmat in zip(mats, want):
