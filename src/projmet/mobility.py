@@ -19,25 +19,28 @@ denominator and N sparse integer rows {basis index: numerator}, in lowest
 terms, and only those are stored (the initial value always).  The Taylor
 data of B_a and L_i, each row divided by L_i(p), is integer over one
 denominator per monomial: each distinct polynomial of the cleared system
-is expanded once by exactseries, and no series is inverted.  A prediction
-multiplies only pairs of a Taylor term of B_a or L_i and a stored
-coefficient, found from the shorter side, so products accumulate in int
-and zeros cost nothing; a polynomial Gamma makes D and L_i constant, and
-the recursion is that of A_a itself.  Two predictions of the same
+is expanded once by exactseries, and no series is inverted.  Each order
+is one pass that pushes the predictions from the stored side: a stored
+coefficient meets only the Taylor terms of B_a and L_i that reach the
+next order, so products accumulate in int and a coefficient that nothing
+reaches is zero at no cost; a polynomial Gamma makes D and L_i constant,
+and the recursion is that of A_a itself.  Two predictions of the same
 coefficient are compared in that normal form; only rows that differ
-become (integer) constraint rows.  On a projectively flat structure the comparison cannot
-fail, so each coefficient is predicted once.  Rank decisions still go
-through the exact sparse Gauss-Jordan elimination in exactlinalg.  The
+become (integer) constraint rows, and rank decisions go through the
+exact sparse Gauss-Jordan elimination in exactlinalg.  On a projectively
+flat structure (W = 0 and Y = 0) every initial value extends, so the
+dimension is N at every order, exactly, with no recursion; the table is
+built on its first read, with each coefficient predicted once.  The
 basis becomes Fractions at the end; a combination of the basis solutions
-is read straight off the integer rows as one integer series per slot, and
-the Fraction series only when read.  The exact residual and the numeric
-parallel transport, a float cross-check only, read the same cleared
-system and divide row i by L_i(x).
+is read straight off the integer rows as one integer series per slot,
+and the Fraction series only when read.  The exact residual and the
+numeric parallel transport, a float cross-check only, read the same
+cleared system and divide row i by L_i(x).
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
+from operator import add
 
 from .errors import (NotSpecial, PoleAtBasePoint, PoleError, PoleOnPath,
                      StepUnderflow)
@@ -60,34 +63,48 @@ class JetSolution:
     """Result of the jet recursion at a base point.
 
     admissible_basis: list of packed initial-value vectors over Q.
+    dims: admissible dimension after imposing consistency order by order;
+    exactly N at every order on a flat structure, where no recursion runs
+    to find it.
     series: per basis vector, {exponent tuple: packed coefficient vector}
     in shifted coordinates u = x - base_point, for every monomial through
     the order, zeros included; converted from the integer rows of the
-    recursion to Fractions on first access.  `combine` reads a combination
-    of the basis solutions off those rows instead.
-    dims: admissible dimension after imposing consistency order by order.
+    recursion (`_coeff`) to Fractions on first access.  `combine` reads a
+    combination of the basis solutions off those rows instead.
     system: the cleared system (components, L, entries) of
     `tractor.cleared_matrices` the recursion was solved with.
     point_rows: the A_a at each point where `residual` has evaluated them,
     {point: per coordinate, per row (R, [(column, r)])} as `_rows_at`
     gives them, shared by every candidate.
+
+    The Taylor table, `_coeff` and `system`, is built by the recursion on
+    the first read of `series`, `combine` or `system` (so `residual`),
+    once; a curved structure has built it to find `dims`.
     """
 
-    __slots__ = ("base_point", "order", "dims", "admissible_basis", "_coeff",
-                 "_series", "system", "stabilized", "dim", "point_rows")
+    __slots__ = ("base_point", "order", "dims", "admissible_basis", "_table",
+                 "_series", "stabilized", "dim", "point_rows")
 
-    def __init__(self, base_point, order, dims, coeff, system):
+    def __init__(self, base_point, order, dims, origin, table):
+        """`origin` is the initial value (den, rows) of the basis; `table`
+        is (coeff, system), or a function that returns them."""
         self.base_point = tuple(Fraction(p) for p in base_point)
         self.order = order
         self.dims = list(dims)
         self.dim = dims[-1]
-        self._coeff = coeff
+        self._table = table
         self._series = None
-        self.admissible_basis = _columns(*coeff[(0,) * len(base_point)],
-                                         self.dim)
-        self.system = system
+        self.admissible_basis = _columns(*origin, self.dim)
         self.point_rows = {}
         self.stabilized = len(dims) >= 2 and dims[-1] == dims[-2]
+
+    def _built(self):
+        if callable(self._table):
+            self._table = self._table()
+        return self._table
+
+    _coeff = property(lambda self: self._built()[0])
+    system = property(lambda self: self._built()[1])
 
     @property
     def series(self):
@@ -144,27 +161,21 @@ def _columns(den, rows, d):
 
 def _listed(by_mono, max_order):
     """{mono: [(i, j, numerator, denominator)]} summed per (i, j) and
-    monomial as ([(mono, den, [(i, j, coeff)])] lowest order first,
-    {mono: (den, [(i, j, coeff)])}, [number of monomials through order k
-    for k = 0..max_order]), over one positive denominator per monomial in
+    monomial as one list per order 0..max_order of (mono, den,
+    [(i, j, coeff)]), over one positive denominator per monomial in
     lowest terms; monomials whose sums all vanish are left out."""
-    listed = []
-    upto = [0] * (max_order + 1)
-    for mono, entries in sorted(by_mono.items(),
-                                key=lambda item: sum(item[0])):
+    by_order = [[] for _ in range(max_order + 1)]
+    for mono, entries in by_mono.items():
         den = lcm(*(q for _, _, _, q in entries))
         acc = {}
         for i, j, v, q in entries:
             acc[i, j] = acc.get((i, j), 0) + v * (den // q)
         coeffs = [(i, j, c) for (i, j), c in acc.items() if c]
-        if not coeffs:
-            continue
-        g = gcd(den, *(c for _, _, c in coeffs))
-        listed.append((mono, den // g, [(i, j, c // g) for i, j, c in coeffs]))
-        upto[sum(mono)] += 1
-    for k in range(max_order):
-        upto[k + 1] += upto[k]
-    return listed, {mono: (den, coeffs) for mono, den, coeffs in listed}, upto
+        if coeffs:
+            g = gcd(den, *(c for _, _, c in coeffs))
+            by_order[sum(mono)].append(
+                (mono, den // g, [(i, j, c // g) for i, j, c in coeffs]))
+    return by_order
 
 
 def _expand_system(chart, system, point, max_order):
@@ -175,8 +186,8 @@ def _expand_system(chart, system, point, max_order):
     of the terms (i, i, coeff) of L_i / L_i(p) beyond its constant term 1,
     the latter the same for every coordinate.  Each component of the
     cleared system is expanded once by `rational_to_series`, as a
-    polynomial RationalExpr, so no series is inverted.  Raises
-    PoleAtBasePoint when D, and with it every L_i, vanishes at the point.
+    polynomial RationalExpr, so no series is inverted.  D, and with it
+    every L_i, must not vanish at the point.
     """
     one = chart.one.num
     zero = (0,) * chart.dim
@@ -187,10 +198,7 @@ def _expand_system(chart, system, point, max_order):
     steps = {}
     for i, (scale, k) in enumerate(L):
         den, terms = series[k]
-        c = terms.get(zero)
-        if not c:
-            raise PoleAtBasePoint(
-                f"denominator vanishes at base point {tuple(point)}")
+        c = terms[zero]
         factors.append((den, scale * c))
         for mono, v in terms.items():
             if mono != zero:
@@ -251,61 +259,54 @@ def _difference_rows(first, second):
     return out
 
 
-def _pairs(terms, coeff, target, a=None):
-    """The products of a Taylor term u^mono of `terms`, as `_listed` gives
-    them, and a stored coefficient u^rem with mono + rem = target, as
-    (term den * rem den, step, term entries, rem rows) with step 1, or
-    rem_a when `a` is given (a zero step drops the pair).  They are found
-    from whichever side is shorter: the terms through the order of target,
-    or the stored coefficients."""
-    listed, by_mono, upto = terms
-    count = upto[sum(target)]
-    out = []
-    if count <= len(coeff):
-        for k in range(count):
-            mono, den, entries = listed[k]
-            rem = tuple(map(sub, target, mono))
-            stored = coeff.get(rem)
-            if stored is not None:
-                step = 1 if a is None else rem[a]
+def _order_predictions(tdata, coeff, order, N, flat):
+    """{tau: [prediction]} for every Taylor coefficient tau of order + 1
+    of the basis solutions that a stored coefficient reaches, one
+    prediction per a with tau_a >= 1 (on a flat structure, where they all
+    agree, only the first), from the cleared system
+    L_i d_a s_i = -(B_a s)_i with each row divided by L_i(p), so that
+    l_(i,0) = 1:
+
+        tau_a s_tau,i = -[B_a s]_(tau-e_a),i
+            - sum over beta != 0 of l_(i,beta) (tau - beta)_a s_(tau-beta),i,
+
+    normalised, or None when it is zero.  `tdata` is the integer Taylor
+    data of B_a and L as `_expand_system` gives them.  Each stored u^rem
+    meets the terms u^mono of B_a of order `order - |rem|` at
+    tau = mono + rem + e_a, and the terms u^beta of L of order
+    `order + 1 - |rem|` at tau = beta + rem for each a with rem_a != 0; a
+    (tau, a) that no product reaches predicts zero."""
+    reached = {}  # tau -> {a: [(den, step, entries, rows)]}
+    steps = tdata[0][1]
+    for rem, (rden, rrows) in coeff.items():
+        r = sum(rem)
+        for a, (b_terms, _) in enumerate(tdata):
+            for mono, den, entries in b_terms[order - r]:
+                tau = list(map(add, mono, rem))
+                tau[a] += 1
+                reached.setdefault(tuple(tau), {}).setdefault(a, []).append(
+                    (den * rden, 1, entries, rrows))
+        if not r:
+            continue  # rem_a = 0 for every a
+        for beta, den, entries in steps[order + 1 - r]:
+            tau = tuple(map(add, beta, rem))
+            by_a = reached.setdefault(tau, {})
+            for a, step in enumerate(rem):
                 if step:
-                    out.append((den * stored[0], step, entries, stored[1]))
-    else:
-        for rem, (rem_den, rem_rows) in coeff.items():
-            mono = tuple(map(sub, target, rem))
-            if min(mono) >= 0:
-                term = by_mono.get(mono)
-                step = 1 if a is None else rem[a]
-                if term is not None and step:
-                    out.append((term[0] * rem_den, step, term[1], rem_rows))
+                    by_a.setdefault(a, []).append(
+                        (den * rden, step, entries, rrows))
+    out = {}
+    for tau, by_a in reached.items():
+        pairs = ([next(iter(by_a.items()))] if flat else
+                 [(a, by_a.get(a)) for a, t in enumerate(tau) if t])
+        out[tau] = [products and _accumulated(products, tau[a], N)
+                    for a, products in pairs]
     return out
 
 
-def _predict(terms, coeff, alpha, a, N):
-    """Taylor coefficient at alpha + e_a of the basis solutions, from the
-    cleared system L_i d_a s_i = -(B_a s)_i with each row divided by
-    L_i(p), so that l_(i,0) = 1:
-
-        (alpha_a + 1) s_(alpha+e_a),i = -[B_a s]_alpha,i
-            - sum over beta != 0 of l_(i,beta) ((alpha - beta)_a + 1)
-              s_(alpha-beta+e_a),i,
-
-    normalised, or None when it is zero.  `terms` is the integer Taylor
-    data of B_a and L as `_expand_system` gives them.  Every stored
-    coefficient through the order of alpha satisfies the system in every
-    direction, so this is the coefficient that d_a s = -A_a s predicts
-    from the series of A_a, at the cost of the few Taylor terms of B_a and
-    L.  `coeff` stores only the nonzero coefficients, so only the `_pairs`
-    of a term and a stored coefficient contribute: u^mono of B_a with
-    u^rem at alpha - mono, and u^beta of L with u^rem at
-    alpha - beta + e_a, times rem_a.  A constant L has no such terms."""
-    b_terms, l_terms = terms
-    products = _pairs(b_terms, coeff, alpha)
-    if l_terms[0]:
-        products += _pairs(l_terms, coeff,
-                           alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:], a)
-    if not products:
-        return None
+def _accumulated(products, weight, N):
+    """-sum of (term entries) x (stored rows) over one denominator, the
+    lcm of the products' times `weight`, normalised."""
     den = lcm(*(q for q, _, _, _ in products))
     acc = [{} for _ in range(N)]
     for q, step, entries, brows in products:
@@ -318,35 +319,17 @@ def _predict(terms, coeff, alpha, a, N):
             arow = acc[i]
             for t, v in brow.items():
                 arow[t] = arow.get(t, 0) - f * v
-    return _normalised(den * (alpha[a] + 1), acc)
+    return _normalised(den * weight, acc)
 
 
-def degree_of_mobility(conn, base_point, max_order=None, data=None):
-    """Exact jet solve of the closed system at base_point up to max_order.
-
-    The default truncation order is 2n + 4.  The reported dimension is
-    always an upper bound on the degree of mobility; `stabilized`, the
-    last two orders giving the same dimension, is a heuristic, not a proof
-    that the bound is reached.  On a projectively flat
-    structure the prolonged curvature vanishes identically, so every
-    prediction of a coefficient agrees: each is computed once, from the
-    first (alpha, a) that reaches it, and no constraint rows arise.  Only
-    nonzero Taylor coefficients are stored (the initial value always).
-    """
-    chart = conn.chart
-    n = chart.dim
-    if not conn.is_special():
-        raise NotSpecial("jet recursion needs the volume-preserving gauge")
-    if max_order is None:
-        max_order = 2 * n + 4
-    if max_order < 2:
-        raise ValueError("max_order must be at least 2")
-    if data is None:
-        data = decompose_curvature(conn)
+def _solve(conn, data, point, max_order):
+    """(dims, coeff, system) of the jet recursion: the dimensions by order,
+    the nonzero Taylor coefficients of the basis solutions as integer
+    rows, and the cleared system they solve."""
+    n = conn.dim
     flat = data.is_flat()
-    point = [Fraction(p) for p in base_point]
     system = cleared_matrices(conn, data)
-    tdata = _expand_system(chart, system, point, max_order)
+    tdata = _expand_system(conn.chart, system, point, max_order)
     N = section_dim(n)
 
     # coeff[mono] = (den, rows): slot i of basis solution t has Taylor
@@ -382,17 +365,13 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
         d = len(kernel)
 
     for order in range(max_order):
-        cand = {}
         rows = []
-        for alpha in monomials_of_order(n, order):
-            for a in range(n):
-                tau = alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:]
-                if tau not in cand:
-                    cand[tau] = _predict(tdata[a], coeff, alpha, a, N)
-                elif not flat:
-                    rows += _difference_rows(
-                        cand[tau], _predict(tdata[a], coeff, alpha, a, N))
-        coeff.update((tau, c) for tau, c in cand.items() if c is not None)
+        predictions = _order_predictions(tdata, coeff, order, N, flat)
+        for tau, (first, *others) in predictions.items():
+            for other in others:
+                rows += _difference_rows(first, other)
+            if first is not None:
+                coeff[tau] = first
         if rows:
             kernel = nullspace(rows, d)
             if len(kernel) < d:
@@ -402,7 +381,46 @@ def degree_of_mobility(conn, base_point, max_order=None, data=None):
             # every later jet is zero, so the remaining orders hold trivially
             dims.extend([0] * (max_order - 1 - order))
             break
-    return JetSolution(point, max_order, dims, coeff, system)
+    return dims, coeff, system
+
+
+def degree_of_mobility(conn, base_point, max_order=None, data=None):
+    """Exact jet solve of the closed system at base_point up to max_order.
+
+    The default truncation order is 2n + 4.  The reported dimension is
+    always an upper bound on the degree of mobility; `stabilized`, the
+    last two orders giving the same dimension, is a heuristic, not a proof
+    that the bound is reached.  On a projectively flat structure the
+    prolonged curvature vanishes identically, so every initial value
+    extends: the dimension is N at every order, exactly, and the Taylor
+    table is left to the first reader of the solution, which has the same
+    recursion predict each reached coefficient once.  Otherwise the
+    recursion runs here.  Only nonzero Taylor coefficients are stored (the
+    initial value always).  PoleAtBasePoint when the common denominator D
+    of the symbols vanishes at base_point.
+    """
+    n = conn.chart.dim
+    if not conn.is_special():
+        raise NotSpecial("jet recursion needs the volume-preserving gauge")
+    if max_order is None:
+        max_order = 2 * n + 4
+    if max_order < 2:
+        raise ValueError("max_order must be at least 2")
+    point = [Fraction(p) for p in base_point]
+    D = conn.common[1]
+    if not (D.is_ground or _scaled_value(D, *_scaled_point(point, D))[0]):
+        raise PoleAtBasePoint(
+            f"denominator vanishes at base point {tuple(point)}")
+    if data is None:
+        data = decompose_curvature(conn)
+    if data.is_flat():
+        N = section_dim(n)
+        return JetSolution(point, max_order, [N] * (max_order + 1),
+                           (1, [{i: 1} for i in range(N)]),
+                           lambda: _solve(conn, data, point, max_order)[1:])
+    dims, coeff, system = _solve(conn, data, point, max_order)
+    return JetSolution(point, max_order, dims, coeff[(0,) * n],
+                       (coeff, system))
 
 
 def _rows_at(system, x):

@@ -235,11 +235,13 @@ def test_klein_analysis(tmp_path):
 @pytest.mark.parametrize("command", ["mobility", "analyze"])
 def test_jet_path_reads_only_the_cleared_system(tmp_path, monkeypatch, capsys,
                                                 command):
-    """`mobility` and `analyze` build the cleared system once, on the exact
-    path (Klein) and the truncated-series path (the D1/D2 Liouville input
-    at order 3), and every candidate's closure residual reuses it: neither
-    builds the cancelled connection matrices nor cancels a P, W or Y
-    component.  `curvature` still prints P, W and Y."""
+    """`analyze` builds the cleared system once, on the exact path (Klein)
+    and the truncated-series path (the D1/D2 Liouville input at order 3),
+    and every candidate's closure residual reuses it; `mobility` builds it
+    once on the curved Liouville input and not at all on the flat Klein
+    one, whose dimensions need no recursion.  Neither builds the
+    cancelled connection matrices nor cancels a P, W or Y component.
+    `curvature` still prints P, W and Y."""
     import projmet.mobility as mobility
     import projmet.projconn as projconn
     import projmet.tractor as tractor
@@ -274,7 +276,8 @@ def test_jet_path_reads_only_the_cleared_system(tmp_path, monkeypatch, capsys,
                 assert any(m.get("exact") is False for m in metrics)
             else:
                 assert len([m for m in metrics if "verified" in m]) > 1
-        assert len(builds) == 1
+        flat_mobility = command == "mobility" and not order
+        assert len(builds) == (0 if flat_mobility else 1)
 
     monkeypatch.undo()
     assert main(["curvature", liouville]) == EXIT_OK
@@ -362,6 +365,32 @@ def test_mobility_gives_the_pinned_dims(tmp_path, capsys):
         assert main(case.argv(str(path))) == case.exit_code == 0, case.cid
         report = json.loads(capsys.readouterr().out)
         assert report["mobility"]["dims_by_order"] == case.dims, case.cid
+
+
+def test_flat_mobility_runs_no_recursion(tmp_path, capsys, monkeypatch):
+    """On the flat pinned `jets` inputs (Klein n=4 and n=5, stereographic
+    n=3) `mobility` prints the pinned dims_by_order without building the
+    cleared system, expanding a series or eliminating: every initial
+    value of a flat structure extends."""
+    import projmet.mobility as mobility
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("jet recursion on a flat structure")
+
+    for name in ("cleared_matrices", "rational_to_series", "nullspace"):
+        monkeypatch.setattr(mobility, name, forbidden)
+    flat = {"klein4-o12", "klein5-o10", "stereo3-o10"}
+    cases = [c for c in _pinned_inputs(("jets",), "random4")
+             if c.cid in flat]
+    assert {c.cid for c in cases} == flat
+    for case in cases:
+        path = tmp_path / f"{case.cid}.json"
+        path.write_text(case.spec_text())
+        capsys.readouterr()
+        assert main(case.argv(str(path))) == EXIT_OK, case.cid
+        report = json.loads(capsys.readouterr().out)
+        assert report["mobility"]["dims_by_order"] == case.dims, case.cid
+        assert len(case.dims) == case.max_order + 1
 
 
 def _adjugate_over_det(g_ser, n, max_order):

@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -192,9 +192,33 @@ def test_pole_with_vanishing_numerator_is_reported():
         degree_of_mobility(conn, [0, 0, 0], 4)
 
 
-def _as_fractions(listed):
+def test_pole_on_a_flat_structure_is_reported_at_call_time(monkeypatch):
+    """Gamma^2_12 = Gamma^2_21 = 1/x1, specialized, is projectively flat,
+    so the jet solve builds no Taylor table; D still vanishes at (0, 1),
+    and the call itself reports the pole, with no table built."""
+    import projmet.mobility as mobility
+
+    chart = Chart(2)
+    x1 = chart.var(1)
+    conn = AffineConnection.from_components(
+        chart, {(2, 1, 2): 1 / x1, (2, 2, 1): 1 / x1})
+    special, _ = specialize(conn)
+    data = decompose_curvature(special)
+    assert data.is_flat()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Taylor table built for a pole")
+
+    monkeypatch.setattr(mobility, "_solve", forbidden)
+    message = ("denominator vanishes at base point "
+               "(Fraction(0, 1), Fraction(1, 1))")
+    with pytest.raises(PoleAtBasePoint, match=re.escape(message)):
+        degree_of_mobility(special, [0, 1], 4, data)
+
+
+def _as_fractions(by_order):
     return {mono: {(i, j): Fraction(c, den) for i, j, c in coeffs}
-            for mono, den, coeffs in listed}
+            for listed in by_order for mono, den, coeffs in listed}
 
 
 @pytest.mark.parametrize("point", [[0, 0, 0],
@@ -205,7 +229,7 @@ def test_expand_system_expands_each_component_once(monkeypatch, point):
     expanded once, and the integer Taylor data, read as Fractions, is
     L_i A_a / L_i(p) and L_i / L_i(p) beyond its constant term, as the
     Fraction series oracle expands L_i and the A_a of the column builder:
-    per monomial one denominator in lowest terms, lowest order first."""
+    per monomial one denominator in lowest terms, listed by order."""
     import projmet.mobility as mobility
     import series_oracle
 
@@ -238,7 +262,7 @@ def test_expand_system_expands_each_component_once(monkeypatch, point):
         for mono, v in ser.items():
             if mono != zero:
                 steps.setdefault(mono, {})[i, i] = v / l_at_p[i]
-    for a, ((listed, by_mono, upto), lsteps) in enumerate(data_by_coord):
+    for a, (by_order, lsteps) in enumerate(data_by_coord):
         want = {}
         for i, row in enumerate(mats[a]):
             for j, entry in enumerate(row):
@@ -250,18 +274,15 @@ def test_expand_system_expands_each_component_once(monkeypatch, point):
                     order)
                 for mono, v in ser.items():
                     want.setdefault(mono, {})[i, j] = v / l_at_p[i]
-        assert _as_fractions(listed) == want
-        assert _as_fractions(lsteps[0]) == steps
-        for listing, index, counts in ((listed, by_mono, upto), lsteps):
-            orders = [sum(mono) for mono, _, _ in listing]
-            assert orders == sorted(orders)
-            assert counts == [sum(k <= m for k in orders)
-                              for m in range(order + 1)]
-            assert index == {mono: (den, coeffs)
-                             for mono, den, coeffs in listing}
-            for mono, den, coeffs in listing:
-                assert den > 0
-                assert gcd(den, *(c for _, _, c in coeffs)) == 1
+        assert _as_fractions(by_order) == want
+        assert _as_fractions(lsteps) == steps
+        for listing in (by_order, lsteps):
+            assert len(listing) == order + 1
+            for k, listed in enumerate(listing):
+                for mono, den, coeffs in listed:
+                    assert sum(mono) == k
+                    assert den > 0
+                    assert gcd(den, *(c for _, _, c in coeffs)) == 1
 
 
 def test_jet_solve_inverts_no_series_and_takes_no_gcd(monkeypatch):
@@ -284,37 +305,55 @@ def test_jet_solve_inverts_no_series_and_takes_no_gcd(monkeypatch):
 
 
 def _counted_predictions(monkeypatch):
-    """Record the coefficient (alpha + e_a) of every jet prediction."""
+    """Record the coefficient tau of every jet prediction, as the
+    per-order pass returns them."""
     import projmet.mobility as mobility
 
     predicted = []
-    predict = mobility._predict
+    per_order = mobility._order_predictions
 
-    def counted(terms, coeff, alpha, a, N):
-        predicted.append(alpha[:a] + (alpha[a] + 1,) + alpha[a + 1:])
-        return predict(terms, coeff, alpha, a, N)
+    def counted(*args):
+        out = per_order(*args)
+        predicted.extend(tau for tau, preds in out.items() for _ in preds)
+        return out
 
-    monkeypatch.setattr(mobility, "_predict", counted)
+    monkeypatch.setattr(mobility, "_order_predictions", counted)
     return predicted
 
 
 def test_flat_structure_predicts_each_coefficient_once(monkeypatch):
-    """Klein is projectively flat, so the prolonged curvature vanishes and
-    all predictions of a Taylor coefficient agree: each is made once, and
-    no constraint row or elimination is needed."""
+    """Klein is projectively flat, so every initial value extends: the jet
+    solve alone reports N at every order, makes no prediction and builds
+    no cleared system.  Reading the series runs the recursion once, where
+    all predictions of a Taylor coefficient agree: each is made at most
+    once, only where a stored coefficient reaches it, and no constraint
+    row or elimination is needed."""
     import projmet.mobility as mobility
 
     def forbidden(*args, **kwargs):
         raise AssertionError("constraint rows built on a flat structure")
 
+    built = []
+    build = mobility.cleared_matrices
+
+    def counted_build(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(mobility, "cleared_matrices", counted_build)
     monkeypatch.setattr(mobility, "_difference_rows", forbidden)
     monkeypatch.setattr(mobility, "nullspace", forbidden)
     predicted = _counted_predictions(monkeypatch)
     special, _ = specialize(klein_connection(4))
-    js = degree_of_mobility(special, [0] * 4, 6)
-    assert js.dims == [15] * 7
-    # every monomial of order 1..6 in four variables, once
-    assert len(predicted) == len(set(predicted)) == comb(6 + 4, 4) - 1
+    js = degree_of_mobility(special, [0] * 4, 12)
+    assert js.dims == [15] * 13 and js.stabilized
+    assert js.admissible_basis == [
+        [Fraction(int(i == t)) for i in range(15)] for t in range(15)]
+    assert not predicted and not built
+    series = js.series
+    assert len(series) == 15 and len(built) == 1
+    assert len(predicted) == len(set(predicted)) < 100
+    assert js.series is series and len(built) == 1
 
 
 def test_curved_structure_compares_predictions(monkeypatch):
