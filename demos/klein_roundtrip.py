@@ -19,7 +19,7 @@ def main():
     conn = klein_connection(2)
     special, upsilon = specialize(conn)
     print("special gauge reached:", "flat" if special.is_special() else "?")
-    print("gauge 1-form:", [str(c) for c in upsilon.components])
+    print("gauge 1-form:", [str(c) for c in upsilon])
 
     report, code = analyze_connection(
         conn, [Fraction(0), Fraction(0)],

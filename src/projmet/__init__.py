@@ -9,8 +9,7 @@ and every solution is reconstructed into a candidate metric and verified.
 """
 
 from .errors import *  # noqa: F401,F403
-from .exprcore import (Chart, DifferentialForm, RationalExpr,
-                       exterior_derivative)
+from .exprcore import Chart, RationalExpr
 from .tensorfield import (TensorField, contract, covariant_derivative,
                           trace_free_part)
 from .projconn import (AffineConnection, ProjectiveData, beta_form,

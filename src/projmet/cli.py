@@ -194,7 +194,7 @@ def _cmd_curvature(args):
     n = conn.chart.dim
     beta = beta_form(conn)
     report = {"schema": SCHEMA_VERSION, "input": echo, "warnings": []}
-    report["beta"] = [[str(beta.components[a][b]) for b in range(n)]
+    report["beta"] = [[str(beta.get(a, b)) for b in range(n)]
                       for a in range(n)]
     special, upsilon = specialize(conn)
     data = decompose_curvature(special)
@@ -224,7 +224,7 @@ def _cmd_compare(args):
     try:
         ups = projective_equivalence(conn1, conn2)
         report["equivalent"] = True
-        report["upsilon"] = [str(c) for c in ups.components]
+        report["upsilon"] = [str(c) for c in ups]
     except NotEquivalent as exc:
         report["equivalent"] = False
         report["reason"] = str(exc)

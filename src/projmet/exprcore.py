@@ -25,24 +25,23 @@ evaluator serves `evaluate`, `jet` (value and first partials) and
 `exactseries.series_eval`: it scales the point to integers over the lcm L
 of its denominators and lifts every term to one common degree in `int`.
 
-Also provides low-degree differential forms and exterior differentiation,
-which gives beta = dt/(n+1).  No closed 1-form is ever integrated to a
-potential: the special gauge needs only the 1-form itself.  The float
-cross-checks (geodesics, parallel transport) compile entries with
-`compile_numeric` and share one Runge-Kutta step.
+The package needs no general form calculus: a 1-form is a tuple of n
+RationalExpr, and the one 2-form, beta = dt/(n+1), an antisymmetric
+TensorField (`projconn.beta_form`).  The float cross-checks (geodesics,
+parallel transport) compile entries with `compile_numeric` and share one
+step-doubling Runge-Kutta driver, `_rk4_doubling`.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, sub
 
-from .errors import DegreeAboveCap, NotPolynomial, ParseError, PoleError
+from .errors import (DegreeAboveCap, NotPolynomial, ParseError, PoleError,
+                     PoleOnPath, StepUnderflow)
 
 __all__ = [
     "Chart",
     "RationalExpr",
-    "DifferentialForm",
-    "exterior_derivative",
 ]
 
 
@@ -788,6 +787,39 @@ def _rk4_step(rhs, t, y, h):
             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
+def _rk4_doubling(rhs, y0, t_end, steps, tol, floor, stuck, trace=False):
+    """y' = rhs(t, y), y(0) = y0, solved up to t_end by `_rk4_step` with
+    step doubling: a pass of `steps` equal steps, then passes of twice as
+    many, until two successive passes agree at t_end to
+    tol * max(floor, max |y|).  Returns y(t_end) of the accepted pass and,
+    with `trace`, that pass as [(t, y)], (0.0, y0) first (else None).  A
+    pole met by any pass raises PoleOnPath; an unaccepted pass past
+    1 << 18 steps raises StepUnderflow with the message
+    stuck.format(steps=..., err=...)."""
+    def run(steps):
+        h = t_end / steps
+        y, path = y0, [(0.0, y0)] if trace else None
+        for k in range(steps):
+            y = _rk4_step(rhs, k * h, y, h)
+            if trace:
+                path.append(((k + 1) * h, y))
+        return y, path
+
+    try:
+        prev, _ = run(steps)
+        while True:
+            steps *= 2
+            cur, path = run(steps)
+            err = max(abs(a - b) for a, b in zip(cur, prev))
+            if err <= tol * max(floor, max(abs(v) for v in cur)):
+                return cur, path
+            if steps > 1 << 18:
+                raise StepUnderflow(stuck.format(steps=steps, err=err))
+            prev = cur
+    except PoleError as exc:
+        raise PoleOnPath(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # expression parser: literals, coordinate names, + - * / ^, parentheses
 # ---------------------------------------------------------------------------
@@ -960,146 +992,6 @@ class _Parser:
 def _degrees(e):
     """Total degrees of the numerator and the denominator of e."""
     return (_tdeg(e.num) if e.num else 0), _tdeg(e.den)
-
-
-# ---------------------------------------------------------------------------
-# differential forms of degree 0, 1, 2
-# ---------------------------------------------------------------------------
-
-class DifferentialForm:
-    """Degree 0, 1 or 2 form with RationalExpr components.
-
-    Degree-2 components are stored densely and checked antisymmetric.
-    """
-
-    def __init__(self, chart, degree, components):
-        self.chart = chart
-        self.degree = degree
-        n = chart.dim
-        if degree == 0:
-            if not isinstance(components, RationalExpr):
-                raise ValueError("degree-0 form needs a scalar component")
-            self.components = components
-        elif degree == 1:
-            comps = list(components)
-            if len(comps) != n:
-                raise ValueError(f"degree-1 form needs {n} components")
-            self.components = tuple(comps)
-        elif degree == 2:
-            rows = [list(r) for r in components]
-            if len(rows) != n or any(len(r) != n for r in rows):
-                raise ValueError(f"degree-2 form needs {n}x{n} components")
-            for a in range(n):
-                for b in range(a, n):
-                    if rows[a][b] != -rows[b][a]:
-                        raise ValueError(
-                            f"degree-2 components not antisymmetric at ({a + 1},{b + 1})")
-            self.components = tuple(tuple(r) for r in rows)
-        else:
-            raise ValueError("only degrees 0, 1, 2 are supported")
-
-    @classmethod
-    def zero(cls, chart, degree):
-        n = chart.dim
-        z = chart.zero
-        if degree == 0:
-            return cls(chart, 0, z)
-        if degree == 1:
-            return cls(chart, 1, [z] * n)
-        return cls(chart, 2, [[z] * n for _ in range(n)])
-
-    def comp(self, *idx):
-        """Component by 1-based indices."""
-        if self.degree == 0:
-            return self.components
-        if self.degree == 1:
-            return self.components[idx[0] - 1]
-        return self.components[idx[0] - 1][idx[1] - 1]
-
-    def is_zero(self):
-        if self.degree == 0:
-            return self.components.is_zero()
-        if self.degree == 1:
-            return all(c.is_zero() for c in self.components)
-        return all(c.is_zero() for row in self.components for c in row)
-
-    def d(self):
-        return exterior_derivative(self)
-
-    def __add__(self, other):
-        if self.degree != other.degree or self.chart is not other.chart:
-            raise ValueError("form mismatch")
-        if self.degree == 0:
-            return DifferentialForm(self.chart, 0, self.components + other.components)
-        if self.degree == 1:
-            return DifferentialForm(self.chart, 1, [
-                a + b for a, b in zip(self.components, other.components)])
-        n = self.chart.dim
-        return DifferentialForm(self.chart, 2, [
-            [self.components[a][b] + other.components[a][b] for b in range(n)]
-            for a in range(n)])
-
-    def __neg__(self):
-        if self.degree == 0:
-            return DifferentialForm(self.chart, 0, -self.components)
-        if self.degree == 1:
-            return DifferentialForm(self.chart, 1, [-c for c in self.components])
-        return DifferentialForm(self.chart, 2, [[-c for c in row] for row in self.components])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, DifferentialForm):
-            return NotImplemented
-        return (self.chart is other.chart and self.degree == other.degree
-                and (self - other).is_zero())
-
-    def __repr__(self):
-        return f"DifferentialForm(degree={self.degree}, components={self.components})"
-
-
-def exterior_derivative(form):
-    """Exact exterior derivative.  The derivative of a 2-form is returned as a
-    minimal 3-index container supporting only the zero test."""
-    chart = form.chart
-    n = chart.dim
-    if form.degree == 0:
-        return DifferentialForm(chart, 1, [form.components.diff(a + 1) for a in range(n)])
-    if form.degree == 1:
-        w = form.components
-        comps = [[chart.zero] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                v = w[b].diff(a + 1) - w[a].diff(b + 1)
-                comps[a][b], comps[b][a] = v, -v
-        return DifferentialForm(chart, 2, comps)
-    # degree 2 -> totally antisymmetric 3-index array, returned raw
-    return _d_two_form(form)
-
-
-class _ThreeForm:
-    """Minimal container for d(2-form): only zero-testing is needed."""
-
-    def __init__(self, comps):
-        self.comps = comps
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.comps.values())
-
-
-def _d_two_form(form):
-    chart = form.chart
-    n = chart.dim
-    comps = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                val = (form.components[b][c].diff(a + 1)
-                       - form.components[a][c].diff(b + 1)
-                       + form.components[a][b].diff(c + 1))
-                comps[(a, b, c)] = val
-    return _ThreeForm(comps)
 
 
 # ---------------------------------------------------------------------------

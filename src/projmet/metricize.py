@@ -25,7 +25,8 @@ connection is the special one changed by Y_b = k d_b D / D, so grad f
 is built only where a report reads it, and the changed connection only
 where a point table falls back at a pole.  A symbolic pair (conn, g^{ab})
 is read through the jets of its entries.  The geodesics use the
-Runge-Kutta step that parallel transport in `mobility` uses too.
+step-doubling Runge-Kutta driver that parallel transport in `mobility`
+uses too.
 """
 
 import csv
@@ -35,9 +36,9 @@ from itertools import product
 from math import prod
 
 from .errors import (DegenerateMetric, DegenerateSigma, DimensionTooSmall,
-                     PoleError, PoleOnPath, ShapeError, StepUnderflow)
+                     PoleError, PoleOnPath, ShapeError)
 from .exactlinalg import adjugate, leibniz_det, symmetric_signature
-from .exprcore import DifferentialForm, Poly, _compile_nonzero, _rk4_step
+from .exprcore import Poly, _compile_nonzero, _rk4_doubling, _rk4_step
 # projective_equivalence lives in projconn; it stays importable from here
 # with the other verification checks
 from .projconn import (AffineConnection, _schouten_and_weyl, _trace_upsilon,
@@ -136,8 +137,8 @@ class MetricCandidate:
     def upsilon(self):
         if self._upsilon is None:
             D, k = self.det_sigma, self._log_coeff
-            self._upsilon = DifferentialForm(D.chart, 1, [
-                D.diff(a) * k / D for a in range(1, D.chart.dim + 1)])
+            self._upsilon = tuple(D.diff(a) * k / D
+                                  for a in range(1, D.chart.dim + 1))
         return self._upsilon
 
     @property
@@ -415,18 +416,13 @@ def _candidate(t, from_sigma, conn, base_point, region_samples):
 
 
 def _volume_residual(conn, g_up):
-    """1-form t_a + (1/2) d_a det(g_up)/det(g_up); zero iff the metric volume
-    form is parallel for conn."""
-    chart = conn.chart
-    n = chart.dim
+    """1-form t_a + (1/2) d_a det(g_up)/det(g_up), as a tuple; zero iff the
+    metric volume form is parallel for conn."""
     det = det_field(g_up)
     if det.is_zero():
         raise DegenerateMetric("metric determinant vanishes identically")
-    trace = conn.trace_form()
-    comps = []
-    for a in range(n):
-        comps.append(trace.components[a] + det.diff(a + 1) / (2 * det))
-    return DifferentialForm(chart, 1, comps)
+    return tuple(t + det.diff(a) / (2 * det)
+                 for a, t in enumerate(conn.trace_form(), 1))
 
 
 def is_levi_civita(conn, g_up):
@@ -443,7 +439,7 @@ def is_levi_civita(conn, g_up):
     dg = covariant_derivative(g_up, conn)
     tf = trace_free_part(dg)
     vol = _volume_residual(conn, g_up)
-    return tf.is_zero() and vol.is_zero(), {"trace_free": tf, "volume": vol}
+    return tf.is_zero() and not any(vol), {"trace_free": tf, "volume": vol}
 
 
 def _eval_matrix(field, pt):
@@ -845,35 +841,16 @@ def _geodesic_rhs(compiled, n):
     return rhs
 
 
-def _rk4_path(rhs, n, state, t_end, steps):
-    h = t_end / steps
-    cur = list(state)
-    trace = [(0.0, cur[:n])]
-    for k in range(steps):
-        cur = _rk4_step(rhs, k * h, cur, h)
-        trace.append(((k + 1) * h, cur[:n]))
-    return cur, trace
-
-
 def integrate_geodesic(conn, point, direction, t_end=1.0, tol=1e-10):
-    """Geodesic of conn from (point, direction), adaptive step doubling."""
+    """Geodesic of conn from (point, direction) by `_rk4_doubling`: the
+    state (x, v) at t_end and the positions [(t, x)] of the accepted pass."""
     n = conn.dim
     rhs = _geodesic_rhs(_compile_nonzero(conn.gamma), n)
     state = [float(v) for v in point] + [float(v) for v in direction]
-    steps = 16
-    try:
-        prev, _ = _rk4_path(rhs, n, state, t_end, steps)
-    except PoleError as exc:
-        raise PoleOnPath(str(exc)) from exc
-    while True:
-        steps *= 2
-        cur, trace = _rk4_path(rhs, n, state, t_end, steps)
-        err = max(abs(a - b) for a, b in zip(cur, prev))
-        if err <= tol * max(1.0, max(abs(v) for v in cur)):
-            return cur, trace
-        if steps > 1 << 18:
-            raise StepUnderflow(f"geodesic integration stuck at {steps} steps")
-        prev = cur
+    cur, path = _rk4_doubling(rhs, state, t_end, 16, tol, 1.0,
+                              "geodesic integration stuck at {steps} steps",
+                              trace=True)
+    return cur, [(t, y[:n]) for t, y in path]
 
 
 def geodesic_compare(c1, c2, seeds, tol=1e-10, t_end=1.0, trace_samples=32):
@@ -901,18 +878,21 @@ def geodesic_compare(c1, c2, seeds, tol=1e-10, t_end=1.0, trace_samples=32):
         steps = max(64, trace_samples)
         h = t_end / steps
         cur = list(state)
-        for k in range(steps):
-            x, v = cur[:n], cur[n:]
-            d1 = _gamma_quad(comp1, n, x, v)
-            d2 = _gamma_quad(comp2, n, x, v)
-            diff = [b - a for a, b in zip(d1, d2)]
-            v2 = sum(w * w for w in v)
-            if v2 > 0:
-                proj = sum(d * w for d, w in zip(diff, v)) / v2
-                trans = [d - proj * w for d, w in zip(diff, v)]
-                mag = max(abs(t) for t in trans) / v2
-                worst = max(worst, mag)
-            cur = _rk4_step(rhs1, k * h, cur, h)
+        try:
+            for k in range(steps):
+                x, v = cur[:n], cur[n:]
+                d1 = _gamma_quad(comp1, n, x, v)
+                d2 = _gamma_quad(comp2, n, x, v)
+                diff = [b - a for a, b in zip(d1, d2)]
+                v2 = sum(w * w for w in v)
+                if v2 > 0:
+                    proj = sum(d * w for d, w in zip(diff, v)) / v2
+                    trans = [d - proj * w for d, w in zip(diff, v)]
+                    mag = max(abs(t) for t in trans) / v2
+                    worst = max(worst, mag)
+                cur = _rk4_step(rhs1, k * h, cur, h)
+        except PoleError as exc:
+            raise PoleOnPath(str(exc)) from exc
     return worst, traces
 
 

@@ -42,12 +42,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .errors import (NotSpecial, PoleAtBasePoint, PoleError, PoleOnPath,
-                     StepUnderflow)
+from .errors import NotSpecial, PoleAtBasePoint, PoleError, PoleOnPath
 from .exactlinalg import nullspace
 from .exactseries import _lowest, monomials_of_order, rational_to_series
-from .exprcore import (RationalExpr, _rk4_step, _scaled_point, _scaled_value,
-                       compile_numeric)
+from .exprcore import (RationalExpr, _rk4_doubling, _scaled_point,
+                       _scaled_value, compile_numeric)
 from .projconn import decompose_curvature
 from .tractor import cleared_matrices, section_dim
 
@@ -519,27 +518,14 @@ def _apply(compiled, L, entries, x, velocity, s):
     return out
 
 
-def _rk4_segment(compiled, L, entries, start, end, s, steps):
-    delta = [e - b for e, b in zip(end, start)]
-
-    def rhs(t, state):
-        x = [b + t * d for b, d in zip(start, delta)]
-        return _apply(compiled, L, entries, x, delta, state)
-
-    h = 1.0 / steps
-    state = list(s)
-    for k in range(steps):
-        state = _rk4_step(rhs, k * h, state, h)
-    return state
-
-
 def parallel_transport(conn, data, path, s0, rel_tol=1e-10):
     """Transport packed section values along a polyline of rational points.
 
-    Classical fourth-order Runge-Kutta with step doubling per segment until
-    successive refinements agree to rel_tol; raises StepUnderflow when the
-    doubling limit is hit and PoleOnPath when the connection blows up on a
-    vertex or sampled point.  The right-hand side is the cleared system:
+    Classical fourth-order Runge-Kutta with step doubling per segment
+    (`_rk4_doubling`) until successive refinements agree to rel_tol;
+    raises StepUnderflow when the doubling limit is hit and PoleOnPath
+    when the connection blows up on a vertex or at a point any pass
+    samples.  The right-hand side is the cleared system:
     its components compiled once, and each row divided by L_i(x).
     """
     system = cleared_matrices(conn, data)
@@ -560,22 +546,14 @@ def parallel_transport(conn, data, path, s0, rel_tol=1e-10):
     scale = max(1.0, max(abs(v) for v in state))
     for seg in range(len(path) - 1):
         start = [float(v) for v in path[seg]]
-        end = [float(v) for v in path[seg + 1]]
-        steps = 8
-        try:
-            prev = _rk4_segment(*args, start, end, state, steps)
-        except PoleError as exc:
-            raise PoleOnPath(str(exc)) from exc
-        while True:
-            steps *= 2
-            cur = _rk4_segment(*args, start, end, state, steps)
-            err = max(abs(a - b) for a, b in zip(cur, prev))
-            ref = max(scale, max(abs(v) for v in cur))
-            if err <= rel_tol * ref:
-                state = cur
-                break
-            if steps > 1 << 18:
-                raise StepUnderflow(
-                    f"segment {seg}: no convergence at {steps} steps (err {err:.3e})")
-            prev = cur
+        delta = [float(e) - b for e, b in zip(path[seg + 1], start)]
+
+        def rhs(t, s):
+            x = [b + t * d for b, d in zip(start, delta)]
+            return _apply(*args, x, delta, s)
+
+        state, _ = _rk4_doubling(
+            rhs, state, 1.0, 8, rel_tol, scale,
+            f"segment {seg}: no convergence at {{steps}} steps "
+            "(err {err:.3e})")
     return state

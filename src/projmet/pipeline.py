@@ -76,7 +76,7 @@ def add_gauge_blocks(report, upsilon, jets=None):
     """The `special_gauge` block, the 1-form that changes the input into
     the special connection, and the `mobility` block when jets are given."""
     report["special_gauge"] = {
-        "upsilon": [str(c) for c in upsilon.components]}
+        "upsilon": [str(c) for c in upsilon]}
     if jets is not None:
         report["mobility"] = {
             "dimension": jets.dim,
@@ -371,7 +371,7 @@ def _verify_candidate(upsilon, cand, slots, jets, samples, tol, flat,
         ok_lc = cand.solves_metrizability()
         entry["is_levi_civita"] = ok_lc
         entry["equivalence_upsilon"] = [
-            str(c) for c in (upsilon + cand.upsilon).components]
+            str(a + b) for a, b in zip(upsilon, cand.upsilon)]
         if not ok_lc:
             return False
     else:

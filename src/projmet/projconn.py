@@ -17,13 +17,11 @@ carried by the closed 2-form beta.  The closed formulas
 are the unique solution of those linear conventions.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
 from .errors import NotEquivalent, NotSpecial, ShapeError
-from .exprcore import (DifferentialForm, Poly, _cancelled, _common_denominator,
-                       exterior_derivative)
+from .exprcore import Poly, _cancelled, _common_denominator
 from .tensorfield import TensorField
 
 __all__ = [
@@ -97,16 +95,13 @@ class AffineConnection:
         return self._common
 
     def trace_form(self):
-        """Christoffel trace t_a = Gamma^b_{ab} as a 1-form, built once."""
+        """Christoffel trace t_a = Gamma^b_{ab} as a 1-form: a tuple of n
+        RationalExpr, built once."""
         if self._trace is None:
             n = self.dim
-            comps = []
-            for a in range(n):
-                s = self.chart.zero
-                for b in range(n):
-                    s = s + self.gamma[b][a][b]
-                comps.append(s)
-            self._trace = DifferentialForm(self.chart, 1, comps)
+            self._trace = tuple(
+                sum((self.gamma[b][a][b] for b in range(n)), self.chart.zero)
+                for a in range(n))
         return self._trace
 
     def is_special(self):
@@ -287,21 +282,22 @@ def ricci(conn):
 
 def beta_form(conn):
     """Antisymmetric Ricci part beta_ab = -2 R_[ab]/(n+1), a closed
-    2-form.  For a torsion-free connection only the trace terms of the
-    Ricci tensor are antisymmetric: R_ab - R_ba = d_b t_a - d_a t_b for the
-    trace t_a = Gamma^c_ca, so beta = dt/(n+1), with no Ricci tensor."""
-    chart = conn.chart
-    frac = chart.const(Fraction(1, conn.dim + 1))
-    dt = exterior_derivative(conn.trace_form())
-    return DifferentialForm(chart, 2, [[frac * c for c in row]
-                                       for row in dt.components])
+    2-form, as an antisymmetric TensorField with variance ("d", "d").  For
+    a torsion-free connection only the trace terms of the Ricci tensor are
+    antisymmetric: R_ab - R_ba = d_b t_a - d_a t_b for the trace
+    t_a = Gamma^c_ca, so beta = dt/(n+1), with no Ricci tensor."""
+    t = conn.trace_form()
+    n = conn.dim
+    return _antisymmetric(conn.chart, ("d", "d"), lambda a, b: (
+        t[b].diff(a + 1) - t[a].diff(b + 1)) / (n + 1))
 
 
 def projective_change(conn, upsilon):
-    """Connection with the same geodesics: G^c_ab + d_a^c Y_b + d_b^c Y_a."""
+    """Connection with the same geodesics: G^c_ab + d_a^c Y_b + d_b^c Y_a,
+    for the 1-form Y given as a sequence of n RationalExpr."""
     chart = conn.chart
     n = chart.dim
-    ups = upsilon.components if isinstance(upsilon, DifferentialForm) else tuple(upsilon)
+    ups = tuple(upsilon)
     g = [[[conn.gamma[c][a][b] for b in range(n)] for a in range(n)] for c in range(n)]
     for c in range(n):
         for b in range(n):
@@ -311,25 +307,21 @@ def projective_change(conn, upsilon):
 
 
 def _trace_upsilon(c1, c2):
-    """Y_a = (Gamma2 - Gamma1)^b_ab / (n+1): the only 1-form whose pure-trace
-    difference delta_a^c Y_b + delta_b^c Y_a can match Gamma2 - Gamma1."""
-    chart = c1.chart
-    n = chart.dim
-    ups = []
-    for a in range(n):
-        s = chart.zero
-        for b in range(n):
-            s = s + c2.gamma[b][a][b] - c1.gamma[b][a][b]
-        ups.append(s / (n + 1))
-    return ups
+    """Y_a = (t2 - t1)_a / (n+1) for the kept traces t of both connections:
+    the only 1-form whose pure-trace difference delta_a^c Y_b
+    + delta_b^c Y_a can match Gamma2 - Gamma1."""
+    n = c1.dim
+    return tuple((t2 - t1) / (n + 1)
+                 for t1, t2 in zip(c1.trace_form(), c2.trace_form()))
 
 
 def projective_equivalence(c1, c2):
     """Recover the 1-form relating two projectively equivalent connections.
 
     The difference D^c_ab must be delta_a^c Y_b + delta_b^c Y_a; the trace
-    determines Y and the full difference is verified structurally.  Raises
-    NotEquivalent (with the offending component) otherwise.
+    determines Y and the full difference is verified structurally.  Returns
+    Y as a tuple of n RationalExpr; raises NotEquivalent (with the
+    offending component) otherwise.
     """
     if c1.chart is not c2.chart:
         raise ShapeError("connections live on different charts")
@@ -347,7 +339,7 @@ def projective_equivalence(c1, c2):
             raise NotEquivalent(
                 f"difference is not pure trace at ^{c + 1}_({a + 1}{b + 1})",
                 component=(c + 1, a + 1, b + 1))
-    return DifferentialForm(chart, 1, ups)
+    return ups
 
 
 def specialize(conn):
@@ -355,18 +347,17 @@ def specialize(conn):
 
     The projective class holds exactly one connection with zero Christoffel
     trace: the change by Y = -t/(n+1), for the trace t_a = Gamma^b_ab, which
-    adds (n+1) Y to the trace.  Returns (special connection, Y).  Y is
-    rational for every input, closed or not; no potential f with df = Y is
+    adds (n+1) Y to the trace.  Returns (special connection, Y), with Y a
+    tuple of n RationalExpr.  Y is rational for every input, closed or not; no potential f with df = Y is
     sought, since the metrizability system is projectively invariant and
     nothing downstream reads one.  When `conn` is already special it is
     returned itself, with whatever it has kept.
     """
-    chart = conn.chart
-    n = chart.dim
+    n = conn.dim
     trace = conn.trace_form()
-    if trace.is_zero():
-        return conn, DifferentialForm.zero(chart, 1)
-    ups = DifferentialForm(chart, 1, [-c / (n + 1) for c in trace.components])
+    if not any(trace):
+        return conn, (conn.chart.zero,) * n
+    ups = tuple(-c / (n + 1) for c in trace)
     return projective_change(conn, ups), ups
 
 

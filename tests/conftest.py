@@ -57,12 +57,9 @@ def rand_special_connection(n, rng, entries=2, max_degree=2):
 
 
 def rand_exact_oneform(chart, rng, max_degree=2):
-    """Gradient of a random polynomial (an exact 1-form)."""
-    from projmet import DifferentialForm
-
+    """Gradient of a random polynomial (an exact 1-form), as a tuple."""
     f = rand_poly(chart, rng, max_degree=max_degree, terms=3)
-    return f, DifferentialForm(chart, 1, [f.diff(k + 1)
-                                          for k in range(chart.dim)])
+    return f, tuple(f.diff(k + 1) for k in range(chart.dim))
 
 
 def rand_metric(n, rng, scale=Fraction(1, 4), max_degree=2):

@@ -14,9 +14,12 @@ and review the diff of tests/data/reports/.
 import contextlib
 import io
 import json
-import sys
+import tempfile
 from itertools import product
 from pathlib import Path
+
+from projmet import models
+from projmet.cli import main
 
 DATA = Path(__file__).parent / "data"
 REPORTS = DATA / "reports"
@@ -25,10 +28,10 @@ EXIT_CODES = REPORTS / "exit_codes.json"
 # spec name -> a file under tests/data, or a callable giving the connection
 FILE_SPECS = ("flat_log_poly_change", "liouville_d1_d2", "liouville_d3")
 MODEL_SPECS = {
-    "flat2": lambda m: m.flat_connection(2),
-    "klein2": lambda m: m.klein_connection(2),
-    "gnomonic2": lambda m: m.sphere_gnomonic_connection(2),
-    "witness": lambda m: m.nonmetrizable_witness(),
+    "flat2": lambda: models.flat_connection(2),
+    "klein2": lambda: models.klein_connection(2),
+    "gnomonic2": lambda: models.sphere_gnomonic_connection(2),
+    "witness": models.nonmetrizable_witness,
 }
 
 # (case id, subcommand, spec names); the Liouville specs are not analysed:
@@ -56,20 +59,16 @@ def spec_of(conn):
 def write_specs(directory):
     """Spec files of every spec name, the model ones written to
     `directory`: {name: path}."""
-    from projmet import models
-
     paths = {name: str(DATA / f"{name}.json") for name in FILE_SPECS}
     for name, build in MODEL_SPECS.items():
         path = Path(directory) / f"{name}.json"
-        path.write_text(json.dumps(spec_of(build(models))))
+        path.write_text(json.dumps(spec_of(build())))
         paths[name] = str(path)
     return paths
 
 
 def run_case(case, paths):
     """(exit code, stdout) of `projmet.cli.main` on one case."""
-    from projmet.cli import main
-
     _, command, specs = case
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -82,8 +81,6 @@ def report_path(case):
 
 
 def regenerate():
-    import tempfile
-
     REPORTS.mkdir(exist_ok=True)
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,4 +93,3 @@ def regenerate():
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)

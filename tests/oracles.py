@@ -5,8 +5,8 @@ its curvature; the column-by-column builder of the connection matrices that
 `tractor.connection_matrices` replaced with a closed form; the contracted
 Bianchi identity; the Cotton-York tensor as the antisymmetrised
 covariant derivative of P over D DP^2 (`cotton_york_by_gradients`); beta
-from the antisymmetric part of the full Ricci tensor (`beta_of_ricci`); and
-the tensor helpers `kron_delta`, `outer` and `reweight`.  Each was moved
+from the antisymmetric part of the full Ricci tensor (`beta_of_ricci`) and
+the closedness test of a 2-form (`is_closed`); and the tensor helpers `kron_delta`, `outer` and `reweight`.  Each was moved
 from `projmet` unchanged, apart from the `TractorSection` methods, which
 became functions of the section, and the renamed Cotton-York and beta
 routines.
@@ -17,10 +17,10 @@ checks, and `jet_oracle.dense_jet_solve` builds its matrices with it.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
-from projmet.exprcore import DifferentialForm, _cancelled
+from projmet.exprcore import _cancelled
 from projmet.errors import ShapeError
 from projmet.projconn import _over_common
 from projmet.tensorfield import TensorField, covariant_derivative
@@ -102,10 +102,20 @@ def beta_of_ricci(r):
     chart = r.chart
     n = chart.dim
     frac = chart.const(Fraction(1, n + 1))
-    comps = [[-frac * (r.get(a, b) - r.get(b, a)) for b in range(n)] for a in range(n)]
-    beta = DifferentialForm(chart, 2, comps)
-    assert beta.d().is_zero(), "beta is not closed; curvature conventions broken"
+    beta = TensorField.from_function(
+        chart, ("d", "d"), lambda a, b: -frac * (r.get(a, b) - r.get(b, a)))
+    assert is_closed(beta), "beta is not closed; curvature conventions broken"
     return beta
+
+
+def is_closed(beta):
+    """Is the 2-form beta (an antisymmetric TensorField with variance
+    ("d", "d")) closed?  Its exterior derivative is the cyclic sum
+    d_a beta_bc + d_b beta_ca + d_c beta_ab, tested for a < b < c."""
+    n = beta.chart.dim
+    return all((beta.get(b, c).diff(a + 1) + beta.get(c, a).diff(b + 1)
+                + beta.get(a, b).diff(c + 1)).is_zero()
+               for a, b, c in combinations(range(n), 3))
 
 
 def bianchi_contracted_check(data, conn):
@@ -378,7 +388,7 @@ def transform_section(section, upsilon):
     sigma fixed, mu += Y_c sigma^{bc}, rho += 2 Y_b mu^b + Y_b Y_c sigma^{bc}."""
     chart = section.chart
     n = chart.dim
-    ups = upsilon.components if isinstance(upsilon, DifferentialForm) else tuple(upsilon)
+    ups = tuple(upsilon)
     mu = []
     for b in range(n):
         val = section.mu.get(b)

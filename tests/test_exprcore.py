@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic, the parser and forms."""
+"""Exact scalar arithmetic, the parser and the 2-form beta."""
 
 import random
 from fractions import Fraction
@@ -8,10 +8,11 @@ import pytest
 import sympy
 from sympy import QQ
 
-from projmet import Chart, DifferentialForm, ParseError, PoleError
+from projmet import Chart, ParseError, PoleError, beta_form, projective_change
 from projmet.exprcore import Poly, RationalExpr
 
-from conftest import rand_poly, sympy_frac
+from conftest import rand_poly, rand_special_connection, sympy_frac
+from oracles import is_closed
 
 
 @pytest.fixture
@@ -443,24 +444,40 @@ def test_parse_errors_carry_position(ch2):
         ch2.parse("x1^x2")
 
 
-# -- forms and exterior derivative ------------------------------------------
+# -- the 2-form beta = dt/(n+1) ----------------------------------------------
 
-def test_two_form_antisymmetry_enforced(ch2):
-    one, zero = ch2.one, ch2.zero
-    with pytest.raises(ValueError):
-        DifferentialForm(ch2, 2, [[zero, one], [one, zero]])
+def _moved(n, rng, ups):
+    """A random special connection changed by the 1-form ups, whose trace
+    is then (n+1) ups, so that beta = d(ups)."""
+    return projective_change(rand_special_connection(n, rng), ups)
+
+
+def test_two_form_antisymmetry_enforced(rng):
+    """beta_form is an antisymmetric ("d", "d") field."""
+    for n in (2, 3):
+        chart = Chart(n)
+        conn = _moved(n, rng, [rand_poly(chart, rng, 3, 2) for _ in range(n)])
+        beta = beta_form(conn)
+        assert beta.variance == ("d", "d")
+        assert not beta.is_zero()
+        for a in range(n):
+            for b in range(n):
+                assert beta.get(a, b) == -beta.get(b, a)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_d_squared_is_zero(n, rng):
+    """beta_form of random non-special connections is closed: d(d ups) = 0
+    for a random 1-form ups, and d(d f) = 0 (beta itself vanishes) for a
+    random 0-form f."""
     chart = Chart(n)
     for _ in range(5):
         f = rand_poly(chart, rng, 3, 3)
-        form = DifferentialForm(chart, 0, f)
-        assert form.d().d().is_zero()
-        w = DifferentialForm(chart, 1,
-                             [rand_poly(chart, rng, 3, 2) for _ in range(n)])
-        assert w.d().d().is_zero()
+        assert beta_form(_moved(
+            n, rng, [f.diff(k + 1) for k in range(n)])).is_zero()
+        conn = _moved(n, rng, [rand_poly(chart, rng, 3, 2) for _ in range(n)])
+        assert not conn.is_special()
+        assert is_closed(beta_form(conn))
 
 
 # -- common denominators -----------------------------------------------------

@@ -21,7 +21,7 @@ from conftest import (rand_exact_oneform, rand_metric, rand_poly,
                       rand_special_connection, rand_vector_field,
                       ricci_by_commutator, warped_product_connection)
 from oracles import (beta_of_ricci, bianchi_contracted_check,
-                     cotton_york_by_gradients)
+                     cotton_york_by_gradients, is_closed)
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,7 +131,7 @@ def test_beta_from_quadratic_diagonal_entry(rng):
     # oracle: R_ab from the commutator, antisymmetrised and scaled
     r = ricci(conn)
     for a, b in product(range(2), repeat=2):
-        assert beta.comp(a + 1, b + 1) == -(r.get(a, b) - r.get(b, a)) / 3
+        assert beta.get(a, b) == -(r.get(a, b) - r.get(b, a)) / 3
     assert beta.is_zero()
 
 
@@ -140,8 +140,8 @@ def test_beta_nonzero_and_closed_for_nonsymmetric_ricci():
     conn = AffineConnection.from_components(chart, {(1, 1, 1): chart.var(2)})
     beta = beta_form(conn)
     assert not beta.is_zero()
-    assert beta.d().is_zero()
-    assert beta.comp(1, 2) == -beta.comp(2, 1)
+    assert is_closed(beta)
+    assert beta.get(0, 1) == -beta.get(1, 0)
 
 
 def test_projective_change_examples():
@@ -169,7 +169,7 @@ def test_specialize_fixed_points():
     flat = flat_connection(2)
     out, ups = specialize(flat)
     assert out is flat
-    assert ups.is_zero()
+    assert ups == (flat.chart.zero,) * 2
     # Levi-Civita connection of a unimodular metric is already special
     chart = Chart(2)
     x = chart.var(1)
@@ -180,7 +180,7 @@ def test_specialize_fixed_points():
     lc = levi_civita(g)
     out2, ups2 = specialize(lc)
     assert out2 is lc
-    assert ups2.is_zero()
+    assert ups2 == (chart.zero,) * 2
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -197,7 +197,7 @@ def test_specialize_roundtrip_from_flat(n, rng):
         assert out.is_special()
         assert beta_form(out).is_zero()
         for k in range(n):
-            assert ups.components[k] == -f.diff(k + 1)
+            assert ups[k] == -f.diff(k + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -214,7 +214,7 @@ def test_specialize_kills_nonzero_beta(n, rng):
             continue  # the random 1-form happened to be closed
         special, total = specialize(moved)
         assert special == flat_connection(n)
-        assert list(total.components) == [-u for u in ups]
+        assert list(total) == [-u for u in ups]
 
 
 def test_specialize_klein_reaches_flat_gauge():
@@ -223,7 +223,7 @@ def test_specialize_klein_reaches_flat_gauge():
     chart = Chart(2)
     x1, x2 = chart.vars
     r2 = x1 * x1 + x2 * x2
-    assert ups.components[0] == -x1 / (1 - r2)
+    assert ups[0] == -x1 / (1 - r2)
 
 
 def test_decompose_flat_zero():
@@ -597,7 +597,7 @@ def test_weyl_projective_invariance_and_cotton_york_law(rng):
                 for d in range(n):
                     wv = data.weyl.get(a, b, d, c)
                     if not wv.is_zero():
-                        corr = corr + wv * df.components[d]
+                        corr = corr + wv * df[d]
                 assert y_hat.get(a, b, c) == data.cotton_york.get(a, b, c) + half * corr
 
 

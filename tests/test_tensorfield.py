@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from projmet import (Chart, DifferentialForm, ShapeError, TensorField,
+from projmet import (Chart, ShapeError, TensorField,
                      contract, covariant_derivative, projective_change,
                      trace_free_part)
 
@@ -120,7 +120,7 @@ def test_metrizability_operator_is_projectively_invariant(n, rng):
         conn = rand_special_connection(n, rng)
         sigma = _random_symmetric_uu(chart, rng)
         f = rand_poly(chart, rng, 2, 2)
-        df = DifferentialForm(chart, 1, [f.diff(k + 1) for k in range(n)])
+        df = [f.diff(k + 1) for k in range(n)]
         changed = projective_change(conn, df)
         sigma_hat = reweight(sigma, f)
         lhs = trace_free_part(covariant_derivative(sigma_hat, changed))

@@ -288,7 +288,7 @@ def test_correction_terms_transform_consistently(rng):
                     for c, d in product(range(n), repeat=2):
                         w = data.weyl.get(a, c, b, d)
                         if not w.is_zero():
-                            rhs = rhs + 2 * df.components[b] * w * sigma.get(c, d)
+                            rhs = rhs + 2 * df[b] * w * sigma.get(c, d)
                 assert lhs == rhs
 
 
