@@ -15,15 +15,15 @@ from .tensorfield import (TensorField, contract, covariant_derivative,
 from .projconn import (AffineConnection, ProjectiveData, beta_form,
                        decompose_curvature, full_curvature, projective_change,
                        ricci, specialize)
-from .tractor import (TractorCurvature, TractorSection, connection_matrices,
-                      section_dim, tractor_curvature)
+from .tractor import (TractorCurvature, connection_matrices, section_dim,
+                      tractor_curvature)
 from .mobility import (JetSolution, degree_of_mobility, parallel_transport,
                        residual)
-from .metricize import (MetricCandidate, RiemannSplit, candidate_from_metric,
+from .metricize import (MetricCandidate, candidate_from_metric,
                         constant_curvature_check, det_field, equivalence_defect,
                         geodesic_compare, is_levi_civita, levi_civita,
                         metric_inverse, projective_equivalence,
-                        reconstruct_metric, riemann_split, write_trace_csv)
+                        reconstruct_metric, write_trace_csv)
 from .pipeline import analyze_connection
 
 __version__ = "0.1.0"

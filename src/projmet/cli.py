@@ -14,11 +14,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import DegreeAboveCap, NotEquivalent, ParseError, ProjmetError
+from .errors import (DegreeAboveCap, DigitsAboveCap, NotEquivalent,
+                     ParseError, ProjmetError)
 # bound here so the benchmark tracer's self-check can find it under
 # `projmet.cli` (perfbench/selfcheck.py)
 from .exactlinalg import nullspace  # noqa: F401
-from .exprcore import Chart
+from .exprcore import _TOO_LONG, MAX_DIGITS, Chart
 from .metricize import geodesic_compare, projective_equivalence
 from .pipeline import (EXIT_INDEFINITE_ONLY, EXIT_NOT_METRIZABLE,  # noqa: F401
                        EXIT_OK, SCHEMA_VERSION, add_gauge_blocks,
@@ -36,12 +37,18 @@ EXIT_INPUT = 2
 # ---------------------------------------------------------------------------
 
 def load_spec(path):
-    """Parse a connection spec file into (connection, base_point, options, echo)."""
-    with open(path) as fh:
-        try:
+    """Parse a connection spec file into (connection, base_point, options,
+    echo).  A file that cannot be read, or is not UTF-8 JSON, is a
+    ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+    except OSError as exc:
+        raise ParseError(f"cannot read the spec: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or an int past the digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     return parse_spec(doc)
 
 
@@ -82,6 +89,9 @@ def parse_spec(doc):
             raise ParseError(f'christoffel "{key}" has total degree '
                              f"{exc.degree}, above the cap of {MAX_DEGREE}"
                              ) from None
+        except DigitsAboveCap:
+            raise ParseError(f'christoffel "{key}" has an integer of more '
+                             f"than {MAX_DIGITS} digits") from None
         prev = entries.get((c, min(a, b), max(a, b)))
         if prev is not None and prev != expr:
             raise ParseError(f"conflicting symmetric entries for {key!r}")
@@ -92,7 +102,7 @@ def parse_spec(doc):
     if not isinstance(base, list) or len(base) != n:
         raise ParseError(f"base_point must have {n} coordinates")
     try:
-        base_point = [Fraction(str(v)) for v in base]
+        base_point = [_coordinate(str(v)) for v in base]
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad base_point {base!r}")
 
@@ -116,12 +126,26 @@ def parse_spec(doc):
     return conn, base_point, options, echo
 
 
+def _coordinate(text):
+    """Fraction(text); ValueError where the text, its exponent or the value
+    has more than MAX_DIGITS digits, checked before 1e<exponent> is built."""
+    exponent = text.lower().partition("e")[2]
+    if len(text) > MAX_DIGITS or (exponent and abs(int(exponent)) > MAX_DIGITS):
+        raise ValueError(text)
+    q = Fraction(text)
+    if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+        raise ValueError(text)
+    return q
+
+
 MAX_ORDER = 64
 # Largest total degree of a Christoffel numerator or denominator, and of
 # each power, product and quotient as the entry writes it (checked by the
 # parser before it expands one): the jet solve is sized by it, and the
 # pinned inputs use at most 5.
 MAX_DEGREE = 32
+# Its companion bound, MAX_DIGITS (imported above), lives with the parser
+# in exprcore because the parser applies it to every expression.
 
 
 def _check_order(options):
@@ -145,14 +169,10 @@ def _load_checked(spec_path, options_override):
     return conn, base_point, options, echo
 
 
-def run_analysis(spec_path, options_override=None, report_path=None):
-    """Spec file in, report dict and exit code out; optionally writes JSON."""
+def run_analysis(spec_path, options_override=None):
+    """Spec file in, report dict and exit code out."""
     conn, base_point, options, echo = _load_checked(spec_path, options_override)
-    report, code = analyze_connection(conn, base_point, options, echo)
-    if report_path:
-        with open(report_path, "w") as fh:
-            fh.write(render_report(report))
-    return report, code
+    return analyze_connection(conn, base_point, options, echo)
 
 
 def render_report(report):
@@ -160,11 +180,15 @@ def render_report(report):
 
 
 def _write(report, report_path):
-    """Render once; write to `report_path` (if given), then to stdout."""
+    """Render once; write to `report_path` (if given), then to stdout.  A
+    report file that cannot be written is a ParseError."""
     text = render_report(report)
     if report_path:
-        with open(report_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(report_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write the report: {exc}") from None
     sys.stdout.write(text)
 
 
@@ -281,9 +305,6 @@ def main(argv=None):
     try:
         return args.fn(args)
     except ParseError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except ProjmetError as exc:

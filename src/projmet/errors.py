@@ -23,12 +23,15 @@ class DegreeAboveCap(ParseError):
         self.degree = degree
 
 
+class DigitsAboveCap(ParseError):
+    """An integer in an expression has more digits than the cap."""
+
+    def __init__(self, cap, line=1, column=1):
+        super().__init__(f"an integer of more than {cap} digits", line, column)
+
+
 class PoleError(ProjmetError):
     """Denominator vanishes at the requested point."""
-
-
-class NotPolynomial(ProjmetError):
-    """Operation restricted to polynomial components got a rational one."""
 
 
 class ShapeError(ProjmetError):
@@ -37,10 +40,6 @@ class ShapeError(ProjmetError):
 
 class NotSpecial(ProjmetError):
     """Connection is not in the special (volume-preserving) gauge."""
-
-
-class InternalError(ProjmetError):
-    """An identity that must hold by construction failed; implementation bug."""
 
 
 class PoleAtBasePoint(PoleError):
@@ -69,7 +68,3 @@ class NotEquivalent(ProjmetError):
     def __init__(self, message, component=None):
         super().__init__(message)
         self.component = component
-
-
-class DimensionTooSmall(ProjmetError):
-    """Requested decomposition needs a higher dimension."""

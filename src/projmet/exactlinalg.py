@@ -1,11 +1,11 @@
 """Exact linear algebra over Q.
 
 Rank decisions for the jet solver must not depend on floating point, so
-`rank`, `nullspace` and `solve_linear_system` all read one exact reduced
-row echelon form, computed by Gauss-Jordan over Fraction on sparse rows
-{column: value} (the only row format taken), and
-signatures of symmetric matrices come from congruence diagonalisation
-(Sylvester's law of inertia).
+`nullspace` and `solve_linear_system` both read one exact reduced row
+echelon form, computed by Gauss-Jordan over Fraction on sparse rows
+{column: value} (the only row format taken), and signatures of symmetric
+matrices come from congruence diagonalisation (Sylvester's law of
+inertia).
 
 The Leibniz determinant and adjugate work over any commutative ring given
 by its operations: rational-function fields and truncated series alike.
@@ -17,7 +17,6 @@ from itertools import permutations
 __all__ = [
     "leibniz_det",
     "adjugate",
-    "rank",
     "nullspace",
     "solve_linear_system",
     "symmetric_signature",
@@ -58,10 +57,6 @@ def _rref(rows, ncols):
         todo = [r for r in todo if r and r is not best]
         reduced[c] = pivot
     return reduced
-
-
-def rank(rows, ncols):
-    return len(_rref(rows, ncols))
 
 
 def nullspace(rows, ncols):

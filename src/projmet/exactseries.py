@@ -6,8 +6,8 @@ over exponent tuples m, truncated at a fixed total order: den is a positive
 int and every numerator a nonzero int.  Each operation adds and multiplies
 in `int` and reduces its result once (one gcd over den and all numerators),
 so equal series compare equal and the zero series is falsy.  Fractions
-appear only at the edges: points, values at a point (from exprcore's
-integer point evaluator) and the coefficients of `series_to_coeff_dict`.
+appear only at the edges: points, scale factors and the coefficients of
+`series_to_coeff_dict`.
 """
 
 from fractions import Fraction
@@ -17,12 +17,11 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import PoleAtBasePoint
-from .exprcore import _powers, _scaled_point, _scaled_value
+from .exprcore import _powers
 
 __all__ = [
-    "Series", "monomials_of_order", "series_from_coeffs", "series_add",
-    "series_scale", "series_mul", "series_inverse",
-    "series_diff", "series_eval", "poly_to_series", "rational_to_series",
+    "Series", "monomials_of_order", "series_add", "series_scale",
+    "series_mul", "series_inverse", "poly_to_series", "rational_to_series",
     "series_to_coeff_dict",
 ]
 
@@ -55,15 +54,6 @@ def monomials_of_order(nvars, order):
             e[b] += 1
         out.append(tuple(e))
     return out
-
-
-def series_from_coeffs(coeffs):
-    """The Series of {exponent tuple: int or Fraction coefficient}; over the
-    lcm of the reduced denominators it is already in lowest terms."""
-    coeffs = {m: v for m, v in coeffs.items() if v}
-    den = lcm(*(v.denominator for v in coeffs.values()))
-    return Series(den, {m: v.numerator * (den // v.denominator)
-                        for m, v in coeffs.items()})
 
 
 def series_add(a, b):
@@ -137,26 +127,6 @@ def series_inverse(a, nvars, max_order):
                 target = levels[order + step]
                 target[key] = target.get(key, 0) - fk * h
     return _lowest(sign * cpow[-1], terms)
-
-
-def series_diff(a, var):
-    """Partial derivative with respect to variable index (0-based)."""
-    out = {}
-    for k, v in a.terms.items():
-        e = k[var]
-        if e:
-            out[k[:var] + (e - 1,) + k[var + 1:]] = v * e
-    return _lowest(a.den, out)
-
-
-def series_eval(a, point):
-    """Exact value at a rational point (coordinates of u), summed in int by
-    the point evaluation kernel of exprcore."""
-    if not a:
-        return Fraction(0)
-    powers, lpow = _scaled_point([Fraction(p) for p in point], a.terms)
-    s, _, _ = _scaled_value(a.terms, powers, lpow)
-    return Fraction(s, lpow[-1] * a.den)
 
 
 def poly_to_series(terms, point, max_order):

@@ -21,9 +21,9 @@ and when g is not 1 only t = a(d/g) + c(b/g) is reduced against g.  A
 polynomial sum or product, or a product with a constant, takes no gcd at
 all; `diff` takes at most two (see there).  What is left is to divide the
 pair by its joint integer content and fix the sign.  One point
-evaluator serves `evaluate`, `jet` (value and first partials) and
-`exactseries.series_eval`: it scales the point to integers over the lcm L
-of its denominators and lifts every term to one common degree in `int`.
+evaluator serves `evaluate` and `jet` (value, first and second partials):
+it scales the point to integers over the lcm L of its denominators and
+lifts every term to one common degree in `int`.
 
 The package needs no general form calculus: a 1-form is a tuple of n
 RationalExpr, and the one 2-form, beta = dt/(n+1), an antisymmetric
@@ -33,16 +33,22 @@ step-doubling Runge-Kutta driver, `_rk4_doubling`.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log10
 from operator import add, sub
 
-from .errors import (DegreeAboveCap, NotPolynomial, ParseError, PoleError,
+from .errors import (DegreeAboveCap, DigitsAboveCap, ParseError, PoleError,
                      PoleOnPath, StepUnderflow)
 
 __all__ = [
     "Chart",
     "RationalExpr",
 ]
+
+# Most decimal digits of an integer that the parser reads or builds:
+# Python's default limit on int/str conversion, past which no report could
+# print the expression.
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +486,9 @@ class Chart:
         `names[k - 1]` (x1..xn by default); any other name is a
         ParseError.  With `max_degree`, DegreeAboveCap as soon as a power,
         product, quotient or sum as written would have a numerator or
-        denominator of higher total degree, before it is expanded."""
+        denominator of higher total degree, before it is expanded.  An
+        integer of more than MAX_DIGITS digits, written or built, is a
+        DigitsAboveCap, and a power is refused before it is expanded."""
         coords = dict(zip(names or self._names, self._gens))
         return _Parser(self, coords, _tokenize(text), max_degree).parse()
 
@@ -684,13 +692,6 @@ class RationalExpr:
                 for k, (hrow_n, hrow_d) in enumerate(zip(hnum, hden))]
         return value, grad, hess
 
-    def poly_terms(self):
-        """[(exponent tuple, Fraction coeff)] of a polynomial expression."""
-        if not self.is_polynomial():
-            raise NotPolynomial("expression has a nontrivial denominator")
-        den = self.den.LC
-        return [(exps, Fraction(c, den)) for exps, c in self.num.terms()]
-
     def __str__(self):
         """The fraction as sympy's printer writes it, with ^ for powers:
         `num/den`, the numerator in parentheses when it has more than one
@@ -787,17 +788,17 @@ def _rk4_step(rhs, t, y, h):
             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
-def _rk4_doubling(rhs, y0, t_end, steps, tol, floor, stuck, trace=False):
-    """y' = rhs(t, y), y(0) = y0, solved up to t_end by `_rk4_step` with
+def _rk4_doubling(rhs, y0, steps, tol, floor, stuck, trace=False):
+    """y' = rhs(t, y), y(0) = y0, solved up to t = 1 by `_rk4_step` with
     step doubling: a pass of `steps` equal steps, then passes of twice as
-    many, until two successive passes agree at t_end to
-    tol * max(floor, max |y|).  Returns y(t_end) of the accepted pass and,
+    many, until two successive passes agree at t = 1 to
+    tol * max(floor, max |y|).  Returns y(1) of the accepted pass and,
     with `trace`, that pass as [(t, y)], (0.0, y0) first (else None).  A
     pole met by any pass raises PoleOnPath; an unaccepted pass past
     1 << 18 steps raises StepUnderflow with the message
     stuck.format(steps=..., err=...)."""
     def run(steps):
-        h = t_end / steps
+        h = 1.0 / steps
         y, path = y0, [(0.0, y0)] if trace else None
         for k in range(steps):
             y = _rk4_step(rhs, k * h, y, h)
@@ -880,6 +881,8 @@ class _Parser:
         total degree above the cap; the bounds are exact for polynomials."""
         degree = max(num_degree, den_degree)
         if self.max_degree is not None and degree > self.max_degree:
+            if degree >= _TOO_LONG:  # too long to name in the message
+                raise DigitsAboveCap(MAX_DIGITS, line, col)
             raise DegreeAboveCap(degree, self.max_degree, line, col)
 
     def peek(self):
@@ -901,6 +904,12 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
+        # literals and powers are refused as they are read, so each operand
+        # of a sum, product or quotient has at most MAX_DIGITS digits and
+        # the work up to here is bounded by the length of the text
+        if any(not -_TOO_LONG < c < _TOO_LONG
+               for p in (e.num, e.den) for c in p.values()):
+            raise DigitsAboveCap(MAX_DIGITS, tok[2], tok[3])
         return e
 
     def expr(self):
@@ -957,6 +966,13 @@ class _Parser:
                                  line, col)
             if self.max_degree is not None:
                 self.cap(*(abs(k) * v for v in _degrees(base)), line, col)
+            # the grlex-first and -last coefficients of p^k are those of p
+            # to the k, so these bound the result from below (an int and a
+            # float compare exactly, so no k overflows)
+            if any(abs(c) > 1 and abs(k) >= MAX_DIGITS / log10(abs(c))
+                   for p in (base.num, base.den) if p
+                   for c in (p[max(p, key=_grlex)], p[min(p, key=_grlex)])):
+                raise DigitsAboveCap(MAX_DIGITS, line, col)
             return base ** k
         return base
 
@@ -970,14 +986,19 @@ class _Parser:
         if tok[0] != "int":
             raise ParseError("exponent must be an integer", tok[2], tok[3])
         self.advance()
-        k = sign * int(tok[1])
-        return k
+        return sign * self.integer(tok)
+
+    def integer(self, tok):
+        """The int of an integer token, refused past MAX_DIGITS digits."""
+        if len(tok[1]) > MAX_DIGITS:
+            raise DigitsAboveCap(MAX_DIGITS, tok[2], tok[3])
+        return int(tok[1])
 
     def atom(self):
         tok = self.advance()
         kind, text, line, col = tok
         if kind == "int":
-            return self.chart.const(int(text))
+            return self.chart.const(self.integer(tok))
         if kind == "name":
             if text in self.coords:
                 return self.coords[text]

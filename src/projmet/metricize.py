@@ -12,9 +12,12 @@ metrizability equation tf(grad'_a g^{bc}) = 0 for its connection grad'
 identities in the special gauge with no gcd; its volume form is parallel
 by construction.  Also here: the Levi-Civita characterisation
 `is_levi_civita`, the general library check and the tests' oracle for
-that proof, the sampled projective-equivalence defect, the metric
-decomposition of the Riemann tensor, constant-curvature detection, and
-the numeric comparison of unparameterised geodesics.
+that proof, the numeric comparison of unparameterised geodesics, and
+three checks that the analysis does not run: the sampled
+projective-equivalence defect and the exact and sampled constant-curvature
+checks (a demo calls the exact one; the tests call all three).  The
+benchmark's span tracer wraps those three by name, so they stay here
+until the product records its own spans (ROADMAP Direction 7).
 
 The checks at points (the candidate signatures at the samples,
 `sampled_lc_residual`, `kappa_at`) read exact values and first partials
@@ -35,20 +38,18 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .errors import (DegenerateMetric, DegenerateSigma, DimensionTooSmall,
-                     PoleError, PoleOnPath, ShapeError)
+from .errors import (DegenerateMetric, DegenerateSigma, PoleError, PoleOnPath,
+                     ShapeError)
 from .exactlinalg import adjugate, leibniz_det, symmetric_signature
 from .exprcore import Poly, _compile_nonzero, _rk4_doubling, _rk4_step
 # projective_equivalence lives in projconn; it stays importable from here
 # with the other verification checks
-from .projconn import (AffineConnection, _schouten_and_weyl, _trace_upsilon,
-                       full_curvature, projective_change,
-                       projective_equivalence, ricci)
+from .projconn import (AffineConnection, _trace_upsilon, full_curvature,
+                       projective_change, projective_equivalence, ricci)
 from .tensorfield import (TensorField, covariant_derivative, trace_free_part)
 
 __all__ = [
     "MetricCandidate",
-    "RiemannSplit",
     "det_field",
     "metric_inverse",
     "reconstruct_metric",
@@ -59,7 +60,6 @@ __all__ = [
     "levi_civita",
     "projective_equivalence",
     "equivalence_defect",
-    "riemann_split",
     "constant_curvature_check",
     "kappa_at",
     "geodesic_compare",
@@ -594,31 +594,6 @@ def equivalence_defect(c1, c2, samples):
     return worst
 
 
-class RiemannSplit:
-    """Metric decomposition of the curvature of a Levi-Civita connection."""
-
-    __slots__ = ("_weyl_conformal", "_phi", "scalar", "schouten_metric", "dim")
-
-    def __init__(self, weyl_conformal, phi, scalar, schouten_metric, dim):
-        self._weyl_conformal = weyl_conformal
-        self._phi = phi
-        self.scalar = scalar
-        self.schouten_metric = schouten_metric
-        self.dim = dim
-
-    @property
-    def weyl_conformal(self):
-        if self._weyl_conformal is None:
-            raise DimensionTooSmall("conformal Weyl part needs dimension >= 3")
-        return self._weyl_conformal
-
-    @property
-    def phi(self):
-        if self._phi is None:
-            raise DimensionTooSmall("trace-free Ricci part needs dimension >= 3")
-        return self._phi
-
-
 def _scalar_and_lowered_riemann(conn, g_down, g_up):
     """(Ric, g^{ad} Ric_ad, R_abcd = g_ce R_ab{}^e{}_d): the Ricci tensor
     and scalar curvature of the connection, and its Riemann tensor with the
@@ -641,105 +616,6 @@ def _scalar_and_lowered_riemann(conn, g_down, g_up):
                 val = val + gc * riem.get(a, b, e, d)
         low.append(val)
     return ric, scalar, TensorField(chart, ("d",) * 4, low)
-
-
-def riemann_split(g_down):
-    """Split the Riemann tensor of g into conformal Weyl, trace-free Ricci,
-    scalar and metric Schouten parts; reassembly is verified exactly, and so
-    is the relation between the projective and conformal Weyl tensors (for
-    n >= 3).  Dimension 2 yields the scalar-only split."""
-    chart = g_down.chart
-    n = chart.dim
-    conn = levi_civita(g_down)
-    g_up = metric_inverse(g_down)
-    ric, scalar, riem_low = _scalar_and_lowered_riemann(conn, g_down, g_up)
-
-    if n == 2:
-        quarter = chart.const(Fraction(1, 4))
-        q_comps = [quarter * scalar * g_down.get(a, b)
-                   for a, b in product(range(n), repeat=2)]
-        schouten_metric = TensorField(chart, ("d", "d"), q_comps)
-        _verify_cheese(riem_low, None, schouten_metric, g_down)
-        return RiemannSplit(None, None, scalar, schouten_metric, n)
-
-    inv_n = chart.const(Fraction(1, n))
-    phi_comps = [ric.get(a, b) - inv_n * scalar * g_down.get(a, b)
-                 for a, b in product(range(n), repeat=2)]
-    phi = TensorField(chart, ("d", "d"), phi_comps)
-    cn2 = chart.const(Fraction(1, n - 2))
-    c2n = chart.const(Fraction(1, 2 * n * (n - 1)))
-    q_comps = [cn2 * phi.get(a, b) + c2n * scalar * g_down.get(a, b)
-               for a, b in product(range(n), repeat=2)]
-    schouten_metric = TensorField(chart, ("d", "d"), q_comps)
-
-    weyl_low = []
-    for a, b, c, d in product(range(n), repeat=4):
-        val = (riem_low.get(a, b, c, d)
-               - g_down.get(a, c) * schouten_metric.get(b, d)
-               + g_down.get(b, c) * schouten_metric.get(a, d)
-               - schouten_metric.get(a, c) * g_down.get(b, d)
-               + schouten_metric.get(b, c) * g_down.get(a, d))
-        weyl_low.append(val)
-    weyl_low = TensorField(chart, ("d",) * 4, weyl_low)
-    # raise the third slot to match the projective Weyl shape
-    weyl_comps = []
-    for a, b, c, d in product(range(n), repeat=4):
-        val = chart.zero
-        for e in range(n):
-            gu = g_up.get(c, e)
-            if not gu.is_zero():
-                val = val + gu * weyl_low.get(a, b, e, d)
-        weyl_comps.append(val)
-    weyl_conformal = TensorField(chart, ("d", "d", "u", "d"), weyl_comps)
-
-    _verify_cheese(riem_low, weyl_low, schouten_metric, g_down)
-    _verify_weyl_relation(conn, g_down, g_up, weyl_conformal, phi)
-    return RiemannSplit(weyl_conformal, phi, scalar, schouten_metric, n)
-
-
-def _verify_cheese(riem_low, weyl_low, q, g_down):
-    """R_abcd = C_abcd + g_ac Q_bd - g_bc Q_ad + Q_ac g_bd - Q_bc g_ad, exactly."""
-    from .errors import InternalError
-
-    chart = g_down.chart
-    n = chart.dim
-    for a, b, c, d in product(range(n), repeat=4):
-        val = (g_down.get(a, c) * q.get(b, d) - g_down.get(b, c) * q.get(a, d)
-               + q.get(a, c) * g_down.get(b, d) - q.get(b, c) * g_down.get(a, d))
-        if weyl_low is not None:
-            val = val + weyl_low.get(a, b, c, d)
-        if val != riem_low.get(a, b, c, d):
-            raise InternalError(f"Riemann reassembly failed at {(a, b, c, d)}")
-
-
-def _verify_weyl_relation(conn, g_down, g_up, weyl_conformal, phi):
-    """Projective Weyl = conformal Weyl + the displayed trace-free Ricci terms."""
-    from .errors import InternalError
-
-    chart = g_down.chart
-    n = chart.dim
-    _, w_proj = _schouten_and_weyl(conn)
-    phi_mixed = []
-    for a, c in product(range(n), repeat=2):
-        val = chart.zero
-        for e in range(n):
-            gu = g_up.get(c, e)
-            if not gu.is_zero():
-                val = val + gu * phi.get(a, e)
-        phi_mixed.append(val)
-    phi_mixed = TensorField(chart, ("d", "u"), phi_mixed)
-    f1 = chart.const(Fraction(1, (n - 1) * (n - 2)))
-    f2 = chart.const(Fraction(1, n - 2))
-    for a, b, c, d in product(range(n), repeat=4):
-        val = weyl_conformal.get(a, b, c, d)
-        if a == c:
-            val = val + f1 * phi.get(b, d)
-        if b == c:
-            val = val - f1 * phi.get(a, d)
-        val = val + f2 * (phi_mixed.get(a, c) * g_down.get(b, d)
-                          - phi_mixed.get(b, c) * g_down.get(a, d))
-        if val != w_proj.get(a, b, c, d):
-            raise InternalError(f"Weyl comparison failed at {(a, b, c, d)}")
 
 
 def constant_curvature_check(g_down, samples=(), conn=None, g_up=None):
@@ -841,25 +717,16 @@ def _geodesic_rhs(compiled, n):
     return rhs
 
 
-def integrate_geodesic(conn, point, direction, t_end=1.0, tol=1e-10):
-    """Geodesic of conn from (point, direction) by `_rk4_doubling`: the
-    state (x, v) at t_end and the positions [(t, x)] of the accepted pass."""
-    n = conn.dim
-    rhs = _geodesic_rhs(_compile_nonzero(conn.gamma), n)
-    state = [float(v) for v in point] + [float(v) for v in direction]
-    cur, path = _rk4_doubling(rhs, state, t_end, 16, tol, 1.0,
-                              "geodesic integration stuck at {steps} steps",
-                              trace=True)
-    return cur, [(t, y[:n]) for t, y in path]
-
-
-def geodesic_compare(c1, c2, seeds, tol=1e-10, t_end=1.0, trace_samples=32):
+def geodesic_compare(c1, c2, seeds):
     """Largest normalised transverse geodesic defect of c2 along c1-geodesics.
 
-    For each seed the c1-geodesic is integrated; along it the c2 geodesic
-    defect (Gamma2 - Gamma1)(v, v) is projected transverse to v and scaled
-    by |v|^2.  Projectively equivalent connections give zero up to
-    integrator error.  Returns (max defect, traces).
+    For each seed the c1-geodesic is integrated over t in [0, 1] by
+    `_rk4_doubling`; the positions [(t, x)] of its accepted pass are the
+    seed's trace.  Along a fixed 64-step pass the c2 geodesic defect
+    (Gamma2 - Gamma1)(v, v) is projected transverse to v and scaled by
+    |v|^2.  Projectively equivalent connections give zero up to integrator
+    error.  Each connection is compiled once per call.  Returns (max
+    defect, traces).
     """
     n = c1.dim
     if c2.dim != n:
@@ -869,15 +736,17 @@ def geodesic_compare(c1, c2, seeds, tol=1e-10, t_end=1.0, trace_samples=32):
     rhs1 = _geodesic_rhs(comp1, n)
     worst = 0.0
     traces = []
+    steps = 64
+    h = 1.0 / steps
     for point, direction in seeds:
-        _, trace = integrate_geodesic(c1, point, direction, t_end, tol)
-        traces.append(trace)
+        state = [float(v) for v in point] + [float(v) for v in direction]
+        _, path = _rk4_doubling(rhs1, state, 16, 1e-10, 1.0,
+                                "geodesic integration stuck at {steps} steps",
+                                trace=True)
+        traces.append([(t, y[:n]) for t, y in path])
         # defect sampling runs on a fresh fixed-step pass so the sampled
         # states carry velocities
-        state = [float(v) for v in point] + [float(v) for v in direction]
-        steps = max(64, trace_samples)
-        h = t_end / steps
-        cur = list(state)
+        cur = state
         try:
             for k in range(steps):
                 x, v = cur[:n], cur[n:]

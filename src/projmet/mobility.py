@@ -553,7 +553,7 @@ def parallel_transport(conn, data, path, s0, rel_tol=1e-10):
             return _apply(*args, x, delta, s)
 
         state, _ = _rk4_doubling(
-            rhs, state, 1.0, 8, rel_tol, scale,
+            rhs, state, 8, rel_tol, scale,
             f"segment {seg}: no convergence at {{steps}} steps "
             "(err {err:.3e})")
     return state

@@ -1,24 +1,20 @@
-"""Reference geometries used throughout the tests and demos.
+"""Reference connections used by the tests, the demos and the benchmark.
 
-All metrics are returned as symmetric (0,2) tensor fields with exact
-rational components; the associated Levi-Civita connections are rational as
-well.  The Beltrami-Klein ball and the gnomonic sphere chart have
-pure-trace Christoffel symbols, so their geodesics are straight lines and
-their special-gauge representative is the flat connection.
+The flat connection, the Levi-Civita connections of the Beltrami-Klein
+ball and of the unit sphere in stereographic and in central-projection
+coordinates, all with exact rational Christoffel symbols, and a
+non-metrizable witness.  The Beltrami-Klein ball and the gnomonic sphere
+chart have pure-trace Christoffel symbols, so their geodesics are straight
+lines and their special-gauge representative is the flat connection.
 """
 
 from .exprcore import Chart
 from .projconn import AffineConnection
-from .tensorfield import TensorField
 
 __all__ = [
     "flat_connection",
-    "euclidean_metric",
-    "klein_metric",
     "klein_connection",
-    "sphere_stereographic_metric",
     "sphere_stereographic_connection",
-    "sphere_gnomonic_metric",
     "sphere_gnomonic_connection",
     "nonmetrizable_witness",
 ]
@@ -35,31 +31,9 @@ def flat_connection(n):
     return AffineConnection.flat(Chart(n))
 
 
-def euclidean_metric(n):
-    chart = Chart(n)
-    one, zero = chart.one, chart.zero
-    return TensorField.from_function(chart, ("d", "d"),
-                                     lambda a, b: one if a == b else zero)
-
-
-def klein_metric(n):
-    """Beltrami-Klein ball model, curvature -1:
-    g_ab = delta_ab/(1-r^2) + x_a x_b/(1-r^2)^2 on r < 1."""
-    chart = Chart(n)
-    r2 = _radius2(chart)
-    den = chart.one - r2
-
-    def comp(a, b):
-        val = chart.vars[a] * chart.vars[b] / (den * den)
-        if a == b:
-            val = val + chart.one / den
-        return val
-
-    return TensorField.from_function(chart, ("d", "d"), comp)
-
-
 def klein_connection(n):
-    """Levi-Civita connection of the Klein metric:
+    """Levi-Civita connection of the Beltrami-Klein ball, curvature -1,
+    g_ab = delta_ab/(1-r^2) + x_a x_b/(1-r^2)^2 on r < 1:
     Gamma^c_ab = (delta_a^c x_b + delta_b^c x_a)/(1-r^2), pure trace."""
     chart = Chart(n)
     r2 = _radius2(chart)
@@ -77,21 +51,9 @@ def klein_connection(n):
     return AffineConnection(chart, g)
 
 
-def sphere_stereographic_metric(n):
-    """Unit sphere in stereographic coordinates, curvature +1:
-    g_ab = 4 delta_ab/(1+r^2)^2."""
-    chart = Chart(n)
-    r2 = _radius2(chart)
-    den = (chart.one + r2) ** 2
-    zero = chart.zero
-    four = chart.const(4)
-    return TensorField.from_function(
-        chart, ("d", "d"),
-        lambda a, b: four / den if a == b else zero)
-
-
 def sphere_stereographic_connection(n):
-    """Levi-Civita connection of the stereographic sphere:
+    """Levi-Civita connection of the unit sphere in stereographic
+    coordinates, curvature +1, g_ab = 4 delta_ab/(1+r^2)^2:
     Gamma^c_ab = -2(delta_a^c x_b + delta_b^c x_a - delta_ab x^c)/(1+r^2)."""
     chart = Chart(n)
     r2 = _radius2(chart)
@@ -112,25 +74,9 @@ def sphere_stereographic_connection(n):
     return AffineConnection(chart, g)
 
 
-def sphere_gnomonic_metric(n):
-    """Unit sphere in central-projection coordinates, curvature +1:
-    g_ab = delta_ab/(1+r^2) - x_a x_b/(1+r^2)^2.  Geodesics are straight
-    lines in this chart."""
-    chart = Chart(n)
-    r2 = _radius2(chart)
-    den = chart.one + r2
-
-    def comp(a, b):
-        val = -(chart.vars[a] * chart.vars[b]) / (den * den)
-        if a == b:
-            val = val + chart.one / den
-        return val
-
-    return TensorField.from_function(chart, ("d", "d"), comp)
-
-
 def sphere_gnomonic_connection(n):
-    """Levi-Civita connection of the gnomonic chart:
+    """Levi-Civita connection of the unit sphere in central-projection
+    coordinates, curvature +1, g_ab = delta_ab/(1+r^2) - x_a x_b/(1+r^2)^2:
     Gamma^c_ab = -(delta_a^c x_b + delta_b^c x_a)/(1+r^2), pure trace."""
     chart = Chart(n)
     r2 = _radius2(chart)

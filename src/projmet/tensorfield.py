@@ -1,12 +1,9 @@
 """Tensor fields with positional abstract-index bookkeeping.
 
-A field carries a variance signature ('d' lower / 'u' upper per slot), an
-integer projective weight, and an optional exponential tag: a formally
-attached factor exp(tag) whose exponent stays in the rational-function
-field.  Tags let identities involving conformal-style rescalings e^{w f} be
-checked exactly; all the identities this package verifies have the tags
-cancel.  Ranks never exceed five, so components are a dense flat tuple and
-all operations are explicit loops.
+A field carries a variance signature ('d' lower / 'u' upper per slot) and
+its components.  Ranks never exceed five, so components are a dense flat
+tuple and all operations are explicit loops.  A rescaled (weighted) object
+is handled through its explicit rescaling by the caller.
 """
 
 from fractions import Fraction
@@ -25,9 +22,9 @@ __all__ = [
 class TensorField:
     """Dense tensor of RationalExpr components on a chart."""
 
-    __slots__ = ("chart", "variance", "weight", "tag", "comps")
+    __slots__ = ("chart", "variance", "comps")
 
-    def __init__(self, chart, variance, comps, weight=0, tag=None):
+    def __init__(self, chart, variance, comps):
         self.chart = chart
         self.variance = tuple(variance)
         for v in self.variance:
@@ -39,27 +36,13 @@ class TensorField:
         if len(comps) != size:
             raise ShapeError(f"expected {size} components, got {len(comps)}")
         self.comps = comps
-        self.weight = weight
-        self.tag = tag if tag is not None else chart.zero
-
-    # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zeros(cls, chart, variance, weight=0, tag=None):
-        n = chart.dim
-        z = chart.zero
-        return cls(chart, variance, [z] * (n ** len(variance)), weight, tag)
-
-    @classmethod
-    def scalar(cls, chart, value, weight=0, tag=None):
-        return cls(chart, (), [value], weight, tag)
-
-    @classmethod
-    def from_function(cls, chart, variance, fn, weight=0, tag=None):
+    def from_function(cls, chart, variance, fn):
         """Components from fn(*indices) with 0-based indices."""
         n = chart.dim
         comps = [fn(*idx) for idx in product(range(n), repeat=len(variance))]
-        return cls(chart, variance, comps, weight, tag)
+        return cls(chart, variance, comps)
 
     @property
     def rank(self):
@@ -78,52 +61,14 @@ class TensorField:
     def indices(self):
         return product(range(self.chart.dim), repeat=self.rank)
 
-    # -- algebra ---------------------------------------------------------------
-
-    def _check_compatible(self, other):
-        if (self.chart is not other.chart or self.variance != other.variance
-                or self.weight != other.weight or self.tag != other.tag):
-            raise ShapeError("tensor fields are not compatible")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return TensorField(self.chart, self.variance,
-                           [a + b for a, b in zip(self.comps, other.comps)],
-                           self.weight, self.tag)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return TensorField(self.chart, self.variance,
-                           [a - b for a, b in zip(self.comps, other.comps)],
-                           self.weight, self.tag)
-
-    def __neg__(self):
-        return TensorField(self.chart, self.variance, [-a for a in self.comps],
-                           self.weight, self.tag)
-
-    def scale(self, s):
-        if isinstance(s, (int, Fraction)):
-            s = self.chart.const(s)
-        return TensorField(self.chart, self.variance,
-                           [s * a for a in self.comps], self.weight, self.tag)
-
     def __eq__(self, other):
         if not isinstance(other, TensorField):
             return NotImplemented
         return (self.chart is other.chart and self.variance == other.variance
-                and self.weight == other.weight and self.tag == other.tag
                 and all(a == b for a, b in zip(self.comps, other.comps)))
 
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
-
-    def evaluate(self, point):
-        """Exact component values at a rational point (tag ignored must be zero)."""
-        if not self.tag.is_zero():
-            raise ValueError("cannot evaluate a tagged field pointwise")
-        n = self.chart.dim
-        flat = [c.evaluate(point) for c in self.comps]
-        return _nest(flat, n, self.rank)
 
     def is_symmetric(self, i, j):
         for idx in self.indices():
@@ -135,14 +80,7 @@ class TensorField:
 
     def __repr__(self):
         return (f"TensorField(variance={''.join(self.variance)}, "
-                f"weight={self.weight}, dim={self.chart.dim})")
-
-
-def _nest(flat, n, rank):
-    if rank == 0:
-        return flat[0]
-    step = len(flat) // n
-    return [_nest(flat[i * step:(i + 1) * step], n, rank - 1) for i in range(n)]
+                f"dim={self.chart.dim})")
 
 
 def contract(t, i, j):
@@ -163,27 +101,18 @@ def contract(t, i, j):
             full.extend(idx[hi - 1:])
             s = s + t.get(*full)
         comps.append(s)
-    return TensorField(t.chart, out_var, comps, t.weight, t.tag)
+    return TensorField(t.chart, out_var, comps)
 
 
 def covariant_derivative(t, conn):
-    """Covariant derivative for the affine connection, new lower slot first.
-
-    Tagged fields pick up the extra (d tag) term from differentiating the
-    formal exp(tag) factor.  The projective weight is bookkeeping only; no
-    weight correction term is added (weighted objects are always handled
-    through explicit rescalings here).
-    """
+    """Covariant derivative for the affine connection, new lower slot first."""
     chart = t.chart
     n = chart.dim
     gamma = conn.gamma
     out = []
     for a in range(n):
-        dtag = t.tag.diff(a + 1) if not t.tag.is_zero() else None
         for idx in product(range(n), repeat=t.rank):
             val = t.get(*idx).diff(a + 1)
-            if dtag is not None:
-                val = val + dtag * t.get(*idx)
             for slot, var in enumerate(t.variance):
                 if var == "u":
                     c = idx[slot]
@@ -204,7 +133,7 @@ def covariant_derivative(t, conn):
                         jdx[slot] = e
                         val = val - g * t.get(*jdx)
             out.append(val)
-    return TensorField(chart, ("d",) + t.variance, out, t.weight, t.tag)
+    return TensorField(chart, ("d",) + t.variance, out)
 
 
 def trace_free_part(t):
@@ -229,4 +158,4 @@ def trace_free_part(t):
         if a == c:
             val = val - frac * s.get(b)
         comps.append(val)
-    return TensorField(chart, t.variance, comps, t.weight, t.tag)
+    return TensorField(chart, t.variance, comps)

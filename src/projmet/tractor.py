@@ -12,21 +12,18 @@ in its own arithmetic and divides row i by L_i.  The curvature is F_ab =
 d_a A_b - d_b A_a + [A_a, A_b] of the cancelled matrices, taken over one
 common denominator.
 
-Sections are triples (sigma^{bc}, mu^b, rho).  Field-valued sections use
-TensorField components; point-valued sections are packed into vectors of
+Sections are triples (sigma^{bc}, mu^b, rho), packed into vectors of
 length N = n(n+1)/2 + n + 1 ordered as (upper-triangle sigma, mu, rho).
 """
 
 from fractions import Fraction
 from functools import cache
 
-from .errors import NotSpecial, ShapeError
+from .errors import NotSpecial
 from .exprcore import Poly, _cancelled
 from .projconn import _matrix_curvature, _over_common, _riemann
-from .tensorfield import TensorField
 
 __all__ = [
-    "TractorSection",
     "TractorCurvature",
     "sym_pairs",
     "section_dim",
@@ -44,36 +41,6 @@ def sym_pairs(n):
 
 def section_dim(n):
     return n * (n + 1) // 2 + n + 1
-
-
-class TractorSection:
-    """Field-valued section: sigma ('u','u') symmetric, mu ('u'), rho scalar."""
-
-    __slots__ = ("chart", "sigma", "mu", "rho")
-
-    def __init__(self, sigma, mu, rho):
-        if sigma.variance != ("u", "u") or mu.variance != ("u",) or rho.variance != ():
-            raise ShapeError("section slots must have variances (uu), (u), ()")
-        if not sigma.is_symmetric(0, 1):
-            raise ShapeError("sigma slot must be symmetric")
-        self.chart = sigma.chart
-        self.sigma = sigma
-        self.mu = mu
-        self.rho = rho
-
-    @classmethod
-    def from_constant_vector(cls, chart, values):
-        """Constant section from a packed rational vector."""
-        n = chart.dim
-        if len(values) != section_dim(n):
-            raise ShapeError(f"expected packed vector of length {section_dim(n)}")
-        sig, mu, rho = unpack_values(n, [chart.const(v) for v in values])
-        sigma = TensorField(chart, ("u", "u"), [sig[i][j] for i in range(n) for j in range(n)])
-        return cls(sigma, TensorField(chart, ("u",), mu),
-                   TensorField.scalar(chart, rho))
-
-    def __repr__(self):
-        return f"TractorSection(dim={self.chart.dim})"
 
 
 def unpack_values(n, vec):

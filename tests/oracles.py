@@ -1,15 +1,19 @@
-"""Independent oracles that only the tests call.
+"""Independent oracles and helpers that only the tests call.
 
-Field-section forms of the prolonged connection, its transformation law and
-its curvature; the column-by-column builder of the connection matrices that
-`tractor.connection_matrices` replaced with a closed form; the contracted
-Bianchi identity; the Cotton-York tensor as the antisymmetrised
-covariant derivative of P over D DP^2 (`cotton_york_by_gradients`); beta
-from the antisymmetric part of the full Ricci tensor (`beta_of_ricci`) and
-the closedness test of a 2-form (`is_closed`); and the tensor helpers `kron_delta`, `outer` and `reweight`.  Each was moved
-from `projmet` unchanged, apart from the `TractorSection` methods, which
-became functions of the section, and the renamed Cotton-York and beta
-routines.
+Field-section forms of the prolonged connection (`TractorSection`), its
+transformation law and its curvature; the column-by-column builder of the
+connection matrices that `tractor.connection_matrices` replaced with a
+closed form; the contracted Bianchi identity; the Cotton-York tensor as
+the antisymmetrised covariant derivative of P over D DP^2
+(`cotton_york_by_gradients`); beta from the antisymmetric part of the full
+Ricci tensor (`beta_of_ricci`) and the closedness test of a 2-form
+(`is_closed`); the metric decomposition of the Riemann tensor
+(`riemann_split`); the reference metrics of the model connections; `rank`
+of sparse rows; and the tensor helpers `kron_delta`, `outer` and the
+componentwise arithmetic of `TensorField`.  Each was moved from `projmet`
+unchanged, apart from the `TractorSection` methods and the `TensorField`
+arithmetic, which became functions, the exception classes that moved with
+their only raisers, and the renamed Cotton-York and beta routines.
 
 The column builder takes full symbolic covariant derivatives of the N
 constant basis sections, so it shares no formula with the closed form it
@@ -20,12 +24,24 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from projmet.exprcore import _cancelled
-from projmet.errors import ShapeError
-from projmet.projconn import _over_common
+from projmet.errors import ProjmetError, ShapeError
+from projmet.exactlinalg import _rref
+from projmet.exprcore import Chart, _cancelled
+from projmet.metricize import (_scalar_and_lowered_riemann, levi_civita,
+                               metric_inverse)
+from projmet.models import _radius2
+from projmet.projconn import _over_common, _schouten_and_weyl
 from projmet.tensorfield import TensorField, covariant_derivative
-from projmet.tractor import (TractorSection, _check_special, section_dim,
-                             sym_pairs, unpack_values)
+from projmet.tractor import (_check_special, section_dim, sym_pairs,
+                             unpack_values)
+
+
+class InternalError(ProjmetError):
+    """An identity that must hold by construction failed; implementation bug."""
+
+
+class DimensionTooSmall(ProjmetError):
+    """Requested decomposition needs a higher dimension."""
 
 
 # ---------------------------------------------------------------------------
@@ -40,30 +56,54 @@ def kron_delta(chart):
 
 
 def outer(t1, t2):
-    """Tensor product; weights add, tags add."""
+    """Tensor product."""
     if t1.chart is not t2.chart:
         raise ShapeError("different charts")
-    n = t1.chart.dim
     comps = []
     for c1 in t1.comps:
         if c1.is_zero():
             comps.extend([t1.chart.zero] * len(t2.comps))
         else:
             comps.extend([c1 * c2 for c2 in t2.comps])
-    return TensorField(t1.chart, t1.variance + t2.variance, comps,
-                       t1.weight + t2.weight, t1.tag + t2.tag)
+    return TensorField(t1.chart, t1.variance + t2.variance, comps)
 
 
-def reweight(t, f, volume_weight=None):
-    """Rescale a weighted tensor for the volume change eps -> e^{(n+1)f} eps.
+def zeros(chart, variance):
+    n = chart.dim
+    z = chart.zero
+    return TensorField(chart, variance, [z] * (n ** len(variance)))
 
-    Components are unchanged; the formal factor exp(w f) is recorded on the
-    tag, so tags compose additively and reweight(reweight(T, f), -f) == T.
-    """
-    w = t.weight if volume_weight is None else volume_weight
-    return TensorField(t.chart, t.variance, t.comps, t.weight,
-                       t.tag + f * w)
 
+def scalar(chart, value):
+    return TensorField(chart, (), [value])
+
+
+def _check_compatible(t1, t2):
+    if t1.chart is not t2.chart or t1.variance != t2.variance:
+        raise ShapeError("tensor fields are not compatible")
+
+
+def add(t1, t2):
+    _check_compatible(t1, t2)
+    return TensorField(t1.chart, t1.variance,
+                       [a + b for a, b in zip(t1.comps, t2.comps)])
+
+
+def sub(t1, t2):
+    _check_compatible(t1, t2)
+    return TensorField(t1.chart, t1.variance,
+                       [a - b for a, b in zip(t1.comps, t2.comps)])
+
+
+def scale(t, s):
+    if isinstance(s, (int, Fraction)):
+        s = t.chart.const(s)
+    return TensorField(t.chart, t.variance, [s * a for a in t.comps])
+
+
+# ---------------------------------------------------------------------------
+# curvature
+# ---------------------------------------------------------------------------
 
 def cotton_york_by_gradients(conn, schouten):
     """Y_abc = (grad_a P_bc - grad_b P_ac)/2."""
@@ -142,6 +182,36 @@ def bianchi_contracted_check(data, conn):
 # field sections
 # ---------------------------------------------------------------------------
 
+class TractorSection:
+    """Field-valued section: sigma ('u','u') symmetric, mu ('u'), rho scalar."""
+
+    __slots__ = ("chart", "sigma", "mu", "rho")
+
+    def __init__(self, sigma, mu, rho):
+        if sigma.variance != ("u", "u") or mu.variance != ("u",) or rho.variance != ():
+            raise ShapeError("section slots must have variances (uu), (u), ()")
+        if not sigma.is_symmetric(0, 1):
+            raise ShapeError("sigma slot must be symmetric")
+        self.chart = sigma.chart
+        self.sigma = sigma
+        self.mu = mu
+        self.rho = rho
+
+    @classmethod
+    def from_constant_vector(cls, chart, values):
+        """Constant section from a packed rational vector."""
+        n = chart.dim
+        if len(values) != section_dim(n):
+            raise ShapeError(f"expected packed vector of length {section_dim(n)}")
+        sig, mu, rho = unpack_values(n, [chart.const(v) for v in values])
+        sigma = TensorField(chart, ("u", "u"), [sig[i][j] for i in range(n) for j in range(n)])
+        return cls(sigma, TensorField(chart, ("u",), mu),
+                   scalar(chart, rho))
+
+    def __repr__(self):
+        return f"TractorSection(dim={self.chart.dim})"
+
+
 def values_at(section, point):
     """Packed exact values at a rational point."""
     n = section.chart.dim
@@ -156,8 +226,9 @@ def section_is_zero(section):
 
 
 def section_difference(section, other):
-    return TractorSection(section.sigma - other.sigma, section.mu - other.mu,
-                          section.rho - other.rho)
+    return TractorSection(sub(section.sigma, other.sigma),
+                          sub(section.mu, other.mu),
+                          sub(section.rho, other.rho))
 
 
 def section_basis(chart):
@@ -293,7 +364,7 @@ def curvature_on_section(conn, data, section, modified=True):
             out[(a, b)] = (
                 TensorField(chart, ("u", "u"), tops),
                 TensorField(chart, ("u",), mids),
-                TensorField.scalar(chart, bots),
+                scalar(chart, bots),
             )
     return out
 
@@ -402,7 +473,7 @@ def transform_section(section, upsilon):
             rho = rho + ups[b] * ups[c] * section.sigma.get(b, c)
     return TractorSection(section.sigma,
                           TensorField(chart, ("u",), mu),
-                          TensorField.scalar(chart, rho))
+                          scalar(chart, rho))
 
 
 def transform_values(n, values, upsilon_values):
@@ -432,3 +503,192 @@ def common_denominator_by_running_lcm(exprs):
         elif d != den:
             den = d if den.is_ground else den.exquo(den.gcd(d)) * d
     return den * (scale // gcd(scale, den.content()))
+
+
+# ---------------------------------------------------------------------------
+# metric decomposition of the Riemann tensor
+# ---------------------------------------------------------------------------
+
+class RiemannSplit:
+    """Metric decomposition of the curvature of a Levi-Civita connection."""
+
+    __slots__ = ("_weyl_conformal", "_phi", "scalar", "schouten_metric", "dim")
+
+    def __init__(self, weyl_conformal, phi, scalar, schouten_metric, dim):
+        self._weyl_conformal = weyl_conformal
+        self._phi = phi
+        self.scalar = scalar
+        self.schouten_metric = schouten_metric
+        self.dim = dim
+
+    @property
+    def weyl_conformal(self):
+        if self._weyl_conformal is None:
+            raise DimensionTooSmall("conformal Weyl part needs dimension >= 3")
+        return self._weyl_conformal
+
+    @property
+    def phi(self):
+        if self._phi is None:
+            raise DimensionTooSmall("trace-free Ricci part needs dimension >= 3")
+        return self._phi
+
+
+def riemann_split(g_down):
+    """Split the Riemann tensor of g into conformal Weyl, trace-free Ricci,
+    scalar and metric Schouten parts; reassembly is verified exactly, and so
+    is the relation between the projective and conformal Weyl tensors (for
+    n >= 3).  Dimension 2 yields the scalar-only split."""
+    chart = g_down.chart
+    n = chart.dim
+    conn = levi_civita(g_down)
+    g_up = metric_inverse(g_down)
+    ric, scalar, riem_low = _scalar_and_lowered_riemann(conn, g_down, g_up)
+
+    if n == 2:
+        quarter = chart.const(Fraction(1, 4))
+        q_comps = [quarter * scalar * g_down.get(a, b)
+                   for a, b in product(range(n), repeat=2)]
+        schouten_metric = TensorField(chart, ("d", "d"), q_comps)
+        _verify_cheese(riem_low, None, schouten_metric, g_down)
+        return RiemannSplit(None, None, scalar, schouten_metric, n)
+
+    inv_n = chart.const(Fraction(1, n))
+    phi_comps = [ric.get(a, b) - inv_n * scalar * g_down.get(a, b)
+                 for a, b in product(range(n), repeat=2)]
+    phi = TensorField(chart, ("d", "d"), phi_comps)
+    cn2 = chart.const(Fraction(1, n - 2))
+    c2n = chart.const(Fraction(1, 2 * n * (n - 1)))
+    q_comps = [cn2 * phi.get(a, b) + c2n * scalar * g_down.get(a, b)
+               for a, b in product(range(n), repeat=2)]
+    schouten_metric = TensorField(chart, ("d", "d"), q_comps)
+
+    weyl_low = []
+    for a, b, c, d in product(range(n), repeat=4):
+        val = (riem_low.get(a, b, c, d)
+               - g_down.get(a, c) * schouten_metric.get(b, d)
+               + g_down.get(b, c) * schouten_metric.get(a, d)
+               - schouten_metric.get(a, c) * g_down.get(b, d)
+               + schouten_metric.get(b, c) * g_down.get(a, d))
+        weyl_low.append(val)
+    weyl_low = TensorField(chart, ("d",) * 4, weyl_low)
+    # raise the third slot to match the projective Weyl shape
+    weyl_comps = []
+    for a, b, c, d in product(range(n), repeat=4):
+        val = chart.zero
+        for e in range(n):
+            gu = g_up.get(c, e)
+            if not gu.is_zero():
+                val = val + gu * weyl_low.get(a, b, e, d)
+        weyl_comps.append(val)
+    weyl_conformal = TensorField(chart, ("d", "d", "u", "d"), weyl_comps)
+
+    _verify_cheese(riem_low, weyl_low, schouten_metric, g_down)
+    _verify_weyl_relation(conn, g_down, g_up, weyl_conformal, phi)
+    return RiemannSplit(weyl_conformal, phi, scalar, schouten_metric, n)
+
+
+def _verify_cheese(riem_low, weyl_low, q, g_down):
+    """R_abcd = C_abcd + g_ac Q_bd - g_bc Q_ad + Q_ac g_bd - Q_bc g_ad, exactly."""
+    chart = g_down.chart
+    n = chart.dim
+    for a, b, c, d in product(range(n), repeat=4):
+        val = (g_down.get(a, c) * q.get(b, d) - g_down.get(b, c) * q.get(a, d)
+               + q.get(a, c) * g_down.get(b, d) - q.get(b, c) * g_down.get(a, d))
+        if weyl_low is not None:
+            val = val + weyl_low.get(a, b, c, d)
+        if val != riem_low.get(a, b, c, d):
+            raise InternalError(f"Riemann reassembly failed at {(a, b, c, d)}")
+
+
+def _verify_weyl_relation(conn, g_down, g_up, weyl_conformal, phi):
+    """Projective Weyl = conformal Weyl + the displayed trace-free Ricci terms."""
+    chart = g_down.chart
+    n = chart.dim
+    _, w_proj = _schouten_and_weyl(conn)
+    phi_mixed = []
+    for a, c in product(range(n), repeat=2):
+        val = chart.zero
+        for e in range(n):
+            gu = g_up.get(c, e)
+            if not gu.is_zero():
+                val = val + gu * phi.get(a, e)
+        phi_mixed.append(val)
+    phi_mixed = TensorField(chart, ("d", "u"), phi_mixed)
+    f1 = chart.const(Fraction(1, (n - 1) * (n - 2)))
+    f2 = chart.const(Fraction(1, n - 2))
+    for a, b, c, d in product(range(n), repeat=4):
+        val = weyl_conformal.get(a, b, c, d)
+        if a == c:
+            val = val + f1 * phi.get(b, d)
+        if b == c:
+            val = val - f1 * phi.get(a, d)
+        val = val + f2 * (phi_mixed.get(a, c) * g_down.get(b, d)
+                          - phi_mixed.get(b, c) * g_down.get(a, d))
+        if val != w_proj.get(a, b, c, d):
+            raise InternalError(f"Weyl comparison failed at {(a, b, c, d)}")
+
+
+# ---------------------------------------------------------------------------
+# reference metrics of the model connections
+# ---------------------------------------------------------------------------
+
+def euclidean_metric(n):
+    chart = Chart(n)
+    one, zero = chart.one, chart.zero
+    return TensorField.from_function(chart, ("d", "d"),
+                                     lambda a, b: one if a == b else zero)
+
+
+def klein_metric(n):
+    """Beltrami-Klein ball model, curvature -1:
+    g_ab = delta_ab/(1-r^2) + x_a x_b/(1-r^2)^2 on r < 1."""
+    chart = Chart(n)
+    r2 = _radius2(chart)
+    den = chart.one - r2
+
+    def comp(a, b):
+        val = chart.vars[a] * chart.vars[b] / (den * den)
+        if a == b:
+            val = val + chart.one / den
+        return val
+
+    return TensorField.from_function(chart, ("d", "d"), comp)
+
+
+def sphere_stereographic_metric(n):
+    """Unit sphere in stereographic coordinates, curvature +1:
+    g_ab = 4 delta_ab/(1+r^2)^2."""
+    chart = Chart(n)
+    r2 = _radius2(chart)
+    den = (chart.one + r2) ** 2
+    zero = chart.zero
+    four = chart.const(4)
+    return TensorField.from_function(
+        chart, ("d", "d"),
+        lambda a, b: four / den if a == b else zero)
+
+
+def sphere_gnomonic_metric(n):
+    """Unit sphere in central-projection coordinates, curvature +1:
+    g_ab = delta_ab/(1+r^2) - x_a x_b/(1+r^2)^2.  Geodesics are straight
+    lines in this chart."""
+    chart = Chart(n)
+    r2 = _radius2(chart)
+    den = chart.one + r2
+
+    def comp(a, b):
+        val = -(chart.vars[a] * chart.vars[b]) / (den * den)
+        if a == b:
+            val = val + chart.one / den
+        return val
+
+    return TensorField.from_function(chart, ("d", "d"), comp)
+
+
+# ---------------------------------------------------------------------------
+# exact rank
+# ---------------------------------------------------------------------------
+
+def rank(rows, ncols):
+    return len(_rref(rows, ncols))

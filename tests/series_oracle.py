@@ -6,13 +6,20 @@ Kept verbatim as an independent oracle: a series is a plain dict
 {exponent tuple: Fraction}, and every product term is one Fraction
 multiply-add.  `as_fractions` reads a `projmet.exactseries.Series` in this
 form, so results of the integer kernel compare with `==`.
+
+Also here, moved from `projmet` unchanged because only the tests call
+them: `series_from_coeffs`, `series_diff` and `series_eval` on a
+`projmet.exactseries.Series`, and `poly_terms`, the coefficient list of a
+polynomial `RationalExpr` (a method before), with `NotPolynomial`, the
+error it raises.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from projmet.errors import PoleAtBasePoint
-from projmet.exactseries import monomials_of_order
+from projmet.errors import PoleAtBasePoint, ProjmetError
+from projmet.exactseries import Series, _lowest, monomials_of_order
+from projmet.exprcore import _scaled_point, _scaled_value
 
 
 def as_fractions(series):
@@ -145,3 +152,48 @@ def rational_to_series(expr, point, max_order):
     if len(den) == 1:
         return series_scale(num, Fraction(1) / den[zero])
     return series_mul(num, series_inverse(den, nvars, max_order), max_order)
+
+
+# ---------------------------------------------------------------------------
+# helpers on projmet's integer series and expressions
+# ---------------------------------------------------------------------------
+
+class NotPolynomial(ProjmetError):
+    """Operation restricted to polynomial components got a rational one."""
+
+
+def poly_terms(expr):
+    """[(exponent tuple, Fraction coeff)] of a polynomial expression."""
+    if not expr.is_polynomial():
+        raise NotPolynomial("expression has a nontrivial denominator")
+    den = expr.den.LC
+    return [(exps, Fraction(c, den)) for exps, c in expr.num.terms()]
+
+
+def series_from_coeffs(coeffs):
+    """The Series of {exponent tuple: int or Fraction coefficient}; over the
+    lcm of the reduced denominators it is already in lowest terms."""
+    coeffs = {m: v for m, v in coeffs.items() if v}
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    return Series(den, {m: v.numerator * (den // v.denominator)
+                        for m, v in coeffs.items()})
+
+
+def series_diff(a, var):
+    """Partial derivative with respect to variable index (0-based)."""
+    out = {}
+    for k, v in a.terms.items():
+        e = k[var]
+        if e:
+            out[k[:var] + (e - 1,) + k[var + 1:]] = v * e
+    return _lowest(a.den, out)
+
+
+def series_eval(a, point):
+    """Exact value at a rational point (coordinates of u), summed in int by
+    the point evaluation kernel of exprcore."""
+    if not a:
+        return Fraction(0)
+    powers, lpow = _scaled_point([Fraction(p) for p in point], a.terms)
+    s, _, _ = _scaled_value(a.terms, powers, lpow)
+    return Fraction(s, lpow[-1] * a.den)

@@ -19,7 +19,6 @@ from projmet import (AffineConnection, Chart, TensorField, beta_form,
                      levi_civita, metric_inverse, projective_change,
                      projective_equivalence, reconstruct_metric, specialize)
 from projmet.cli import analyze_connection
-from projmet.exactlinalg import rank
 from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness, sphere_gnomonic_connection,
                             sphere_stereographic_connection)
@@ -30,8 +29,9 @@ from projmet.tensorfield import covariant_derivative, trace_free_part
 from conftest import (rand_exact_oneform, rand_fraction, rand_poly,
                       rand_special_connection)
 from linalg_oracle import sparse
-from oracles import (bianchi_contracted_check, curvature_on_section,
-                     is_closed, reweight)
+from oracles import (TractorSection, bianchi_contracted_check,
+                     curvature_on_section, is_closed, outer, rank, scalar,
+                     scale, sub)
 
 
 @contextmanager
@@ -310,12 +310,12 @@ def test_criterion_5_invariance_suite():
                                 rhs = rhs + 2 * df[b] * w * sigma.get(c, d)
                     assert lhs == rhs
                 # invariance of the trace-free operator under the rescaling
-                weighted = TensorField(chart, sigma.variance, sigma.comps,
-                                       weight=-2)
-                hat = reweight(weighted, f)
-                lhs_t = trace_free_part(covariant_derivative(hat, changed))
-                rhs_t = reweight(
-                    trace_free_part(covariant_derivative(weighted, conn)), f)
+                # sigma -> e^{-2f} sigma: the derivative of the factor,
+                # -2 df (x) sigma, is written out
+                dfield = TensorField(chart, ("d",), df)
+                lhs_t = sub(trace_free_part(covariant_derivative(sigma, changed)),
+                            scale(trace_free_part(outer(dfield, sigma)), 2))
+                rhs_t = trace_free_part(covariant_derivative(sigma, conn))
                 assert lhs_t == rhs_t
 
 
@@ -362,13 +362,11 @@ def test_criterion_6_curvature_oracle():
 
 
 def _random_section_for(chart, rng):
-    from projmet.tractor import TractorSection
-
     n = chart.dim
     sigma = _random_sigma(chart, rng)
     mu = TensorField(chart, ("u",),
                      [rand_poly(chart, rng, 2, 2) for _ in range(n)])
-    rho = TensorField.scalar(chart, rand_poly(chart, rng, 2, 2))
+    rho = scalar(chart, rand_poly(chart, rng, 2, 2))
     return TractorSection(sigma, mu, rho)
 
 

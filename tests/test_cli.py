@@ -475,7 +475,7 @@ def test_report_determinism(tmp_path):
 def test_report_written(tmp_path):
     spec = _write(tmp_path, "flat.json", FLAT2)
     out = tmp_path / "report.json"
-    report, _ = run_analysis(spec, report_path=str(out))
+    assert main(["analyze", spec, "--report", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["schema"] == 2
 
 
@@ -618,15 +618,63 @@ def test_analyze_connection_rejects_samples_below_one():
     ('{"dimension": 2.5}', "spec needs an integer 'dimension'"),
     ('{"dimension": 2, "variables": ["x", "x"]}', "distinct identifiers"),
     ('{"dimension": 2, "variables": ["a", ""]}', "distinct identifiers"),
+    ('{"dimension": 2, "base_point": ["1e5000", "0"]}', "bad base_point"),
+    ('{"dimension": 2, "base_point": ["%se400", "0"]}' % ("9" * 4000),
+     "bad base_point"),
+    ('{"dimension": 2, "options": {"samples": 1%s}}' % ("0" * 5000),
+     "invalid JSON"),
 ], ids=["base-point-number", "variables-number", "christoffel-list",
         "options-number", "max-order-overflow", "dimension-fraction",
-        "variables-repeated", "variables-empty-name"])
+        "variables-repeated", "variables-empty-name", "base-point-exponent",
+        "base-point-digits", "json-integer-digits"])
 def test_malformed_spec_shapes_are_input_errors(tmp_path, capsys, text,
                                                 message):
     spec = tmp_path / "bad.json"
     spec.write_text(text)
     code = main(["analyze", str(spec)])
     _assert_input_error(capsys, code, message)
+
+
+@pytest.mark.parametrize("case", ["spec-directory", "spec-not-utf8",
+                                  "report-directory"])
+def test_unreadable_spec_or_report_is_an_input_error(tmp_path, capsys, case):
+    """A spec that cannot be read or is not UTF-8, or a report path that
+    cannot be written, is an input error, not a traceback."""
+    spec = _write(tmp_path, "flat.json", FLAT2)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"dimension": 2, "christoffel": {"1,1,1": "x\xff"}}')
+    argv, message = {
+        "spec-directory": (["analyze", str(tmp_path)], "cannot read the spec"),
+        "spec-not-utf8": (["analyze", str(latin1)], "invalid JSON"),
+        "report-directory": (["curvature", spec, "--report", str(tmp_path)],
+                             "cannot write the report"),
+    }[case]
+    _assert_input_error(capsys, main(argv), message)
+
+
+@pytest.mark.parametrize("entry", [
+    "1" * 5000 + "*x1", "7^6000*x1", "x1/7^6000", "7^10000000*x1",
+    "x1/(10^2199 + 1) + 1/(10^2199 + 3)", "(x1*x2)^" + "9" * 4300,
+], ids=["literal", "power", "inverse-power", "huge-exponent", "sum",
+        "degree-digits"])
+def test_integers_past_the_digit_limit_are_input_errors(tmp_path, capsys,
+                                                         entry):
+    """Python converts no int of more than 4,300 digits to or from str, so
+    the parser refuses such an integer, written or built, and the entry is
+    named; a power is refused before it is expanded (`7^10000000` took
+    11 s to fail with a traceback)."""
+    import time
+
+    from projmet.exprcore import MAX_DIGITS
+
+    assert MAX_DIGITS == 4300
+    spec = _write(tmp_path, "big.json",
+                  {"dimension": 2, "christoffel": {"1,1,1": entry}})
+    start = time.perf_counter()
+    code = main(["mobility", spec])
+    assert time.perf_counter() - start < 1
+    _assert_input_error(capsys, code, 'christoffel "1,1,1" has an integer '
+                                      "of more than 4300 digits")
 
 
 def test_mobility_order_below_two_is_an_input_error(tmp_path, capsys):

@@ -8,24 +8,25 @@ from pathlib import Path
 import pytest
 
 from projmet import (AffineConnection, Chart, DegenerateSigma,
-                     DimensionTooSmall, NotEquivalent, PoleError, PoleOnPath,
-                     TensorField, constant_curvature_check,
-                     equivalence_defect, geodesic_compare, is_levi_civita,
-                     levi_civita, metric_inverse, projective_change,
+                     NotEquivalent, PoleError, PoleOnPath, TensorField,
+                     constant_curvature_check, equivalence_defect,
+                     geodesic_compare, is_levi_civita, levi_civita,
+                     metric_inverse, projective_change,
                      projective_equivalence, reconstruct_metric, ricci,
-                     riemann_split, write_trace_csv)
+                     write_trace_csv)
 from projmet.cli import load_spec
 from projmet.metricize import (_volume_residual, candidate_from_metric,
-                               integrate_geodesic, kappa_at,
-                               sampled_constant_curvature, sampled_lc_residual)
-from projmet.models import (euclidean_metric, flat_connection,
-                            klein_connection, klein_metric,
-                            sphere_gnomonic_connection, sphere_gnomonic_metric,
-                            sphere_stereographic_connection,
-                            sphere_stereographic_metric)
+                               kappa_at, sampled_constant_curvature,
+                               sampled_lc_residual)
+from projmet.models import (flat_connection, klein_connection,
+                            sphere_gnomonic_connection,
+                            sphere_stereographic_connection)
 from projmet.tensorfield import covariant_derivative, trace_free_part
 
 from conftest import rand_metric, rand_poly, warped_product_connection
+from oracles import (DimensionTooSmall, euclidean_metric, klein_metric,
+                     riemann_split, sphere_gnomonic_metric,
+                     sphere_stereographic_metric)
 
 
 def _delta_uu(chart):
@@ -694,16 +695,30 @@ def test_geodesic_compare_detects_inequivalence():
     assert worst > 1e-3
 
 
+def test_geodesic_compare_compiles_each_connection_once(monkeypatch):
+    """The symbols of each connection are compiled once per call, not once
+    per seed: the 6 nonzero Klein n=2 symbols and none of the flat ones."""
+    import projmet.exprcore as exprcore
+
+    compiled = []
+    real = exprcore.compile_numeric
+    monkeypatch.setattr(exprcore, "compile_numeric",
+                        lambda e: compiled.append(e) or real(e))
+    seeds = SEEDS + [([0.05, 0.0], [0.0, 0.25])]
+    geodesic_compare(klein_connection(2), flat_connection(2), seeds)
+    assert len(compiled) == 6
+
+
 def test_geodesic_pole_met_by_a_refined_pass_is_pole_on_path():
     """Gamma^2_11 = 1/(64 x1 - 1) has its pole at x1 = 1/64, which the
     first pass of 16 steps skips along (0, 0) -> (1, 0); the refined pass
-    of 32 steps lands on it, and so does the fixed-step defect pass of
-    geodesic_compare.  Both raise PoleOnPath."""
+    of 32 steps of the geodesic integration lands on it, and so does the
+    fixed-step defect pass.  Both raise PoleOnPath."""
     chart = Chart(2)
     conn = AffineConnection.from_components(
         chart, {(2, 1, 1): 1 / (64 * chart.var(1) - 1)})
     with pytest.raises(PoleOnPath):
-        integrate_geodesic(conn, (0, 0), (1, 0))
+        geodesic_compare(conn, flat_connection(2), [((0, 0), (1, 0))])
     with pytest.raises(PoleOnPath):
         geodesic_compare(flat_connection(2), conn, [((0, 0), (1, 0))])
 

@@ -10,9 +10,8 @@ import pytest
 from projmet import (AffineConnection, Chart, NotSpecial, PoleAtBasePoint,
                      PoleOnPath, decompose_curvature, degree_of_mobility,
                      parallel_transport, residual, specialize)
-from projmet.exactlinalg import nullspace, rank
+from projmet.exactlinalg import nullspace
 from projmet.cli import load_spec
-from projmet.exactseries import series_eval, series_from_coeffs
 from projmet.mobility import _expand_system
 from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness,
@@ -23,7 +22,8 @@ from projmet.tractor import (cleared_matrices, section_dim, sym_pairs,
 from conftest import rand_fraction
 from jet_oracle import dense_jet_solve
 from linalg_oracle import sparse
-from oracles import connection_matrices_by_columns
+from oracles import TractorSection, connection_matrices_by_columns, rank, scalar
+from series_oracle import series_diff, series_eval, series_from_coeffs
 
 DATA = Path(__file__).parent / "data"
 
@@ -392,7 +392,6 @@ def test_input_metric_solution_lies_in_admissible_space():
     sigma = g^{bc} solves the system with zero velocity slot."""
     from projmet import TensorField, decompose_curvature
     from projmet.metricize import levi_civita, metric_inverse
-    from projmet.tractor import TractorSection
     from oracles import tractor_derivative, values_at
 
     chart = Chart(2)
@@ -410,7 +409,7 @@ def test_input_metric_solution_lies_in_admissible_space():
             rho_expr = rho_expr + data.schouten.get(a, d) * g_up.get(a, d)
     rho_expr = rho_expr / n
     mu = TensorField(chart, ("u",), [chart.zero, chart.zero])
-    sec = TractorSection(g_up, mu, TensorField.scalar(chart, rho_expr))
+    sec = TractorSection(g_up, mu, scalar(chart, rho_expr))
     top, mid, bot = tractor_derivative(conn, data, sec)
     assert top.is_zero() and mid.is_zero() and bot.is_zero()
     # the corresponding initial values lie in the admissible span
@@ -544,8 +543,6 @@ def test_residual_raises_pole_error_where_d_vanishes():
 def _symbolic_defect(js, mats, slots, pts):
     """The largest slot of d_a s + A_a(x) s over the points, through
     `series_diff`, `series_eval` and the entries of the matrices mats."""
-    from projmet.exactseries import series_diff
-
     want = Fraction(0)
     for x in pts:
         u = [xv - pv for xv, pv in zip(x, js.base_point)]

@@ -12,16 +12,16 @@ from projmet import (AffineConnection, Chart, NotSpecial, TensorField,
                      full_curvature, levi_civita, projective_change, ricci,
                      specialize)
 from projmet.cli import parse_spec
-from projmet.models import (flat_connection, klein_connection, klein_metric,
-                            sphere_stereographic_connection,
-                            sphere_stereographic_metric)
+from projmet.models import (flat_connection, klein_connection,
+                            sphere_stereographic_connection)
 from projmet.projconn import _schouten_and_weyl, cotton_york
 
 from conftest import (rand_exact_oneform, rand_metric, rand_poly,
                       rand_special_connection, rand_vector_field,
                       ricci_by_commutator, warped_product_connection)
 from oracles import (beta_of_ricci, bianchi_contracted_check,
-                     cotton_york_by_gradients, is_closed)
+                     cotton_york_by_gradients, is_closed, klein_metric,
+                     sphere_stereographic_metric)
 
 DATA = Path(__file__).parent / "data"
 

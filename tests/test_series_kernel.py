@@ -11,11 +11,11 @@ import pytest
 
 from projmet import Chart
 from projmet.exactseries import (Series, monomials_of_order, poly_to_series,
-                                 rational_to_series, series_from_coeffs,
-                                 series_inverse, series_mul)
+                                 rational_to_series, series_inverse,
+                                 series_mul)
 
 import series_oracle
-from series_oracle import as_fractions
+from series_oracle import as_fractions, series_from_coeffs
 
 
 def _check_normal(series):

@@ -15,14 +15,14 @@ from projmet.models import (flat_connection, klein_connection,
                             nonmetrizable_witness, sphere_gnomonic_connection,
                             sphere_stereographic_connection)
 from projmet.projconn import cotton_york
-from projmet.tractor import (TractorSection, cleared_matrices,
-                             connection_matrices, section_dim, sym_pairs,
-                             tractor_curvature)
+from projmet.tractor import (cleared_matrices, connection_matrices,
+                             section_dim, sym_pairs, tractor_curvature)
 
 from conftest import rand_exact_oneform, rand_fraction, rand_metric, \
     rand_poly, rand_special_connection
-from oracles import (connection_matrices_by_columns, curvature_on_section,
-                     section_basis, section_difference, section_is_zero,
+from oracles import (TractorSection, connection_matrices_by_columns,
+                     curvature_on_section, scalar, section_basis,
+                     section_difference, section_is_zero, sub,
                      top_slot_curvature_formula, tractor_derivative,
                      transform_section, transform_values, values_at)
 
@@ -40,7 +40,7 @@ def _general_flat_solution(chart, s, m, r):
     sigma = TensorField(chart, ("u", "u"), sig)
     mu = TensorField(chart, ("u",), [chart.const(m[i]) + xs[i] * r
                                      for i in range(n)])
-    rho = TensorField.scalar(chart, chart.const(r))
+    rho = scalar(chart, chart.const(r))
     return TractorSection(sigma, mu, rho)
 
 
@@ -94,7 +94,7 @@ def test_transform_group_law(rng):
     sec = TractorSection(
         TensorField(chart, ("u", "u"), [1 + x1, x2, x2, chart.const(2)]),
         TensorField(chart, ("u",), [x1 * x2, chart.one]),
-        TensorField.scalar(chart, x2 ** 2))
+        scalar(chart, x2 ** 2))
     u1 = [x1 * x2, chart.const(2)]
     u2 = [x2 ** 2, x1]
     both = [a + b for a, b in zip(u1, u2)]
@@ -159,7 +159,7 @@ def _random_section(chart, rng):
                         [sig[i][j] for i in range(n) for j in range(n)])
     mu = TensorField(chart, ("u",),
                      [rand_poly(chart, rng, 2, 2) for _ in range(n)])
-    rho = TensorField.scalar(chart, rand_poly(chart, rng, 2, 2))
+    rho = scalar(chart, rand_poly(chart, rng, 2, 2))
     return TractorSection(sigma, mu, rho)
 
 
@@ -200,7 +200,7 @@ def test_top_slot_formula_equals_commutator_top(rng):
         acted = curvature_on_section(conn, data, sec)
         for (a, b), (top, _, _) in acted.items():
             formula = top_slot_curvature_formula(data, sec.sigma, a, b)
-            assert (formula - top).is_zero()
+            assert sub(formula, top).is_zero()
 
 
 def test_modified_minus_plain_is_displayed_correction(rng):
@@ -213,7 +213,7 @@ def test_modified_minus_plain_is_displayed_correction(rng):
         sec = _random_section(chart, rng)
         t1, m1, b1 = tractor_derivative(conn, data, sec, modified=True)
         t0, m0, b0 = tractor_derivative(conn, data, sec, modified=False)
-        assert (t1 - t0).is_zero()
+        assert sub(t1, t0).is_zero()
         inv_n = chart.const(Fraction(1, n))
         for a, bdx in product(range(n), repeat=2):
             corr = chart.zero
